@@ -178,6 +178,24 @@ func (rp *ReadPort) DataLits() []Lit {
 	return out
 }
 
+// ReadRef locates a memory read-data node: the index of its memory in
+// Netlist.Memories and of its port in that memory's Reads.
+type ReadRef struct{ Mem, Port int32 }
+
+// ReadRefs returns a node-indexed slice that locates every read-data node.
+// Entries of other nodes are zero and meaningless.
+func (n *Netlist) ReadRefs() []ReadRef {
+	refs := make([]ReadRef, len(n.nodes))
+	for mi, m := range n.Memories {
+		for ri, rp := range m.Reads {
+			for _, dn := range rp.Data {
+				refs[dn] = ReadRef{int32(mi), int32(ri)}
+			}
+		}
+	}
+	return refs
+}
+
 // Memory is an embedded memory module with R read and W write ports.
 type Memory struct {
 	Name   string
@@ -210,7 +228,7 @@ type Netlist struct {
 	Constraints []Lit
 
 	inputName map[NodeID]string
-	strash    map[[2]Lit]NodeID
+	strash    strashTable
 	latchOf   map[NodeID]*Latch
 }
 
@@ -218,7 +236,6 @@ type Netlist struct {
 func New(name string) *Netlist {
 	n := &Netlist{
 		Name:      name,
-		strash:    make(map[[2]Lit]NodeID),
 		inputName: make(map[NodeID]string),
 		latchOf:   make(map[NodeID]*Latch),
 	}
@@ -371,12 +388,11 @@ func (n *Netlist) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	key := [2]Lit{a, b}
-	if id, ok := n.strash[key]; ok {
+	if id := n.strash.find(n.nodes, a, b); id != 0 {
 		return MkLit(id, false)
 	}
 	id := n.newNode(KAnd, a, b)
-	n.strash[key] = id
+	n.strash.insert(n.nodes, id, a, b)
 	return MkLit(id, false)
 }
 

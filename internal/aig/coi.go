@@ -30,14 +30,7 @@ func coneOf(n *Netlist, props []int) (needNode []bool, needMem []bool) {
 	needNode = make([]bool, n.NumNodes())
 	needMem = make([]bool, len(n.Memories))
 
-	memOfRead := make(map[NodeID]int)
-	for mi, m := range n.Memories {
-		for _, rp := range m.Reads {
-			for _, dn := range rp.Data {
-				memOfRead[dn] = mi
-			}
-		}
-	}
+	readRef := n.ReadRefs()
 
 	var stack []NodeID
 	push := func(l Lit) {
@@ -64,7 +57,7 @@ func coneOf(n *Netlist, props []int) (needNode []bool, needMem []bool) {
 		case KLatch:
 			push(n.latchOf[id].Next)
 		case KMemRead:
-			mi := memOfRead[id]
+			mi := readRef[id].Mem
 			if needMem[mi] {
 				continue
 			}

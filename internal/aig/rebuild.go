@@ -107,7 +107,12 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		ReadOf:  make([][]int, len(n.Memories)),
 		WriteOf: make([][]int, len(n.Memories)),
 	}
-	newLit := make(map[NodeID]Lit)
+	// newLit maps a source node id to its rebuilt literal; noLit marks a
+	// node not (yet) copied.
+	newLit := make([]Lit, len(n.nodes))
+	for i := range newLit {
+		newLit[i] = noLit
+	}
 	newLit[0] = False
 	for id, l := range sp.LatchConst {
 		newLit[id] = l
@@ -164,7 +169,7 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 	var copyLit func(l Lit) Lit
 	copyLit = func(l Lit) Lit {
 		id := l.Node()
-		if v, ok := newLit[id]; ok {
+		if v := newLit[id]; v != noLit {
 			return v.XorInv(l.Inverted())
 		}
 		node := n.nodes[id]
@@ -231,6 +236,9 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 	}
 	return out, rm
 }
+
+// noLit marks an absent entry in a node-indexed literal slice.
+const noLit Lit = -1
 
 func constSlice(n, v int) []int {
 	s := make([]int, n)

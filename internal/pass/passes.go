@@ -32,8 +32,9 @@ func coiPass(n *aig.Netlist, props []int) (*aig.Netlist, *Mapping, []int) {
 // dangling after the substitution: gates, inputs, latches, and memories
 // outside the substituted cone of the properties and constraints.
 func sweepPass(n *aig.Netlist, props []int) (*aig.Netlist, *Mapping, []int) {
-	sub := findConstLatches(n)
-	needNode, needMem := substCone(n, props, sub)
+	val := findConstLatches(n)
+	sub := latchConst(n, val)
+	needNode, needMem := substCone(n, props, val)
 	if len(sub) == 0 && nothingDropped(n, props, needNode, needMem) {
 		return n, Identity(), props
 	}
@@ -47,26 +48,45 @@ func sweepPass(n *aig.Netlist, props []int) (*aig.Netlist, *Mapping, []int) {
 	return out, fromRebuild(rm), identityProps(len(props))
 }
 
-// findConstLatches returns an inductive constant substitution: latch node
-// -> constant literal, for latches whose next-state function evaluates to
-// their (binary) reset value under the substitution found so far plus the
-// latch's own value at reset.
-func findConstLatches(n *aig.Netlist) map[aig.NodeID]aig.Lit {
-	sub := make(map[aig.NodeID]aig.Lit)
+// findConstLatches returns an inductive constant substitution as a
+// node-indexed slice (unknown = not substituted): the latches whose
+// next-state function evaluates to their (binary) reset value under the
+// substitution found so far plus the latch's own value at reset. It is
+// the least fixpoint of that rule. The substitution only grows and
+// ternary evaluation is monotone in it, so the result does not depend on
+// the order latches are tried in. Each round costs one evaluation per
+// open latch, linear in that latch's next-state cone.
+func findConstLatches(n *aig.Netlist) []tv {
+	e := newConstEval(n)
 	for changed := true; changed; {
 		changed = false
 		for _, l := range n.Latches {
-			if _, done := sub[l.Node]; done || l.Init == aig.InitX {
+			if e.sub[l.Node] != unknown || l.Init == aig.InitX {
 				continue
 			}
-			want := l.Init == aig.Init1
-			if v, ok := evalConst(n, l.Next, sub, l.Node, want); ok && v == want {
-				sub[l.Node] = aig.False.XorInv(want)
+			want := falseV
+			if l.Init == aig.Init1 {
+				want = trueV
+			}
+			if e.eval(l.Next, l.Node, want) == want {
+				e.sub[l.Node] = want
 				changed = true
 			}
 		}
 	}
-	return sub
+	return e.sub
+}
+
+// latchConst converts a node-indexed substitution to the latch node ->
+// constant literal form of aig.RebuildSpec.LatchConst.
+func latchConst(n *aig.Netlist, sub []tv) map[aig.NodeID]aig.Lit {
+	out := make(map[aig.NodeID]aig.Lit)
+	for _, l := range n.Latches {
+		if v := sub[l.Node]; v != unknown {
+			out[l.Node] = aig.False.XorInv(v == trueV)
+		}
+	}
+	return out
 }
 
 // tv is a three-valued truth value for partial evaluation.
@@ -86,85 +106,87 @@ func litVal(v tv, inv bool) tv {
 	return falseV + trueV - v
 }
 
-// evalConst partially evaluates lit under the constant substitution, with
-// the latch `self` assumed to hold selfVal. Returns (value, known).
-func evalConst(n *aig.Netlist, lit aig.Lit, sub map[aig.NodeID]aig.Lit, self aig.NodeID, selfVal bool) (bool, bool) {
-	memo := make(map[aig.NodeID]tv)
-	var nodeVal func(id aig.NodeID) tv
-	nodeVal = func(id aig.NodeID) tv {
-		if v, ok := memo[id]; ok {
-			return v
+// constEval partially evaluates literals under a constant substitution.
+// Its memo is dense and epoch-stamped: memo[id] holds epoch<<2 | value,
+// and an entry stamped with an older epoch counts as absent, so starting
+// a fresh evaluation costs one increment instead of clearing the memo.
+type constEval struct {
+	n     *aig.Netlist
+	sub   []tv // node-indexed substitution
+	memo  []uint32
+	epoch uint32
+
+	self    aig.NodeID
+	selfVal tv
+}
+
+func newConstEval(n *aig.Netlist) *constEval {
+	return &constEval{
+		n:    n,
+		sub:  make([]tv, n.NumNodes()),
+		memo: make([]uint32, n.NumNodes()),
+	}
+}
+
+// eval returns lit's value under the substitution, with the latch self
+// assumed to hold selfVal.
+func (e *constEval) eval(lit aig.Lit, self aig.NodeID, selfVal tv) tv {
+	e.epoch++
+	if e.epoch == 1<<30 {
+		clear(e.memo)
+		e.epoch = 1
+	}
+	e.self, e.selfVal = self, selfVal
+	return litVal(e.nodeVal(lit.Node()), lit.Inverted())
+}
+
+func (e *constEval) nodeVal(id aig.NodeID) tv {
+	if m := e.memo[id]; m>>2 == e.epoch {
+		return tv(m & 3)
+	}
+	var v tv
+	switch {
+	case id == 0:
+		v = falseV
+	case id == e.self:
+		v = e.selfVal
+	case e.sub[id] != unknown:
+		v = e.sub[id]
+	default:
+		node := e.n.NodeAt(id)
+		if node.Kind != aig.KAnd {
+			break
 		}
-		var v tv
+		a := litVal(e.nodeVal(node.F0.Node()), node.F0.Inverted())
+		if a == falseV {
+			v = falseV
+			break
+		}
+		b := litVal(e.nodeVal(node.F1.Node()), node.F1.Inverted())
 		switch {
-		case id == 0:
+		case b == falseV:
 			v = falseV
-		case id == self:
-			v = falseV
-			if selfVal {
-				v = trueV
-			}
-		default:
-			if c, ok := sub[id]; ok {
-				v = falseV
-				if c == aig.True {
-					v = trueV
-				}
-				break
-			}
-			node := n.NodeAt(id)
-			if node.Kind != aig.KAnd {
-				v = unknown
-				break
-			}
-			a := litVal(nodeVal(node.F0.Node()), node.F0.Inverted())
-			if a == falseV {
-				v = falseV
-				break
-			}
-			b := litVal(nodeVal(node.F1.Node()), node.F1.Inverted())
-			switch {
-			case b == falseV:
-				v = falseV
-			case a == trueV && b == trueV:
-				v = trueV
-			default:
-				v = unknown
-			}
+		case a == trueV && b == trueV:
+			v = trueV
 		}
-		memo[id] = v
-		return v
 	}
-	v := litVal(nodeVal(lit.Node()), lit.Inverted())
-	switch v {
-	case falseV:
-		return false, true
-	case trueV:
-		return true, true
-	}
-	return false, false
+	e.memo[id] = e.epoch<<2 | uint32(v)
+	return v
 }
 
 // substCone is the cone-of-influence fixpoint with a constant substitution
 // applied: substituted latches contribute nothing, so logic that only fed
 // them becomes dangling and is swept. Memory-granular, like ExtractCone.
-func substCone(n *aig.Netlist, props []int, sub map[aig.NodeID]aig.Lit) (needNode []bool, needMem []bool) {
+func substCone(n *aig.Netlist, props []int, sub []tv) (needNode []bool, needMem []bool) {
 	needNode = make([]bool, n.NumNodes())
 	needMem = make([]bool, len(n.Memories))
 
-	memOfRead := make(map[aig.NodeID]int)
-	for mi, m := range n.Memories {
-		for _, rp := range m.Reads {
-			for _, dn := range rp.Data {
-				memOfRead[dn] = mi
-			}
-		}
-	}
+	readRef := n.ReadRefs()
 
 	var stack []aig.NodeID
 	push := func(l aig.Lit) {
 		id := l.Node()
-		if _, constant := sub[id]; constant {
+		if sub[id] != unknown {
 			return
 		}
 		if !needNode[id] {
@@ -189,7 +211,7 @@ func substCone(n *aig.Netlist, props []int, sub map[aig.NodeID]aig.Lit) (needNod
 		case aig.KLatch:
 			push(n.LatchOf(id).Next)
 		case aig.KMemRead:
-			mi := memOfRead[id]
+			mi := readRef[id].Mem
 			if needMem[mi] {
 				continue
 			}
@@ -233,14 +255,7 @@ func portsPass(n *aig.Netlist, props []int) (*aig.Netlist, *Mapping, []int) {
 		readLive[mi] = make([]bool, len(m.Reads))
 	}
 
-	memOfRead := make(map[aig.NodeID][2]int)
-	for mi, m := range n.Memories {
-		for ri, rp := range m.Reads {
-			for _, dn := range rp.Data {
-				memOfRead[dn] = [2]int{mi, ri}
-			}
-		}
-	}
+	readRef := n.ReadRefs()
 
 	var stack []aig.NodeID
 	push := func(l aig.Lit) {
@@ -267,8 +282,7 @@ func portsPass(n *aig.Netlist, props []int) (*aig.Netlist, *Mapping, []int) {
 		case aig.KLatch:
 			push(n.LatchOf(id).Next)
 		case aig.KMemRead:
-			mr := memOfRead[id]
-			mi, ri := mr[0], mr[1]
+			mi, ri := readRef[id].Mem, readRef[id].Port
 			m := n.Memories[mi]
 			if !readLive[mi][ri] {
 				readLive[mi][ri] = true

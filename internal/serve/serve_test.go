@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"emmver/internal/aig"
+	"emmver/internal/bmc"
 	"emmver/internal/btor2"
 	"emmver/internal/exp"
 	"emmver/internal/pass"
@@ -342,5 +345,42 @@ func TestNetlistKeyCanonicalization(t *testing.T) {
 	}
 	if FamilyID(a, s6) == FamilyID(a, spec.Spec{Engine: spec.EngineBMC3, Depth: 6}) {
 		t.Error("engine did not separate families")
+	}
+}
+
+// An engine panic fails only its own job: the error carries the stack,
+// /v1/stats counts it, and the next job on the same (single) worker still
+// gets its verdict.
+func TestEnginePanicFailsOnlyItsJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Shutdown)
+	s.runEngine = func(sp spec.Spec, ctx context.Context, n *aig.Netlist, prop, start int, extend func(*bmc.Options)) (*bmc.Result, error) {
+		if sp.Depth == 7 {
+			panic("core: lazy model violates an instantiated forwarding axiom")
+		}
+		return sp.RunCtx(ctx, n, prop, start, extend)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.Listener.Addr().String())
+
+	bad, err := c.Submit(growthReq(t, 7, 0), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.State != "failed" || !strings.Contains(bad.Error, "engine panic: core: lazy model") ||
+		!strings.Contains(bad.Error, "(*Server).solve") {
+		t.Fatalf("panicking job: state %s, error %q", bad.State, bad.Error)
+	}
+	good := submitWait(t, c, growthReq(t, 8, 0))
+	if good.Verdict == nil || good.Verdict.Kind != "NO_CE" {
+		t.Fatalf("job after the panic: %+v", good)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(stats["serve.panics"]); got != "1" {
+		t.Fatalf("serve.panics = %s, want 1", got)
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"emmver/internal/aig"
@@ -99,6 +101,11 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	// runEngine runs one job's engine. It is spec.Spec.RunCtx; tests
+	// replace it to inject engine faults.
+	runEngine func(spec.Spec, context.Context, *aig.Netlist, int, int, func(*bmc.Options)) (*bmc.Result, error)
+	panics    atomic.Int64 // engine panics recovered into failed jobs
+
 	mu     sync.Mutex
 	jobs   map[string]*job
 	byKey  map[string]*job // in-flight dedup: key+sourceKey → newest job
@@ -116,13 +123,14 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		cache:  NewCache(cfg.CacheCap),
-		queue:  make(chan *job, cfg.QueueDepth),
-		ctx:    ctx,
-		cancel: cancel,
-		jobs:   make(map[string]*job),
-		byKey:  make(map[string]*job),
+		cfg:       cfg,
+		cache:     NewCache(cfg.CacheCap),
+		queue:     make(chan *job, cfg.QueueDepth),
+		ctx:       ctx,
+		cancel:    cancel,
+		runEngine: spec.Spec.RunCtx,
+		jobs:      make(map[string]*job),
+		byKey:     make(map[string]*job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -358,6 +366,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"jobs":    jobs,
 		"queued":  len(s.queue),
 		"workers": s.cfg.Workers,
+		// Engine panics recovered into failed jobs (see solve).
+		"serve.panics": s.panics.Load(),
 	})
 }
 
@@ -387,10 +397,7 @@ func (s *Server) run(slot int, j *job) {
 		obs.F("job", j.id), obs.F("worker", slot),
 		obs.F("engine", j.req.Spec.Canonical().Engine),
 		obs.F("depth", j.depth), obs.F("warm_from", warmFrom))
-	res, err := j.req.Spec.RunCtx(s.ctx, j.netlist, j.req.Prop, warmFrom, func(o *bmc.Options) {
-		o.Obs = ob
-		o.ValidateWitness = true
-	})
+	res, err := s.solve(j, warmFrom, ob)
 	sp.End()
 	j.log.CloseLog()
 	if err != nil {
@@ -401,6 +408,23 @@ func (s *Server) run(slot int, j *job) {
 	s.cache.Store(j.familyID, j.problemID, v)
 	j.finish(v, false, warmFrom, "")
 	s.cfg.Obs.Point("serve.done", obs.F("job", j.id), obs.F("kind", v.Kind))
+}
+
+// solve runs the job's engine. A panic anywhere in it — including the
+// exactness panics the lazy EMM refinement raises on purpose — becomes
+// this job's error, stack included, so the worker and every queued job
+// survive it.
+func (s *Server) solve(j *job, warmFrom int, ob *obs.Observer) (res *bmc.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			res, err = nil, fmt.Errorf("engine panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return s.runEngine(j.req.Spec, s.ctx, j.netlist, j.req.Prop, warmFrom, func(o *bmc.Options) {
+		o.Obs = ob
+		o.ValidateWitness = true
+	})
 }
 
 func (j *job) setState(st string) {
