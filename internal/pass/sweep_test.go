@@ -26,45 +26,35 @@ func sweepNetlist(seed int64) *aig.Netlist {
 	for i := 0; i < 4+rng.Intn(4); i++ {
 		pool = append(pool, n.NewInput(""))
 	}
-	randInit := func() aig.Init { return aig.Init(rng.Intn(3)) }
-	type pending struct {
-		q    aig.Lit
-		next func() aig.Lit
-	}
-	var nexts []pending
-
 	// Chain, declared last stage first.
 	k := 2 + rng.Intn(5)
 	chain := make([]aig.Lit, k)
 	for i := k - 1; i >= 0; i-- {
 		chain[i] = n.NewLatch(fmt.Sprintf("c%d", i), aig.Init0)
 	}
-	nexts = append(nexts, pending{chain[0], func() aig.Lit { return chain[0] }})
+	n.SetNext(chain[0], chain[0])
 	for i := 1; i < k; i++ {
-		i := i
-		x := pool[rng.Intn(len(pool))]
-		nexts = append(nexts, pending{chain[i], func() aig.Lit { return n.And(chain[i-1], x) }})
+		n.SetNext(chain[i], n.And(chain[i-1], pool[rng.Intn(len(pool))]))
 	}
 
 	self := n.NewLatch("s", aig.Init(rng.Intn(2)))
-	nexts = append(nexts, pending{self, func() aig.Lit { return self }})
+	n.SetNext(self, self)
 
-	p := n.NewLatch("p", aig.Init0)
-	q := n.NewLatch("q", aig.Init0)
-	nexts = append(nexts, pending{p, func() aig.Lit { return q }}, pending{q, func() aig.Lit { return p }})
+	p, q := n.NewLatch("p", aig.Init0), n.NewLatch("q", aig.Init0)
+	n.SetNext(p, q)
+	n.SetNext(q, p)
 
 	x := n.NewLatch("x", aig.InitX)
-	nexts = append(nexts, pending{x, func() aig.Lit { return aig.False }})
+	n.SetNext(x, aig.False)
 
 	one := n.NewLatch("one", aig.Init1)
-	y := pool[rng.Intn(len(pool))]
-	nexts = append(nexts, pending{one, func() aig.Lit { return n.Or(one, y) }})
+	n.SetNext(one, n.Or(one, pool[rng.Intn(len(pool))]))
 
 	pool = append(pool, chain...)
 	pool = append(pool, self, p, q, x, one)
 	var free []aig.Lit
 	for i := 0; i < 6+rng.Intn(10); i++ {
-		l := n.NewLatch(fmt.Sprintf("r%d", i), randInit())
+		l := n.NewLatch(fmt.Sprintf("r%d", i), aig.Init(rng.Intn(3)))
 		free = append(free, l)
 		pool = append(pool, l)
 	}
@@ -73,11 +63,7 @@ func sweepNetlist(seed int64) *aig.Netlist {
 		pool = append(pool, n.And(pick(), pick()))
 	}
 	for _, l := range free {
-		l, next := l, pick()
-		nexts = append(nexts, pending{l, func() aig.Lit { return next }})
-	}
-	for _, pd := range nexts {
-		n.SetNext(pd.q, pd.next())
+		n.SetNext(l, pick())
 	}
 	n.AddProperty("p", pick())
 	return n
