@@ -198,6 +198,10 @@ func main() {
 			r.Stats.EMM.LazyReads, r.Stats.EMM.LazyAxioms, r.Stats.EMM.LazyCompleted,
 			r.Stats.LazyRounds, r.Stats.LazySpurious)
 	}
+	if r.Stats.LFPPairs > 0 || r.Stats.LFPRounds > 0 {
+		fmt.Printf("loop-free path: %d pair constraints added on demand, %d refinement rounds\n",
+			r.Stats.LFPPairs, r.Stats.LFPRounds)
+	}
 	for _, d := range r.DepthStats {
 		fmt.Println(d)
 	}

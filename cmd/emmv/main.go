@@ -218,6 +218,10 @@ func main() {
 					mr.Stats.Simplifies, mr.Stats.SubsumedClauses,
 					mr.Stats.StrengthenedClauses, mr.Stats.EliminatedVars)
 			}
+			if mr.Stats.LFPPairs > 0 || mr.Stats.LFPRounds > 0 {
+				fmt.Printf("loop-free path: %d pair constraints added on demand, %d refinement rounds\n",
+					mr.Stats.LFPPairs, mr.Stats.LFPRounds)
+			}
 		}
 	}
 

@@ -290,6 +290,11 @@ type Stats struct {
 	// where the on-demand reduction shows.
 	LazyRounds   int64
 	LazySpurious int64
+	// Demand-driven loop-free-path constraints (zero unless Proofs): pair
+	// constraints added after a termination-check model repeated a state,
+	// and the re-solves they cost.
+	LFPPairs  int64
+	LFPRounds int64
 }
 
 // Add accumulates o into s. The parallel engines use it to merge
@@ -316,6 +321,8 @@ func (s *Stats) Add(o Stats) {
 	s.CubeStolen += o.CubeStolen
 	s.LazyRounds += o.LazyRounds
 	s.LazySpurious += o.LazySpurious
+	s.LFPPairs += o.LFPPairs
+	s.LFPRounds += o.LFPRounds
 	if o.PeakHeapMB > s.PeakHeapMB {
 		s.PeakHeapMB = o.PeakHeapMB
 	}
@@ -431,8 +438,11 @@ type engine struct {
 	// properties never repeats it.
 	fwdSatDepth int
 	// solveCalls is kept apart from stats so that the two portfolio lanes
-	// can bump it concurrently without a data race.
+	// can bump it concurrently without a data race; so are the
+	// loop-free-path refinement tallies, bumped by both lanes' checks.
 	solveCalls atomic.Int64
+	lfpPairs   atomic.Int64
+	lfpRounds  atomic.Int64
 
 	depthStats []DepthStat
 	mark       depthMark
@@ -454,6 +464,9 @@ type engine struct {
 	obsLazyAxioms   *obs.Counter
 	obsLazySpurious *obs.Counter
 	obsLazyAxPub    int
+	// Loop-free-path refinement counters.
+	obsLFPPairs  *obs.Counter
+	obsLFPRounds *obs.Counter
 }
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
@@ -470,6 +483,8 @@ func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engi
 		e.obsLazyRounds = reg.Counter(obs.MLazyRounds)
 		e.obsLazyAxioms = reg.Counter(obs.MLazyAxioms)
 		e.obsLazySpurious = reg.Counter(obs.MLazySpurious)
+		e.obsLFPPairs = reg.Counter(obs.MLFPPairs)
+		e.obsLFPRounds = reg.Counter(obs.MLFPRounds)
 	}
 	// Model construction (model.go): each window is an unrolling plus its
 	// EMM generator over a fresh session solver (session.go).
@@ -522,8 +537,8 @@ func (e *engine) obsPBAUpdate(i int) {
 // depth i: SAT(I ∧ LFP_i ∧ C_i).
 func (e *engine) forwardCheck(i int) sat.Status {
 	sp := e.obs.Span("solve.forward", obs.F("depth", i))
-	st := e.solve(e.fs, e.fu.LoopFreeLit(i))
-	sp.End(obs.F("result", st.String()))
+	st, pairs, rounds := e.lfpSolve(e.fs, e.fu, i, e.fu.LoopFreeLit(i))
+	sp.End(obs.F("result", st.String()), obs.F("lfp_pairs", pairs), obs.F("lfp_rounds", rounds))
 	return st
 }
 
@@ -535,9 +550,34 @@ func (e *engine) backwardCheck(prop, i int) sat.Status {
 	for j := 0; j < i; j++ {
 		assumps = append(assumps, e.bu.PropertyLit(prop, j))
 	}
-	st := e.solve(e.bs, assumps...)
-	sp.End(obs.F("result", st.String()))
+	st, pairs, rounds := e.lfpSolve(e.bs, e.bu, i, assumps...)
+	sp.End(obs.F("result", st.String()), obs.F("lfp_pairs", pairs), obs.F("lfp_rounds", rounds))
 	return st
+}
+
+// lfpSolve solves the window (s, u) under assumps, which include
+// u.LoopFreeLit(i), instantiating the loop-free-path constraint on demand:
+// while the answer is SAT and the model repeats a state on some frame
+// pair, the violated pair constraints are added and the query re-solved
+// incrementally. UNSAT over a subset of the pair constraints is UNSAT over
+// all of them; SAT is returned only for a model loop-free on every pair.
+// It reports the pairs added and the re-solves spent.
+func (e *engine) lfpSolve(s *sat.Solver, u *unroll.Unroller, i int, assumps ...sat.Lit) (st sat.Status, pairs, rounds int) {
+	st = e.solve(s, assumps...)
+	for st == sat.Sat {
+		added := u.RefineLoopFree(i)
+		if added == 0 {
+			break
+		}
+		pairs += added
+		rounds++
+		st = e.solve(s, assumps...)
+	}
+	e.lfpPairs.Add(int64(pairs))
+	e.lfpRounds.Add(int64(rounds))
+	e.obsLFPPairs.Add(int64(pairs))
+	e.obsLFPRounds.Add(int64(rounds))
+	return st, pairs, rounds
 }
 
 // ceCheck runs the counter-example check for prop at depth i:

@@ -7,6 +7,7 @@ import (
 
 	"emmver/internal/aig"
 	"emmver/internal/expmem"
+	"emmver/internal/obs"
 	"emmver/internal/rtl"
 )
 
@@ -66,6 +67,35 @@ func TestForwardTerminationProof(t *testing.T) {
 	r := Check(m.N, 0, BMC1(20).WithPasses("none"))
 	if r.Kind != KindProof || r.ProofSide != "forward" || r.Depth != 4 {
 		t.Fatalf("expected forward proof at depth 4, got %v side=%s", r, r.ProofSide)
+	}
+}
+
+// TestLFPRefinementObserved checks that the demand-driven loop-free-path
+// work of a forward proof is reported consistently in Stats and on the
+// lfp.* registry counters.
+func TestLFPRefinementObserved(t *testing.T) {
+	m := rtl.NewModule("plus2")
+	c := m.Register("cnt", 3, 0)
+	c.SetNext(m.Add(c.Q, m.Const(3, 2)))
+	m.Done(c)
+	m.AssertAlways("ne5", m.EqConst(c.Q, 5).Not())
+	reg := obs.NewRegistry()
+	opt := BMC1(20).WithPasses("none")
+	opt.Obs = obs.New(reg, nil)
+	r := Check(m.N, 0, opt)
+	if r.Kind != KindProof || r.Depth != 4 {
+		t.Fatalf("expected a proof at depth 4, got %v", r)
+	}
+	// The even orbit has 4 states, so the forward check's models at depth
+	// 4 must repeat one before the check can go UNSAT.
+	if r.Stats.LFPPairs == 0 || r.Stats.LFPRounds == 0 {
+		t.Fatalf("no LFP refinement recorded: %d pairs, %d rounds", r.Stats.LFPPairs, r.Stats.LFPRounds)
+	}
+	if got := reg.Counter(obs.MLFPPairs).Value(); got != r.Stats.LFPPairs {
+		t.Fatalf("lfp.pairs = %d, Stats.LFPPairs = %d", got, r.Stats.LFPPairs)
+	}
+	if got := reg.Counter(obs.MLFPRounds).Value(); got != r.Stats.LFPRounds {
+		t.Fatalf("lfp.rounds = %d, Stats.LFPRounds = %d", got, r.Stats.LFPRounds)
 	}
 }
 

@@ -213,12 +213,17 @@ func (e *engine) propDepthStep(p, i int, fwdUnsat *atomic.Int64) *Result {
 // oracleForwardCheck answers the forward termination check at depth i,
 // short-circuiting through the shared oracle and the per-engine SAT memo.
 // A worker can only still be running at depth i if its depths < i were all
-// SAT, so the first published UNSAT depth is the true first-UNSAT depth and
-// any worker reaching it may resolve without a solver call; conversely
-// depths below it are known SAT.
+// SAT, so the first published UNSAT depth is the true first-UNSAT depth:
+// any worker reaching it may resolve without a solver call, and depths
+// below it are known SAT and answered without one too.
 func (e *engine) oracleForwardCheck(i int, fwdUnsat *atomic.Int64) sat.Status {
-	if fwdUnsat != nil && int64(i) >= fwdUnsat.Load() {
-		return sat.Unsat
+	if fwdUnsat != nil {
+		if u := fwdUnsat.Load(); u != math.MaxInt64 {
+			if int64(i) >= u {
+				return sat.Unsat
+			}
+			return sat.Sat
+		}
 	}
 	if i <= e.fwdSatDepth {
 		return sat.Sat

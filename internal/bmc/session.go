@@ -178,6 +178,8 @@ func (e *engine) snapshotStats() Stats {
 	}
 	s.LazyRounds = e.lazyRounds
 	s.LazySpurious = e.lazySpurious
+	s.LFPPairs = e.lfpPairs.Load()
+	s.LFPRounds = e.lfpRounds.Load()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.PeakHeapMB = float64(ms.HeapAlloc) / (1 << 20)

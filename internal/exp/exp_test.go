@@ -14,12 +14,18 @@ func TestTable1Reduced(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("expected 2 rows, got %d", len(rows))
 	}
+	// The reduced N=3 quicksort proves P1 at depth 27 and P2 at 28, and the
+	// Explicit baseline (BMC-1 on the expanded memory) proves too.
+	wantD := map[string]int{"P1": 27, "P2": 28}
 	for _, r := range rows {
 		if r.EMMKind != bmc.KindProof {
 			t.Fatalf("N=%d %s: EMM must prove, got %v", r.N, r.Prop, r.EMMKind)
 		}
-		if r.D <= 0 {
-			t.Fatalf("proof diameter missing")
+		if r.D != wantD[r.Prop] {
+			t.Fatalf("N=%d %s: proof depth %d, want %d", r.N, r.Prop, r.D, wantD[r.Prop])
+		}
+		if r.ExplKind != bmc.KindProof {
+			t.Fatalf("N=%d %s: Explicit must prove, got %v", r.N, r.Prop, r.ExplKind)
 		}
 	}
 	out := RenderTable1(rows)

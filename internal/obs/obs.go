@@ -72,6 +72,10 @@ const (
 	MLazyAxioms   = "lazy.axioms"   // forwarding axioms instantiated on demand
 	MLazySpurious = "lazy.spurious" // SAT models rejected as semantically spurious
 
+	// Demand-driven loop-free-path constraints on the termination checks.
+	MLFPPairs  = "lfp.pairs"  // frame-pair distinctness constraints added
+	MLFPRounds = "lfp.rounds" // re-solves after a model repeated a state
+
 	// Cooperative solving: clause-sharing bus and cube-and-conquer.
 	MShareExported = "share.exported" // clauses published to the bus
 	MShareImported = "share.imported" // clauses replayed into a peer solver

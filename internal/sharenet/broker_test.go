@@ -150,7 +150,8 @@ func TestCubeProtocolCompletes(t *testing.T) {
 // both of which must then be leased and refuted before the fleet finishes.
 func TestCubeSplitRefines(t *testing.T) {
 	_, a, c := pair(t, BrokerOptions{})
-	go drainCubes(t, c, 0, 4)
+	peer := make(chan WorkResp, 1)
+	go func() { peer <- drainCubes(t, c, 0, 4) }()
 	seen := map[string]bool{}
 	split := false
 	for {
@@ -178,6 +179,15 @@ func TestCubeSplitRefines(t *testing.T) {
 	// finishing at all proves the children were retired.
 	if !split {
 		t.Fatalf("never got a cube to split")
+	}
+	// The peer must be finished too before the cleanup closes its link.
+	select {
+	case r := <-peer:
+		if r.Kind != WorkFinish {
+			t.Fatalf("peer terminal response kind %d, want finish", r.Kind)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("peer did not finish")
 	}
 }
 

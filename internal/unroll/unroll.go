@@ -8,6 +8,7 @@ package unroll
 
 import (
 	"fmt"
+	"slices"
 
 	"emmver/internal/aig"
 	"emmver/internal/obs"
@@ -69,8 +70,12 @@ type Unroller struct {
 
 	latchIdx map[aig.NodeID]int // node -> position in N.Latches
 
-	lfp      []sat.Lit // lfp[i] = loop-free-path literal for window [0, i]
+	lfp      []sat.Lit // lfp[i] = loop-free-path activation literal for window [0, i]
 	writeAny []sat.Lit // per frame: some write port enabled
+
+	// lfpPaired[b][a] records that the distinctness constraint of frame
+	// pair (a, b) has been added (RefineLoopFree).
+	lfpPaired [][]bool
 
 	// NoStrash disables the structural-hashing cache on AND gates. Only
 	// used for A/B measurements and equivalence tests; hashing is sound
@@ -455,9 +460,16 @@ func (u *Unroller) stateVector(t int) []sat.Lit {
 	return out
 }
 
-// LoopFreeLit returns a CNF literal that, when assumed, forces the states
-// at frames 0..depth to be pairwise distinct (LFP_depth in the paper's
-// BMC-1/BMC-3). Only the "assume positively" direction is encoded.
+// LoopFreeLit returns a CNF literal that, when assumed, activates the
+// loop-free-path constraint LFP_depth of the paper's BMC-1/BMC-3: the
+// states at frames 0..depth are pairwise distinct. The constraint is
+// demand-driven. This call builds only the activation chain
+// lfp[i] → lfp[i-1] and the state (and, under MemAwareLFP, write-activity)
+// literals the pairs would compare; the distinctness constraint of a frame
+// pair is added by RefineLoopFree once a model shows that pair repeating a
+// state. A SAT answer under this literal is therefore final only after
+// RefineLoopFree reports no new pair. Only the "assume positively"
+// direction is encoded.
 func (u *Unroller) LoopFreeLit(depth int) sat.Lit {
 	if len(u.N.Latches) == 0 {
 		// A stateless design: any two frames have equal (empty) state, so
@@ -474,29 +486,80 @@ func (u *Unroller) LoopFreeLit(depth int) sat.Lit {
 		if i == 0 {
 			// A single state is trivially loop-free.
 			u.addClause(tag, v)
-			u.lfp = append(u.lfp, v)
-			u.Freeze(v)
-			continue
-		}
-		// v -> lfp[i-1]
-		u.addClause(tag, v.Not(), u.lfp[i-1])
-		si := u.stateVector(i)
-		for a := 0; a < i; a++ {
-			sa := u.stateVector(a)
-			d := u.neqVector(sa, si, tag)
-			// v -> (states differ ∨ a write changed memory in between).
-			cl := []sat.Lit{v.Not(), d}
+		} else {
+			// v -> lfp[i-1]
+			u.addClause(tag, v.Not(), u.lfp[i-1])
+			// The model must carry every value a frame-i pair compares.
+			if i == 1 {
+				u.stateVector(0)
+			}
+			u.stateVector(i)
 			if u.MemAwareLFP {
-				for j := a; j < i; j++ {
+				u.writeAnyLit(i - 1)
+			}
+		}
+		u.lfp = append(u.lfp, v)
+		u.lfpPaired = append(u.lfpPaired, make([]bool, i))
+		u.Freeze(v) // assumed (and extended) at every later depth
+	}
+	return u.lfp[depth]
+}
+
+// RefineLoopFree checks the solver's model from a SAT answer under
+// LoopFreeLit(depth) against LFP_depth and returns how many pair
+// constraints it added. For every not-yet-encoded frame pair a < b ≤ depth
+// whose latch states the model makes equal (and, under MemAwareLFP, with
+// no write fired at frames a..b-1) it adds the pair's constraint
+//
+//	lfp[b] → (s_a ≠ s_b ∨ writeAny(a) ∨ ... ∨ writeAny(b-1)),
+//
+// which the model violates. A zero return means the model is loop-free
+// on every pair, so the SAT answer stands against the full constraint.
+// The pair clauses are a subset of the full encoding (plus fresh
+// difference variables), so an UNSAT answer over them is UNSAT over the
+// full encoding too.
+func (u *Unroller) RefineLoopFree(depth int) int {
+	if len(u.N.Latches) == 0 || depth == 0 {
+		return 0 // no frame pairs
+	}
+	// Per-frame model states, plus prefix counts of fired write frames
+	// (writes[b]-writes[a] > 0 iff a write fired at frames a..b-1).
+	states := make([][]bool, depth+1)
+	writes := make([]int, depth+1)
+	for t := 0; t <= depth; t++ {
+		sv := u.stateVector(t)
+		states[t] = make([]bool, len(sv))
+		for j, l := range sv {
+			states[t][j] = u.S.LitValue(l) == sat.True
+		}
+		if t > 0 {
+			writes[t] = writes[t-1]
+			if u.MemAwareLFP && u.S.LitValue(u.writeAnyLit(t-1)) == sat.True {
+				writes[t]++
+			}
+		}
+	}
+	added := 0
+	for b := 1; b <= depth; b++ {
+		for a := 0; a < b; a++ {
+			if u.lfpPaired[b][a] || writes[b] != writes[a] || !slices.Equal(states[a], states[b]) {
+				continue
+			}
+			u.lfpPaired[b][a] = true
+			tag := MkTag(TagLFP, b, 0)
+			d := u.neqVector(u.stateVector(a), u.stateVector(b), tag)
+			// lfp[b] -> (states differ ∨ a write changed memory in between).
+			cl := []sat.Lit{u.lfp[b].Not(), d}
+			if u.MemAwareLFP {
+				for j := a; j < b; j++ {
 					cl = append(cl, u.writeAnyLit(j))
 				}
 			}
 			u.addClause(tag, cl...)
+			added++
 		}
-		u.lfp = append(u.lfp, v)
-		u.Freeze(v) // assumed (and extended) at every later depth
 	}
-	return u.lfp[depth]
+	return added
 }
 
 // writeAnyLit returns (building lazily) a literal that holds when any

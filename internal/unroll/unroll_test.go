@@ -146,12 +146,12 @@ func TestLoopFreePath(t *testing.T) {
 	u := New(m.N, s, Initialized)
 	// Depths 0..3 visit up to 4 distinct states: loop-free paths exist.
 	for d := 0; d <= 3; d++ {
-		if got := s.Solve(u.LoopFreeLit(d)); got != sat.Sat {
+		if got, _ := solveLoopFree(u, d); got != sat.Sat {
 			t.Fatalf("depth %d: expected SAT, got %v", d, got)
 		}
 	}
 	// Depth 4 needs 5 distinct states out of 4: impossible.
-	if got := s.Solve(u.LoopFreeLit(4)); got != sat.Unsat {
+	if got, _ := solveLoopFree(u, 4); got != sat.Unsat {
 		t.Fatalf("depth 4: expected UNSAT (diameter reached)")
 	}
 }
@@ -161,10 +161,10 @@ func TestLoopFreePathFreeMode(t *testing.T) {
 	s := sat.New()
 	u := New(m.N, s, Free)
 	// From an arbitrary start, 4 distinct states still fit, 5 do not.
-	if got := s.Solve(u.LoopFreeLit(3)); got != sat.Sat {
+	if got, _ := solveLoopFree(u, 3); got != sat.Sat {
 		t.Fatalf("depth 3 free: expected SAT, got %v", got)
 	}
-	if got := s.Solve(u.LoopFreeLit(4)); got != sat.Unsat {
+	if got, _ := solveLoopFree(u, 4); got != sat.Unsat {
 		t.Fatalf("depth 4 free: expected UNSAT, got %v", got)
 	}
 }
