@@ -26,8 +26,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/refactor_
 
 // goldenRecord is one (design, engine) outcome. Wall-clock and heap fields
 // are excluded; everything recorded is deterministic for a sequential
-// single-threaded run. The portfolio engine races two lanes, so only its
-// verdict and depth are pinned (Full=false).
+// single-threaded run. The racing runs — portfolio lanes, the cube fleet, a
+// two-worker property pool — pin only their verdicts (Full=false).
 type goldenRecord struct {
 	Design string `json:"design"`
 	Engine string `json:"engine"`
@@ -156,6 +156,23 @@ func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int
 		opt.UseEMM = true
 		opt.Proofs = true
 		opt.Portfolio = true
+	case "kind":
+		opt = KInd(depth)
+	case "bmc2-lazy":
+		opt.UseEMM = true
+		opt.LazyEMM = true
+	case "bmc3-lazy":
+		opt.UseEMM = true
+		opt.Proofs = true
+		opt.LazyEMM = true
+	case "cube":
+		// The cube fleet races its workers over the cube queue; only the
+		// verdict is deterministic.
+		opt.UseEMM = true
+		opt.Proofs = true
+		opt.Cube, opt.Share, opt.Jobs = true, true, 2
+		r := Check(n, prop, opt)
+		return goldenRecord{Kind: r.Kind.String(), Depth: r.Depth, ProofSide: r.ProofSide}
 	case "pba":
 		opt.UseEMM = true
 		opt.StabilityDepth = 10
@@ -164,16 +181,9 @@ func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int
 		if res.Proof != nil {
 			r = res.Proof
 		}
-		return goldenRecord{
-			Full: true, Kind: res.Kind().String(), Depth: r.Depth,
-			ProofSide: r.ProofSide, Witness: witnessDigest(r.Witness),
-			SolveCalls: r.Stats.SolveCalls, Conflicts: r.Stats.Conflicts,
-			Clauses: r.Stats.Clauses, Vars: r.Stats.Vars,
-			Restarts: r.Stats.Restarts, RestartsLuby: r.Stats.RestartsLuby,
-			RestartsEMA: r.Stats.RestartsEMA, Simplifies: r.Stats.Simplifies,
-			Subsumed: r.Stats.SubsumedClauses, Strengthened: r.Stats.StrengthenedClauses,
-			Eliminated: r.Stats.EliminatedVars, EMMClauses: r.Stats.EMM.Clauses(),
-		}
+		rec = fullRecord(r, r.Stats)
+		rec.Kind = res.Kind().String()
+		return rec
 	default:
 		t.Fatalf("unknown engine %s", engine)
 	}
@@ -184,22 +194,92 @@ func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int
 		// (which lane answered, solver work split) is not.
 		return rec
 	}
-	rec.Full = true
-	rec.ProofSide = r.ProofSide
-	rec.Witness = witnessDigest(r.Witness)
-	rec.SolveCalls = r.Stats.SolveCalls
-	rec.Conflicts = r.Stats.Conflicts
-	rec.Clauses = r.Stats.Clauses
-	rec.Vars = r.Stats.Vars
-	rec.Restarts = r.Stats.Restarts
-	rec.RestartsLuby = r.Stats.RestartsLuby
-	rec.RestartsEMA = r.Stats.RestartsEMA
-	rec.Simplifies = r.Stats.Simplifies
-	rec.Subsumed = r.Stats.SubsumedClauses
-	rec.Strengthened = r.Stats.StrengthenedClauses
-	rec.Eliminated = r.Stats.EliminatedVars
-	rec.EMMClauses = r.Stats.EMM.Clauses()
-	return rec
+	return fullRecord(r, r.Stats)
+}
+
+// fullRecord pins every deterministic field of r, with the solver counters
+// taken from st (the run's statistics, which multi-property runs report
+// once for all properties).
+func fullRecord(r *Result, st Stats) goldenRecord {
+	return goldenRecord{
+		Full: true, Kind: r.Kind.String(), Depth: r.Depth,
+		ProofSide: r.ProofSide, Witness: witnessDigest(r.Witness),
+		SolveCalls: st.SolveCalls, Conflicts: st.Conflicts,
+		Clauses: st.Clauses, Vars: st.Vars,
+		Restarts: st.Restarts, RestartsLuby: st.RestartsLuby,
+		RestartsEMA: st.RestartsEMA, Simplifies: st.Simplifies,
+		Subsumed: st.SubsumedClauses, Strengthened: st.StrengthenedClauses,
+		Eliminated: st.EliminatedVars, EMMClauses: st.EMM.Clauses(),
+	}
+}
+
+// manyDesigns are the multi-property runs of the pin: both quicksort
+// properties, the lookup invariant plus its first reachability properties,
+// the first filter properties, and the mod-8 counter whose properties fail
+// at depths 0..7 and prove forward above.
+func manyDesigns() []struct {
+	name  string
+	n     *aig.Netlist
+	props []int
+	depth int
+} {
+	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 4, DataW: 8, StackAW: 4})
+	l := designs.NewLookup(designs.LookupConfig{AW: 4, DW: 6, NumProps: 8, Latency: 6})
+	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16})
+	c, cprops := manyCounter()
+	return []struct {
+		name  string
+		n     *aig.Netlist
+		props []int
+		depth int
+	}{
+		{"quicksort-p1p2", q.Netlist(), []int{q.P1Index, q.P2Index}, 10},
+		{"lookup-inv-reach", l.Netlist(), append([]int{l.InvariantIndex}, l.ReachIndices[:3]...), 8},
+		{"filter-0-5", f.Netlist(), f.PropIndices()[:6], 12},
+		{"counter", c.N, cprops, 12},
+	}
+}
+
+// runEquivMany runs one multi-property entry point and returns a record per
+// property. Sequential CheckMany and the one-worker property pool are
+// deterministic, so every field is pinned (the solver counters are the
+// run's); a two-worker pool only pins each verdict.
+func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, depth int) []goldenRecord {
+	t.Helper()
+	var mr *ManyResult
+	full := true
+	opt := Options{MaxDepth: depth, UseEMM: true, Proofs: true}
+	switch engine {
+	case "many-bmc3":
+		mr = CheckMany(n, props, opt)
+	case "many-bmc2":
+		opt.Proofs = false
+		mr = CheckMany(n, props, opt)
+	case "many-bmc3-simplify":
+		// Inprocessing after every undecided depth pins where the run
+		// places its between-depth passes.
+		defer func(mc, cd int64) {
+			simplifyMinConflicts, simplifyClausesPerConfl = mc, cd
+		}(simplifyMinConflicts, simplifyClausesPerConfl)
+		simplifyMinConflicts, simplifyClausesPerConfl = 0, 0
+		mr = CheckMany(n, props, opt)
+	case "pool1-bmc3":
+		mr = CheckManyParallel(n, props, opt, 1)
+	case "pool2-bmc3":
+		mr = CheckManyParallel(n, props, opt, 2)
+		full = false
+	default:
+		t.Fatalf("unknown engine %s", engine)
+	}
+	var recs []goldenRecord
+	for _, r := range mr.Results {
+		rec := goldenRecord{Kind: r.Kind.String(), Depth: r.Depth, ProofSide: r.ProofSide}
+		if full {
+			rec = fullRecord(r, mr.Stats)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 func TestRefactorEquivalence(t *testing.T) {
@@ -209,10 +289,18 @@ func TestRefactorEquivalence(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "refactor_golden.json")
 	var got []goldenRecord
 	for _, d := range equivDesigns() {
-		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba"} {
+		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba", "kind", "bmc2-lazy", "bmc3-lazy", "cube"} {
 			rec := runEquivEngine(t, engine, d.n, d.prop, d.depth)
 			rec.Design, rec.Engine = d.name, engine
 			got = append(got, rec)
+		}
+	}
+	for _, d := range manyDesigns() {
+		for _, engine := range []string{"many-bmc3", "many-bmc2", "many-bmc3-simplify", "pool1-bmc3", "pool2-bmc3"} {
+			for pi, rec := range runEquivMany(t, engine, d.n, d.props, d.depth) {
+				rec.Design, rec.Engine = fmt.Sprintf("%s/%d", d.name, pi), engine
+				got = append(got, rec)
+			}
 		}
 	}
 	if *updateGolden {
