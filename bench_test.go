@@ -461,10 +461,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	run("off", func() bmc.Options { return base })
 	run("metrics", func() bmc.Options {
-		return base.WithObserver(NewObserver(NewRegistry(), nil))
+		opt := base
+		opt.Obs = NewObserver(NewRegistry(), nil)
+		return opt
 	})
 	run("traced", func() bmc.Options {
-		return base.WithTrace(NewJSONLTrace(&bytes.Buffer{}))
+		return Observe(base, NewJSONLTrace(&bytes.Buffer{}))
 	})
 }
 

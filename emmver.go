@@ -151,10 +151,10 @@ func NewJSONLTrace(w io.Writer) *JSONLTrace { return obs.NewJSONL(w) }
 
 // Observe returns a copy of opt instrumented with a fresh metrics registry
 // and the given trace sink (nil sink: metrics only). Read the totals
-// afterwards via opt.Obs.Registry().Snapshot(). Equivalent to
-// opt.WithTrace(sink).
+// afterwards via opt.Obs.Registry().Snapshot().
 func Observe(opt Options, sink TraceSink) Options {
-	return opt.WithTrace(sink)
+	opt.Obs = obs.New(obs.NewRegistry(), sink)
+	return opt
 }
 
 // Result kinds.
@@ -270,7 +270,7 @@ func ProveWithInvariant(n *Netlist, mainProp, invariantProp int, opt Options) (*
 }
 
 // Compile-pipeline aliases: the static netlist-to-netlist passes every
-// engine runs before unrolling. Options.Passes (or WithPasses) selects
+// engine runs before unrolling. Options.Passes selects
 // them per verification run; Compile runs the pipeline standalone.
 type (
 	// CompileOptions configures a standalone Compile run (pass spec +

@@ -107,15 +107,14 @@ type Options struct {
 	DisableEMMMemo bool
 	// Restart selects the solvers' restart strategy: sat.RestartEMA (the
 	// adaptive glue-driven default) or sat.RestartLuby (the classic
-	// schedule). Equivalent builder: WithRestart.
+	// schedule).
 	Restart sat.RestartMode
 	// NoSimplify disables the between-depth inprocessing pass
 	// (sat.Solver.Simplify: subsumption, clause strengthening, bounded
 	// variable elimination over non-frozen auxiliaries). Inprocessing is
 	// also skipped automatically whenever PBA proof tracing is active —
 	// clause rewriting would invalidate resolution chains — with
-	// sat.ErrTracingActive as the solver-level second guard. Equivalent
-	// builder: WithSimplify.
+	// sat.ErrTracingActive as the solver-level second guard.
 	NoSimplify bool
 	// PureLatchLFP uses the paper's literal loop-free-path constraint
 	// (latch states pairwise distinct). The default strengthens state
@@ -132,7 +131,6 @@ type Options struct {
 	// emits typed start/end span events for each depth step, each
 	// forward/backward/counter-example solver call, each EMM generation
 	// step, and each portfolio lane. Nil (the default) costs nothing.
-	// Equivalent builder: WithTrace / WithObserver.
 	Obs *obs.Observer
 	// Passes selects the static compile pipeline every public entry point
 	// (Check/CheckCtx/CheckMany*/CheckManyParallel*) runs before the first
@@ -140,14 +138,13 @@ type Options struct {
 	// (coi,sweep,ports,dedup), "none" to disable it, or an explicit
 	// comma-separated pass list. Results are always reported in source
 	// netlist coordinates — witnesses, latch reasons, and property indices
-	// are translated back through the pipeline's mapping. Equivalent
-	// builder: WithPasses.
+	// are translated back through the pipeline's mapping.
 	Passes string
 	// Jobs is the worker count used by entry points that fan out across
 	// properties or lanes (the facade's VerifyAll and the CLIs): 0 picks
 	// runtime.NumCPU, 1 forces the sequential shared-unrolling engine, and
 	// n > 1 bounds the fleet. Check itself ignores it — per-depth lane
-	// racing stays opt-in via Portfolio. Equivalent builder: WithJobs.
+	// racing stays opt-in via Portfolio.
 	Jobs int
 	// Share connects the fleet's solvers through the learnt-clause sharing
 	// bus (internal/share): high-glue lemmas over frame values and EMM
@@ -155,24 +152,23 @@ type Options struct {
 	// (node, time-frame) literal coding. Effective only on multi-worker
 	// entry points, and automatically disabled when PBA proof tracing is on
 	// or the design asserts environment constraints (a peer's constraint
-	// units would not be model-extension sound). Equivalent builder:
-	// WithShare.
+	// units would not be model-extension sound).
 	Share bool
 	// Cube partitions each depth's counter-example check over the EMM
 	// address-comparator variables (cube-and-conquer): cubes are assumed
 	// per-worker from a work-stealing queue and refined by further splitting
 	// when a cube exceeds its conflict budget. Same eligibility rules as
-	// Share. Equivalent builder: WithCube.
+	// Share.
 	Cube bool
 	// ShareCap overrides the per-worker clause ring capacity (0 keeps the
 	// default 4096). Larger rings tolerate burstier export rates before
 	// overrun drops clauses (Stats.SharedDropped); smaller rings bound the
-	// staleness of what a restart imports. Equivalent builder: WithShareCap.
+	// staleness of what a restart imports.
 	ShareCap int
 	// ShareLBD and ShareSize override the solvers' clause-export filter
 	// (0 keeps the defaults: glue <= 6 or binary, <= 30 literals). A
 	// distributed fleet tightens them to trade socket traffic against lemma
-	// reach. Equivalent builder: WithShareFilter.
+	// reach.
 	ShareLBD  int
 	ShareSize int
 	// LazyEMM switches the counter-example path to demand-driven EMM
@@ -189,7 +185,7 @@ type Options struct {
 	// tagged clauses), under DisableExclusivity (the refinement machinery
 	// suspends the eq. 4 chains), and on the cube-and-conquer and
 	// distributed paths (both split the search over the deterministic
-	// eager comparator creation order). Equivalent builder: WithLazy.
+	// eager comparator creation order).
 	LazyEMM bool
 	// KInduction selects the k-induction strategy (temporal induction,
 	// spec engine "kind"): at each depth k the base case (the plain
@@ -502,14 +498,6 @@ func (e *engine) logf(format string, args ...interface{}) {
 	}
 }
 
-func (e *engine) finish(r *Result) *Result {
-	r.Prop = e.prop
-	r.Stats = e.snapshotStats()
-	r.Tracker = e.tracker
-	r.DepthStats = e.depthStats
-	return r
-}
-
 // obsResolved counts a decisive per-property verdict (anything but a
 // timeout) on the fleet-wide properties-resolved counter.
 func (e *engine) obsResolved(k Kind) {
@@ -646,38 +634,12 @@ func CheckCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Resul
 	return c.finish(checkCompiled(ctx, c.n, c.props[0], opt), prop, opt)
 }
 
-// checkCompiled is the engine loop proper, running directly on the netlist
-// it is given (already compiled by the caller).
+// checkCompiled runs one property on the netlist it is given (already
+// compiled by the caller) through the driver, with the Strategy the options
+// select.
 func checkCompiled(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Result {
 	e := newEngine(ctx, n, prop, opt)
-	strat := e.strategyFor()
-	for i := 0; i <= opt.MaxDepth; i++ {
-		if e.timedOut() {
-			return e.finish(&Result{Kind: KindTimeout, Depth: max(i-1, 0)})
-		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", prop),
-			obs.F("strategy", strat.Name()))
-		e.prepareDepth(i)
-		var r *Result
-		if i >= opt.StartDepth {
-			// Below the warm-start frontier only the (cumulative) unrolling
-			// and EMM constraints are built; the depth's checks are already
-			// answered by the caller's cached shallower verdict.
-			r, _ = strat.Step(ctx, i)
-		}
-		e.publishObs(i)
-		if opt.CollectDepthStats {
-			e.collectDepthStat(i)
-		}
-		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-			obs.F("clauses", e.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if r != nil {
-			e.obsResolved(r.Kind)
-			return e.finish(r)
-		}
-		e.simplifyStep(i)
-	}
-	e.obsResolved(KindNoCE)
-	return e.finish(&Result{Kind: KindNoCE, Depth: opt.MaxDepth})
+	d := newDriver([]*engine{e}, []int{prop}, opt.StartDepth)
+	d.run(ctx, e.strategyFor(d))
+	return d.finish(d.res[0])
 }

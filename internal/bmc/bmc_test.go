@@ -64,7 +64,7 @@ func TestForwardTerminationProof(t *testing.T) {
 	// The compile pipeline would fold bit 0 of the +2 counter (it is
 	// inductively constant) and prove the property structurally; pin it
 	// off so the forward-termination machinery itself is exercised.
-	r := Check(m.N, 0, BMC1(20).WithPasses("none"))
+	r := Check(m.N, 0, Options{MaxDepth: 20, Proofs: true, Passes: "none"})
 	if r.Kind != KindProof || r.ProofSide != "forward" || r.Depth != 4 {
 		t.Fatalf("expected forward proof at depth 4, got %v side=%s", r, r.ProofSide)
 	}
@@ -80,7 +80,7 @@ func TestLFPRefinementObserved(t *testing.T) {
 	m.Done(c)
 	m.AssertAlways("ne5", m.EqConst(c.Q, 5).Not())
 	reg := obs.NewRegistry()
-	opt := BMC1(20).WithPasses("none")
+	opt := Options{MaxDepth: 20, Proofs: true, Passes: "none"}
 	opt.Obs = obs.New(reg, nil)
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindProof || r.Depth != 4 {

@@ -28,7 +28,6 @@ package bmc
 import (
 	"context"
 	"sync"
-	"time"
 
 	"emmver/internal/aig"
 	"emmver/internal/obs"
@@ -44,18 +43,6 @@ var cubeConflictBudget int64 = 2000
 
 // cubeMaxInitialWidth caps the initial split width (2^w seed cubes).
 const cubeMaxInitialWidth = 10
-
-// shareRingCapacity is the default per-worker clause ring size
-// (Options.ShareCap overrides); see share.Ring for why overrun is harmless.
-const shareRingCapacity = 4096
-
-// ringCapacity resolves the effective ring size for an option set.
-func ringCapacity(opt Options) int {
-	if opt.ShareCap > 0 {
-		return opt.ShareCap
-	}
-	return shareRingCapacity
-}
 
 // cubeJob is one queue entry: comparator polarities for indices
 // [0, len(signs)) plus the worker that produced it (-1 for seed cubes), so
@@ -153,11 +140,11 @@ func (q *cubeQueue) close() {
 	q.cond.Broadcast()
 }
 
-// checkCubed is the cube-and-conquer engine loop for one (compiled)
-// property: a fleet of jobs worker engines advances depth in lockstep,
-// termination proofs run sequentially on engine 0, and the counter-example
-// check fans out over the cube queue. Callers have verified
-// shareEligible and jobs > 1.
+// checkCubed runs one (compiled) property on a cube-and-conquer fleet: jobs
+// worker engines advance depth in lockstep under the driver, termination
+// proofs run sequentially on engine 0, and the counter-example query fans
+// out over the cube queue. Callers have verified shareEligible and
+// jobs > 1.
 func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs int) *Result {
 	// Cube-and-conquer splits the search over the deterministic eager
 	// comparator creation order; demand-driven instantiation would make
@@ -166,115 +153,48 @@ func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs
 	// (spec.CapCube vs CapLazy); this reset enforces the same invariant
 	// for direct Options-level callers.
 	opt.LazyEMM = false
-	runCtx, cancel := context.WithCancel(ctx)
+	ctx, cancel := fleetCtx(ctx, &opt)
 	defer cancel()
-	if opt.Timeout > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(runCtx, opt.Timeout)
-		defer tcancel()
-		opt.Timeout = 0
-	}
 	opt.Log = par.SyncWriter(opt.Log)
 
-	var fwd, bwd *share.Bus
-	if opt.Share {
-		fwd = share.NewBus(jobs, ringCapacity(opt))
-		if opt.Proofs {
-			bwd = share.NewBus(jobs, ringCapacity(opt))
-		}
-	}
-	engines := make([]*engine, jobs)
-	for w := range engines {
+	fwd, bwd := newBuses(jobs, opt)
+	f := &cubeFleet{ctx: ctx, cancel: cancel, engines: make([]*engine, jobs)}
+	for w := range f.engines {
 		wopt := opt
 		wopt.Obs = opt.Obs.With(obs.F("worker", w))
-		e := newEngine(runCtx, n, prop, wopt)
+		e := newEngine(ctx, n, prop, wopt)
 		if e.fg != nil {
 			e.fg.TrackComparators = true
 		}
 		attachShare(e, fwd, bwd, w)
-		engines[w] = e
+		f.engines[w] = e
 	}
-	e0 := engines[0]
-	var splits, stolen int64
-
-	finish := func(r *Result) *Result {
-		r.Prop = prop
-		var st Stats
-		for _, e := range engines {
-			st.Add(e.snapshotStats())
-		}
-		st.Elapsed = time.Since(e0.start)
-		st.CubeSplits, st.CubeStolen = splits, stolen
-		addBusStats(&st, fwd, bwd)
-		publishCoopObs(opt.Obs, &st)
-		r.Stats = st
-		r.DepthStats = e0.depthStats
-		r.Tracker = e0.tracker
-		return r
-	}
-
-	for i := 0; i <= opt.MaxDepth; i++ {
-		if e0.timedOut() {
-			return finish(&Result{Kind: KindTimeout, Depth: max(i-1, 0)})
-		}
-		sp := e0.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", prop))
-		for _, e := range engines {
-			e.prepareDepth(i)
-		}
-		var r *Result
-		if opt.Proofs && i >= opt.StartDepth {
-			switch e0.forwardCheck(i) {
-			case sat.Unsat:
-				e0.logf("depth %d: forward termination", i)
-				r = &Result{Kind: KindProof, Depth: i, ProofSide: "forward"}
-			case sat.Unknown:
-				r = &Result{Kind: KindTimeout, Depth: i}
-			}
-			if r == nil {
-				switch e0.backwardCheck(prop, i) {
-				case sat.Unsat:
-					e0.logf("depth %d: backward termination", i)
-					r = &Result{Kind: KindProof, Depth: i, ProofSide: "backward"}
-				case sat.Unknown:
-					r = &Result{Kind: KindTimeout, Depth: i}
-				}
-			}
-		}
-		if r == nil && i >= opt.StartDepth {
-			// Depths below the warm-start frontier (Options.StartDepth) only
-			// extend the unrollings; see checkCompiled.
-			r = cubeCECheck(runCtx, cancel, engines, prop, i, &splits, &stolen)
-		}
-		for _, e := range engines {
-			e.publishObs(i)
-		}
-		if opt.CollectDepthStats {
-			e0.collectDepthStat(i)
-		}
-		sp.End(obs.F("emm_clauses", e0.emmClausesCum()),
-			obs.F("clauses", e0.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if r != nil {
-			e0.obsResolved(r.Kind)
-			return finish(r)
-		}
-		for _, e := range engines {
-			e.simplifyStep(i)
-		}
-	}
-	e0.obsResolved(KindNoCE)
-	return finish(&Result{Kind: KindNoCE, Depth: opt.MaxDepth})
+	d := newDriver(f.engines, []int{prop}, opt.StartDepth)
+	d.run(ctx, &bmcStrategy{e: f.engines[0], d: d, proofs: opt.Proofs, ce: f})
+	r := d.finish(d.res[0])
+	r.Stats.CubeSplits, r.Stats.CubeStolen = f.splits, f.stolen
+	addBusStats(&r.Stats, fwd, bwd)
+	publishCoopObs(opt.Obs, &r.Stats)
+	return r
 }
 
-// cubeCECheck fans the depth-i counter-example check out over the cube
-// queue. Returns a decisive Result (CE or timeout), or nil when every cube
-// is UNSAT (no CE at this depth). cancel tears the fleet down on the first
-// decisive answer so in-flight cube solves stop at their next interrupt
-// poll.
-func cubeCECheck(ctx context.Context, cancel context.CancelFunc, engines []*engine, prop, depth int, splits, stolen *int64) *Result {
-	jobs := len(engines)
+// cubeFleet is the cube-queue scheduler: every engine of the fleet solves
+// cubes of each depth's counter-example query.
+type cubeFleet struct {
+	ctx            context.Context
+	cancel         context.CancelFunc // tears the fleet down on a decisive answer
+	engines        []*engine
+	splits, stolen int64
+}
+
+// solveCE fans the depth-k counter-example check out over the cube queue.
+// Returns a decisive Result (CE or timeout), or nil when every cube is
+// UNSAT (no CE at this depth). The first decisive answer cancels the fleet
+// so in-flight cube solves stop at their next interrupt poll.
+func (f *cubeFleet) solveCE(prop, depth int) *Result {
+	jobs := len(f.engines)
 	nComp := -1
-	for _, e := range engines {
+	for _, e := range f.engines {
 		c := 0
 		if e.fg != nil {
 			c = len(e.fg.CompLits())
@@ -295,7 +215,7 @@ func cubeCECheck(ctx context.Context, cancel context.CancelFunc, engines []*engi
 		}
 		q.push(signs, -1)
 	}
-	stop := context.AfterFunc(ctx, q.close)
+	stop := context.AfterFunc(f.ctx, q.close)
 	defer stop()
 
 	var out struct {
@@ -308,14 +228,14 @@ func cubeCECheck(ctx context.Context, cancel context.CancelFunc, engines []*engi
 			out.r = r
 		}
 		out.mu.Unlock()
-		cancel()
+		f.cancel()
 	}
-	par.ForEach(ctx, jobs, jobs, func(ctx context.Context, _, self int) {
-		cubeWorker(ctx, engines[self], self, q, prop, depth, nComp, decide)
+	par.ForEach(f.ctx, jobs, jobs, func(ctx context.Context, _, self int) {
+		cubeWorker(ctx, f.engines[self], self, q, prop, depth, nComp, decide)
 	})
 	q.mu.Lock()
-	*splits += q.splits
-	*stolen += q.stolen
+	f.splits += q.splits
+	f.stolen += q.stolen
 	q.mu.Unlock()
 	return out.r
 }

@@ -9,7 +9,7 @@ package bmc
 // everyone, exactly mirroring the in-process first-wins decide.
 //
 // Soundness is inherited wholesale: the cubes the broker leases are the
-// same exhaustive comparator-prefix partition cubeCECheck seeds (the
+// same exhaustive comparator-prefix partition cubeFleet.solveCE seeds (the
 // broker reuses the seed-width formula with the fleet size as the job
 // count), a cube result is a deterministic fact about the shared formula
 // (so lease reassignment after a worker death can at worst duplicate
@@ -21,9 +21,7 @@ import (
 	"fmt"
 
 	"emmver/internal/aig"
-	"emmver/internal/obs"
 	"emmver/internal/sat"
-	"emmver/internal/share"
 	"emmver/internal/sharenet"
 )
 
@@ -66,156 +64,122 @@ func CheckDistCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options, cl
 	return c.finish(r, prop, opt), nil
 }
 
-// checkDist is the distributed engine loop on the compiled netlist.
+// checkDist runs this worker's share of the fleet on the compiled netlist:
+// the driver advances depth in step with the broker, termination proofs
+// run on worker 0 only, and the counter-example query goes through the
+// remote lease loop.
 func checkDist(ctx context.Context, n *aig.Netlist, prop int, opt Options, cl *sharenet.Client) (*Result, error) {
-	runCtx, cancel := context.WithCancel(ctx)
+	ctx, cancel := fleetCtx(ctx, &opt)
 	defer cancel()
-	if opt.Timeout > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(runCtx, opt.Timeout)
-		defer tcancel()
-		opt.Timeout = 0
-	}
 	// A fleet verdict (wherever it was found) interrupts this worker's
 	// in-flight solve at its next poll.
 	cl.OnVerdict(func(sharenet.Verdict) { cancel() })
 
-	var fwd, bwd *share.Bus
-	if opt.Share {
-		fwd = share.NewBus(1, ringCapacity(opt))
-		cl.AttachBus(0, fwd)
-		if opt.Proofs {
-			bwd = share.NewBus(1, ringCapacity(opt))
-			cl.AttachBus(1, bwd)
-		}
-	}
-	e := newEngine(runCtx, n, prop, opt)
+	fwd, bwd := newBuses(1, opt)
+	cl.AttachBus(0, fwd)
+	cl.AttachBus(1, bwd)
+	e := newEngine(ctx, n, prop, opt)
 	if e.fg != nil {
 		e.fg.TrackComparators = true
 	}
 	attachShare(e, fwd, bwd, 0)
-	self := cl.WorkerID()
-	proofWorker := opt.Proofs && self == 0
-
-	finish := func(r *Result) *Result {
-		r.Prop = prop
-		st := e.snapshotStats()
-		addBusStats(&st, fwd, bwd)
-		publishCoopObs(opt.Obs, &st)
-		r.Stats = st
-		r.DepthStats = e.depthStats
-		r.Tracker = e.tracker
-		return r
+	w := &distWorker{e: e, cl: cl}
+	d := newDriver([]*engine{e}, []int{prop}, 0)
+	d.run(ctx, &bmcStrategy{e: e, d: d, proofs: opt.Proofs && cl.WorkerID() == 0, ce: w})
+	if w.err != nil {
+		return nil, w.err
 	}
-	// remoteResult maps the fleet verdict onto a local Result once the
-	// decisive answer happened (here or elsewhere).
-	remoteResult := func(depth int) *Result {
-		v, ok := cl.Verdict()
-		if !ok {
-			// Transport gone (or broker closed verdict-less): this worker
-			// can only report how far it got.
-			return &Result{Kind: KindTimeout, Depth: depth}
-		}
-		switch v.Kind {
-		case sharenet.VerdictCE:
-			return &Result{Kind: KindCE, Depth: v.Depth}
-		case sharenet.VerdictNoCE:
-			return &Result{Kind: KindNoCE, Depth: v.Depth}
-		case sharenet.VerdictProof:
-			return &Result{Kind: KindProof, Depth: v.Depth, ProofSide: v.Side}
-		default:
-			return &Result{Kind: KindTimeout, Depth: v.Depth}
-		}
-	}
-
-	depth := 0
-	for depth <= opt.MaxDepth {
-		if e.timedOut() {
-			if _, ok := cl.Verdict(); !ok {
-				cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictTimeout, Depth: depth})
-			}
-			return finish(remoteResult(max(depth-1, 0))), nil
-		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", depth), obs.F("prop", prop))
-		e.prepareDepth(depth)
-		if proofWorker {
-			// An Unknown from either check means this worker was interrupted
-			// (fleet verdict or local timeout); the cube loop below notices
-			// and reports, so proofs just fall through.
-			var r *Result
-			switch e.forwardCheck(depth) {
-			case sat.Unsat:
-				e.logf("depth %d: forward termination", depth)
-				r = &Result{Kind: KindProof, Depth: depth, ProofSide: "forward"}
-			case sat.Sat:
-				if e.backwardCheck(prop, depth) == sat.Unsat {
-					e.logf("depth %d: backward termination", depth)
-					r = &Result{Kind: KindProof, Depth: depth, ProofSide: "backward"}
-				}
-			}
-			if r != nil {
-				cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictProof, Depth: depth, Side: r.ProofSide})
-				sp.End(obs.F("decided", true))
-				e.obsResolved(r.Kind)
-				return finish(r), nil
-			}
-		}
-		nComp := 0
-		if e.fg != nil {
-			nComp = len(e.fg.CompLits())
-		}
-		next, r, err := distCubeLoop(e, cl, prop, depth, nComp, remoteResult)
-		e.publishObs(depth)
-		if opt.CollectDepthStats {
-			e.collectDepthStat(depth)
-		}
-		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-			obs.F("clauses", e.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			e.obsResolved(r.Kind)
-			return finish(r), nil
-		}
-		e.simplifyStep(depth)
-		depth = next
-	}
-	// The broker finishes the fleet at MaxDepth; falling out of the loop
-	// means an advance raced the finish frame — the verdict tells the story.
-	return finish(remoteResult(opt.MaxDepth)), nil
+	r := d.finish(w.settle(d.res[0]))
+	addBusStats(&r.Stats, fwd, bwd)
+	publishCoopObs(opt.Obs, &r.Stats)
+	return r, nil
 }
 
-// distCubeLoop runs one depth's lease/solve/report cycle. It returns the
-// next depth to prepare (on a fleet advance), or a decisive local Result.
-func distCubeLoop(e *engine, cl *sharenet.Client, prop, depth, nComp int, remoteResult func(int) *Result) (int, *Result, error) {
+// distWorker is the remote-lease scheduler: the broker leases the cubes of
+// each depth's counter-example query to the fleet's workers.
+type distWorker struct {
+	e   *engine
+	cl  *sharenet.Client
+	err error // the fleet link failed; the run stops with it
+}
+
+// fleetKinds maps run-ending Result kinds onto fleet verdict kinds.
+var fleetKinds = map[Kind]byte{
+	KindCE: sharenet.VerdictCE, KindNoCE: sharenet.VerdictNoCE,
+	KindProof: sharenet.VerdictProof, KindTimeout: sharenet.VerdictTimeout,
+}
+
+// settle publishes this worker's run-ending result r to the fleet unless a
+// verdict is already out — a timeout included, so the broker always hears
+// one — and reports the fleet verdict in place of a result not decided
+// here. A counter-example found here keeps its witness; peers report the
+// bare verdict.
+func (w *distWorker) settle(r *Result) *Result {
+	if _, ok := w.cl.Verdict(); !ok && r.Kind != KindNoCE {
+		w.cl.SendVerdict(sharenet.Verdict{Kind: fleetKinds[r.Kind], Depth: r.Depth, Side: r.ProofSide})
+	}
+	if r.Witness != nil || r.Kind == KindProof {
+		return r
+	}
+	v, ok := w.cl.Verdict()
+	if !ok {
+		// Transport gone (or broker closed verdict-less): this worker can
+		// only report how far it got.
+		return &Result{Kind: KindTimeout, Depth: r.Depth}
+	}
+	out := &Result{Kind: KindTimeout, Depth: v.Depth, ProofSide: v.Side}
+	for k, vk := range fleetKinds {
+		if vk == v.Kind {
+			out.Kind = k
+		}
+	}
+	w.e.obsResolved(out.Kind)
+	return out
+}
+
+// solveCE runs one depth's lease/solve/report cycle. It returns nil when
+// the broker advances the fleet to depth+1 (every cube refuted), a
+// counter-example found here, or a timeout when the fleet was decided
+// elsewhere or this worker was interrupted; settle maps the latter onto
+// the fleet verdict.
+func (w *distWorker) solveCE(prop, depth int) *Result {
+	e, cl := w.e, w.cl
+	nComp := 0
+	if e.fg != nil {
+		nComp = len(e.fg.CompLits())
+	}
+	fail := func(err error) *Result {
+		w.err = err
+		return &Result{Kind: KindTimeout, Depth: depth}
+	}
 	for {
 		if _, ok := cl.Verdict(); ok {
-			return 0, remoteResult(depth), nil
+			return &Result{Kind: KindTimeout, Depth: depth}
 		}
 		resp, err := cl.RequestWork(depth, nComp)
 		if err != nil {
-			return 0, nil, fmt.Errorf("bmc: fleet link lost at depth %d: %w", depth, err)
+			return fail(fmt.Errorf("bmc: fleet link lost at depth %d: %w", depth, err))
 		}
 		switch resp.Kind {
 		case sharenet.WorkAdvance:
-			if resp.Depth <= depth {
-				return 0, nil, fmt.Errorf("bmc: broker advanced %d -> %d", depth, resp.Depth)
+			// The broker catches workers up one depth per request, the
+			// driver's own step; any other advance is a protocol error.
+			if resp.Depth != depth+1 {
+				return fail(fmt.Errorf("bmc: broker advanced %d -> %d", depth, resp.Depth))
 			}
-			return resp.Depth, nil, nil
+			return nil
 		case sharenet.WorkFinish:
-			return 0, remoteResult(depth), nil
+			return &Result{Kind: KindTimeout, Depth: depth}
 		case sharenet.WorkLease:
 			signs, err := parseSigns(resp.Signs)
 			if err != nil {
-				return 0, nil, err
+				return fail(err)
 			}
 			st := e.solveCube(prop, depth, signs, cubeConflictBudget)
 			if st == sat.Unknown && !e.timedOut() {
 				if len(signs) < nComp {
 					if err := cl.SendResult(depth, resp.Signs, true); err != nil {
-						return 0, nil, err
+						return fail(err)
 					}
 					continue
 				}
@@ -224,7 +188,7 @@ func distCubeLoop(e *engine, cl *sharenet.Client, prop, depth, nComp int, remote
 			switch st {
 			case sat.Unsat:
 				if err := cl.SendResult(depth, resp.Signs, false); err != nil {
-					return 0, nil, err
+					return fail(err)
 				}
 			case sat.Sat:
 				// Extract before anything else touches this solver: the
@@ -232,18 +196,14 @@ func distCubeLoop(e *engine, cl *sharenet.Client, prop, depth, nComp int, remote
 				wit := e.extractWitness(depth)
 				e.validateWitness(wit, prop)
 				e.logf("depth %d: counter-example (distributed worker %d)", depth, cl.WorkerID())
-				cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictCE, Depth: depth})
-				return 0, &Result{Kind: KindCE, Depth: depth, Witness: wit}, nil
+				return &Result{Kind: KindCE, Depth: depth, Witness: wit}
 			default:
 				// Interrupted: a fleet verdict cancelled us, or this
 				// worker's own budget expired. First verdict wins.
-				if _, ok := cl.Verdict(); !ok {
-					cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictTimeout, Depth: depth})
-				}
-				return 0, remoteResult(depth), nil
+				return &Result{Kind: KindTimeout, Depth: depth}
 			}
 		default:
-			return 0, nil, fmt.Errorf("bmc: unknown work response kind %d", resp.Kind)
+			return fail(fmt.Errorf("bmc: unknown work response kind %d", resp.Kind))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bmc
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -17,6 +18,12 @@ import (
 // worker's link 25ms into its run, simulating a crash. A watchdog fails the
 // test rather than letting a protocol bug hang the suite.
 func runDistFleet(t *testing.T, n *aig.Netlist, prop int, opt Options, workers, kill int) ([]*Result, []error) {
+	t.Helper()
+	return runDistFleetCtx(t, context.Background(), n, prop, opt, workers, kill)
+}
+
+// runDistFleetCtx is runDistFleet with every worker running under ctx.
+func runDistFleetCtx(t *testing.T, ctx context.Context, n *aig.Netlist, prop int, opt Options, workers, kill int) ([]*Result, []error) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "fleet.sock")
 	br, err := sharenet.Listen("unix", sock, sharenet.BrokerOptions{Workers: workers})
@@ -44,7 +51,7 @@ func runDistFleet(t *testing.T, n *aig.Netlist, prop int, opt Options, workers, 
 				timer := time.AfterFunc(25*time.Millisecond, cl.Kill)
 				defer timer.Stop()
 			}
-			results[id], errs[id] = CheckDist(n, prop, opt, cl)
+			results[id], errs[id] = CheckDistCtx(ctx, n, prop, opt, cl)
 		}(w)
 	}
 	done := make(chan struct{})

@@ -39,14 +39,8 @@ func (s *kindStrategy) Name() string { return "kind" }
 func (s *kindStrategy) Step(_ context.Context, k int) (*Result, bool) {
 	e := s.e
 	prop := e.prop
-	switch e.ceCheck(prop, k) {
-	case sat.Sat:
-		w := e.extractWitness(k)
-		e.logf("depth %d: counter-example (base case)", k)
-		e.validateWitness(w, prop)
-		return &Result{Kind: KindCE, Depth: k, Witness: w}, true
-	case sat.Unknown:
-		return &Result{Kind: KindTimeout, Depth: k}, true
+	if r := e.solveCE(prop, k); r != nil {
+		return r, true
 	}
 	switch e.forwardCheck(k) {
 	case sat.Unsat:

@@ -1,11 +1,14 @@
 package bmc
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"emmver/internal/designs"
 	"emmver/internal/expmem"
+	"emmver/internal/obs"
 	"emmver/internal/sat"
 )
 
@@ -30,8 +33,10 @@ func assertInprocEquiv(t *testing.T, name string, run func(opt Options) *Result,
 	simplifyMinConflicts, simplifyClausesPerConfl = 0, 0
 	opt.ValidateWitness = true
 	for _, mode := range []sat.RestartMode{sat.RestartEMA, sat.RestartLuby} {
-		on := run(opt.WithRestart(mode))
-		off := run(opt.WithRestart(mode).WithSimplify(false))
+		opt.Restart = mode
+		noSimp := opt
+		noSimp.NoSimplify = true
+		on, off := run(opt), run(noSimp)
 		tag := fmt.Sprintf("%s/%v", name, mode)
 		if on.Kind != off.Kind || on.Depth != off.Depth || on.ProofSide != off.ProofSide {
 			t.Errorf("%s: inprocessing %v (%s) vs off %v (%s)",
@@ -43,7 +48,7 @@ func assertInprocEquiv(t *testing.T, name string, run func(opt Options) *Result,
 			t.Errorf("%s: witness length %d vs %d", tag, on.Witness.Length, off.Witness.Length)
 		}
 		if off.Stats.Simplifies != 0 {
-			t.Errorf("%s: WithSimplify(false) run still simplified %d times", tag, off.Stats.Simplifies)
+			t.Errorf("%s: NoSimplify run still simplified %d times", tag, off.Stats.Simplifies)
 		}
 		if !opt.PBA && on.Depth > 0 && on.Stats.Simplifies == 0 {
 			t.Errorf("%s: multi-depth run never ran the inprocessing pass", tag)
@@ -100,15 +105,17 @@ func TestInprocEquivalenceBMC1Explicit(t *testing.T) {
 }
 
 func TestInprocEquivalenceCheckMany(t *testing.T) {
-	// The shared-unrolling multi-property loop has its own simplifyStep call
-	// site (many.go); verdicts per property must be unaffected.
+	// The shared-unrolling multi-property run simplifies between depths
+	// while properties are still open; verdicts per property must be
+	// unaffected.
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
 	n := f.Netlist()
 	props := []int{0, 2, 5, 7}
 	opt := BMC2(3*4 + 10)
 	opt.ValidateWitness = true
 	on := CheckMany(n, props, opt)
-	off := CheckMany(n, props, opt.WithSimplify(false))
+	opt.NoSimplify = true
+	off := CheckMany(n, props, opt)
 	for pi := range props {
 		a, b := on.Results[pi], off.Results[pi]
 		if a.Kind != b.Kind || a.Depth != b.Depth {
@@ -125,7 +132,8 @@ func TestInprocPBASkipped(t *testing.T) {
 	n := l.Netlist()
 	opt := BMC3(12)
 	on := Check(n, l.InvariantIndex, opt)
-	off := Check(n, l.InvariantIndex, opt.WithSimplify(false))
+	opt.NoSimplify = true
+	off := Check(n, l.InvariantIndex, opt)
 	if on.Stats.Simplifies != 0 || off.Stats.Simplifies != 0 {
 		t.Fatalf("PBA run must never simplify (got %d / %d)",
 			on.Stats.Simplifies, off.Stats.Simplifies)
@@ -153,5 +161,69 @@ func TestInprocTracingGuard(t *testing.T) {
 	r := Check(q.Netlist(), q.P1Index, opt)
 	if r.Stats.Simplifies != 0 || r.Stats.EliminatedVars != 0 {
 		t.Fatalf("tracing run reported inprocessing work: %+v", r.Stats)
+	}
+}
+
+// cutSink records trace events and the position at which the run was
+// cancelled.
+type cutSink struct {
+	mu     sync.Mutex
+	events []obs.Event
+	cut    int
+}
+
+func (s *cutSink) Emit(ev obs.Event) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestCheckManyEndsAtDeadline cancels a sequential CheckMany from its own
+// log writer at the first counter-example, partway through depth 0, with
+// inprocessing forced after every undecided depth. The depth that timed out
+// must end the run: no inprocessing pass may start after the cancellation,
+// and every property still open times out at that depth.
+func TestCheckManyEndsAtDeadline(t *testing.T) {
+	defer func(mc, cd int64) {
+		simplifyMinConflicts, simplifyClausesPerConfl = mc, cd
+	}(simplifyMinConflicts, simplifyClausesPerConfl)
+	simplifyMinConflicts, simplifyClausesPerConfl = 0, 0
+
+	m, props := manyCounter()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := &cutSink{cut: -1}
+	var once sync.Once
+	opt := Options{MaxDepth: 12, Obs: obs.New(nil, sink), Log: writerFunc(func(p []byte) (int, error) {
+		once.Do(func() {
+			sink.mu.Lock()
+			sink.cut = len(sink.events)
+			sink.mu.Unlock()
+			cancel()
+		})
+		return len(p), nil
+	})}
+	mr := CheckManyCtx(ctx, m.N, props, opt)
+
+	if sink.cut < 0 {
+		t.Fatal("the run never logged, so it was never cancelled")
+	}
+	for i, ev := range sink.events[sink.cut:] {
+		if ev.Name == "bmc.simplify" && ev.Ev == "start" {
+			t.Fatalf("inprocessing pass started %d events after the cancellation", i)
+		}
+	}
+	if r := mr.Results[0]; r.Kind != KindCE || r.Depth != 0 {
+		t.Fatalf("prop 0: %v depth %d, want CE depth 0", r.Kind, r.Depth)
+	}
+	for pi, r := range mr.Results[1:] {
+		if r.Kind != KindTimeout || r.Depth != 0 {
+			t.Errorf("prop %d: %v depth %d, want TIMEOUT depth 0", pi+1, r.Kind, r.Depth)
+		}
 	}
 }

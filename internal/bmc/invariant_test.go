@@ -69,7 +69,7 @@ func TestProveWithInvariantIndustryIIShape(t *testing.T) {
 	// Pipeline off: constant sweep proves flag (and then count) constant
 	// and discharges the property structurally, which would defeat the
 	// point of this sanity check.
-	direct := Check(m.N, 0, BMC1(12).WithPasses("none"))
+	direct := Check(m.N, 0, Options{MaxDepth: 12, Proofs: true, Passes: "none"})
 	if direct.Kind == KindProof {
 		t.Fatalf("main property should not be provable directly here: %v", direct)
 	}

@@ -2,11 +2,8 @@ package bmc
 
 import (
 	"context"
-	"time"
 
 	"emmver/internal/aig"
-	"emmver/internal/obs"
-	"emmver/internal/sat"
 )
 
 // ManyResult reports the per-property outcomes of a CheckMany run plus the
@@ -46,110 +43,26 @@ func CheckMany(n *aig.Netlist, props []int, opt Options) *ManyResult {
 
 // CheckManyCtx is CheckMany under a cancellation context; see CheckCtx.
 // The static compile pipeline runs once for the whole property set, so its
-// cost is shared the same way the unrolling is.
+// cost is shared the same way the unrolling is. A depth that times out
+// ends the run: every property still open reports KindTimeout there.
 func CheckManyCtx(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
 	c := compileModel(n, props, &opt)
-	out := checkManyCompiled(ctx, c.n, c.props, opt)
-	for pi := range out.Results {
-		out.Results[pi] = c.finish(out.Results[pi], c.srcProps[pi], opt)
-	}
+	e := newEngine(ctx, c.n, c.props[0], opt)
+	d := newDriver([]*engine{e}, c.props, 0)
+	d.run(ctx, &bmcStrategy{e: e, d: d, proofs: opt.Proofs, ce: e})
+	r := d.finish(&Result{})
+	out := &ManyResult{Results: d.res, Stats: r.Stats, DepthStats: r.DepthStats}
+	out.finish(c, opt)
 	return out
 }
 
-func checkManyCompiled(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
-	e := newEngine(ctx, n, props[0], opt)
-	out := &ManyResult{Results: make([]*Result, len(props))}
-	unresolved := len(props)
-	finishAll := func(kind Kind, depth int, side string) {
-		for pi := range props {
-			if out.Results[pi] == nil {
-				out.Results[pi] = &Result{Kind: kind, Prop: props[pi], Depth: depth, ProofSide: side}
-				e.obsResolved(kind)
-			}
+// finish records the deepest counter-example and translates every result
+// back to source coordinates.
+func (m *ManyResult) finish(c compiled, opt Options) {
+	for pi, r := range m.Results {
+		if r.Kind == KindCE && r.Depth > m.MaxWitnessDepth {
+			m.MaxWitnessDepth = r.Depth
 		}
-		unresolved = 0
+		m.Results[pi] = c.finish(r, c.srcProps[pi], opt)
 	}
-
-	start := time.Now()
-	for i := 0; i <= opt.MaxDepth && unresolved > 0; i++ {
-		if e.timedOut() {
-			finishAll(KindTimeout, max(i-1, 0), "")
-			break
-		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("unresolved", unresolved))
-		endDepth := func() {
-			e.publishObs(i)
-			sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-				obs.F("clauses", e.fs.NumClauses()),
-				obs.F("unresolved", unresolved))
-		}
-		e.prepareDepth(i)
-
-		if opt.Proofs {
-			// Forward termination is property-independent.
-			switch e.forwardCheck(i) {
-			case sat.Unsat:
-				finishAll(KindProof, i, "forward")
-			case sat.Unknown:
-				finishAll(KindTimeout, i, "")
-			}
-			if unresolved == 0 {
-				endDepth()
-				break
-			}
-		}
-
-		for pi, p := range props {
-			if out.Results[pi] != nil {
-				continue
-			}
-			if e.timedOut() {
-				out.Results[pi] = &Result{Kind: KindTimeout, Prop: p, Depth: i}
-				continue
-			}
-			if opt.Proofs {
-				if e.backwardCheck(p, i) == sat.Unsat {
-					out.Results[pi] = &Result{Kind: KindProof, Prop: p, Depth: i, ProofSide: "backward"}
-					unresolved--
-					e.obsResolved(KindProof)
-					e.logf("prop %d: backward proof at depth %d", p, i)
-					continue
-				}
-			}
-			switch e.ceCheck(p, i) {
-			case sat.Sat:
-				e.prop = p
-				w := e.extractWitness(i)
-				e.validateWitness(w, p)
-				out.Results[pi] = &Result{Kind: KindCE, Prop: p, Depth: i, Witness: w}
-				unresolved--
-				e.obsResolved(KindCE)
-				if i > out.MaxWitnessDepth {
-					out.MaxWitnessDepth = i
-				}
-				e.logf("prop %d: counter-example at depth %d", p, i)
-			case sat.Unknown:
-				out.Results[pi] = &Result{Kind: KindTimeout, Prop: p, Depth: i}
-				unresolved--
-			}
-		}
-		if opt.CollectDepthStats {
-			e.collectDepthStat(i)
-		}
-		endDepth()
-		if unresolved > 0 {
-			e.simplifyStep(i)
-		}
-	}
-	for pi, p := range props {
-		if out.Results[pi] == nil {
-			out.Results[pi] = &Result{Kind: KindNoCE, Prop: p, Depth: opt.MaxDepth}
-			e.obsResolved(KindNoCE)
-		}
-	}
-	r := e.finish(&Result{})
-	out.Stats = r.Stats
-	out.Stats.Elapsed = time.Since(start)
-	out.DepthStats = r.DepthStats
-	return out
 }

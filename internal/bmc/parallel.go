@@ -41,12 +41,8 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	if len(props) == 0 {
 		return out
 	}
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
-		opt.Timeout = 0
-	}
+	ctx, cancel := fleetCtx(ctx, &opt)
+	defer cancel()
 	// Compile once before the fleet spawns: every worker engine unrolls
 	// the same reduced netlist, and results are back-mapped after the
 	// fan-in below.
@@ -56,17 +52,12 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	if opt.Cube && len(props) == 1 && jobs > 1 && shareEligible(n, opt) {
 		// A single property leaves the property-fleet idle; hand the whole
 		// worker budget to the cube-and-conquer splitter instead.
-		r := checkCubed(ctx, n, props[0], opt, jobs)
-		out.Stats = r.Stats
-		out.Results[0] = c.finish(r, c.srcProps[0], opt)
-		if r.Kind == KindCE {
-			out.MaxWitnessDepth = r.Depth
-		}
+		out.Results[0] = checkCubed(ctx, n, props[0], opt, jobs)
+		out.Stats = out.Results[0].Stats
+		out.finish(c, opt)
 		return out
 	}
-	if jobs > len(props) {
-		jobs = len(props)
-	}
+	jobs = min(jobs, len(props))
 	if jobs > 1 {
 		opt.Log = par.SyncWriter(opt.Log)
 	}
@@ -75,14 +66,10 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	// eligible (no PBA tracing, no environment constraints): lemmas over
 	// frame values and EMM comparators transfer between workers even when
 	// they are solving different properties, because the shared clause
-	// database is property-independent. Forward and backward windows get
-	// separate buses (different execution sets).
+	// database is property-independent.
 	var fwd, bwd *share.Bus
-	if opt.Share && jobs > 1 && shareEligible(n, opt) {
-		fwd = share.NewBus(jobs, ringCapacity(opt))
-		if opt.Proofs {
-			bwd = share.NewBus(jobs, ringCapacity(opt))
-		}
+	if jobs > 1 && shareEligible(n, opt) {
+		fwd, bwd = newBuses(jobs, opt)
 	}
 
 	// Reusing one engine per worker across properties is a conservative
@@ -114,7 +101,16 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 			attachShare(e, fwd, bwd, w)
 			engines[w] = e
 		}
-		out.Results[pi] = e.runProp(props[pi], &fwdUnsat)
+		// One driver run per property on the worker's engine, consulting
+		// the fleet-shared forward-termination oracle. The result carries
+		// this property's wall time; the solver-level counters are
+		// aggregated per worker instead (ManyResult.Stats).
+		t0 := time.Now()
+		e.prop = props[pi]
+		d := newDriver([]*engine{e}, props[pi:pi+1], 0)
+		d.run(ctx, &bmcStrategy{e: e, d: d, proofs: opt.Proofs, fwd: &fwdUnsat, ce: e})
+		out.Results[pi] = d.res[0]
+		out.Results[pi].Stats.Elapsed = time.Since(t0)
 	})
 
 	for w, e := range engines {
@@ -129,85 +125,24 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	}
 	out.Stats.Elapsed = time.Since(start)
 	for pi, p := range props {
-		r := out.Results[pi]
-		if r == nil {
+		if out.Results[pi] == nil {
 			// The run was cancelled before this property was dispensed.
-			r = &Result{Kind: KindTimeout, Prop: p, Depth: 0}
-			out.Results[pi] = r
-		}
-		if r.Kind == KindCE && r.Depth > out.MaxWitnessDepth {
-			out.MaxWitnessDepth = r.Depth
+			out.Results[pi] = &Result{Kind: KindTimeout, Prop: p, Depth: 0}
 		}
 	}
-	for pi := range out.Results {
-		out.Results[pi] = c.finish(out.Results[pi], c.srcProps[pi], opt)
-	}
+	out.finish(c, opt)
 	return out
 }
 
-// runProp runs the sequential per-depth check order for property p on e,
-// consulting the fleet-shared forward-termination oracle. The result
-// carries this property's wall time; the solver-level counters are
-// aggregated per worker instead (ManyResult.Stats).
-func (e *engine) runProp(p int, fwdUnsat *atomic.Int64) *Result {
-	t0 := time.Now()
-	r := e.runPropLoop(p, fwdUnsat)
-	r.Stats.Elapsed = time.Since(t0)
-	return r
-}
-
-func (e *engine) runPropLoop(p int, fwdUnsat *atomic.Int64) *Result {
-	e.prop = p
-	for i := 0; i <= e.opt.MaxDepth; i++ {
-		if e.timedOut() {
-			return &Result{Kind: KindTimeout, Prop: p, Depth: max(i-1, 0)}
-		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", p))
-		e.prepareDepth(i)
-		r := e.propDepthStep(p, i, fwdUnsat)
-		e.publishObs(i)
-		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-			obs.F("clauses", e.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if r != nil {
-			e.obsResolved(r.Kind)
-			return r
-		}
-		e.simplifyStep(i)
+// fleetCtx derives a fleet's run context: cancellable, and carrying
+// opt.Timeout as a deadline (cleared from opt) so every engine of the
+// fleet stops at the same wall-clock instant.
+func fleetCtx(ctx context.Context, opt *Options) (context.Context, context.CancelFunc) {
+	if t := opt.Timeout; t > 0 {
+		opt.Timeout = 0
+		return context.WithTimeout(ctx, t)
 	}
-	e.obsResolved(KindNoCE)
-	return &Result{Kind: KindNoCE, Prop: p, Depth: e.opt.MaxDepth}
-}
-
-// propDepthStep runs the depth-i check order for property p against the
-// fleet-shared forward oracle, returning a decisive Result or nil.
-func (e *engine) propDepthStep(p, i int, fwdUnsat *atomic.Int64) *Result {
-	if e.opt.Proofs {
-		switch e.oracleForwardCheck(i, fwdUnsat) {
-		case sat.Unsat:
-			e.logf("prop %d: forward proof at depth %d", p, i)
-			return &Result{Kind: KindProof, Prop: p, Depth: i, ProofSide: "forward"}
-		case sat.Unknown:
-			return &Result{Kind: KindTimeout, Prop: p, Depth: i}
-		}
-		switch e.backwardCheck(p, i) {
-		case sat.Unsat:
-			e.logf("prop %d: backward proof at depth %d", p, i)
-			return &Result{Kind: KindProof, Prop: p, Depth: i, ProofSide: "backward"}
-		case sat.Unknown:
-			return &Result{Kind: KindTimeout, Prop: p, Depth: i}
-		}
-	}
-	switch e.ceCheck(p, i) {
-	case sat.Sat:
-		w := e.extractWitness(i)
-		e.validateWitness(w, p)
-		e.logf("prop %d: counter-example at depth %d", p, i)
-		return &Result{Kind: KindCE, Prop: p, Depth: i, Witness: w}
-	case sat.Unknown:
-		return &Result{Kind: KindTimeout, Prop: p, Depth: i}
-	}
-	return nil
+	return context.WithCancel(ctx)
 }
 
 // oracleForwardCheck answers the forward termination check at depth i,

@@ -1,6 +1,7 @@
 package bmc
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -186,5 +187,128 @@ func TestStatsAdd(t *testing.T) {
 	}
 	if a.PeakHeapMB != 9 {
 		t.Fatalf("peak heap should take the max, got %v", a.PeakHeapMB)
+	}
+}
+
+// entryPoints runs one property set through every public entry point of
+// the package, returning per-property results (indexed like props) and the
+// solver calls the run spent. The distributed entry point runs a
+// two-worker loopback fleet per property and reports every worker.
+func entryPoints(t *testing.T) []struct {
+	name string
+	run  func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int)
+} {
+	each := func(tune func(*Options)) func(context.Context, *aig.Netlist, []int, Options) ([][]*Result, int) {
+		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+			tune(&opt)
+			var out [][]*Result
+			calls := 0
+			for _, p := range props {
+				r := CheckCtx(ctx, n, p, opt)
+				out = append(out, []*Result{r})
+				calls += r.Stats.SolveCalls
+			}
+			return out, calls
+		}
+	}
+	many := func(run func(context.Context, *aig.Netlist, []int, Options) *ManyResult) func(context.Context, *aig.Netlist, []int, Options) ([][]*Result, int) {
+		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+			mr := run(ctx, n, props, opt)
+			var out [][]*Result
+			for _, r := range mr.Results {
+				out = append(out, []*Result{r})
+			}
+			return out, mr.Stats.SolveCalls
+		}
+	}
+	pool := func(jobs int) func(context.Context, *aig.Netlist, []int, Options) *ManyResult {
+		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
+			return CheckManyParallelCtx(ctx, n, props, opt, jobs)
+		}
+	}
+	return []struct {
+		name string
+		run  func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int)
+	}{
+		{"Check", each(func(*Options) {})},
+		{"CheckMany", many(CheckManyCtx)},
+		{"CheckManyParallel/1", many(pool(1))},
+		{"CheckManyParallel/2", many(pool(2))},
+		{"cube", each(func(o *Options) { o.Cube, o.Share, o.Jobs = true, true, 2 })},
+		{"kind", each(func(o *Options) { o.KInduction = true })},
+		{"CheckDist/2", func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+			opt.Share = true
+			var out [][]*Result
+			calls := 0
+			for _, p := range props {
+				results, errs := runDistFleetCtx(t, ctx, n, p, opt, 2, -1)
+				for w, err := range errs {
+					if err != nil {
+						t.Fatalf("dist worker %d: %v", w, err)
+					}
+					calls += results[w].Stats.SolveCalls
+				}
+				out = append(out, results)
+			}
+			return out, calls
+		}},
+	}
+}
+
+// TestEntryPointsAgree runs every entry point under BMC-3 on quicksort N=3
+// (both properties) and on the mod-8 counter (one counter-example, one
+// proof): on a live context the per-property verdicts and depths must
+// agree, and on a context cancelled before the run every property must
+// time out at depth 0 without a single solver call.
+func TestEntryPointsAgree(t *testing.T) {
+	qs := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
+	counter, _ := manyCounter()
+	cases := []struct {
+		name  string
+		n     *aig.Netlist
+		props []int
+		want  []Kind
+	}{
+		{"quicksort", qs.Netlist(), []int{qs.P1Index, qs.P2Index}, []Kind{KindNoCE, KindNoCE}},
+		{"counter", counter.N, []int{3, 8}, []Kind{KindCE, KindProof}},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		opt := Options{MaxDepth: 14, UseEMM: true, Proofs: true, ValidateWitness: true}
+		var base [][]*Result
+		for _, ep := range entryPoints(t) {
+			got, _ := ep.run(context.Background(), tc.n, tc.props, opt)
+			if base == nil {
+				base = got
+				for pi, k := range tc.want {
+					if got[pi][0].Kind != k {
+						t.Fatalf("%s prop %d: Check says %v, want %v", tc.name, pi, got[pi][0].Kind, k)
+					}
+				}
+			}
+			for pi := range tc.props {
+				want := base[pi][0]
+				for _, r := range got[pi] {
+					if r.Kind != want.Kind || r.Depth != want.Depth {
+						t.Errorf("%s/%s prop %d: %v depth %d, Check says %v depth %d",
+							tc.name, ep.name, pi, r.Kind, r.Depth, want.Kind, want.Depth)
+					}
+				}
+			}
+
+			got, calls := ep.run(cancelled, tc.n, tc.props, opt)
+			for pi := range tc.props {
+				for _, r := range got[pi] {
+					if r.Kind != KindTimeout || r.Depth != 0 {
+						t.Errorf("%s/%s prop %d on a cancelled context: %v depth %d, want TIMEOUT depth 0",
+							tc.name, ep.name, pi, r.Kind, r.Depth)
+					}
+				}
+			}
+			if calls != 0 {
+				t.Errorf("%s/%s on a cancelled context made %d solver calls", tc.name, ep.name, calls)
+			}
+		}
 	}
 }

@@ -125,9 +125,12 @@ func TestPassEquivalenceCheckMany(t *testing.T) {
 	}
 	opt := BMC2(3*4 + 10)
 	opt.ValidateWitness = true
-	off := CheckMany(n, props, opt.WithPasses("none"))
+	none := opt
+	none.Passes = "none"
+	off := CheckMany(n, props, none)
 	for _, spec := range []string{"", "coi,sweep", "ports"} {
-		on := CheckMany(n, props, opt.WithPasses(spec))
+		opt.Passes = spec
+		on := CheckMany(n, props, opt)
 		for pi := range props {
 			or, nr := off.Results[pi], on.Results[pi]
 			if or.Kind != nr.Kind || or.Depth != nr.Depth {
@@ -157,7 +160,9 @@ func TestPassWitnessReplaysOnSource(t *testing.T) {
 	n := f.Netlist()
 	for _, spec := range passSpecs {
 		for _, prop := range []int{0, 7} {
-			r := Check(n, prop, BMC2(3*4+10).WithPasses(spec))
+			opt := BMC2(3*4 + 10)
+			opt.Passes = spec
+			r := Check(n, prop, opt)
 			if r.Kind != KindCE {
 				t.Fatalf("passes=%q prop=%d: expected CE, got %v", spec, prop, r)
 			}

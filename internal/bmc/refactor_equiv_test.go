@@ -17,7 +17,9 @@ import (
 // The refactor-equivalence pin: every existing engine must produce
 // byte-identical verdicts, depths, witnesses, and deterministic Stats
 // counters across the case-study designs, compared against golden fixtures
-// generated before the model/session/strategy extraction. Regenerate with
+// generated before the model/session/strategy extraction (the kind, lazy,
+// cube and multi-property records: before the entry points shared one
+// per-depth driver). Regenerate with
 //
 //	go test ./internal/bmc -run TestRefactorEquivalence -update-golden
 //

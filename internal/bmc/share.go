@@ -57,6 +57,26 @@ const compCanonBase = uint64(1) << 52
 // flushing on intern failure; these two filters are the bridge's backstop.
 const compPrivateBase = compCanonBase + share.PrivateInternBase
 
+// newBuses builds a fleet's sharing buses for n workers when opt.Share is
+// on (nil otherwise): one for the forward windows and, under Proofs, one
+// for the backward windows. Each worker's clause ring holds
+// Options.ShareCap entries, 4096 by default; see share.Ring for why overrun
+// is harmless.
+func newBuses(n int, opt Options) (fwd, bwd *share.Bus) {
+	if !opt.Share {
+		return nil, nil
+	}
+	ring := opt.ShareCap
+	if ring <= 0 {
+		ring = 4096
+	}
+	fwd = share.NewBus(n, ring)
+	if opt.Proofs {
+		bwd = share.NewBus(n, ring)
+	}
+	return fwd, bwd
+}
+
 // shareEligible reports whether the fleet may share clauses (and split
 // cubes) for this compiled model and option set; see the package comment
 // above for why PBA and environment constraints disqualify a run.

@@ -63,7 +63,8 @@ func TestCoopVerdictDeterminism(t *testing.T) {
 		tc.opt.ValidateWitness = true
 		base := tc.run(tc.opt)
 		for _, mode := range coopModes {
-			opt := tc.opt.WithShare(mode.share).WithCube(mode.cube).WithJobs(4)
+			opt := tc.opt
+			opt.Share, opt.Cube, opt.Jobs = mode.share, mode.cube, 4
 			coop := tc.run(opt)
 			assertSameVerdict(t, tc.name+"/"+mode.name, base, coop)
 		}
@@ -81,7 +82,8 @@ func TestCoopSplitRefinement(t *testing.T) {
 	opt := BMC2(6)
 	opt.ValidateWitness = true
 	base := Check(qs.Netlist(), qs.P1Index, opt)
-	coop := Check(qs.Netlist(), qs.P1Index, opt.WithShare(true).WithCube(true).WithJobs(4))
+	opt.Share, opt.Cube, opt.Jobs = true, true, 4
+	coop := Check(qs.Netlist(), qs.P1Index, opt)
 	assertSameVerdict(t, "split-refinement", base, coop)
 	if coop.Stats.CubeSplits == 0 {
 		t.Errorf("budget=1 run recorded no cube splits")
@@ -95,7 +97,8 @@ func TestShareFleetManyProps(t *testing.T) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
 	opt := Options{MaxDepth: 3*4 + 6, UseEMM: true, Proofs: true, ValidateWitness: true}
 	seq := CheckMany(f.Netlist(), f.PropIndices(), opt)
-	coop := CheckManyParallel(f.Netlist(), f.PropIndices(), opt.WithShare(true), 4)
+	opt.Share = true
+	coop := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, 4)
 	assertSameVerdicts(t, seq, coop)
 	if coop.Stats.SharedExported == 0 {
 		t.Errorf("sharing fleet exported no clauses")
@@ -110,7 +113,8 @@ func TestShareIneligiblePBA(t *testing.T) {
 	opt := BMC3(10)
 	opt.StopAtStable = true
 	base := Check(qs.Netlist(), qs.P2Index, opt)
-	coop := Check(qs.Netlist(), qs.P2Index, opt.WithShare(true).WithCube(true).WithJobs(4))
+	opt.Share, opt.Cube, opt.Jobs = true, true, 4
+	coop := Check(qs.Netlist(), qs.P2Index, opt)
 	assertSameVerdict(t, "pba-gate", base, coop)
 	if coop.Stats.SharedExported != 0 || coop.Stats.CubeSplits != 0 {
 		t.Errorf("PBA run used cooperative machinery: exported=%d splits=%d",

@@ -77,7 +77,9 @@ func TestLookupInvariantBackwardInductionDepth2(t *testing.T) {
 	// The compile pipeline's constant sweep discharges the invariant
 	// structurally (depth 0); pin it off to observe the 2-induction the
 	// design is built to need.
-	r := bmc.Check(l.Netlist(), l.InvariantIndex, bmc.BMC3(10).WithPasses("none"))
+	opt := bmc.BMC3(10)
+	opt.Passes = "none"
+	r := bmc.Check(l.Netlist(), l.InvariantIndex, opt)
 	if r.Kind != bmc.KindProof || r.ProofSide != "backward" || r.Depth != 2 {
 		t.Fatalf("invariant must be proved by backward induction at depth 2, got %v (%s)", r, r.ProofSide)
 	}

@@ -88,11 +88,11 @@ func DistAB(cfg GrowthSolveConfig, workers, runs int) (DistABResult, error) {
 func distGrowthRun(cfg GrowthSolveConfig, workers int, share bool) (GrowthSolveResult, error) {
 	out := GrowthSolveResult{Config: cfg}
 	n := GrowthSolveNetlist(cfg)
-	opt := bmc.BMC2(cfg.MaxK).
-		WithRestart(cfg.Restart).
-		WithSimplify(!cfg.NoSimplify).
-		WithTimeout(cfg.Timeout).
-		WithShare(share)
+	opt := bmc.BMC2(cfg.MaxK)
+	opt.Restart = cfg.Restart
+	opt.NoSimplify = cfg.NoSimplify
+	opt.Timeout = cfg.Timeout
+	opt.Share = share
 	opt.DisableStrash = cfg.NoOpt
 	opt.DisableEMMMemo = cfg.NoOpt
 	opt.Passes = cfg.Passes

@@ -79,17 +79,17 @@ type GrowthSolveResult struct {
 func GrowthSolve(cfg GrowthSolveConfig) GrowthSolveResult {
 	n := GrowthSolveNetlist(cfg)
 
-	opt := bmc.BMC2(cfg.MaxK).
-		WithRestart(cfg.Restart).
-		WithSimplify(!cfg.NoSimplify).
-		WithTimeout(cfg.Timeout)
+	opt := bmc.BMC2(cfg.MaxK)
+	opt.Restart = cfg.Restart
+	opt.NoSimplify = cfg.NoSimplify
+	opt.Timeout = cfg.Timeout
 	opt.DisableStrash = cfg.NoOpt
 	opt.DisableEMMMemo = cfg.NoOpt
 	opt.CollectDepthStats = true
 	opt.Passes = cfg.Passes
 	opt.LazyEMM = cfg.Lazy
 	if cfg.Jobs > 1 {
-		opt = opt.WithJobs(cfg.Jobs).WithCube(cfg.Cube).WithShare(cfg.Share)
+		opt.Jobs, opt.Cube, opt.Share = cfg.Jobs, cfg.Cube, cfg.Share
 	}
 
 	t0 := time.Now()
