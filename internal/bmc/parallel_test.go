@@ -190,15 +190,20 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// entryPoints runs one property set through every public entry point of
-// the package, returning per-property results (indexed like props) and the
-// solver calls the run spent. The distributed entry point runs a
-// two-worker loopback fleet per property and reports every worker.
+// entryRun runs props through one entry point, returning every result it
+// reports per property (a distributed fleet reports one per worker) and the
+// solver calls the run spent.
+type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int)
+
+// entryPoints lists every public entry point of the package: Check with
+// the option tweaks that route it to the cube fleet or k-induction,
+// sequential CheckMany (jobs 0), the property pool, and a two-worker
+// loopback CheckDist fleet.
 func entryPoints(t *testing.T) []struct {
 	name string
-	run  func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int)
+	run  entryRun
 } {
-	each := func(tune func(*Options)) func(context.Context, *aig.Netlist, []int, Options) ([][]*Result, int) {
+	check := func(tune func(*Options)) entryRun {
 		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
 			tune(&opt)
 			var out [][]*Result
@@ -211,9 +216,14 @@ func entryPoints(t *testing.T) []struct {
 			return out, calls
 		}
 	}
-	many := func(run func(context.Context, *aig.Netlist, []int, Options) *ManyResult) func(context.Context, *aig.Netlist, []int, Options) ([][]*Result, int) {
+	many := func(jobs int) entryRun {
 		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
-			mr := run(ctx, n, props, opt)
+			var mr *ManyResult
+			if jobs == 0 {
+				mr = CheckManyCtx(ctx, n, props, opt)
+			} else {
+				mr = CheckManyParallelCtx(ctx, n, props, opt, jobs)
+			}
 			var out [][]*Result
 			for _, r := range mr.Results {
 				out = append(out, []*Result{r})
@@ -221,37 +231,33 @@ func entryPoints(t *testing.T) []struct {
 			return out, mr.Stats.SolveCalls
 		}
 	}
-	pool := func(jobs int) func(context.Context, *aig.Netlist, []int, Options) *ManyResult {
-		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
-			return CheckManyParallelCtx(ctx, n, props, opt, jobs)
+	dist := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+		opt.Share = true
+		var out [][]*Result
+		calls := 0
+		for _, p := range props {
+			results, errs := runDistFleetCtx(t, ctx, n, p, opt, 2, -1)
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("dist worker %d: %v", w, err)
+				}
+				calls += results[w].Stats.SolveCalls
+			}
+			out = append(out, results)
 		}
+		return out, calls
 	}
 	return []struct {
 		name string
-		run  func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int)
+		run  entryRun
 	}{
-		{"Check", each(func(*Options) {})},
-		{"CheckMany", many(CheckManyCtx)},
-		{"CheckManyParallel/1", many(pool(1))},
-		{"CheckManyParallel/2", many(pool(2))},
-		{"cube", each(func(o *Options) { o.Cube, o.Share, o.Jobs = true, true, 2 })},
-		{"kind", each(func(o *Options) { o.KInduction = true })},
-		{"CheckDist/2", func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
-			opt.Share = true
-			var out [][]*Result
-			calls := 0
-			for _, p := range props {
-				results, errs := runDistFleetCtx(t, ctx, n, p, opt, 2, -1)
-				for w, err := range errs {
-					if err != nil {
-						t.Fatalf("dist worker %d: %v", w, err)
-					}
-					calls += results[w].Stats.SolveCalls
-				}
-				out = append(out, results)
-			}
-			return out, calls
-		}},
+		{"Check", check(func(*Options) {})},
+		{"CheckMany", many(0)},
+		{"CheckManyParallel/1", many(1)},
+		{"CheckManyParallel/2", many(2)},
+		{"cube", check(func(o *Options) { o.Cube, o.Share, o.Jobs = true, true, 2 })},
+		{"kind", check(func(o *Options) { o.KInduction = true })},
+		{"CheckDist/2", dist},
 	}
 }
 
