@@ -171,21 +171,21 @@ type Options struct {
 	// reach.
 	ShareLBD  int
 	ShareSize int
-	// LazyEMM switches the counter-example path to demand-driven EMM
-	// constraint instantiation (core.Generator.EnableLazy): the CE query
-	// starts with read data unconstrained, and a refinement loop validates
-	// each SAT model against the true memory semantics, instantiating
-	// exactly the violated read-over-write axioms before re-solving
-	// incrementally. UNSAT answers on the relaxation are sound immediately
-	// (clause removal preserves UNSAT), so with Proofs on, the forward and
-	// backward termination checks keep the full eager constraint set on
-	// their own solvers and only the CE search goes lazy (on a third
-	// solver). Verdict-preserving by construction; a performance knob like
-	// Share/Cube. Ignored under PBA (cores attribute relevance to eagerly
-	// tagged clauses), under DisableExclusivity (the refinement machinery
-	// suspends the eq. 4 chains), and on the cube-and-conquer and
-	// distributed paths (both split the search over the deterministic
-	// eager comparator creation order).
+	// LazyEMM switches the EMM constraints of both windows to demand-driven
+	// instantiation (core.Generator.EnableLazy): every query — the
+	// counter-example check and, under Proofs, the forward and backward
+	// termination checks — starts with read data unconstrained, and the
+	// refine loop (refineSolve) validates each SAT model against the true
+	// memory semantics, instantiating exactly the violated read-over-write
+	// axioms before re-solving incrementally. UNSAT on the relaxation is
+	// UNSAT of the full encoding (clause removal cannot turn a satisfiable
+	// formula unsatisfiable), and SAT stands only for a validated model,
+	// so verdicts, depths and proof sides equal the eager encoding's. A
+	// performance knob like Share/Cube. Ignored under PBA (cores attribute
+	// relevance to eagerly tagged clauses), under DisableExclusivity (the
+	// refinement machinery suspends the eq. 4 chains), and on the
+	// cube-and-conquer and distributed paths (both split the search over
+	// the deterministic eager comparator creation order).
 	LazyEMM bool
 	// KInduction selects the k-induction strategy (temporal induction,
 	// spec engine "kind"): at each depth k the base case (the plain
@@ -280,10 +280,10 @@ type Stats struct {
 	CubeSplits     int64
 	CubeStolen     int64
 	// Lazy-EMM refinement (zero unless Options.LazyEMM was active): model
-	// validations run by the semantic oracle and SAT models it rejected.
-	// The instantiated-axiom count lives in EMM.LazyAxioms — under LazyEMM
-	// the EMM tally reports the counter-example path's generator, which is
-	// where the on-demand reduction shows.
+	// validations run by the semantic oracle and SAT models it rejected,
+	// over every query. The instantiated-axiom count lives in
+	// EMM.LazyAxioms — the EMM tally reports the forward window's
+	// generator, which hosts the counter-example queries.
 	LazyRounds   int64
 	LazySpurious int64
 	// Demand-driven loop-free-path constraints (zero unless Proofs): pair
@@ -411,34 +411,20 @@ type engine struct {
 	bu *unroll.Unroller
 	bg *core.Generator
 
-	// The counter-example path's solver/unroller/generator. Aliases of
-	// fs/fu/fg normally; a dedicated third triple when LazyEMM is active
-	// together with Proofs, so the termination checks keep the full eager
-	// constraint set while the CE search runs on the lazy relaxation.
-	cs *sat.Solver
-	cu *unroll.Unroller
-	cg *core.Generator
-	// lazy reports that the CE path runs the lazy-EMM refinement loop
-	// (cg is in EnableLazy mode).
-	lazy bool
-	// Refinement tallies; only the CE-owning goroutine touches them.
-	lazyRounds   int64
-	lazySpurious int64
-
 	tracker  *pba.Tracker
 	start    time.Time
 	deadline time.Time
-	stats    Stats
 	// fwdSatDepth memoizes the deepest depth whose (property-independent)
 	// forward termination check is known SAT, so an engine reused across
 	// properties never repeats it.
 	fwdSatDepth int
-	// solveCalls is kept apart from stats so that the two portfolio lanes
-	// can bump it concurrently without a data race; so are the
-	// loop-free-path refinement tallies, bumped by both lanes' checks.
-	solveCalls atomic.Int64
-	lfpPairs   atomic.Int64
-	lfpRounds  atomic.Int64
+	// Solver-call and refinement tallies, atomic because the two
+	// portfolio lanes bump them concurrently.
+	solveCalls   atomic.Int64
+	lfpPairs     atomic.Int64
+	lfpRounds    atomic.Int64
+	lazyRounds   atomic.Int64
+	lazySpurious atomic.Int64
 
 	depthStats []DepthStat
 	mark       depthMark
@@ -454,15 +440,12 @@ type engine struct {
 	obsProps    *obs.Counter
 	obsCoreSize *obs.Gauge
 	obsLR       *obs.Gauge
-	// Lazy-EMM refinement counters; obsLazyAxPub tracks the last published
-	// cumulative axiom count so deltas can be pushed after each CE check.
+	// Refinement counters (refineSolve).
 	obsLazyRounds   *obs.Counter
 	obsLazyAxioms   *obs.Counter
 	obsLazySpurious *obs.Counter
-	obsLazyAxPub    int
-	// Loop-free-path refinement counters.
-	obsLFPPairs  *obs.Counter
-	obsLFPRounds *obs.Counter
+	obsLFPPairs     *obs.Counter
+	obsLFPRounds    *obs.Counter
 }
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
@@ -484,11 +467,13 @@ func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engi
 	}
 	// Model construction (model.go): each window is an unrolling plus its
 	// EMM generator over a fresh session solver (session.go).
-	e.buildForwardWindow()
-	if opt.Proofs {
-		e.buildBackwardWindow()
+	e.fs, e.fu, e.fg = e.newWindow(unroll.Initialized)
+	if opt.PBA {
+		e.tracker = pba.NewTracker()
 	}
-	e.buildCEWindow()
+	if opt.Proofs {
+		e.bs, e.bu, e.bg = e.newWindow(unroll.Free)
+	}
 	return e
 }
 
@@ -525,9 +510,7 @@ func (e *engine) obsPBAUpdate(i int) {
 // depth i: SAT(I ∧ LFP_i ∧ C_i).
 func (e *engine) forwardCheck(i int) sat.Status {
 	sp := e.obs.Span("solve.forward", obs.F("depth", i))
-	st, pairs, rounds := e.lfpSolve(e.fs, e.fu, i, e.fu.LoopFreeLit(i))
-	sp.End(obs.F("result", st.String()), obs.F("lfp_pairs", pairs), obs.F("lfp_rounds", rounds))
-	return st
+	return e.refineSolve(sp, window{e.fs, e.fu, e.fg}, i, e.fu.LoopFreeLit(i))
 }
 
 // backwardCheck runs the backward termination (induction step) check for
@@ -538,68 +521,76 @@ func (e *engine) backwardCheck(prop, i int) sat.Status {
 	for j := 0; j < i; j++ {
 		assumps = append(assumps, e.bu.PropertyLit(prop, j))
 	}
-	st, pairs, rounds := e.lfpSolve(e.bs, e.bu, i, assumps...)
-	sp.End(obs.F("result", st.String()), obs.F("lfp_pairs", pairs), obs.F("lfp_rounds", rounds))
-	return st
-}
-
-// lfpSolve solves the window (s, u) under assumps, which include
-// u.LoopFreeLit(i), instantiating the loop-free-path constraint on demand:
-// while the answer is SAT and the model repeats a state on some frame
-// pair, the violated pair constraints are added and the query re-solved
-// incrementally. UNSAT over a subset of the pair constraints is UNSAT over
-// all of them; SAT is returned only for a model loop-free on every pair.
-// It reports the pairs added and the re-solves spent.
-func (e *engine) lfpSolve(s *sat.Solver, u *unroll.Unroller, i int, assumps ...sat.Lit) (st sat.Status, pairs, rounds int) {
-	st = e.solve(s, assumps...)
-	for st == sat.Sat {
-		added := u.RefineLoopFree(i)
-		if added == 0 {
-			break
-		}
-		pairs += added
-		rounds++
-		st = e.solve(s, assumps...)
-	}
-	e.lfpPairs.Add(int64(pairs))
-	e.lfpRounds.Add(int64(rounds))
-	e.obsLFPPairs.Add(int64(pairs))
-	e.obsLFPRounds.Add(int64(rounds))
-	return st, pairs, rounds
+	return e.refineSolve(sp, window{e.bs, e.bu, e.bg}, i, assumps...)
 }
 
 // ceCheck runs the counter-example check for prop at depth i:
-// SAT(I ∧ ¬P_i ∧ C_i). Under LazyEMM, C_i is the demand-instantiated
-// relaxation and a SAT answer enters the refinement loop: the semantic
-// oracle validates the model's memory-interface trace, instantiates the
-// violated read-over-write axioms, and the query is re-solved
-// incrementally until the model is genuine (SAT stands) or the
-// strengthened relaxation runs out of models (UNSAT — sound a fortiori).
+// SAT(I ∧ ¬P_i ∧ C_i). It assumes no loop-free-path literal, so an eager
+// CE query is a single solve.
 func (e *engine) ceCheck(prop, i int) sat.Status {
 	sp := e.obs.Span("solve.ce", obs.F("depth", i), obs.F("prop", prop),
-		obs.F("lazy", e.lazy))
-	notP := e.cu.PropertyLit(prop, i).Not()
-	st := e.solve(e.cs, notP)
-	rounds := 0
-	if e.lazy {
-		for st == sat.Sat {
-			rounds++
-			e.lazyRounds++
-			e.obsLazyRounds.Inc()
-			viol := e.cg.RefineLazy()
-			if viol == 0 {
-				break
-			}
-			e.lazySpurious++
-			e.obsLazySpurious.Inc()
-			st = e.solve(e.cs, notP)
-		}
-		if ax := e.cg.Sizes().LazyAxioms; ax > e.obsLazyAxPub {
-			e.obsLazyAxioms.Add(int64(ax - e.obsLazyAxPub))
-			e.obsLazyAxPub = ax
-		}
+		obs.F("lazy", e.fg.Lazy()))
+	return e.refineSolve(sp, window{e.fs, e.fu, e.fg}, noLFP, e.fu.PropertyLit(prop, i).Not())
+}
+
+// noLFP is refineSolve's lfp argument for a query that assumes no
+// loop-free-path literal.
+const noLFP = -1
+
+// refineSolve is the refine-while-SAT loop every query runs through. It
+// solves window w under assumps and checks each SAT model twice before
+// accepting it: when the query assumes the loop-free-path literal of depth
+// lfp, u.RefineLoopFree adds the pair constraint of every frame pair the
+// model repeats; when w's generator is lazy, its semantic oracle
+// (g.RefineLazy) instantiates the read-over-write axioms the model's
+// memory-interface trace violates. Whatever either check adds, the query
+// is re-solved incrementally. Both add subsets of the eager encoding, so
+// UNSAT is the eager UNSAT; SAT is returned only for a model that passes
+// both checks, i.e. one the eager encoding admits too. Verdicts, depths
+// and proof sides are therefore exactly those of the eager encoding. The
+// loop ends span sp with its result and refinement tallies.
+func (e *engine) refineSolve(sp obs.Span, w window, lfp int, assumps ...sat.Lit) sat.Status {
+	lazy := w.g.Lazy()
+	axioms := 0
+	if lazy {
+		axioms = w.g.Sizes().LazyAxioms
 	}
-	sp.End(obs.F("result", st.String()), obs.F("rounds", rounds))
+	var pairs, lfpRounds, rounds, spurious int64
+	st := e.solve(w.s, assumps...)
+	for st == sat.Sat {
+		added, viol := 0, 0
+		if lfp != noLFP {
+			added = w.u.RefineLoopFree(lfp)
+		}
+		if lazy {
+			rounds++
+			viol = w.g.RefineLazy()
+		}
+		if added == 0 && viol == 0 {
+			break
+		}
+		if added > 0 {
+			pairs += int64(added)
+			lfpRounds++
+		}
+		if viol > 0 {
+			spurious++
+		}
+		st = e.solve(w.s, assumps...)
+	}
+	e.lfpPairs.Add(pairs)
+	e.lfpRounds.Add(lfpRounds)
+	e.obsLFPPairs.Add(pairs)
+	e.obsLFPRounds.Add(lfpRounds)
+	if lazy {
+		e.lazyRounds.Add(rounds)
+		e.lazySpurious.Add(spurious)
+		e.obsLazyRounds.Add(rounds)
+		e.obsLazySpurious.Add(spurious)
+		e.obsLazyAxioms.Add(int64(w.g.Sizes().LazyAxioms - axioms))
+	}
+	sp.End(obs.F("result", st.String()), obs.F("lfp_pairs", pairs),
+		obs.F("lfp_rounds", lfpRounds), obs.F("rounds", rounds))
 	return st
 }
 

@@ -148,10 +148,8 @@ func (q *cubeQueue) close() {
 func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs int) *Result {
 	// Cube-and-conquer splits the search over the deterministic eager
 	// comparator creation order; demand-driven instantiation would make
-	// that order model-dependent and diverge across workers. The spec
-	// layer's capability resolver rejects lazy×cube before it gets here
-	// (spec.CapCube vs CapLazy); this reset enforces the same invariant
-	// for direct Options-level callers.
+	// that order model-dependent and diverge across workers, so a cubed
+	// run solves eagerly.
 	opt.LazyEMM = false
 	ctx, cancel := fleetCtx(ctx, &opt)
 	defer cancel()

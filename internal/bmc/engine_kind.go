@@ -1,8 +1,8 @@
 // The k-induction engine (spec engine "kind"): temporal induction on the
-// model/session/strategy seam. It reuses the Model's three windows and the
+// model/session/strategy seam. It reuses the Model's two windows and the
 // Session's solvers unchanged — the strategy below is the whole engine,
 // plus one Model-level strengthening (write-free-init retention on the
-// backward window, see buildBackwardWindow).
+// backward window, see newWindow).
 
 package bmc
 

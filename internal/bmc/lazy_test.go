@@ -12,13 +12,18 @@ import (
 	"emmver/internal/rtl"
 )
 
-// The lazy-EMM equivalence suite: demand-driven instantiation relaxes the
-// counter-example query only, so every verdict, depth, proof side, and
-// witness must match the eager encoding exactly — and the relaxation must
-// never emit MORE EMM clauses than the eager run (on the CE path it should
-// emit strictly fewer whenever any read-over-write axiom goes unneeded).
+// The lazy-EMM equivalence suite: demand-driven instantiation relaxes
+// every query of a lazy window — the counter-example query and, under
+// Proofs, the forward and backward termination checks — and the refine
+// loop accepts a SAT model only once the semantic oracle validates it, so
+// every verdict, depth, proof side, and witness length must match the
+// eager encoding exactly. The relaxation must also never emit MORE EMM
+// clauses than the eager run (it should emit strictly fewer whenever any
+// read-over-write axiom goes unneeded).
 
-// assertLazyEquiv runs opt eagerly and with LazyEMM, and compares outcomes.
+// assertLazyEquiv runs opt eagerly and with LazyEMM, and compares verdict,
+// depth, proof side and witness length, the forward window's EMM clause
+// tally, and the refinement counters.
 func assertLazyEquiv(t *testing.T, name string, run func(opt Options) *Result, opt Options) {
 	t.Helper()
 	eager := run(opt)
@@ -34,8 +39,8 @@ func assertLazyEquiv(t *testing.T, name string, run func(opt Options) *Result, o
 	} else if eager.Witness != nil && eager.Witness.Length != lazy.Witness.Length {
 		t.Errorf("%s: witness length %d vs %d", name, eager.Witness.Length, lazy.Witness.Length)
 	}
-	// Stats.EMM reports the CE-path generator in both modes; the lazy
-	// relaxation instantiates a subset of the eager axioms.
+	// Stats.EMM reports the forward window's generator in both modes; the
+	// lazy relaxation instantiates a subset of the eager axioms.
 	eagerEMM := eager.Stats.EMM.Clauses() + eager.Stats.EMM.InitClauses
 	lazyEMM := lazy.Stats.EMM.Clauses() + lazy.Stats.EMM.InitClauses
 	if lazyEMM > eagerEMM {
@@ -57,9 +62,11 @@ func TestLazyEquivalenceQuickSort(t *testing.T) {
 		opt  Options
 	}{
 		{"bmc2-p1", q.P1Index, BMC2(8)},
-		// Proofs without PBA: the CE check moves to its own lazy solver
-		// while the termination queries keep the full eager set.
+		// Proofs without PBA: the termination checks refine lazily too.
 		{"proofs-p2", q.P2Index, Options{MaxDepth: 14, UseEMM: true, Proofs: true}},
+		// Portfolio lanes refine the forward and backward windows
+		// concurrently (the CI race step covers this case).
+		{"portfolio-p1", q.P1Index, Options{MaxDepth: 14, UseEMM: true, Proofs: true, Portfolio: true}},
 	} {
 		tc.opt.ValidateWitness = true
 		assertLazyEquiv(t, "quicksort/"+tc.name, func(opt Options) *Result {
@@ -82,7 +89,8 @@ func TestLazyEquivalenceImageFilter(t *testing.T) {
 
 func TestLazyEquivalenceLookup(t *testing.T) {
 	// Arbitrary-init memory under proofs: exercises the eq. 6 oracle
-	// grouping and the proof-side solver split together.
+	// grouping on the forward window and on the backward window, where
+	// every memory is arbitrary-initialized.
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 4, Latency: 3})
 	n := l.Netlist()
 	opt := Options{MaxDepth: 12, UseEMM: true, Proofs: true}
@@ -216,8 +224,19 @@ func randMemDesign(rng *rand.Rand) *rtl.Module {
 func TestLazyDifferentialFuzz(t *testing.T) {
 	// Differential oracle: on random multi-port designs, lazy EMM, eager
 	// EMM, and the explicit-expansion baseline must agree on the verdict at
-	// EVERY depth, not just the final one.
-	const trials, maxDepth = 12, 5
+	// EVERY depth, not just the final one. The proof engines — BMC-3
+	// without PBA, and kind — run their termination checks through the
+	// lazy refine loop too, so there eager and lazy must also agree on the
+	// proof side.
+	const trials, maxDepth = 60, 6
+	engines := []struct {
+		name string
+		opt  func(depth int) Options
+	}{
+		{"bmc2", BMC2},
+		{"bmc3", func(d int) Options { return Options{MaxDepth: d, UseEMM: true, Proofs: true} }},
+		{"kind", KInd},
+	}
 	for seed := 0; seed < trials; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		m := randMemDesign(rng)
@@ -226,18 +245,25 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 			t.Fatalf("seed %d: expand: %v", seed, err)
 		}
 		for d := 0; d <= maxDepth; d++ {
-			eager := Check(m.N, 0, Options{MaxDepth: d, UseEMM: true})
-			lazy := Check(m.N, 0, Options{MaxDepth: d, UseEMM: true, LazyEMM: true})
-			expl := Check(exp, 0, Options{MaxDepth: d})
-			if eager.Kind != lazy.Kind || eager.Depth != lazy.Depth {
-				t.Fatalf("seed %d depth %d: eager %v vs lazy %v", seed, d, eager, lazy)
-			}
-			if eager.Kind != expl.Kind || eager.Depth != expl.Depth {
-				t.Fatalf("seed %d depth %d: EMM %v vs explicit %v", seed, d, eager, expl)
-			}
-			if lazy.Kind == KindCE {
-				if err := lazy.Witness.Replay(m.N, 0); err != nil {
-					t.Fatalf("seed %d depth %d: lazy witness replay: %v", seed, d, err)
+			for _, eng := range engines {
+				eager := Check(m.N, 0, eng.opt(d))
+				lo := eng.opt(d)
+				lo.LazyEMM = true
+				lazy := Check(m.N, 0, lo)
+				if eager.Kind != lazy.Kind || eager.Depth != lazy.Depth || eager.ProofSide != lazy.ProofSide {
+					t.Fatalf("seed %d depth %d %s: eager %v (%s) vs lazy %v (%s)",
+						seed, d, eng.name, eager, eager.ProofSide, lazy, lazy.ProofSide)
+				}
+				if lazy.Kind == KindCE {
+					if err := lazy.Witness.Replay(m.N, 0); err != nil {
+						t.Fatalf("seed %d depth %d %s: lazy witness replay: %v", seed, d, eng.name, err)
+					}
+				}
+				if eng.name != "bmc2" {
+					continue
+				}
+				if expl := Check(exp, 0, Options{MaxDepth: d}); eager.Kind != expl.Kind || eager.Depth != expl.Depth {
+					t.Fatalf("seed %d depth %d: EMM %v vs explicit %v", seed, d, eager, expl)
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 // The Model layer: netlist → unrolled time frames, EMM constraints, and
-// the frozen frame frontier. It owns what the formula *says* — the three
-// solver windows (forward/backward/counter-example), structural hashing
-// and comparator memoization, abstraction application, per-depth frame
-// extension, and witness extraction back into source-netlist coordinates.
+// the frozen frame frontier. It owns what the formula *says* — the two
+// solver windows (forward, which also hosts the counter-example queries,
+// and backward), structural hashing and comparator memoization,
+// abstraction application, per-depth frame extension, and witness
+// extraction back into source-netlist coordinates.
 // The Session layer (session.go) owns the solvers those windows are built
 // over; the Strategy layer (strategy.go) decides which checks to run on
 // them at each depth.
@@ -14,16 +15,21 @@ import (
 
 	"emmver/internal/aig"
 	"emmver/internal/core"
-	"emmver/internal/pba"
 	"emmver/internal/sat"
 	"emmver/internal/sim"
 	"emmver/internal/unroll"
 )
 
-// buildForwardWindow constructs the forward window: the Initialized-mode
-// unrolling with its EMM generator, over a fresh session solver. It hosts
-// the forward termination check and (unless the lazy proof split moves
-// them) the counter-example checks.
+// newWindow builds one solver window: the unrolling in mode over a fresh
+// session solver and, under UseEMM on a design with memories, its EMM
+// generator. Initialized windows host the forward termination check and
+// the counter-example checks; the Free window hosts the backward
+// (induction-step) check and starts in an arbitrary state, so its
+// generator treats every memory as arbitrary-initialized (§4.2) — except,
+// under KInduction, memories with no write ports: a memory nothing ever
+// writes keeps its declared contents in every reachable state, so the
+// induction step may assume them. Under LazyEMM both generators
+// instantiate their read-over-write axioms on demand (refineSolve).
 //
 // Cross-tag sharing (strash, comparator memoization) reuses clauses
 // emitted under the first requester's tag. That is sound for verdicts,
@@ -32,112 +38,46 @@ import (
 // abstraction could silently drop latches or EMM events the proof
 // needs. Like init folding, both caches are therefore off while cores
 // are being tracked (phase 2 of the PBA flow runs without opt.PBA and
-// keeps full sharing).
-func (e *engine) buildForwardWindow() {
+// keeps full sharing), and so is lazy instantiation: the cores must see
+// the full set of eagerly tagged EMM clauses (§4.3).
+func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *core.Generator) {
 	opt, n := e.opt, e.n
-	e.fs = e.newSolver()
-	if opt.PBA {
-		e.fs.EnableProofTracing()
-		e.tracker = pba.NewTracker()
+	s := e.newSolver()
+	if opt.PBA && mode == unroll.Initialized {
+		s.EnableProofTracing()
 	}
-	e.fu = unroll.New(n, e.fs, unroll.Initialized)
-	e.fu.NoStrash = opt.DisableStrash || opt.PBA
-	e.fu.FoldInits = !opt.PBA
-	e.fu.MemAwareLFP = len(n.Memories) > 0 && !opt.PureLatchLFP
-	e.fu.AttachObs(opt.Obs)
-	e.applyAbstraction(e.fu)
-	if opt.UseEMM && len(n.Memories) > 0 {
-		e.fg = core.NewGenerator(e.fu, false)
-		e.fg.AttachObs(opt.Obs)
-		if opt.DisableEMMMemo || opt.PBA {
-			e.fg.DisableComparatorMemo()
+	u := unroll.New(n, s, mode)
+	u.NoStrash = opt.DisableStrash || opt.PBA
+	u.FoldInits = !opt.PBA
+	u.MemAwareLFP = len(n.Memories) > 0 && !opt.PureLatchLFP
+	u.AttachObs(opt.Obs)
+	if opt.Abs != nil {
+		for id := range opt.Abs.FreeLatches {
+			u.Abstracted[id] = true
 		}
-		if opt.DisableEq6 {
-			e.fg.DisableInitConsistency()
-		}
-		if opt.DisableExclusivity {
-			e.fg.DisableExclusivity()
-		}
-		e.applyMemAbstraction(e.fg)
 	}
-}
-
-// buildBackwardWindow constructs the backward (termination-proof) window:
-// the Free-mode unrolling hosting the backward/induction-step check.
-func (e *engine) buildBackwardWindow() {
-	opt, n := e.opt, e.n
-	e.bs = e.newSolver()
-	e.bu = unroll.New(n, e.bs, unroll.Free)
-	e.bu.NoStrash = opt.DisableStrash || opt.PBA
-	e.bu.MemAwareLFP = len(n.Memories) > 0 && !opt.PureLatchLFP
-	e.bu.AttachObs(opt.Obs)
-	e.applyAbstraction(e.bu)
-	if opt.UseEMM && len(n.Memories) > 0 {
-		// The backward window starts in an arbitrary state, so every
-		// memory must be treated as arbitrary-initialized (§4.2).
-		e.bg = core.NewGenerator(e.bu, true)
-		e.bg.AttachObs(opt.Obs)
-		if opt.KInduction {
-			// k-induction strengthening: a memory with no write ports never
-			// changes, so "contents ≡ declared init" holds in every
-			// reachable state and may be assumed by the induction step.
-			e.bg.RetainWriteFreeInit()
-		}
-		if opt.DisableEMMMemo || opt.PBA {
-			e.bg.DisableComparatorMemo()
-		}
-		if opt.DisableEq6 {
-			e.bg.DisableInitConsistency()
-		}
-		if opt.DisableExclusivity {
-			e.bg.DisableExclusivity()
-		}
-		e.applyMemAbstraction(e.bg)
+	if !opt.UseEMM || len(n.Memories) == 0 {
+		return s, u, nil
 	}
-}
-
-// buildCEWindow routes the counter-example path: it aliases the forward
-// window unless lazy EMM splits it onto a dedicated third window.
-func (e *engine) buildCEWindow() {
-	opt, n := e.opt, e.n
-	e.cs, e.cu, e.cg = e.fs, e.fu, e.fg
-	if !opt.LazyEMM || e.fg == nil || opt.PBA || opt.DisableExclusivity {
-		return
+	arb := mode == unroll.Free
+	g := core.NewGenerator(u, arb)
+	g.AttachObs(opt.Obs)
+	if arb && opt.KInduction {
+		g.RetainWriteFreeInit()
 	}
-	e.lazy = true
-	if opt.Proofs {
-		// Forward termination (SAT(I ∧ LFP ∧ C) — UNSAT proves) is only
-		// sound against the full constraint set: a lazily weakened
-		// formula could go UNSAT and claim a bogus proof. The CE checks
-		// therefore move to their own lazily-constrained solver and
-		// fs/bs keep the exact encoding for the termination queries.
-		e.cs = e.newSolver()
-		e.cu = unroll.New(n, e.cs, unroll.Initialized)
-		e.cu.NoStrash = opt.DisableStrash
-		e.cu.FoldInits = true
-		e.cu.MemAwareLFP = e.fu.MemAwareLFP
-		e.cu.AttachObs(opt.Obs)
-		e.applyAbstraction(e.cu)
-		e.cg = core.NewGenerator(e.cu, false)
-		e.cg.AttachObs(opt.Obs)
-		if opt.DisableEMMMemo {
-			e.cg.DisableComparatorMemo()
-		}
-		if opt.DisableEq6 {
-			e.cg.DisableInitConsistency()
-		}
-		e.applyMemAbstraction(e.cg)
+	if opt.DisableEMMMemo || opt.PBA {
+		g.DisableComparatorMemo()
 	}
-	e.cg.EnableLazy()
-}
-
-func (e *engine) applyAbstraction(u *unroll.Unroller) {
-	if e.opt.Abs == nil {
-		return
+	if opt.DisableEq6 {
+		g.DisableInitConsistency()
 	}
-	for id := range e.opt.Abs.FreeLatches {
-		u.Abstracted[id] = true
+	if opt.DisableExclusivity {
+		g.DisableExclusivity()
+	} else if opt.LazyEMM && !opt.PBA {
+		g.EnableLazy()
 	}
+	e.applyMemAbstraction(g)
+	return s, u, g
 }
 
 func (e *engine) applyMemAbstraction(g *core.Generator) {
@@ -155,21 +95,31 @@ func (e *engine) applyMemAbstraction(g *core.Generator) {
 	}
 }
 
-// prepareDepth extends both unrollings and EMM constraints to depth i.
+// window is one solver with the unrolling and EMM generator (nil without
+// EMM constraints) built over it.
+type window struct {
+	s *sat.Solver
+	u *unroll.Unroller
+	g *core.Generator
+}
+
+// windows lists the engine's windows: forward, plus backward under Proofs.
+func (e *engine) windows() []window {
+	ws := []window{{e.fs, e.fu, e.fg}}
+	if e.bs != nil {
+		ws = append(ws, window{e.bs, e.bu, e.bg})
+	}
+	return ws
+}
+
+// prepareDepth extends every window's unrolling and EMM constraints to
+// depth i.
 func (e *engine) prepareDepth(i int) {
-	if e.fg != nil {
-		e.fg.AddUpTo(i)
-	}
-	e.fu.AssertConstraints(i)
-	if e.cu != e.fu {
-		e.cg.AddUpTo(i)
-		e.cu.AssertConstraints(i)
-	}
-	if e.bu != nil {
-		if e.bg != nil {
-			e.bg.AddUpTo(i)
+	for _, w := range e.windows() {
+		if w.g != nil {
+			w.g.AddUpTo(i)
 		}
-		e.bu.AssertConstraints(i)
+		w.u.AssertConstraints(i)
 	}
 }
 
@@ -178,70 +128,64 @@ func (e *engine) prepareDepth(i int) {
 // EMM generators per frame on their own) and raises the depth high-water
 // gauge. No-op without an attached registry.
 func (e *engine) publishObs(i int) {
-	e.fu.PublishObs()
-	if e.bu != nil {
-		e.bu.PublishObs()
-	}
-	if e.cu != e.fu {
-		e.cu.PublishObs()
+	for _, w := range e.windows() {
+		w.u.PublishObs()
 	}
 	e.obsDepth.Max(int64(i))
 }
 
-// emmClausesCum is the cumulative EMM clause count of the counter-example
-// window (Sizes().Clauses() + InitClauses; cg aliases the forward
-// generator unless the lazy proof split is active), the figure per-depth
-// trace events report so a journal can be reconciled against
-// Result.Stats.EMM.
+// emmClausesCum is the cumulative EMM clause count of the forward window
+// (Sizes().Clauses() + InitClauses), the figure per-depth trace events
+// report so a journal can be reconciled against Result.Stats.EMM.
 func (e *engine) emmClausesCum() int {
-	if e.cg == nil {
+	if e.fg == nil {
 		return 0
 	}
-	sz := e.cg.Sizes()
+	sz := e.fg.Sizes()
 	return sz.Clauses() + sz.InitClauses
 }
 
-// extractWitness decodes the satisfying model (on the counter-example
-// path's solver) into a replayable trace.
+// extractWitness decodes the satisfying model (on the forward
+// window, which hosts the counter-example queries) into a replayable trace.
 func (e *engine) extractWitness(depth int) *Witness {
 	w := &Witness{Length: depth}
 	for f := 0; f <= depth; f++ {
 		in := make(map[aig.NodeID]bool)
 		for _, id := range e.n.Inputs {
-			if e.cu.Built(id, f) {
-				in[id] = e.cu.ModelBit(aig.MkLit(id, false), f)
+			if e.fu.Built(id, f) {
+				in[id] = e.fu.ModelBit(aig.MkLit(id, false), f)
 			}
 		}
 		w.Inputs = append(w.Inputs, in)
 	}
 	w.InitLatches = make(map[aig.NodeID]bool)
 	for _, l := range e.n.Latches {
-		if l.Init == aig.InitX && e.cu.Built(l.Node, 0) {
-			w.InitLatches[l.Node] = e.cu.ModelBit(aig.MkLit(l.Node, false), 0)
+		if l.Init == aig.InitX && e.fu.Built(l.Node, 0) {
+			w.InitLatches[l.Node] = e.fu.ModelBit(aig.MkLit(l.Node, false), 0)
 		}
 	}
 	// Arbitrary-init memory contents: every enabled read that hit no
 	// in-window write pins the initial word at its address.
-	if e.cg != nil && e.cg.Lazy() {
+	if e.fg.Lazy() {
 		// The lazy generator has no per-frame N literals for pending
 		// reads; the oracle re-derives "hit no in-window write" from the
 		// just-validated model's interface trace instead.
-		w.MemInit = e.cg.LazyMemInit(depth)
-	} else if e.cg != nil {
+		w.MemInit = e.fg.LazyMemInit(depth)
+	} else if e.fg != nil {
 		for mi, m := range e.n.Memories {
 			words := make(map[int]uint64)
 			for r := range m.Reads {
-				for _, ev := range e.cg.ReadEvents(mi, r) {
+				for _, ev := range e.fg.ReadEvents(mi, r) {
 					// A reused engine may have frames beyond this CE's depth
 					// built; their read events are unconstrained here.
 					if ev.Frame > depth {
 						continue
 					}
-					if e.cs.LitValue(ev.Re) != sat.True || e.cs.LitValue(ev.N) != sat.True {
+					if e.fs.LitValue(ev.Re) != sat.True || e.fs.LitValue(ev.N) != sat.True {
 						continue
 					}
-					addr := decodeVec(e.cs, ev.Addr)
-					words[int(addr)] = decodeVec(e.cs, ev.RD)
+					addr := decodeVec(e.fs, ev.Addr)
+					words[int(addr)] = decodeVec(e.fs, ev.RD)
 				}
 			}
 			w.MemInit = append(w.MemInit, words)

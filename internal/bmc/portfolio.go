@@ -33,11 +33,6 @@ func (e *engine) depthStepPortfolio(i int) *Result {
 		sp := e.obs.Span("bmc.lane", obs.F("lane", "forward"), obs.F("depth", i))
 		defer sp.End()
 		defer e.armSolver(e.fs, ctx)()
-		if cs := e.lazySolver(); cs != nil {
-			// The forward lane also owns the CE check, which under the
-			// lazy proof split runs on its own solver.
-			defer e.armSolver(cs, ctx)()
-		}
 		switch e.forwardCheck(i) {
 		case sat.Unsat:
 			return laneOutcome{res: &Result{Kind: KindProof, Depth: i, ProofSide: "forward"}}, true

@@ -19,7 +19,8 @@ import (
 // counters across the case-study designs, compared against golden fixtures
 // generated before the model/session/strategy extraction (the kind, lazy,
 // cube and multi-property records: before the entry points shared one
-// per-depth driver). Regenerate with
+// per-depth driver; the bmc3-lazy count fields: after the termination
+// checks joined the lazy refine loop). Regenerate with
 //
 //	go test ./internal/bmc -run TestRefactorEquivalence -update-golden
 //

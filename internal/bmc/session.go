@@ -2,9 +2,9 @@
 // solvers *do* between depths — solver construction and configuration,
 // interrupt/deadline arming (including the portfolio lanes' re-arming),
 // the between-depth inprocessing schedule, and statistics aggregation
-// across however many solvers the Model built. The Model layer (model.go)
-// decides what formula each solver holds; the Strategy layer (strategy.go)
-// decides which queries to issue.
+// across the Model's two windows. The Model layer (model.go) decides what
+// formula each solver holds; the Strategy layer (strategy.go) decides
+// which queries to issue.
 
 package bmc
 
@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"time"
 
-	"emmver/internal/core"
 	"emmver/internal/obs"
 	"emmver/internal/sat"
 )
@@ -63,15 +62,6 @@ func (e *engine) solve(s *sat.Solver, assumps ...sat.Lit) sat.Status {
 	return s.Solve(assumps...)
 }
 
-// lazySolver returns the dedicated CE-path solver when the lazy proof
-// split is active, nil otherwise (cs then aliases fs).
-func (e *engine) lazySolver() *sat.Solver {
-	if e.cs != e.fs {
-		return e.cs
-	}
-	return nil
-}
-
 // simplifyMinConflicts gates between-depth inprocessing on search effort: a
 // pass only runs once the solvers have logged this many new conflicts since
 // the previous pass, plus one conflict per simplifyClausesPerConfl clauses
@@ -98,13 +88,10 @@ func (e *engine) simplifyStep(i int) {
 	if e.opt.NoSimplify || e.opt.PBA {
 		return
 	}
-	confl := e.fs.Stats().Conflicts
-	clauses := int64(e.fs.NumClauses())
-	for _, o := range []*sat.Solver{e.bs, e.lazySolver()} {
-		if o != nil {
-			confl += o.Stats().Conflicts
-			clauses += int64(o.NumClauses())
-		}
+	var confl, clauses int64
+	for _, w := range e.windows() {
+		confl += w.s.Stats().Conflicts
+		clauses += int64(w.s.NumClauses())
 	}
 	need := simplifyMinConflicts
 	if simplifyClausesPerConfl > 0 {
@@ -115,69 +102,45 @@ func (e *engine) simplifyStep(i int) {
 	}
 	e.lastSimpConfl = confl
 	sp := e.obs.Span("bmc.simplify", obs.F("depth", i), obs.F("prop", e.prop))
-	for _, s := range []*sat.Solver{e.fs, e.bs, e.lazySolver()} {
-		if s == nil {
-			continue
-		}
-		if err := s.Simplify(); err != nil && !errors.Is(err, sat.ErrTracingActive) {
+	var sub, str, elim int64
+	for _, w := range e.windows() {
+		if err := w.s.Simplify(); err != nil && !errors.Is(err, sat.ErrTracingActive) {
 			panic(fmt.Sprintf("bmc: inprocessing failed: %v", err))
 		}
-	}
-	st := e.fs.Stats()
-	sub, str, elim := st.SubsumedClauses, st.StrengthenedClauses, st.EliminatedVars
-	for _, o := range []*sat.Solver{e.bs, e.lazySolver()} {
-		if o != nil {
-			ost := o.Stats()
-			sub += ost.SubsumedClauses
-			str += ost.StrengthenedClauses
-			elim += ost.EliminatedVars
-		}
+		st := w.s.Stats()
+		sub += st.SubsumedClauses
+		str += st.StrengthenedClauses
+		elim += st.EliminatedVars
 	}
 	sp.End(obs.F("subsumed", sub), obs.F("strengthened", str),
 		obs.F("eliminated_vars", elim))
 }
 
-// snapshotStats materializes the engine's cumulative statistics.
+// snapshotStats materializes the engine's cumulative statistics, summed
+// over its solvers.
 func (e *engine) snapshotStats() Stats {
-	s := e.stats
-	s.SolveCalls = int(e.solveCalls.Load())
-	s.Elapsed = time.Since(e.start)
-	s.Clauses = e.fs.NumClauses()
-	s.Vars = e.fs.NumVars()
-	fst := e.fs.Stats()
-	s.Conflicts = fst.Conflicts
-	s.Restarts = fst.Restarts
-	s.RestartsLuby = fst.RestartsLuby
-	s.RestartsEMA = fst.RestartsEMA
-	s.Simplifies = fst.Simplifies
-	s.SubsumedClauses = fst.SubsumedClauses
-	s.StrengthenedClauses = fst.StrengthenedClauses
-	s.EliminatedVars = fst.EliminatedVars
-	for _, o := range []*sat.Solver{e.bs, e.lazySolver()} {
-		if o == nil {
-			continue
-		}
-		s.Clauses += o.NumClauses()
-		s.Vars += o.NumVars()
-		ost := o.Stats()
-		s.Conflicts += ost.Conflicts
-		s.Restarts += ost.Restarts
-		s.RestartsLuby += ost.RestartsLuby
-		s.RestartsEMA += ost.RestartsEMA
-		s.Simplifies += ost.Simplifies
-		s.SubsumedClauses += ost.SubsumedClauses
-		s.StrengthenedClauses += ost.StrengthenedClauses
-		s.EliminatedVars += ost.EliminatedVars
+	s := Stats{SolveCalls: int(e.solveCalls.Load()), Elapsed: time.Since(e.start)}
+	for _, w := range e.windows() {
+		s.Clauses += w.s.NumClauses()
+		s.Vars += w.s.NumVars()
+		st := w.s.Stats()
+		s.Conflicts += st.Conflicts
+		s.Restarts += st.Restarts
+		s.RestartsLuby += st.RestartsLuby
+		s.RestartsEMA += st.RestartsEMA
+		s.Simplifies += st.Simplifies
+		s.SubsumedClauses += st.SubsumedClauses
+		s.StrengthenedClauses += st.StrengthenedClauses
+		s.EliminatedVars += st.EliminatedVars
 	}
-	// Under LazyEMM the EMM tally reports the CE path's generator (cg ==
-	// fg unless the proof split is active): that is the constraint set the
-	// lazy mode reduces, and the figure the A/B harness compares against
-	// an eager run.
-	if e.cg != nil {
-		s.EMM = e.cg.Sizes()
+	// The EMM tally reports the forward window's generator: it hosts the
+	// counter-example queries, and under LazyEMM its tally is the figure
+	// the A/B harness compares against an eager run.
+	if e.fg != nil {
+		s.EMM = e.fg.Sizes()
 	}
-	s.LazyRounds = e.lazyRounds
-	s.LazySpurious = e.lazySpurious
+	s.LazyRounds = e.lazyRounds.Load()
+	s.LazySpurious = e.lazySpurious.Load()
 	s.LFPPairs = e.lfpPairs.Load()
 	s.LFPRounds = e.lfpRounds.Load()
 	var ms runtime.MemStats
@@ -196,42 +159,21 @@ type depthMark struct {
 
 // depthCumulative reads the counters DepthStat deltas are computed from.
 func (e *engine) depthCumulative() depthMark {
-	m := depthMark{at: time.Now()}
-	m.clauses = e.fs.NumClauses()
-	m.vars = e.fs.NumVars()
-	m.strashHits = e.fu.StrashHits
-	fst := e.fs.Stats()
-	m.props, m.confl, m.decs = fst.Propagations, fst.Conflicts, fst.Decisions
-	if e.bs != nil {
-		m.clauses += e.bs.NumClauses()
-		m.vars += e.bs.NumVars()
-		m.strashHits += e.bu.StrashHits
-		bst := e.bs.Stats()
-		m.props += bst.Propagations
-		m.confl += bst.Conflicts
-		m.decs += bst.Decisions
-	}
-	gens := []*core.Generator{e.fg, e.bg}
-	if e.cg != e.fg {
-		gens = append(gens, e.cg)
-	}
-	for _, g := range gens {
-		if g != nil {
-			sz := g.Sizes()
+	m := depthMark{at: time.Now(), solves: int(e.solveCalls.Load())}
+	for _, w := range e.windows() {
+		m.clauses += w.s.NumClauses()
+		m.vars += w.s.NumVars()
+		m.strashHits += w.u.StrashHits
+		st := w.s.Stats()
+		m.props += st.Propagations
+		m.confl += st.Conflicts
+		m.decs += st.Decisions
+		if w.g != nil {
+			sz := w.g.Sizes()
 			m.emmClauses += sz.Clauses() + sz.InitClauses
 			m.memoHits += sz.CompMemoHits
 		}
 	}
-	if e.cs != e.fs {
-		m.clauses += e.cs.NumClauses()
-		m.vars += e.cs.NumVars()
-		m.strashHits += e.cu.StrashHits
-		cst := e.cs.Stats()
-		m.props += cst.Propagations
-		m.confl += cst.Conflicts
-		m.decs += cst.Decisions
-	}
-	m.solves = int(e.solveCalls.Load())
 	return m
 }
 

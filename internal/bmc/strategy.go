@@ -230,7 +230,7 @@ func (s *pbaStrategy) Step(ctx context.Context, k int) (*Result, bool) {
 }
 
 // solveCE is the local scheduler: the engine answers the counter-example
-// query on its own CE window, replaying a witness it finds.
+// query on its forward window, replaying a witness it finds.
 func (e *engine) solveCE(prop, k int) *Result {
 	switch e.ceCheck(prop, k) {
 	case sat.Sat:

@@ -290,6 +290,15 @@ func (g *Generator) RetainWriteFreeInit() {
 	g.retainWriteFreeInit = true
 }
 
+// arbitraryInit reports whether reads of m that hit no in-window write
+// observe a symbolic word (§4.2) rather than the declared zero init: the
+// memory is declared arbitrary, or the window is forced arbitrary and
+// retention does not apply to m.
+func (g *Generator) arbitraryInit(m *aig.Memory) bool {
+	retained := g.retainWriteFreeInit && len(m.Writes) == 0
+	return (g.forceArb && !retained) || m.Init == aig.MemArbitrary
+}
+
 func (g *Generator) mustBeFresh() {
 	if g.frames != 0 {
 		panic("core: abstraction choices must be made before AddFrame")
@@ -467,8 +476,7 @@ func (g *Generator) addReadConstraints(mi int, mg *memGen, r int, k int) {
 
 	// Initial-state read: ps is now PS_{0,k,0,r} = N_{k,r}.
 	itag := g.tagInit(k, mi, r)
-	retained := g.retainWriteFreeInit && len(m.Writes) == 0
-	arbitrary := (g.forceArb && !retained) || m.Init == aig.MemArbitrary
+	arbitrary := g.arbitraryInit(m)
 	var vword []sat.Lit
 	if arbitrary {
 		// N → RD = V with a fresh symbolic word V_{k,r} (§4.2).

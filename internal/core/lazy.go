@@ -7,26 +7,27 @@
 // ((4m+2n+1)kW + 2n+1)·R clauses of §4.1, quadratic in depth. Under
 // EnableLazy, AddUpTo only materializes the memory *interface* literals
 // (write/read enables, addresses, data words) and leaves read data
-// unconstrained. The BMC engine's counter-example loop then alternates
-// solving with RefineLazy: the oracle replays the interface trace of the
-// solver's model under the true memory semantics of §2.3 (reads observe
-// the most recent earlier write to their address; unwritten locations show
-// the initial state) and, for each read whose data disagrees, instantiates
-// exactly the forwarding levels up to the culprit write — the same
-// comparator + exclusivity-chain + eq. 5 clauses the eager encoding would
-// have built for that (read, write) pair, with the chain suspended so a
-// later round can resume it.
+// unconstrained. The BMC engine's refine loop (every query of a lazy
+// window) then alternates solving with RefineLazy: the oracle replays the
+// interface trace of the solver's model under the true memory semantics of
+// §2.3 (reads observe the most recent earlier write to their address;
+// unwritten locations show the initial state) and, for each read whose
+// data disagrees, instantiates exactly the forwarding levels up to the
+// culprit write — the same comparator + exclusivity-chain + eq. 5 clauses
+// the eager encoding would have built for that (read, write) pair, with
+// the chain suspended so a later round can resume it.
 //
 // Soundness: dropping clauses weakens the formula, so an UNSAT answer on
-// the relaxation implies UNSAT of the full encoding — NO_CE verdicts are
-// sound immediately. A SAT model is only reported after RefineLazy accepts
-// it, i.e. after its interface trace is a genuine execution of the memory
-// semantics, which is exactly what the full encoding enforces. Progress:
-// every instantiated prefix is the exact eager encoding of its levels
-// (full Tseitin gates, biconditional comparators), so a violation's
-// culprit level always lies at or beyond the read's current frontier, and
-// each refinement round strictly grows the instantiated set, which is
-// bounded by the finite eager encoding — the loop terminates.
+// the relaxation implies UNSAT of the full encoding — a NO_CE depth or a
+// termination proof is sound immediately. A SAT model is only reported
+// after RefineLazy accepts it, i.e. after its interface trace is a genuine
+// execution of the memory semantics, which is exactly what the full
+// encoding enforces. Progress: every instantiated prefix is the exact
+// eager encoding of its levels (full Tseitin gates, biconditional
+// comparators), so a violation's culprit level always lies at or beyond
+// the read's current frontier, and each refinement round strictly grows
+// the instantiated set, which is bounded by the finite eager encoding —
+// the loop terminates.
 package core
 
 import (
@@ -77,8 +78,9 @@ func (g *Generator) EnableLazy() {
 	g.lazy = true
 }
 
-// Lazy reports whether demand-driven emission is active.
-func (g *Generator) Lazy() bool { return g.lazy }
+// Lazy reports whether demand-driven emission is active (false on a nil
+// generator, i.e. a window without EMM constraints).
+func (g *Generator) Lazy() bool { return g != nil && g.lazy }
 
 // lazyAddFrame is addFrame under lazy mode: it builds (and thereby
 // freezes) the frame-k memory interface literals so the oracle can decode
@@ -194,7 +196,7 @@ func (g *Generator) lazyComplete(lr *lazyRead) {
 	}
 	tag := g.tagEMM(lr.k, lr.mi, lr.r)
 	itag := g.tagInit(lr.k, lr.mi, lr.r)
-	arbitrary := g.forceArb || mg.m.Init == aig.MemArbitrary
+	arbitrary := g.arbitraryInit(mg.m)
 	if arbitrary {
 		lr.vword = make([]sat.Lit, mg.m.DW)
 		for bit := range lr.vword {
@@ -295,15 +297,18 @@ func (g *Generator) RefineLazy() int {
 
 func (g *Generator) refineMem(mg *memGen) int {
 	viol := 0
-	arbitrary := g.forceArb || mg.m.Init == aig.MemArbitrary
+	arbitrary := g.arbitraryInit(mg.m)
 	// For arbitrary init, unwritten reads of one address must agree (the
-	// semantics eq. 6 enforces); group them by model address.
+	// semantics eq. 6 enforces); group them by model address. The groups
+	// are repaired in first-seen order (the slice), so refinement is
+	// deterministic.
 	type group struct {
 		val      uint64
 		disagree bool
 		members  []*lazyRead
 	}
-	var groups map[uint64]*group
+	var byAddr map[uint64]*group
+	var groups []*group
 	for _, lr := range mg.lazyReads {
 		if !g.litTrue(lr.re) {
 			continue
@@ -340,13 +345,14 @@ func (g *Generator) refineMem(mg *memGen) int {
 			// its own unconstrained fresh word: any value is admissible.
 			continue
 		}
-		if groups == nil {
-			groups = make(map[uint64]*group)
+		if byAddr == nil {
+			byAddr = make(map[uint64]*group)
 		}
-		gr := groups[raddr]
+		gr := byAddr[raddr]
 		if gr == nil {
-			groups[raddr] = &group{val: rd}
-			gr = groups[raddr]
+			gr = &group{val: rd}
+			byAddr[raddr] = gr
+			groups = append(groups, gr)
 		} else if gr.val != rd {
 			gr.disagree = true
 		}

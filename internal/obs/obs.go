@@ -66,8 +66,8 @@ const (
 	MEMMInitClauses     = "emm.init_clauses"
 	MEMMMemoHits        = "emm.memo_hits"
 
-	// Lazy-EMM refinement (demand-driven axiom instantiation on the
-	// counter-example path, bmc.Options.LazyEMM).
+	// Lazy-EMM refinement (demand-driven axiom instantiation in every
+	// query's refine loop, bmc.Options.LazyEMM).
 	MLazyRounds   = "lazy.rounds"   // model validations run by the oracle
 	MLazyAxioms   = "lazy.axioms"   // forwarding axioms instantiated on demand
 	MLazySpurious = "lazy.spurious" // SAT models rejected as semantically spurious

@@ -15,8 +15,8 @@ import (
 type Capability uint32
 
 const (
-	// CapLazy: the engine's counter-example path can run the demand-driven
-	// EMM axiom instantiation (-lazy).
+	// CapLazy: the engine's queries can run the demand-driven EMM axiom
+	// instantiation (-lazy).
 	CapLazy Capability = 1 << iota
 	// CapShare: the engine's solvers can attach to the learnt-clause
 	// sharing bus (-share).
@@ -133,7 +133,7 @@ func (e *CapabilityError) Error() string {
 // knobReasons explains each capability rejection in engine-independent
 // terms; the engine name in the error locates the offending row.
 var knobReasons = map[string]string{
-	"lazy":  "demand-driven EMM instantiates read-over-write axioms on the counter-example path; this engine has no lazy-capable CE solver (no EMM constraints, or proof tracing attributes relevance to eagerly tagged clauses)",
+	"lazy":  "demand-driven EMM instantiates read-over-write axioms as each query's models demand; this engine cannot run its queries on the relaxation (no EMM constraints, or proof tracing attributes relevance to eagerly tagged clauses)",
 	"share": "the learnt-clause sharing bus relocates lemmas between workers; under PBA proof tracing an imported clause would corrupt latch-reason attribution",
 	"cube":  "cube-and-conquer partitions the search over EMM address comparators; this engine either builds no EMM comparators or runs a flow the cube depth loop does not implement",
 	"dist":  "the distributed fleet brokers cubes and clauses between processes; this engine's flow is not wired into the cross-process depth loop",

@@ -133,8 +133,8 @@ type Spec struct {
 	Share bool `json:"share,omitempty" flag:"share" usage:"share learnt clauses between fleet workers (multi-worker runs; off under PBA or environment constraints)"`
 	// Cube partitions single-property search over EMM address comparators.
 	Cube bool `json:"cube,omitempty" flag:"cube" usage:"cube-and-conquer: split the search over EMM address comparators across the fleet (needs jobs > 1)"`
-	// Lazy instantiates read-over-write axioms on demand on the CE path.
-	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start the CE query with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics (ignored under pba/cube)"`
+	// Lazy instantiates read-over-write axioms on demand in every query.
+	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics (rejected by pba; a cube-and-conquer fleet solves eagerly)"`
 	// ShareCap overrides the per-worker clause ring capacity (0 = default).
 	ShareCap int `json:"share_cap,omitempty" flag:"share-cap" usage:"clause-sharing ring capacity per worker (0 = default 4096)"`
 	// ShareLBD overrides the clause-export glue filter (0 = default).
