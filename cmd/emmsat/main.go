@@ -8,7 +8,7 @@
 // It shares the engine CLIs' solver flag plumbing: -restart selects the
 // restart strategy, -stats prints the full solver statistics block, and
 // -trace/-progress/-pprof attach the observability layer exactly as on
-// emmv/emmbmc/emmbtor.
+// emmv.
 //
 // Exit status follows the SAT-competition convention: 10 for SAT, 20 for
 // UNSAT, 1 for errors.

@@ -7,7 +7,9 @@
 //	emmserved -listen tcp:127.0.0.1:9393
 //	emmserved -listen unix:/tmp/emmserved.sock -solvers 4
 //
-// Submit with emmv -remote, emmload, or plain HTTP:
+// Netlists are parsed by serve.ParseNetlist, the same format dispatch the
+// emmv front end uses locally. Submit with emmv -remote (any input file
+// format), emmload, or plain HTTP:
 //
 //	POST /v1/jobs?wait=1   {"format":"verilog","source":"...","prop":0,
 //	                        "spec":{"engine":"bmc3","depth":24}}

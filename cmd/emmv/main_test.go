@@ -1,0 +1,82 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runMainEnv makes a re-executed test binary run main instead of the tests,
+// so each case below exercises the real flag parsing and exit status.
+const runMainEnv = "EMMV_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// emmv runs the command with args and returns its exit status and output.
+func emmv(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// TestExitCodes pins the exit-status contract — 0 when every property is
+// PROOF or NO_CE, 1 on a counter-example, 2 for errors and any other
+// verdict — across every input kind: Verilog, BTOR2, AIGER (both written
+// by -export first), and a built-in -design.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	btor := filepath.Join(dir, "growth.btor2")
+	aag := filepath.Join(dir, "filter.aag")
+	for _, args := range [][]string{
+		{"-design", "growth", "-export", btor},
+		{"-design", "filter", "-explicit", "-export", aag},
+	} {
+		if code, out := emmv(t, args...); code != 0 {
+			t.Fatalf("emmv %s: exit %d\n%s", strings.Join(args, " "), code, out)
+		}
+	}
+	wedge := filepath.Join("..", "..", "internal", "serve", "testdata", "wedge.v")
+	cases := []struct {
+		name string
+		args []string
+		want int
+		out  string // a substring the output must contain ("" = any)
+	}{
+		{"verilog-proof", []string{"-engine", "kind", wedge}, 0, "[rom_reads_zero] PROOF depth=1"},
+		{"btor2-proof", []string{"-engine", "kind", btor}, 0, "PROOF depth=0"},
+		{"aiger-ce", []string{"-engine", "bmc2", "-depth", "12", aag}, 1, "NO_CE depth=12"},
+		{"design-ce", []string{"-design", "filter", "-prop", "3", "-engine", "bmc2"}, 1, "[out-ne-3] CE depth=9"},
+		{"design-timeout", []string{"-design", "quicksort", "-prop", "p1", "-timeout", "1ns"}, 2, "TIMEOUT depth=0"},
+		{"missing-file", []string{filepath.Join(dir, "missing.v")}, 2, "no such file"},
+		{"unknown-engine", []string{"-engine", "nope", wedge}, 2, "unknown engine"},
+		{"remote-design", []string{"-remote", "unix:" + filepath.Join(dir, "none.sock"), "-design", "growth"}, 2, "-remote"},
+		{"lazy-cube", []string{"-design", "quicksort", "-lazy", "-cube"}, 2, "-lazy is not supported"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, out := emmv(t, c.args...)
+			if code != c.want || !strings.Contains(out, c.out) {
+				t.Errorf("emmv %s: exit %d (want %d; output must contain %q)\n%s",
+					strings.Join(c.args, " "), code, c.want, c.out, out)
+			}
+		})
+	}
+}

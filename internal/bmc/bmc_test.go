@@ -458,6 +458,12 @@ func TestCheckManyWithEMM(t *testing.T) {
 	if res.Results[1].Kind != KindProof {
 		t.Fatalf("prop 1: expected proof, got %v", res.Results[1])
 	}
+	// Each verdict carries the time the run took to decide it.
+	for pi, r := range res.Results {
+		if r.Stats.Elapsed <= 0 {
+			t.Errorf("prop %d: Stats.Elapsed = %v, want > 0", pi, r.Stats.Elapsed)
+		}
+	}
 }
 
 // TestPureLatchLFPIsUnsound documents why the default LFP is memory-aware:

@@ -49,13 +49,23 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	c := compileModel(n, props, &opt)
 	n, props = c.n, c.props
 	jobs = par.Jobs(jobs)
-	if opt.Cube && len(props) == 1 && jobs > 1 && shareEligible(n, opt) {
-		// A single property leaves the property-fleet idle; hand the whole
-		// worker budget to the cube-and-conquer splitter instead.
-		out.Results[0] = checkCubed(ctx, n, props[0], opt, jobs)
-		out.Stats = out.Results[0].Stats
-		out.finish(c, opt)
-		return out
+	if len(props) == 1 && jobs > 1 {
+		// A single property leaves the property-fleet idle; hand the spare
+		// workers to the cube-and-conquer splitter, or else race the
+		// forward and backward termination checks in separate lanes (only
+		// meaningful with proofs; k-induction fixes its own check order).
+		switch {
+		case opt.Cube && shareEligible(n, opt):
+			out.Results[0] = checkCubed(ctx, n, props[0], opt, jobs)
+		case opt.Proofs && !opt.KInduction:
+			opt.Portfolio = true
+			out.Results[0] = checkCompiled(ctx, n, props[0], opt)
+		}
+		if out.Results[0] != nil {
+			out.Stats = out.Results[0].Stats
+			out.finish(c, opt)
+			return out
+		}
 	}
 	jobs = min(jobs, len(props))
 	if jobs > 1 {

@@ -197,8 +197,9 @@ type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options
 
 // entryPoints lists every public entry point of the package: Check with
 // the option tweaks that route it to the cube fleet or k-induction,
-// sequential CheckMany (jobs 0), the property pool, and a two-worker
-// loopback CheckDist fleet.
+// sequential CheckMany (jobs 0), the property pool, the pool given one
+// property at a time (two workers race its termination lanes), and a
+// two-worker loopback CheckDist fleet.
 func entryPoints(t *testing.T) []struct {
 	name string
 	run  entryRun
@@ -231,6 +232,16 @@ func entryPoints(t *testing.T) []struct {
 			return out, mr.Stats.SolveCalls
 		}
 	}
+	lanes := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+		var out [][]*Result
+		calls := 0
+		for _, p := range props {
+			got, c := many(2)(ctx, n, []int{p}, opt)
+			out = append(out, got...)
+			calls += c
+		}
+		return out, calls
+	}
 	dist := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
 		opt.Share = true
 		var out [][]*Result
@@ -255,6 +266,7 @@ func entryPoints(t *testing.T) []struct {
 		{"CheckMany", many(0)},
 		{"CheckManyParallel/1", many(1)},
 		{"CheckManyParallel/2", many(2)},
+		{"CheckManyParallel/2/one-prop", lanes},
 		{"cube", check(func(o *Options) { o.Cube, o.Share, o.Jobs = true, true, 2 })},
 		{"kind", check(func(o *Options) { o.KInduction = true })},
 		{"CheckDist/2", dist},

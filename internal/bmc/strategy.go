@@ -12,6 +12,7 @@ package bmc
 import (
 	"context"
 	"sync/atomic"
+	"time"
 
 	"emmver/internal/obs"
 	"emmver/internal/sat"
@@ -97,9 +98,11 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 	d.resolveOpen(&Result{Kind: KindNoCE, Depth: e.opt.MaxDepth})
 }
 
-// resolve records property pi's verdict.
+// resolve records property pi's verdict, stamped with the time the run
+// took to decide it.
 func (d *driver) resolve(pi int, r *Result) {
 	r.Prop = d.props[pi]
+	r.Stats.Elapsed = time.Since(d.engines[0].start)
 	d.res[pi] = r
 	d.open--
 	d.engines[0].obsResolved(r.Kind)

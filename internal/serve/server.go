@@ -229,7 +229,7 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	n, err := parseNetlist(req.Format, raw, req.Top, req.Params)
+	n, err := ParseNetlist(req.Format, raw, req.Top, req.Params)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("parse %s: %w", req.Format, err)
 	}
@@ -480,7 +480,11 @@ func (r *Request) sourceBytes() ([]byte, error) {
 	return nil, fmt.Errorf("empty source")
 }
 
-func parseNetlist(format string, src []byte, top string, params map[string]uint64) (*aig.Netlist, error) {
+// ParseNetlist parses src in the named format ("verilog", "btor2", or
+// "aiger", case-insensitive) into a netlist. It is the one format → parser
+// dispatch: the job server and the emmv front end both call it. top and
+// params apply to Verilog only (top "" selects the last module).
+func ParseNetlist(format string, src []byte, top string, params map[string]uint64) (*aig.Netlist, error) {
 	switch strings.ToLower(format) {
 	case "verilog":
 		file, err := verilog.Parse(string(src))

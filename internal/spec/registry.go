@@ -139,6 +139,9 @@ var knobReasons = map[string]string{
 	"dist":  "the distributed fleet brokers cubes and clauses between processes; this engine's flow is not wired into the cross-process depth loop",
 }
 
+// lazyCubeReason explains the one knob pair rejected on every engine.
+const lazyCubeReason = "with -cube: cube-and-conquer splits over the eager EMM address comparators, so its fleet would solve eagerly; drop -lazy or -cube"
+
 // checkCapabilities validates every requested knob of the canonical spec c
 // against the engine's declared capability set. It is the one central
 // resolver: a nil return means every knob in c is honored end to end.
@@ -156,6 +159,9 @@ func checkCapabilities(c Spec, info EngineInfo) error {
 		if r.on && !info.Has(r.cap) {
 			return &CapabilityError{Engine: info.Name, Knob: r.knob, Reason: knobReasons[r.knob]}
 		}
+	}
+	if c.Lazy && c.Cube {
+		return &CapabilityError{Engine: info.Name, Knob: "lazy", Reason: lazyCubeReason}
 	}
 	return nil
 }

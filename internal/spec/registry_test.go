@@ -11,7 +11,8 @@ import (
 // the performance knobs, the spec is either honored in full — Options
 // succeeds and each requested knob reaches its Options field — or rejected
 // with a descriptive *CapabilityError naming the engine and the first
-// offending knob. No combination may be silently ignored.
+// offending knob. No combination may be silently ignored, and -lazy with
+// -cube is rejected on every engine (the cube fleet solves eagerly).
 func TestCapabilityResolver(t *testing.T) {
 	for _, info := range Engines() {
 		for mask := 0; mask < 8; mask++ {
@@ -22,7 +23,8 @@ func TestCapabilityResolver(t *testing.T) {
 			s.Cube = mask&4 != 0
 			wantReject := s.Lazy && !info.Has(CapLazy) ||
 				s.Share && !info.Has(CapShare) ||
-				s.Cube && !info.Has(CapCube)
+				s.Cube && !info.Has(CapCube) ||
+				s.Lazy && s.Cube
 			opt, err := s.Options()
 			if wantReject {
 				if err == nil {

@@ -134,7 +134,7 @@ type Spec struct {
 	// Cube partitions single-property search over EMM address comparators.
 	Cube bool `json:"cube,omitempty" flag:"cube" usage:"cube-and-conquer: split the search over EMM address comparators across the fleet (needs jobs > 1)"`
 	// Lazy instantiates read-over-write axioms on demand in every query.
-	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics (rejected by pba; a cube-and-conquer fleet solves eagerly)"`
+	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics (needs EMM constraints and no proof tracing, so not bmc1 or pba; rejected together with -cube)"`
 	// ShareCap overrides the per-worker clause ring capacity (0 = default).
 	ShareCap int `json:"share_cap,omitempty" flag:"share-cap" usage:"clause-sharing ring capacity per worker (0 = default 4096)"`
 	// ShareLBD overrides the clause-export glue filter (0 = default).
@@ -394,7 +394,7 @@ func (s Spec) WarmEligible() bool {
 // asserts depths below it are known counter-example-free, e.g. from a
 // cached shallower verdict); it is ignored by the PBA flow. For EnginePBA
 // the returned Result is the final proof phase when one ran, otherwise the
-// phase-1 result — the same collapse emmv performs.
+// phase-1 result — the same collapse emmv renders for -engine pba.
 func (s Spec) RunCtx(ctx context.Context, n *aig.Netlist, prop int, startDepth int, extend func(*bmc.Options)) (*bmc.Result, error) {
 	opt, err := s.Options()
 	if err != nil {

@@ -14,30 +14,38 @@ import (
 // (modulo canonicalization): the converters are the API contract that
 // CLIs, server, and cache speak one schema. Each engine is exercised with
 // every performance knob its registry row declares — the capability
-// resolver rejects the rest (TestCapabilityResolver covers those).
+// resolver rejects the rest (TestCapabilityResolver covers those). -lazy
+// and -cube exclude each other, so each engine runs once with each.
 func TestOptionsRoundTrip(t *testing.T) {
 	for _, info := range Engines() {
-		s := Default()
-		s.Engine = info.Name
-		s.Depth = 42
-		s.Timeout = Duration(90 * time.Second)
-		s.Jobs = 3
-		s.Restart = "luby"
-		s.NoSimplify = true
-		s.Share = info.Has(CapShare)
-		s.Cube = info.Has(CapCube)
-		s.Lazy = info.Has(CapLazy)
-		s.ShareCap = 128
-		s.ShareLBD = 4
-		s.ShareSize = 12
-		opt, err := s.Options()
-		if err != nil {
-			t.Fatalf("%s: Options: %v", info.Name, err)
+		for _, lazy := range []bool{false, true} {
+			roundTrip(t, info, lazy)
 		}
-		back := FromOptions(opt)
-		if back != s.Canonical() {
-			t.Errorf("%s: round trip drifted:\n  in:  %+v\n  out: %+v", info.Name, s.Canonical(), back)
-		}
+	}
+}
+
+func roundTrip(t *testing.T, info EngineInfo, lazy bool) {
+	t.Helper()
+	s := Default()
+	s.Engine = info.Name
+	s.Depth = 42
+	s.Timeout = Duration(90 * time.Second)
+	s.Jobs = 3
+	s.Restart = "luby"
+	s.NoSimplify = true
+	s.Share = info.Has(CapShare)
+	s.Cube = !lazy && info.Has(CapCube)
+	s.Lazy = lazy && info.Has(CapLazy)
+	s.ShareCap = 128
+	s.ShareLBD = 4
+	s.ShareSize = 12
+	opt, err := s.Options()
+	if err != nil {
+		t.Fatalf("%s: Options: %v", info.Name, err)
+	}
+	back := FromOptions(opt)
+	if back != s.Canonical() {
+		t.Errorf("%s: round trip drifted:\n  in:  %+v\n  out: %+v", info.Name, s.Canonical(), back)
 	}
 }
 
@@ -220,6 +228,11 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	if s != want {
 		t.Errorf("parsed spec %+v, want %+v", s, want)
 	}
+	// -lazy with -cube is a capability rejection; convert without -lazy.
+	if _, err := s.Options(); err == nil {
+		t.Error("-lazy -cube accepted")
+	}
+	s.Lazy = false
 	opt, err := s.Options()
 	if err != nil {
 		t.Fatal(err)
