@@ -418,6 +418,11 @@ type engine struct {
 	// forward termination check is known SAT, so an engine reused across
 	// properties never repeats it.
 	fwdSatDepth int
+	// bwdSatProp and bwdSatDepth name the backward query whose model the
+	// backward solver's saved phases hold: set when a backward check
+	// answers SAT, cleared (-1) by any other answer. They guard the phase
+	// shift in alignBackwardPhases.
+	bwdSatProp, bwdSatDepth int
 	// Solver-call and refinement tallies, atomic because the two
 	// portfolio lanes bump them concurrently.
 	solveCalls   atomic.Int64
@@ -449,7 +454,8 @@ type engine struct {
 }
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
-	e := &engine{n: n, opt: opt, prop: prop, ctx: ctx, start: time.Now(), fwdSatDepth: -1}
+	e := &engine{n: n, opt: opt, prop: prop, ctx: ctx, start: time.Now(),
+		fwdSatDepth: -1, bwdSatProp: -1, bwdSatDepth: -1}
 	if opt.Timeout > 0 {
 		e.deadline = e.start.Add(opt.Timeout)
 	}
@@ -521,7 +527,28 @@ func (e *engine) backwardCheck(prop, i int) sat.Status {
 	for j := 0; j < i; j++ {
 		assumps = append(assumps, e.bu.PropertyLit(prop, j))
 	}
-	return e.refineSolve(sp, window{e.bs, e.bu, e.bg}, i, assumps...)
+	e.alignBackwardPhases(prop, i)
+	st := e.refineSolve(sp, window{e.bs, e.bu, e.bg}, i, assumps...)
+	e.bwdSatProp, e.bwdSatDepth = -1, -1
+	if st == sat.Sat {
+		e.bwdSatProp, e.bwdSatDepth = prop, i
+	}
+	return st
+}
+
+// alignBackwardPhases seeds the depth-i backward query of prop with the
+// depth-(i-1) model moved one frame later. The backward window unrolls
+// forward from a free state, so each new depth puts the bad state one
+// frame later; after the shift the previous model's bad state lies on
+// frame i again and only frame 0 lacks a predecessor. It shifts only when
+// the saved phases are that model — the solver's last answer was SAT for
+// prop at depth i-1 — and the window holds no frame beyond i. Otherwise
+// (a sibling property's model, which at the same depth is already aligned,
+// or an engine reused from a deeper run) the phases stay as they are.
+func (e *engine) alignBackwardPhases(prop, i int) {
+	if e.bwdSatProp == prop && e.bwdSatDepth == i-1 && e.bu.Frames() == i+1 {
+		e.bu.ShiftPhases(i)
+	}
 }
 
 // ceCheck runs the counter-example check for prop at depth i:

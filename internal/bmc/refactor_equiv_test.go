@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"emmver/internal/aig"
@@ -331,10 +334,56 @@ func TestRefactorEquivalence(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d records, run produced %d", len(want), len(got))
 	}
+	// Any drift fails; the message says whether a verdict moved or only
+	// the solver's work, and the tally says which fields moved how often.
+	rt := reflect.TypeOf(goldenRecord{})
+	tally := make([]int, rt.NumField())
+	drifted := 0
 	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("%s/%s drifted:\n  want %+v\n  got  %+v",
-				want[i].Design, want[i].Engine, want[i], got[i])
+		diff := driftFields(want[i], got[i])
+		if len(diff) == 0 {
+			continue
+		}
+		drifted++
+		var names []string
+		verdict := false
+		for _, f := range diff {
+			tally[f]++
+			name := rt.Field(f).Name
+			names = append(names, name)
+			verdict = verdict || slices.Contains(verdictFields, name)
+		}
+		what := "count drift"
+		if verdict {
+			what = "verdict drift"
+		}
+		t.Errorf("%s/%s: %s in %s:\n  want %+v\n  got  %+v",
+			want[i].Design, want[i].Engine, what, strings.Join(names, ", "), want[i], got[i])
+	}
+	if drifted > 0 {
+		var parts []string
+		for f, n := range tally {
+			if n > 0 {
+				parts = append(parts, fmt.Sprintf("%s %d", rt.Field(f).Name, n))
+			}
+		}
+		t.Errorf("%d of %d records drifted; fields: %s", drifted, len(got), strings.Join(parts, ", "))
+	}
+}
+
+// verdictFields are the goldenRecord fields that carry a verdict rather
+// than a measure of solver work.
+var verdictFields = []string{"Kind", "Depth", "ProofSide", "Witness"}
+
+// driftFields returns the indices of the goldenRecord fields on which got
+// differs from want.
+func driftFields(want, got goldenRecord) []int {
+	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+	var out []int
+	for f := 0; f < wv.NumField(); f++ {
+		if wv.Field(f).Interface() != gv.Field(f).Interface() {
+			out = append(out, f)
 		}
 	}
+	return out
 }

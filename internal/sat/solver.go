@@ -326,6 +326,16 @@ func (s *Solver) NewVar() Var {
 // Non-decidable variables can still be assigned by propagation.
 func (s *Solver) SetDecidable(v Var, d bool) { s.decider[v] = d }
 
+// Phase reports v's saved phase: the value the next decision on v assigns
+// (true for the positive literal). Phase saving records the value v held
+// when backtracking last unassigned it, so after a Sat answer every
+// variable's phase is its model value.
+func (s *Solver) Phase(v Var) bool { return !s.polarity[v] }
+
+// SetPhase overrides v's saved phase. Phases only steer decisions, so no
+// setting can change a Solve answer, only the search that reaches it.
+func (s *Solver) SetPhase(v Var, val bool) { s.polarity[v] = !val }
+
 // Value returns the value of v in the most recent satisfying model.
 func (s *Solver) Value(v Var) LBool {
 	if int(v) >= len(s.model) {

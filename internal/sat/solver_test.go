@@ -662,3 +662,29 @@ func TestStatusString(t *testing.T) {
 		t.Fatalf("Status.String wrong")
 	}
 }
+
+// TestPhaseAccessors checks that a Sat answer leaves every variable's saved
+// phase at its model value and that SetPhase steers the next decision.
+func TestPhaseAccessors(t *testing.T) {
+	s := New()
+	addVars(s, 3)
+	s.AddClause(lits(-1, 2)...)
+	if s.Solve(lits(1)...) != Sat {
+		t.Fatal("want Sat")
+	}
+	for v := Var(0); v < 3; v++ {
+		if s.Phase(v) != (s.Value(v) == True) {
+			t.Errorf("var %d: phase %v, model %v", v, s.Phase(v), s.Value(v))
+		}
+	}
+	// Var 2 is unconstrained, so its model value is its saved phase.
+	for _, want := range []bool{true, false, true} {
+		s.SetPhase(2, want)
+		if s.Phase(2) != want {
+			t.Fatalf("SetPhase(%v) read back %v", want, s.Phase(2))
+		}
+		if s.Solve() != Sat || (s.Value(2) == True) != want {
+			t.Fatalf("phase %v: model value %v", want, s.Value(2))
+		}
+	}
+}

@@ -18,8 +18,9 @@ import (
 // tools whose workload fixes the engine or depth).
 //
 // The -passes usage line is completed with the live pass registry at call
-// time, and the -engine usage line with the engine registry, so the help
-// text always lists exactly the passes and engines this build has.
+// time, and the -engine usage line and the capability-gated knobs' lines
+// (-lazy, -share, -cube) with the engine registry, so the help text always
+// lists exactly the passes and engines this build has.
 func RegisterFlags(fs *flag.FlagSet, s *Spec, skip ...string) {
 	skipped := make(map[string]bool, len(skip))
 	for _, name := range skip {
@@ -33,7 +34,7 @@ func RegisterFlags(fs *flag.FlagSet, s *Spec, skip ...string) {
 		if name == "" || skipped[name] {
 			continue
 		}
-		usage := f.Tag.Get("usage")
+		usage := knobUsage(name, f.Tag.Get("usage"))
 		switch name {
 		case "passes":
 			usage = fmt.Sprintf("static compile pipeline: comma-separated passes from %s (default %q), or none",

@@ -110,6 +110,35 @@ func EngineUsage() string {
 	return b.String()
 }
 
+// knobCaps maps each capability-gated Spec knob, flag-spelled, to the
+// capability an engine needs to honor it.
+var knobCaps = map[string]Capability{
+	"lazy":  CapLazy,
+	"share": CapShare,
+	"cube":  CapCube,
+}
+
+// enginesWith lists, in registry order, the engines that support c.
+func enginesWith(c Capability) []string {
+	var out []string
+	for _, e := range engineRegistry {
+		if e.Has(c) {
+			out = append(out, e.Name)
+		}
+	}
+	return out
+}
+
+// knobUsage completes a capability-gated flag's help text with the engines
+// that honor the knob, rendered from the registry like EngineUsage. Other
+// flags' usage is returned unchanged.
+func knobUsage(name, usage string) string {
+	if c, ok := knobCaps[name]; ok {
+		return fmt.Sprintf("%s (engines: %s)", usage, strings.Join(enginesWith(c), ", "))
+	}
+	return usage
+}
+
 // CapabilityError reports a knob the selected engine does not support. It
 // is a typed rejection: callers (CLIs, the job server) surface Reason
 // verbatim, and the capability-sweep test asserts every unsupported
@@ -146,17 +175,11 @@ const lazyCubeReason = "with -cube: cube-and-conquer splits over the eager EMM a
 // against the engine's declared capability set. It is the one central
 // resolver: a nil return means every knob in c is honored end to end.
 func checkCapabilities(c Spec, info EngineInfo) error {
-	type req struct {
+	for _, r := range []struct {
 		on   bool
 		knob string
-		cap  Capability
-	}
-	for _, r := range []req{
-		{c.Lazy, "lazy", CapLazy},
-		{c.Share, "share", CapShare},
-		{c.Cube, "cube", CapCube},
-	} {
-		if r.on && !info.Has(r.cap) {
+	}{{c.Lazy, "lazy"}, {c.Share, "share"}, {c.Cube, "cube"}} {
+		if r.on && !info.Has(knobCaps[r.knob]) {
 			return &CapabilityError{Engine: info.Name, Knob: r.knob, Reason: knobReasons[r.knob]}
 		}
 	}

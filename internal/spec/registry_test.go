@@ -3,6 +3,7 @@ package spec
 import (
 	"errors"
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,39 @@ func TestEngineUsageDerivedFromRegistry(t *testing.T) {
 		}
 		if info.Summary == "" {
 			t.Errorf("engine %s has no summary", info.Name)
+		}
+	}
+}
+
+// The capability-gated knobs' usage strings name exactly the engines the
+// registry lets honor them, so the help text cannot drift from Validate.
+func TestKnobUsageDerivedFromRegistry(t *testing.T) {
+	s := Default()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	RegisterFlags(fs, &s)
+	for knob, c := range knobCaps {
+		usage := fs.Lookup(knob).Usage
+		var want []string
+		for _, info := range Engines() {
+			probe := Default()
+			probe.Engine = info.Name
+			switch knob {
+			case "lazy":
+				probe.Lazy = true
+			case "share":
+				probe.Share = true
+			case "cube":
+				probe.Cube = true
+			}
+			if probe.Validate() == nil {
+				want = append(want, info.Name)
+			}
+		}
+		if !slices.Equal(want, enginesWith(c)) {
+			t.Errorf("-%s: Validate accepts %v, registry lists %v", knob, want, enginesWith(c))
+		}
+		if suffix := " (engines: " + strings.Join(want, ", ") + ")"; !strings.HasSuffix(usage, suffix) {
+			t.Errorf("-%s usage %q does not end in %q", knob, usage, suffix)
 		}
 	}
 }

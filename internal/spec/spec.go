@@ -130,11 +130,11 @@ type Spec struct {
 	// NoSimplify disables between-depth inprocessing.
 	NoSimplify bool `json:"no_simplify,omitempty" flag:"no-simplify" usage:"disable between-depth inprocessing (subsumption + variable elimination)"`
 	// Share connects fleet workers through the learnt-clause sharing bus.
-	Share bool `json:"share,omitempty" flag:"share" usage:"share learnt clauses between fleet workers (multi-worker runs; off under PBA or environment constraints)"`
+	Share bool `json:"share,omitempty" flag:"share" usage:"share learnt clauses between fleet workers; multi-worker runs only, off on designs with environment constraints"`
 	// Cube partitions single-property search over EMM address comparators.
-	Cube bool `json:"cube,omitempty" flag:"cube" usage:"cube-and-conquer: split the search over EMM address comparators across the fleet (needs jobs > 1)"`
+	Cube bool `json:"cube,omitempty" flag:"cube" usage:"cube-and-conquer: split the search over EMM address comparators across the fleet; needs jobs > 1"`
 	// Lazy instantiates read-over-write axioms on demand in every query.
-	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics (needs EMM constraints and no proof tracing, so not bmc1 or pba; rejected together with -cube)"`
+	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics; rejected together with -cube"`
 	// ShareCap overrides the per-worker clause ring capacity (0 = default).
 	ShareCap int `json:"share_cap,omitempty" flag:"share-cap" usage:"clause-sharing ring capacity per worker (0 = default 4096)"`
 	// ShareLBD overrides the clause-export glue filter (0 = default).

@@ -610,6 +610,30 @@ func (u *Unroller) Built(id aig.NodeID, t int) bool {
 	return t < len(u.frames) && u.frames[t].vals[id] != sat.LitUndef
 }
 
+// ShiftPhases moves the solver's saved phases one frame later: for t =
+// depth down to 1, every node built at both frames t-1 and t gets, at frame
+// t, the value its frame t-1 literal has under the saved phases. Signs are
+// respected, so a node whose two frame literals differ in sign, or share a
+// variable, still gets the value; unbuilt and constant entries are skipped,
+// and frame 0 is only read. The descending order reads each source frame
+// before it is overwritten. A window unrolled forward from a free state
+// calls this before its depth-i query, so that the depth-(i-1) model,
+// shifted, ends on frame i, where the query's bad state is. Phases are
+// decision hints only: no answer can change, only the search effort.
+func (u *Unroller) ShiftPhases(depth int) {
+	for t := min(depth, len(u.frames)-1); t >= 1; t-- {
+		src, dst := u.frames[t-1].vals, u.frames[t].vals
+		for id, d := range dst {
+			s := src[id]
+			if d == sat.LitUndef || s == sat.LitUndef || u.IsConst(d) || u.IsConst(s) {
+				continue
+			}
+			val := u.S.Phase(s.Var()) != s.Sign()
+			u.S.SetPhase(d.Var(), val != d.Sign())
+		}
+	}
+}
+
 // InputLit returns the CNF literal of a primary input node at frame t.
 func (u *Unroller) InputLit(id aig.NodeID, t int) sat.Lit { return u.nodeLit(id, t) }
 

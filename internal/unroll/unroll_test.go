@@ -283,3 +283,127 @@ func TestFramesGrowLazily(t *testing.T) {
 		t.Fatalf("expected 6 frames, got %d", u.Frames())
 	}
 }
+
+// phaseVal is the value literal l takes under the solver's saved phases.
+func phaseVal(s *sat.Solver, l sat.Lit) bool { return s.Phase(l.Var()) != l.Sign() }
+
+// TestShiftPhasesFollowsModel shifts the phases a SAT answer left behind:
+// afterwards every node at frame t carries the model value it had at frame
+// t-1, and frame 0 keeps its own.
+func TestShiftPhasesFollowsModel(t *testing.T) {
+	const depth = 4
+	m, en, r := counterDesign(3)
+	s := sat.New()
+	u := New(m.N, s, Free)
+	for f := 0; f <= depth; f++ {
+		u.VecLits(r.Q, f)
+		u.Lit(en, f)
+	}
+	// Pin a trace whose counter values differ at every frame.
+	if got := s.Solve(u.Lit(en, 0), u.Lit(en, 1), u.Lit(en, 2), u.Lit(en, 3).Not()); got != sat.Sat {
+		t.Fatalf("counter trace must be satisfiable, got %v", got)
+	}
+	old := make([][]bool, depth+1)
+	for f := range old {
+		old[f] = make([]bool, m.N.NumNodes())
+		for id, l := range u.frames[f].vals {
+			if l != sat.LitUndef {
+				old[f][id] = s.LitValue(l) == sat.True
+			}
+		}
+	}
+	u.ShiftPhases(depth)
+	checked := 0
+	for f := 0; f <= depth; f++ {
+		for id, l := range u.frames[f].vals {
+			if l == sat.LitUndef || u.IsConst(l) {
+				continue
+			}
+			want := old[f][id] // frame 0 is only read
+			if f > 0 {
+				if prev := u.frames[f-1].vals[id]; prev == sat.LitUndef || u.IsConst(prev) {
+					continue
+				}
+				want = old[f-1][id]
+			}
+			if got := phaseVal(s, l); got != want {
+				t.Errorf("node %d frame %d: phase %v, want %v", id, f, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < depth*len(r.Q) {
+		t.Fatalf("only %d frame values checked", checked)
+	}
+}
+
+// TestShiftPhasesSignsAndSkips pins the per-entry rules on hand-built frame
+// tables: the value (not the variable's phase) moves across opposite signs
+// and a variable shared by two frames, unbuilt and constant entries are
+// skipped, frame 0 is never written, and depth bounds the shifted frames.
+func TestShiftPhasesSignsAndSkips(t *testing.T) {
+	m := rtl.NewModule("shift")
+	var ids []aig.NodeID
+	for _, name := range []string{"opp", "shared", "unbuilt", "const0", "const2"} {
+		ids = append(ids, m.InputBit(name).Node())
+	}
+	opp, shared, unbuilt, const0, const2 := ids[0], ids[1], ids[2], ids[3], ids[4]
+	s := sat.New()
+	u := New(m.N, s, Free)
+	for f := 0; f < 3; f++ {
+		for _, id := range ids {
+			u.InputLit(id, f)
+		}
+	}
+	vals := func(f int) []sat.Lit { return u.frames[f].vals }
+	vals(1)[opp] = vals(1)[opp].Not()       // opposite sign to frames 0 and 2
+	vals(1)[shared] = vals(0)[shared].Not() // frames 0 and 1 share one variable
+	vals(1)[unbuilt] = sat.LitUndef
+	vals(0)[const0] = u.TrueLit()
+	vals(2)[const2] = u.TrueLit()
+	for v := 1; v < s.NumVars(); v++ {
+		s.SetPhase(sat.Var(v), v%3 == 0)
+	}
+	constPhase := s.Phase(u.TrueLit().Var())
+	// Values a wrongly copied constant would contradict.
+	setVal := func(l sat.Lit, v bool) { s.SetPhase(l.Var(), v != l.Sign()) }
+	setVal(vals(1)[const0], !phaseVal(s, u.TrueLit()))
+	setVal(vals(1)[const2], !constPhase)
+	old := map[[2]int]bool{}
+	for f := 0; f < 3; f++ {
+		for _, id := range ids {
+			if l := vals(f)[id]; l != sat.LitUndef {
+				old[[2]int{f, int(id)}] = phaseVal(s, l)
+			}
+		}
+	}
+	was := func(f int, id aig.NodeID) bool { return old[[2]int{f, int(id)}] }
+	expect := func(what string, f int, id aig.NodeID, want bool) {
+		t.Helper()
+		if got := phaseVal(s, vals(f)[id]); got != want {
+			t.Errorf("%s: frame %d value %v, want %v", what, f, got, want)
+		}
+	}
+
+	u.ShiftPhases(2)
+	expect("opposite signs", 1, opp, was(0, opp))
+	expect("opposite signs", 2, opp, was(1, opp))
+	expect("shared variable", 1, shared, was(0, shared))
+	expect("shared variable", 2, shared, was(1, shared))
+	expect("unbuilt source", 2, unbuilt, was(2, unbuilt))
+	expect("constant source", 1, const0, was(1, const0))
+	expect("constant target's neighbour", 1, const2, was(0, const2))
+	if s.Phase(u.TrueLit().Var()) != constPhase {
+		t.Errorf("constant variable's phase was written")
+	}
+	for _, id := range []aig.NodeID{opp, unbuilt, const2} {
+		expect("frame 0", 0, id, was(0, id))
+	}
+
+	// A shallower depth leaves the later frames alone.
+	setVal(vals(1)[opp], !was(0, opp))
+	frame2 := phaseVal(s, vals(2)[opp])
+	u.ShiftPhases(1)
+	expect("depth bound", 2, opp, frame2)
+	expect("depth bound", 1, opp, was(0, opp))
+}
