@@ -44,10 +44,6 @@ type report struct {
 func main() {
 	out := flag.String("o", "BENCH_solver.json", "output file")
 	benchSecs := flag.Float64("benchtime", 1, "minimum seconds per benchmark")
-	coopDepth := flag.Int("coopdepth", 24, "BMC depth of the CoopSolve sharing A/B (lower for smoke runs)")
-	coopRuns := flag.Int("coopruns", 3, "runs per side of the CoopSolve sharing A/B (median is recorded)")
-	distDepth := flag.Int("distdepth", 24, "BMC depth of the DistSolve socket-fleet A/B (lower for smoke runs)")
-	distRuns := flag.Int("distruns", 3, "runs per side of the DistSolve socket-fleet A/B (median is recorded)")
 	lazyDepth := flag.Int("lazydepth", 24, "BMC depth of the LazyEMM eager/lazy A/B (lower for smoke runs)")
 	lazyRuns := flag.Int("lazyruns", 3, "runs per side of the LazyEMM eager/lazy A/B (median is recorded)")
 	flag.Parse()
@@ -85,91 +81,6 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, e)
 		fmt.Printf("%-22s %12.0f ns/op  %v\n", e.Name, e.NsPerOp, e.Metrics)
 	}
-
-	// The PR-6 headline: cooperative solving. Both sides run the identical
-	// 8-worker cube-and-conquer fleet on the shared-address growth design;
-	// only the learnt-clause bus differs, so the speedup isolates what
-	// lemma exchange buys. Medians over -coopruns runs per side.
-	coopCfg := exp.DefaultShareAB()
-	coopCfg.MaxK = *coopDepth
-	coop, err := exp.ShareAB(coopCfg, *coopRuns)
-	if err != nil {
-		fatal(err)
-	}
-	for _, side := range []struct {
-		name   string
-		median time.Duration
-		runs   []exp.GrowthSolveResult
-	}{
-		{"CoopSolve/Off", coop.OffMedian, coop.Off},
-		{"CoopSolve/On", coop.OnMedian, coop.On},
-	} {
-		e := entry{
-			Name:       side.name,
-			Iterations: len(side.runs),
-			NsPerOp:    float64(side.median.Nanoseconds()),
-			Metrics: map[string]float64{
-				"conflicts":   medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Conflicts) }),
-				"cube_splits": medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Stats.CubeSplits) }),
-				"imported":    medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Stats.SharedImported) }),
-			},
-		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
-		fmt.Printf("%-22s %12.0f ns/op  %v\n", e.Name, e.NsPerOp, e.Metrics)
-	}
-	rep.Benchmarks = append(rep.Benchmarks, entry{
-		Name: "CoopSolve/Speedup",
-		Metrics: map[string]float64{
-			"speedup_x": coop.Speedup,
-			"depth":     float64(*coopDepth),
-			"workers":   float64(coopCfg.Jobs),
-		},
-	})
-	fmt.Printf("cooperative sharing speedup at depth %d: %.2fx (median of %d runs/side, verdict %s)\n",
-		*coopDepth, coop.Speedup, *coopRuns, coop.Off[0].Kind)
-
-	// The PR-7 headline: distributed solving. A two-worker fleet — separate
-	// engines joined only by a broker on a unix socket — runs the same
-	// workload with the cross-process clause uplink off and on; the speedup
-	// isolates what socket lemma exchange buys on top of cube brokering.
-	distCfg := exp.DefaultDistAB()
-	distCfg.MaxK = *distDepth
-	const distWorkers = 2
-	dist, err := exp.DistAB(distCfg, distWorkers, *distRuns)
-	if err != nil {
-		fatal(err)
-	}
-	for _, side := range []struct {
-		name   string
-		median time.Duration
-		runs   []exp.GrowthSolveResult
-	}{
-		{"DistSolve/Off", dist.OffMedian, dist.Off},
-		{"DistSolve/On", dist.OnMedian, dist.On},
-	} {
-		e := entry{
-			Name:       side.name,
-			Iterations: len(side.runs),
-			NsPerOp:    float64(side.median.Nanoseconds()),
-			Metrics: map[string]float64{
-				"conflicts": medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Conflicts) }),
-				"imported":  medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Stats.SharedImported) }),
-			},
-		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
-		fmt.Printf("%-22s %12.0f ns/op  %v\n", e.Name, e.NsPerOp, e.Metrics)
-	}
-	rep.Benchmarks = append(rep.Benchmarks, entry{
-		Name: "DistSolve/Speedup",
-		Metrics: map[string]float64{
-			"speedup_x": dist.Speedup,
-			"depth":     float64(*distDepth),
-			"workers":   float64(distWorkers),
-			"seq_ns":    float64(dist.SeqMedian.Nanoseconds()),
-		},
-	})
-	fmt.Printf("distributed sharing speedup at depth %d: %.2fx (median of %d runs/side, verdict %s)\n",
-		*distDepth, dist.Speedup, *distRuns, dist.Seq[0].Kind)
 
 	// The PR-9 headline: lazy EMM. Same shared-address workload, eager vs
 	// demand-driven read-over-write axiom instantiation; the clause metric

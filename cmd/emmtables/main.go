@@ -6,8 +6,6 @@
 //	emmtables -exp i2            Industry II (multi-port lookup engine)
 //	emmtables -exp f1            constraint-growth validation ("figure")
 //	emmtables -exp s3            compile-pipeline A/B (§S3)
-//	emmtables -exp s4            cooperative-solving A/B (§S4)
-//	emmtables -exp s5            distributed-solving A/B (§S5)
 //	emmtables -exp s7            lazy-EMM A/B (§S7)
 //	emmtables -exp all           everything
 //
@@ -31,8 +29,8 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: t1, t2, i1, i2, f1, s3, s4, s5, s7, all")
-	runs := flag.Int("runs", 3, "runs per side of the s4/s5/s7 A/Bs (median is reported)")
+	which := flag.String("exp", "all", "experiment: t1, t2, i1, i2, f1, s3, s7, all")
+	runs := flag.Int("runs", 3, "runs per side of the s7 A/B (median is reported)")
 	scale := flag.String("scale", "reduced", "design sizing: reduced or paper")
 	sizes := flag.String("n", "3,4,5", "quicksort array sizes for t1/t2")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
@@ -57,7 +55,6 @@ func main() {
 		Timeout: timeout, Jobs: engFlags.Spec.Jobs, Obs: observer,
 		Restart: restart, NoSimplify: noSimplify, Passes: passes,
 	}
-	cfg.Share, cfg.Cube = engFlags.ShareCube()
 	switch *scale {
 	case "reduced":
 		cfg.Scale = exp.ScaleReduced
@@ -106,22 +103,6 @@ func main() {
 				os.Exit(2)
 			}
 			fmt.Println(exp.RenderCompileAB(ab))
-		case "s4":
-			fmt.Printf("## Experiment S4 (cooperative solving A/B)\n\n")
-			ab, err := exp.ShareAB(exp.DefaultShareAB(), *runs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Println(exp.RenderShareAB(ab))
-		case "s5":
-			fmt.Printf("## Experiment S5 (distributed solving A/B, %d socket workers)\n\n", *engFlags.Workers)
-			ab, err := exp.DistAB(exp.DefaultDistAB(), *engFlags.Workers, *runs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Println(exp.RenderDistAB(ab))
 		case "s7":
 			fmt.Printf("## Experiment S7 (lazy EMM A/B)\n\n")
 			ab, err := exp.LazyAB(exp.DefaultLazyAB(), *runs)
@@ -137,7 +118,7 @@ func main() {
 	}
 
 	if *which == "all" {
-		for _, name := range []string{"t1", "t2", "i1", "i2", "f1", "s3", "s4", "s5", "s7"} {
+		for _, name := range []string{"t1", "t2", "i1", "i2", "f1", "s3", "s7"} {
 			run(name)
 		}
 		return

@@ -17,8 +17,8 @@
 //	emmv -remote unix:/tmp/emmserved.sock d.v    # solve on an emmserved server
 //
 // Engines: bmc1 (plain + proofs), bmc2 (EMM falsification), bmc3 (EMM +
-// proofs), portfolio, kind (k-induction with write-free-init retention),
-// pba (two-phase prove-with-abstraction), and bdd (BDD-based reachability;
+// proofs), kind (k-induction with write-free-init retention), pba
+// (two-phase prove-with-abstraction), and bdd (BDD-based reachability;
 // needs -explicit). -explicit first expands every memory into latches (the
 // paper's Explicit Modeling baseline).
 //
@@ -49,7 +49,6 @@ import (
 	"emmver/internal/designs"
 	"emmver/internal/exp"
 	"emmver/internal/expmem"
-	"emmver/internal/obs"
 	"emmver/internal/par"
 	"emmver/internal/serve"
 	"emmver/internal/spec"
@@ -91,8 +90,8 @@ func main() {
 	engFlags := cliobs.RegisterEngine()
 	obsFlags := cliobs.Register()
 	flag.Parse()
-	if *remote != "" && (*design != "" || *explicit || engFlags.DistActive()) {
-		must(errors.New("-remote submits a design file; it excludes -design, -explicit, -listen, and -connect"))
+	if *remote != "" && (*design != "" || *explicit) {
+		must(errors.New("-remote submits a design file; it excludes -design and -explicit"))
 	}
 
 	var n *aig.Netlist
@@ -195,22 +194,8 @@ func main() {
 		if s := cliobs.DescribeCompile(n, sel, opt.Passes); s != "" {
 			fmt.Printf("compile: %s\n", s)
 		}
-		if engFlags.DistActive() && observer.Registry() == nil {
-			// The sharenet frame counters live in the obs registry; give
-			// the fleet one even when no -trace/-progress flag asked.
-			observer = obs.New(obs.NewRegistry(), nil)
-		}
 		opt.Obs = observer
 		switch {
-		case engFlags.DistActive():
-			// Distributed fleet: one property per fleet (the cube partition
-			// is property-specific), brokered (-listen) or joined (-connect).
-			if len(sel) != 1 {
-				must(fmt.Errorf("distributed mode verifies one property per fleet; %d selected", len(sel)))
-			}
-			r, err := engFlags.RunDist(n, sel[0], opt)
-			must(err)
-			results[0], st, depthStats = r, r.Stats, r.DepthStats
 		case engine == spec.EnginePBA:
 			par.ForEach(context.Background(), opt.Jobs, len(sel), func(_ context.Context, _, i int) {
 				res := bmc.ProveWithPBA(n, sel[i], opt)
@@ -254,7 +239,7 @@ func main() {
 			continue
 		}
 		if r.Witness == nil {
-			fmt.Printf("  [%s] counter-example held by the fleet worker or server that found it (no local witness)\n", name)
+			fmt.Printf("  [%s] counter-example held by the server that found it (no local witness)\n", name)
 			continue
 		}
 		cleared := 0
@@ -270,7 +255,7 @@ func main() {
 		}
 	}
 	if *stats {
-		printStats(st, depthStats, engFlags.DistActive(), observer)
+		printStats(st, depthStats)
 	}
 	obsStop()
 	os.Exit(exitCode(ce, abnormal))
@@ -301,22 +286,13 @@ func remoteResult(v *serve.Verdict) *bmc.Result {
 	return r
 }
 
-func printStats(st bmc.Stats, depthStats []bmc.DepthStat, dist bool, observer *obs.Observer) {
+func printStats(st bmc.Stats, depthStats []bmc.DepthStat) {
 	fmt.Printf("stats: %d solver calls, %d clauses, %d vars, %d conflicts, %.0f MB heap\n",
 		st.SolveCalls, st.Clauses, st.Vars, st.Conflicts, st.PeakHeapMB)
 	fmt.Printf("restarts: %d (luby %d, ema %d)\n", st.Restarts, st.RestartsLuby, st.RestartsEMA)
 	if st.Simplifies > 0 {
 		fmt.Printf("inprocessing: %d passes, %d clauses subsumed, %d strengthened, %d vars eliminated\n",
 			st.Simplifies, st.SubsumedClauses, st.StrengthenedClauses, st.EliminatedVars)
-	}
-	if st.SharedExported > 0 || st.SharedImported > 0 || st.SharedDropped > 0 {
-		fmt.Printf("sharing: %d clauses exported, %d imported, %d filtered, %d dropped\n",
-			st.SharedExported, st.SharedImported, st.SharedFiltered, st.SharedDropped)
-	}
-	if reg := observer.Registry(); dist && reg != nil {
-		fmt.Printf("sharenet: %d frames sent, %d received, %d dropped, %d reconnects\n",
-			reg.Counter(obs.MNetSent).Value(), reg.Counter(obs.MNetReceived).Value(),
-			reg.Counter(obs.MNetDropped).Value(), reg.Counter(obs.MNetReconnects).Value())
 	}
 	if st.EMM.Clauses() > 0 {
 		fmt.Printf("emm constraints: %s\n", st.EMM)
@@ -394,7 +370,7 @@ func buildDesign(name string, size int, reduced bool, prop string) (*aig.Netlist
 			named[strconv.Itoa(i)] = pi
 		}
 	case "growth":
-		// The §S2/§S5 experiment shape: one memory, one write port, two read
+		// The §S2 experiment shape: one memory, one write port, two read
 		// ports on a shared address bus, one valid read-consistency property.
 		n = exp.GrowthSolveNetlist(exp.DefaultGrowthSolve())
 	default:

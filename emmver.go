@@ -261,14 +261,6 @@ func ProveWithAbstractionCtx(ctx context.Context, n *Netlist, prop int, opt Opti
 	return bmc.ProveWithPBACtx(ctx, n, prop, opt)
 }
 
-// ProveWithInvariant first proves a helper invariant property, then
-// assumes it as a per-cycle constraint while checking the main property —
-// the Industry II methodology of §5 (prove G(WE=0 ∨ WD=0), then verify
-// under it), generalized.
-func ProveWithInvariant(n *Netlist, mainProp, invariantProp int, opt Options) (*bmc.InvariantResult, error) {
-	return bmc.ProveWithInvariant(n, mainProp, invariantProp, opt)
-}
-
 // Compile-pipeline aliases: the static netlist-to-netlist passes every
 // engine runs before unrolling. Options.Passes selects
 // them per verification run; Compile runs the pipeline standalone.

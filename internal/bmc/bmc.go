@@ -33,7 +33,6 @@ import (
 	"emmver/internal/aig"
 	"emmver/internal/core"
 	"emmver/internal/obs"
-	"emmver/internal/par"
 	"emmver/internal/pba"
 	"emmver/internal/sat"
 	"emmver/internal/unroll"
@@ -143,34 +142,9 @@ type Options struct {
 	// Jobs is the worker count used by entry points that fan out across
 	// properties or lanes (the facade's VerifyAll and the CLIs): 0 picks
 	// runtime.NumCPU, 1 forces the sequential shared-unrolling engine, and
-	// n > 1 bounds the fleet. Check itself ignores it — per-depth lane
+	// n > 1 bounds the worker pool. Check itself ignores it — per-depth lane
 	// racing stays opt-in via Portfolio.
 	Jobs int
-	// Share connects the fleet's solvers through the learnt-clause sharing
-	// bus (internal/share): high-glue lemmas over frame values and EMM
-	// comparators are relocated between workers through a canonical
-	// (node, time-frame) literal coding. Effective only on multi-worker
-	// entry points, and automatically disabled when PBA proof tracing is on
-	// or the design asserts environment constraints (a peer's constraint
-	// units would not be model-extension sound).
-	Share bool
-	// Cube partitions each depth's counter-example check over the EMM
-	// address-comparator variables (cube-and-conquer): cubes are assumed
-	// per-worker from a work-stealing queue and refined by further splitting
-	// when a cube exceeds its conflict budget. Same eligibility rules as
-	// Share.
-	Cube bool
-	// ShareCap overrides the per-worker clause ring capacity (0 keeps the
-	// default 4096). Larger rings tolerate burstier export rates before
-	// overrun drops clauses (Stats.SharedDropped); smaller rings bound the
-	// staleness of what a restart imports.
-	ShareCap int
-	// ShareLBD and ShareSize override the solvers' clause-export filter
-	// (0 keeps the defaults: glue <= 6 or binary, <= 30 literals). A
-	// distributed fleet tightens them to trade socket traffic against lemma
-	// reach.
-	ShareLBD  int
-	ShareSize int
 	// LazyEMM switches the EMM constraints of both windows to demand-driven
 	// instantiation (core.Generator.EnableLazy): every query — the
 	// counter-example check and, under Proofs, the forward and backward
@@ -181,11 +155,9 @@ type Options struct {
 	// UNSAT of the full encoding (clause removal cannot turn a satisfiable
 	// formula unsatisfiable), and SAT stands only for a validated model,
 	// so verdicts, depths and proof sides equal the eager encoding's. A
-	// performance knob like Share/Cube. Ignored under PBA (cores attribute
-	// relevance to eagerly tagged clauses), under DisableExclusivity (the
-	// refinement machinery suspends the eq. 4 chains), and on the
-	// cube-and-conquer and distributed paths (both split the search over
-	// the deterministic eager comparator creation order).
+	// performance knob only. Ignored under PBA (cores attribute relevance
+	// to eagerly tagged clauses) and under DisableExclusivity (the
+	// refinement machinery suspends the eq. 4 chains).
 	LazyEMM bool
 	// KInduction selects the k-induction strategy (temporal induction,
 	// spec engine "kind"): at each depth k the base case (the plain
@@ -210,9 +182,8 @@ type Options struct {
 	// can never flip a verdict (each depth's queries are self-contained
 	// assumptions), and because a NO_CE cache entry implies the skipped
 	// termination checks were SAT, a warm-started run reaches the same
-	// verdict at the same depth as a cold one. Honored by Check/CheckCtx
-	// (including the cube-and-conquer path); the multi-property and
-	// distributed entry points ignore it.
+	// verdict at the same depth as a cold one. Honored by Check/CheckCtx;
+	// the multi-property entry points ignore it.
 	StartDepth int
 }
 
@@ -271,14 +242,6 @@ type Stats struct {
 	SubsumedClauses     int64
 	StrengthenedClauses int64
 	EliminatedVars      int64
-	// Cooperative solving (zero unless Options.Share/Cube are on): bus and
-	// cube-queue tallies, set once at fleet level after the workers join.
-	SharedExported int64
-	SharedImported int64
-	SharedFiltered int64
-	SharedDropped  int64
-	CubeSplits     int64
-	CubeStolen     int64
 	// Lazy-EMM refinement (zero unless Options.LazyEMM was active): model
 	// validations run by the semantic oracle and SAT models it rejected,
 	// over every query. The instantiated-axiom count lives in
@@ -309,12 +272,6 @@ func (s *Stats) Add(o Stats) {
 	s.SubsumedClauses += o.SubsumedClauses
 	s.StrengthenedClauses += o.StrengthenedClauses
 	s.EliminatedVars += o.EliminatedVars
-	s.SharedExported += o.SharedExported
-	s.SharedImported += o.SharedImported
-	s.SharedFiltered += o.SharedFiltered
-	s.SharedDropped += o.SharedDropped
-	s.CubeSplits += o.CubeSplits
-	s.CubeStolen += o.CubeStolen
 	s.LazyRounds += o.LazyRounds
 	s.LazySpurious += o.LazySpurious
 	s.LFPPairs += o.LFPPairs
@@ -490,7 +447,7 @@ func (e *engine) logf(format string, args ...interface{}) {
 }
 
 // obsResolved counts a decisive per-property verdict (anything but a
-// timeout) on the fleet-wide properties-resolved counter.
+// timeout) on the run-wide properties-resolved counter.
 func (e *engine) obsResolved(k Kind) {
 	if k != KindTimeout {
 		e.obsProps.Inc()
@@ -638,7 +595,7 @@ func Check(n *aig.Netlist, prop int, opt Options) *Result {
 
 // CheckCtx is Check under a cancellation context: when ctx is cancelled the
 // run stops at the next solver poll and reports KindTimeout. The parallel
-// engines use it to tear a whole fleet down as soon as its outcome is
+// engines use it to tear a whole pool down as soon as its outcome is
 // decided.
 //
 // Like every public entry point, CheckCtx first runs the static compile
@@ -646,9 +603,6 @@ func Check(n *aig.Netlist, prop int, opt Options) *Result {
 // to n's coordinates.
 func CheckCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Result {
 	c := compileModel(n, []int{prop}, &opt)
-	if jobs := par.Jobs(opt.Jobs); opt.Cube && jobs > 1 && shareEligible(c.n, opt) {
-		return c.finish(checkCubed(ctx, c.n, c.props[0], opt, jobs), prop, opt)
-	}
 	return c.finish(checkCompiled(ctx, c.n, c.props[0], opt), prop, opt)
 }
 
@@ -657,7 +611,7 @@ func CheckCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Resul
 // select.
 func checkCompiled(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Result {
 	e := newEngine(ctx, n, prop, opt)
-	d := newDriver([]*engine{e}, []int{prop}, opt.StartDepth)
+	d := newDriver(e, []int{prop}, opt.StartDepth)
 	d.run(ctx, e.strategyFor(d))
 	return d.finish(d.res[0])
 }

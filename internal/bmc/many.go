@@ -48,8 +48,8 @@ func CheckMany(n *aig.Netlist, props []int, opt Options) *ManyResult {
 func CheckManyCtx(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
 	c := compileModel(n, props, &opt)
 	e := newEngine(ctx, c.n, c.props[0], opt)
-	d := newDriver([]*engine{e}, c.props, 0)
-	d.run(ctx, &bmcStrategy{e: e, d: d, proofs: opt.Proofs, ce: e})
+	d := newDriver(e, c.props, 0)
+	d.run(ctx, &bmcStrategy{e: e, d: d})
 	r := d.finish(&Result{})
 	out := &ManyResult{Results: d.res, Stats: r.Stats, DepthStats: r.DepthStats}
 	out.finish(c, opt)

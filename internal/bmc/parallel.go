@@ -10,7 +10,6 @@ import (
 	"emmver/internal/obs"
 	"emmver/internal/par"
 	"emmver/internal/sat"
-	"emmver/internal/share"
 )
 
 // CheckManyParallel verifies many reachability properties of one design
@@ -34,52 +33,35 @@ func CheckManyParallel(n *aig.Netlist, props []int, opt Options, jobs int) *Many
 
 // CheckManyParallelCtx is CheckManyParallel under a cancellation context.
 // Options.Timeout is converted into a deadline on the shared context so the
-// whole fleet stops at the same wall-clock instant.
+// whole pool stops at the same wall-clock instant.
 func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt Options, jobs int) *ManyResult {
 	start := time.Now()
 	out := &ManyResult{Results: make([]*Result, len(props))}
 	if len(props) == 0 {
 		return out
 	}
-	ctx, cancel := fleetCtx(ctx, &opt)
+	ctx, cancel := poolCtx(ctx, &opt)
 	defer cancel()
-	// Compile once before the fleet spawns: every worker engine unrolls
+	// Compile once before the pool spawns: every worker engine unrolls
 	// the same reduced netlist, and results are back-mapped after the
 	// fan-in below.
 	c := compileModel(n, props, &opt)
 	n, props = c.n, c.props
 	jobs = par.Jobs(jobs)
-	if len(props) == 1 && jobs > 1 {
-		// A single property leaves the property-fleet idle; hand the spare
-		// workers to the cube-and-conquer splitter, or else race the
-		// forward and backward termination checks in separate lanes (only
-		// meaningful with proofs; k-induction fixes its own check order).
-		switch {
-		case opt.Cube && shareEligible(n, opt):
-			out.Results[0] = checkCubed(ctx, n, props[0], opt, jobs)
-		case opt.Proofs && !opt.KInduction:
-			opt.Portfolio = true
-			out.Results[0] = checkCompiled(ctx, n, props[0], opt)
-		}
-		if out.Results[0] != nil {
-			out.Stats = out.Results[0].Stats
-			out.finish(c, opt)
-			return out
-		}
+	if len(props) == 1 && jobs > 1 && opt.Proofs && !opt.KInduction {
+		// A single property leaves the property pool idle; race the
+		// forward and backward termination checks in separate lanes
+		// instead (only meaningful with proofs; k-induction fixes its own
+		// check order).
+		opt.Portfolio = true
+		out.Results[0] = checkCompiled(ctx, n, props[0], opt)
+		out.Stats = out.Results[0].Stats
+		out.finish(c, opt)
+		return out
 	}
 	jobs = min(jobs, len(props))
 	if jobs > 1 {
 		opt.Log = par.SyncWriter(opt.Log)
-	}
-
-	// The sharing bus connects the workers' solvers when the run is
-	// eligible (no PBA tracing, no environment constraints): lemmas over
-	// frame values and EMM comparators transfer between workers even when
-	// they are solving different properties, because the shared clause
-	// database is property-independent.
-	var fwd, bwd *share.Bus
-	if jobs > 1 && shareEligible(n, opt) {
-		fwd, bwd = newBuses(jobs, opt)
 	}
 
 	// Reusing one engine per worker across properties is a conservative
@@ -108,17 +90,16 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 			wopt := opt
 			wopt.Obs = opt.Obs.With(obs.F("worker", w))
 			e = newEngine(ctx, n, props[pi], wopt)
-			attachShare(e, fwd, bwd, w)
 			engines[w] = e
 		}
 		// One driver run per property on the worker's engine, consulting
-		// the fleet-shared forward-termination oracle. The result carries
+		// the pool-shared forward-termination oracle. The result carries
 		// this property's wall time; the solver-level counters are
 		// aggregated per worker instead (ManyResult.Stats).
 		t0 := time.Now()
 		e.prop = props[pi]
-		d := newDriver([]*engine{e}, props[pi:pi+1], 0)
-		d.run(ctx, &bmcStrategy{e: e, d: d, proofs: opt.Proofs, fwd: &fwdUnsat, ce: e})
+		d := newDriver(e, props[pi:pi+1], 0)
+		d.run(ctx, &bmcStrategy{e: e, d: d, fwd: &fwdUnsat})
 		out.Results[pi] = d.res[0]
 		out.Results[pi].Stats.Elapsed = time.Since(t0)
 	})
@@ -128,10 +109,6 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 			workerStats[w].Add(e.snapshotStats())
 		}
 		out.Stats.Add(workerStats[w])
-	}
-	addBusStats(&out.Stats, fwd, bwd)
-	if fwd != nil {
-		publishCoopObs(opt.Obs, &out.Stats)
 	}
 	out.Stats.Elapsed = time.Since(start)
 	for pi, p := range props {
@@ -144,10 +121,10 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	return out
 }
 
-// fleetCtx derives a fleet's run context: cancellable, and carrying
-// opt.Timeout as a deadline (cleared from opt) so every engine of the
-// fleet stops at the same wall-clock instant.
-func fleetCtx(ctx context.Context, opt *Options) (context.Context, context.CancelFunc) {
+// poolCtx derives the property pool's run context: cancellable, and
+// carrying opt.Timeout as a deadline (cleared from opt) so every engine of
+// the pool stops at the same wall-clock instant.
+func poolCtx(ctx context.Context, opt *Options) (context.Context, context.CancelFunc) {
 	if t := opt.Timeout; t > 0 {
 		opt.Timeout = 0
 		return context.WithTimeout(ctx, t)

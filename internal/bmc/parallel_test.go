@@ -190,71 +190,49 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// entryRun runs props through one entry point, returning every result it
-// reports per property (a distributed fleet reports one per worker) and the
-// solver calls the run spent.
-type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int)
+// entryRun runs props through one entry point, returning one result per
+// property and the solver calls the run spent.
+type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int)
 
-// entryPoints lists every public entry point of the package: Check with
-// the option tweaks that route it to the cube fleet or k-induction,
-// sequential CheckMany (jobs 0), the property pool, the pool given one
-// property at a time (two workers race its termination lanes), and a
-// two-worker loopback CheckDist fleet.
-func entryPoints(t *testing.T) []struct {
+// entryPoints lists every public entry point of the package: Check (also
+// routed to k-induction), sequential CheckMany (jobs 0), the property
+// pool, and the pool given one property at a time (two workers race its
+// termination lanes).
+func entryPoints() []struct {
 	name string
 	run  entryRun
 } {
 	check := func(tune func(*Options)) entryRun {
-		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
 			tune(&opt)
-			var out [][]*Result
+			var out []*Result
 			calls := 0
 			for _, p := range props {
 				r := CheckCtx(ctx, n, p, opt)
-				out = append(out, []*Result{r})
+				out = append(out, r)
 				calls += r.Stats.SolveCalls
 			}
 			return out, calls
 		}
 	}
 	many := func(jobs int) entryRun {
-		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
+		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
 			var mr *ManyResult
 			if jobs == 0 {
 				mr = CheckManyCtx(ctx, n, props, opt)
 			} else {
 				mr = CheckManyParallelCtx(ctx, n, props, opt, jobs)
 			}
-			var out [][]*Result
-			for _, r := range mr.Results {
-				out = append(out, []*Result{r})
-			}
-			return out, mr.Stats.SolveCalls
+			return mr.Results, mr.Stats.SolveCalls
 		}
 	}
-	lanes := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
-		var out [][]*Result
+	lanes := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
+		var out []*Result
 		calls := 0
 		for _, p := range props {
 			got, c := many(2)(ctx, n, []int{p}, opt)
 			out = append(out, got...)
 			calls += c
-		}
-		return out, calls
-	}
-	dist := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([][]*Result, int) {
-		opt.Share = true
-		var out [][]*Result
-		calls := 0
-		for _, p := range props {
-			results, errs := runDistFleetCtx(t, ctx, n, p, opt, 2, -1)
-			for w, err := range errs {
-				if err != nil {
-					t.Fatalf("dist worker %d: %v", w, err)
-				}
-				calls += results[w].Stats.SolveCalls
-			}
-			out = append(out, results)
 		}
 		return out, calls
 	}
@@ -267,9 +245,7 @@ func entryPoints(t *testing.T) []struct {
 		{"CheckManyParallel/1", many(1)},
 		{"CheckManyParallel/2", many(2)},
 		{"CheckManyParallel/2/one-prop", lanes},
-		{"cube", check(func(o *Options) { o.Cube, o.Share, o.Jobs = true, true, 2 })},
 		{"kind", check(func(o *Options) { o.KInduction = true })},
-		{"CheckDist/2", dist},
 	}
 }
 
@@ -294,34 +270,29 @@ func TestEntryPointsAgree(t *testing.T) {
 	cancel()
 	for _, tc := range cases {
 		opt := Options{MaxDepth: 14, UseEMM: true, Proofs: true, ValidateWitness: true}
-		var base [][]*Result
-		for _, ep := range entryPoints(t) {
+		var base []*Result
+		for _, ep := range entryPoints() {
 			got, _ := ep.run(context.Background(), tc.n, tc.props, opt)
 			if base == nil {
 				base = got
 				for pi, k := range tc.want {
-					if got[pi][0].Kind != k {
-						t.Fatalf("%s prop %d: Check says %v, want %v", tc.name, pi, got[pi][0].Kind, k)
+					if got[pi].Kind != k {
+						t.Fatalf("%s prop %d: Check says %v, want %v", tc.name, pi, got[pi].Kind, k)
 					}
 				}
 			}
-			for pi := range tc.props {
-				want := base[pi][0]
-				for _, r := range got[pi] {
-					if r.Kind != want.Kind || r.Depth != want.Depth {
-						t.Errorf("%s/%s prop %d: %v depth %d, Check says %v depth %d",
-							tc.name, ep.name, pi, r.Kind, r.Depth, want.Kind, want.Depth)
-					}
+			for pi, r := range got {
+				if want := base[pi]; r.Kind != want.Kind || r.Depth != want.Depth {
+					t.Errorf("%s/%s prop %d: %v depth %d, Check says %v depth %d",
+						tc.name, ep.name, pi, r.Kind, r.Depth, want.Kind, want.Depth)
 				}
 			}
 
 			got, calls := ep.run(cancelled, tc.n, tc.props, opt)
-			for pi := range tc.props {
-				for _, r := range got[pi] {
-					if r.Kind != KindTimeout || r.Depth != 0 {
-						t.Errorf("%s/%s prop %d on a cancelled context: %v depth %d, want TIMEOUT depth 0",
-							tc.name, ep.name, pi, r.Kind, r.Depth)
-					}
+			for pi, r := range got {
+				if r.Kind != KindTimeout || r.Depth != 0 {
+					t.Errorf("%s/%s prop %d on a cancelled context: %v depth %d, want TIMEOUT depth 0",
+						tc.name, ep.name, pi, r.Kind, r.Depth)
 				}
 			}
 			if calls != 0 {

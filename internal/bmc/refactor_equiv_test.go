@@ -20,8 +20,8 @@ import (
 // The refactor-equivalence pin: every existing engine must produce
 // byte-identical verdicts, depths, witnesses, and deterministic Stats
 // counters across the case-study designs, compared against golden fixtures
-// generated before the model/session/strategy extraction (the kind, lazy,
-// cube and multi-property records: before the entry points shared one
+// generated before the model/session/strategy extraction (the kind, lazy
+// and multi-property records: before the entry points shared one
 // per-depth driver; the bmc3-lazy count fields: after the termination
 // checks joined the lazy refine loop). Regenerate with
 //
@@ -32,8 +32,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/refactor_
 
 // goldenRecord is one (design, engine) outcome. Wall-clock and heap fields
 // are excluded; everything recorded is deterministic for a sequential
-// single-threaded run. The racing runs — portfolio lanes, the cube fleet, a
-// two-worker property pool — pin only their verdicts (Full=false).
+// single-threaded run. The racing runs — portfolio lanes and a two-worker
+// property pool — pin only their verdicts (Full=false).
 type goldenRecord struct {
 	Design string `json:"design"`
 	Engine string `json:"engine"`
@@ -171,14 +171,6 @@ func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int
 		opt.UseEMM = true
 		opt.Proofs = true
 		opt.LazyEMM = true
-	case "cube":
-		// The cube fleet races its workers over the cube queue; only the
-		// verdict is deterministic.
-		opt.UseEMM = true
-		opt.Proofs = true
-		opt.Cube, opt.Share, opt.Jobs = true, true, 2
-		r := Check(n, prop, opt)
-		return goldenRecord{Kind: r.Kind.String(), Depth: r.Depth, ProofSide: r.ProofSide}
 	case "pba":
 		opt.UseEMM = true
 		opt.StabilityDepth = 10
@@ -295,7 +287,7 @@ func TestRefactorEquivalence(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "refactor_golden.json")
 	var got []goldenRecord
 	for _, d := range equivDesigns() {
-		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba", "kind", "bmc2-lazy", "bmc3-lazy", "cube"} {
+		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba", "kind", "bmc2-lazy", "bmc3-lazy"} {
 			rec := runEquivEngine(t, engine, d.n, d.prop, d.depth)
 			rec.Design, rec.Engine = d.name, engine
 			got = append(got, rec)

@@ -20,12 +20,11 @@ import (
 )
 
 // newSolver creates one solver configured from the session-level options:
-// restart strategy, clause-export filter, observability attachment, and
-// the engine's interrupt budget (wall-clock deadline + run context).
+// restart strategy, observability attachment, and the engine's interrupt
+// budget (wall-clock deadline + run context).
 func (e *engine) newSolver() *sat.Solver {
 	s := sat.New()
 	s.Restart = e.opt.Restart
-	s.ShareLBD, s.ShareMaxLits = e.opt.ShareLBD, e.opt.ShareSize
 	s.AttachObs(e.opt.Obs)
 	e.installInterrupt(s)
 	return s

@@ -3,9 +3,8 @@
 // one driver loop that calls it. Each strategy decides which solver queries
 // to issue at depth k and how to interpret their answers; the driver owns
 // frame extension, warm-start gating, inprocessing, verdict bookkeeping and
-// observability for every entry point, and a ceScheduler decides who solves
-// each counter-example query. A strategy is exactly the paper-visible
-// difference between engines.
+// observability for every entry point. A strategy is exactly the
+// paper-visible difference between engines.
 
 package bmc
 
@@ -31,37 +30,25 @@ type Strategy interface {
 	Step(ctx context.Context, k int) (*Result, bool)
 }
 
-// ceScheduler decides who solves a depth's counter-example query: the
-// engine itself (sequential and property-pool runs, engine.solveCE), the
-// in-process cube queue (cubeFleet), or the remote lease loop of a
-// distributed fleet (distWorker).
-type ceScheduler interface {
-	// solveCE answers the depth-k counter-example query for prop: a
-	// decisive Result (a counter-example or a timeout) or nil when no
-	// counter-example exists at k.
-	solveCE(prop, k int) *Result
-}
-
-// driver is the package's one loop over depth (Figs. 1–3). Its engines
-// advance in lockstep — one for sequential runs, a whole fleet for the
-// cube path — and engines[0] owns the depth span, the depth statistics and
-// the verdict bookkeeping of the properties the run checks.
+// driver is the package's one loop over depth (Figs. 1–3). It advances
+// one engine and keeps the verdict bookkeeping of the properties the run
+// checks.
 type driver struct {
-	engines []*engine
-	props   []int
-	res     []*Result // per-property verdicts, nil while open
-	open    int
-	from    int // warm-start frontier (Options.StartDepth where honoured)
+	e     *engine
+	props []int
+	res   []*Result // per-property verdicts, nil while open
+	open  int
+	from  int // warm-start frontier (Options.StartDepth where honoured)
 }
 
-func newDriver(engines []*engine, props []int, from int) *driver {
-	return &driver{engines: engines, props: props, res: make([]*Result, len(props)), open: len(props), from: from}
+func newDriver(e *engine, props []int, from int) *driver {
+	return &driver{e: e, props: props, res: make([]*Result, len(props)), open: len(props), from: from}
 }
 
 // run drives strat over depths 0..MaxDepth until every property is
 // resolved, the bound is exhausted, or the run times out.
 func (d *driver) run(ctx context.Context, strat Strategy) {
-	e := d.engines[0]
+	e := d.e
 	for k := 0; k <= e.opt.MaxDepth && d.open > 0; k++ {
 		if e.timedOut() {
 			d.resolveOpen(&Result{Kind: KindTimeout, Depth: max(k-1, 0)})
@@ -69,9 +56,7 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 		}
 		sp := e.obs.Span("bmc.depth", obs.F("depth", k), obs.F("prop", e.prop),
 			obs.F("strategy", strat.Name()))
-		for _, w := range d.engines {
-			w.prepareDepth(k)
-		}
+		e.prepareDepth(k)
 		// Below the warm-start frontier only the (cumulative) unrolling and
 		// EMM constraints are built; the depth's checks are already answered
 		// by the caller's cached shallower verdict.
@@ -80,9 +65,7 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 				d.resolveOpen(r)
 			}
 		}
-		for _, w := range d.engines {
-			w.publishObs(k)
-		}
+		e.publishObs(k)
 		if e.opt.CollectDepthStats {
 			e.collectDepthStat(k)
 		}
@@ -90,9 +73,7 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 			obs.F("clauses", e.fs.NumClauses()),
 			obs.F("unresolved", d.open))
 		if d.open > 0 && !e.timedOut() {
-			for _, w := range d.engines {
-				w.simplifyStep(k)
-			}
+			e.simplifyStep(k)
 		}
 	}
 	d.resolveOpen(&Result{Kind: KindNoCE, Depth: e.opt.MaxDepth})
@@ -102,10 +83,10 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 // took to decide it.
 func (d *driver) resolve(pi int, r *Result) {
 	r.Prop = d.props[pi]
-	r.Stats.Elapsed = time.Since(d.engines[0].start)
+	r.Stats.Elapsed = time.Since(d.e.start)
 	d.res[pi] = r
 	d.open--
-	d.engines[0].obsResolved(r.Kind)
+	d.e.obsResolved(r.Kind)
 }
 
 // resolveOpen settles every property still open with a copy of r.
@@ -118,14 +99,11 @@ func (d *driver) resolveOpen(r *Result) {
 	}
 }
 
-// finish attaches the run's statistics (summed over its engines), PBA
-// tracker and per-depth table to r.
+// finish attaches the run's statistics, PBA tracker and per-depth table
+// to r.
 func (d *driver) finish(r *Result) *Result {
-	e := d.engines[0]
+	e := d.e
 	r.Stats = e.snapshotStats()
-	for _, w := range d.engines[1:] {
-		r.Stats.Add(w.snapshotStats())
-	}
 	r.Tracker = e.tracker
 	r.DepthStats = e.depthStats
 	return r
@@ -136,7 +114,7 @@ func (d *driver) finish(r *Result) *Result {
 // specs only reach combinations listed here; Options-level callers get the
 // closest sequential flow.
 func (e *engine) strategyFor(d *driver) Strategy {
-	bmc := bmcStrategy{e: e, d: d, proofs: e.opt.Proofs, ce: e}
+	bmc := bmcStrategy{e: e, d: d}
 	switch {
 	case e.opt.KInduction && e.opt.Proofs:
 		return &kindStrategy{e}
@@ -150,24 +128,21 @@ func (e *engine) strategyFor(d *driver) Strategy {
 }
 
 // bmcStrategy is the paper's per-depth flow, shared by BMC-1, BMC-2, BMC-3,
-// PBA phase 1, sequential CheckMany, each property of the property pool and
-// both fleets: forward termination once per depth (property-independent,
-// so UNSAT proves every open property), then for each open property
-// backward termination and the counter-example query through the run's
-// scheduler.
+// PBA phase 1, sequential CheckMany and each property of the property pool:
+// forward termination once per depth (property-independent, so UNSAT
+// proves every open property), then for each open property backward
+// termination and the counter-example query.
 type bmcStrategy struct {
-	e      *engine
-	d      *driver
-	proofs bool          // this engine runs the termination checks
-	fwd    *atomic.Int64 // the property pool's forward oracle; nil otherwise
-	ce     ceScheduler
+	e   *engine
+	d   *driver
+	fwd *atomic.Int64 // the property pool's forward oracle; nil otherwise
 }
 
 func (s *bmcStrategy) Name() string { return "bmc" }
 
 func (s *bmcStrategy) Step(_ context.Context, k int) (*Result, bool) {
 	e, d := s.e, s.d
-	if s.proofs {
+	if e.opt.Proofs {
 		switch e.oracleForwardCheck(k, s.fwd) {
 		case sat.Unsat:
 			e.logf("depth %d: forward termination", k)
@@ -202,7 +177,7 @@ func (s *bmcStrategy) check(p, k int) *Result {
 	if e.timedOut() {
 		return &Result{Kind: KindTimeout, Depth: k}
 	}
-	if s.proofs {
+	if e.opt.Proofs {
 		switch e.backwardCheck(p, k) {
 		case sat.Unsat:
 			e.logf("depth %d: prop %d: backward termination", k, p)
@@ -211,7 +186,7 @@ func (s *bmcStrategy) check(p, k int) *Result {
 			return &Result{Kind: KindTimeout, Depth: k}
 		}
 	}
-	return s.ce.solveCE(p, k)
+	return e.solveCE(p, k)
 }
 
 // pbaStrategy is PBA phase 1: the bmc check order, feeding each undecided
@@ -232,8 +207,9 @@ func (s *pbaStrategy) Step(ctx context.Context, k int) (*Result, bool) {
 	return nil, false
 }
 
-// solveCE is the local scheduler: the engine answers the counter-example
-// query on its forward window, replaying a witness it finds.
+// solveCE answers the counter-example query on the forward window,
+// replaying a witness it finds: a decisive Result (a counter-example or a
+// timeout) or nil when no counter-example exists at k.
 func (e *engine) solveCE(prop, k int) *Result {
 	switch e.ceCheck(prop, k) {
 	case sat.Sat:

@@ -145,18 +145,3 @@ func TestWarmStartKIndBaseCase(t *testing.T) {
 	checkWarmParity(t, n, opt, 3, false)
 	checkWarmParity(t, n, opt, 5, false)
 }
-
-// The cube-and-conquer path honors StartDepth too.
-func TestWarmStartCubed(t *testing.T) {
-	n := memCENetlist()
-	opt := BMC2(10)
-	opt.Jobs = 2
-	opt.Cube = true
-	cold := Check(n, 0, opt)
-	warm := opt
-	warm.StartDepth = 3
-	wr := Check(n, 0, warm)
-	if cold.Kind != wr.Kind || cold.Depth != wr.Depth {
-		t.Fatalf("cubed warm start parity: cold %s@%d warm %s@%d", cold.Kind, cold.Depth, wr.Kind, wr.Depth)
-	}
-}

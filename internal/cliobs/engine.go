@@ -1,37 +1,29 @@
 package cliobs
 
 import (
-	"errors"
 	"flag"
 	"strings"
-	"time"
 
 	"emmver/internal/aig"
 	"emmver/internal/bmc"
 	"emmver/internal/pass"
 	"emmver/internal/sat"
-	"emmver/internal/sharenet"
 	"emmver/internal/spec"
 )
 
 // EngineFlags bundles the engine flags shared by all verification CLIs.
 // Every knob a request can carry — -engine, -depth, -timeout, -jobs,
-// -passes, -restart, -no-simplify, -share, -cube, and the sharing
-// tunables — is derived from the internal/spec.Spec field tags via
-// spec.RegisterFlags, so the tools expose exactly the schema the emmserved
-// job server and the verdict cache speak and cannot drift from it. Only
-// the knobs outside the request schema are declared here: -no-passes (a
-// CLI convenience alias for -passes=none) and the distributed-fleet
-// endpoints (-listen, -connect, -workers).
+// -passes, -restart, -no-simplify and -lazy — is derived from the
+// internal/spec.Spec field tags via spec.RegisterFlags, so the tools
+// expose exactly the schema the emmserved job server and the verdict cache
+// speak and cannot drift from it. Only -no-passes (a CLI convenience alias
+// for -passes=none) sits outside the request schema and is declared here.
 type EngineFlags struct {
 	// Spec accumulates the parsed schema flags; after flag.Parse it is the
 	// verification request the command line describes.
 	Spec spec.Spec
 
 	NoPasses *bool
-	Listen   *string
-	Connect  *string
-	Workers  *int
 }
 
 // RegisterEngine declares the shared engine flags on the default flag set
@@ -49,12 +41,6 @@ func RegisterEngineFor(def spec.Spec, skip ...string) *EngineFlags {
 	f := &EngineFlags{Spec: def}
 	spec.RegisterFlags(flag.CommandLine, &f.Spec, skip...)
 	f.NoPasses = flag.Bool("no-passes", false, "disable the static compile pipeline (same as -passes=none)")
-	f.Listen = flag.String("listen", "",
-		"broker a distributed fleet on this address (unix:/path, tcp:host:port, or a socket path) and solve as worker 0")
-	f.Connect = flag.String("connect", "",
-		"join a distributed fleet brokered at this address")
-	f.Workers = flag.Int("workers", 2,
-		"fleet size for -listen, including this process")
 	return f
 }
 
@@ -103,12 +89,6 @@ func (f *EngineFlags) Values() (mode sat.RestartMode, noSimplify bool, passSpec 
 	return mode, s.NoSimplify, s.Passes, nil
 }
 
-// ShareCube returns the cooperative-solving flag values, for callers that
-// thread them into non-bmc config structs (e.g. exp.Config).
-func (f *EngineFlags) ShareCube() (share, cube bool) {
-	return f.Spec.Share, f.Spec.Cube
-}
-
 // Options converts the parsed request into the engine configuration it
 // denotes, via the one Spec → bmc.Options path. The error is user-facing
 // (unknown -engine, bad -restart or -passes value).
@@ -116,13 +96,7 @@ func (f *EngineFlags) Options() (bmc.Options, error) {
 	return f.Request().Options()
 }
 
-// DistActive reports whether the command line selected a distributed role
-// (-listen or -connect).
-func (f *EngineFlags) DistActive() bool {
-	return *f.Listen != "" || *f.Connect != ""
-}
-
-// ParseNetAddr splits a -listen/-connect value into the (network, address)
+// ParseNetAddr splits a server address flag into the (network, address)
 // pair net.Listen/net.Dial expect: an explicit "unix:" or "tcp:" prefix
 // wins, a value containing a path separator is a unix socket, anything else
 // is a TCP host:port.
@@ -137,56 +111,4 @@ func ParseNetAddr(s string) (network, addr string) {
 	default:
 		return "tcp", s
 	}
-}
-
-// RunDist executes property prop of n as this process's share of a
-// cross-process fleet. With -listen it starts the broker, then dials it and
-// solves as a regular worker (broker-assigned slot 0 runs the termination
-// proofs); with -connect it just joins. The result mirrors bmc.CheckDist:
-// only the worker whose engine found the counter-example holds a witness.
-func (f *EngineFlags) RunDist(n *aig.Netlist, prop int, opt bmc.Options) (*bmc.Result, error) {
-	if *f.Listen != "" && *f.Connect != "" {
-		return nil, errors.New("-listen and -connect are mutually exclusive")
-	}
-	// The engine dimension of the dist knob goes through the capability
-	// registry like every other knob; netlist-dependent conditions stay in
-	// bmc.DistEligible, checked when the worker joins.
-	if err := f.Request().DistCapable(); err != nil {
-		return nil, err
-	}
-	endpoint := *f.Listen
-	if endpoint == "" {
-		endpoint = *f.Connect
-	}
-	network, addr := ParseNetAddr(endpoint)
-	var br *sharenet.Broker
-	if *f.Listen != "" {
-		if *f.Workers < 1 {
-			return nil, errors.New("-listen needs -workers >= 1")
-		}
-		var err error
-		br, err = sharenet.Listen(network, addr, sharenet.BrokerOptions{Workers: *f.Workers, Obs: opt.Obs})
-		if err != nil {
-			return nil, err
-		}
-	}
-	maxDepth, proofs := bmc.DistWorkerHello(opt)
-	cl, err := sharenet.Dial(network, addr, sharenet.ClientOptions{MaxDepth: maxDepth, Proofs: proofs, Obs: opt.Obs})
-	if err != nil {
-		if br != nil {
-			br.Close()
-		}
-		return nil, err
-	}
-	r, rerr := bmc.CheckDist(n, prop, opt, cl)
-	cl.Close()
-	if br != nil {
-		// The fleet verdict is broadcast when Done closes; the short grace
-		// lets remote workers drain their finish frames before the broker
-		// severs the links.
-		br.Wait(10 * time.Second)
-		time.Sleep(250 * time.Millisecond)
-		br.Close()
-	}
-	return r, rerr
 }

@@ -114,19 +114,6 @@ type Generator struct {
 	// depth k+1 only pays for its genuinely new frontier pairs.
 	compMemo map[string]sat.Lit
 
-	// OnComparator, when set, is invoked for every address comparator
-	// actually encoded (memo hits excluded), with its E literal and the two
-	// address vectors. The clause-sharing bridge uses it to give comparators
-	// a fleet-wide canonical identity; the cube splitter uses the creation
-	// order (see TrackComparators) as its split-variable sequence.
-	OnComparator func(e sat.Lit, a, b []sat.Lit)
-
-	// TrackComparators records every encoded comparator's E literal in
-	// creation order (CompLits) and freezes it even when memoization is off,
-	// so the cube splitter can assume comparator polarities across depths.
-	TrackComparators bool
-	compLits         []sat.Lit
-
 	mems   []*memGen
 	frames int // next depth to process
 
@@ -583,22 +570,8 @@ func (g *Generator) addrEqualCounted(a, b []sat.Lit, tag unroll.Tag, counter *in
 		g.compMemo[key] = e
 		g.u.Freeze(e) // memo entries are served at later depths
 	}
-	if g.TrackComparators {
-		g.compLits = append(g.compLits, e)
-		g.u.Freeze(e) // assumed across depths by the cube splitter
-	}
-	if g.OnComparator != nil {
-		g.OnComparator(e, a, b)
-	}
 	return e
 }
-
-// CompLits returns the E literals of every comparator encoded so far, in
-// creation order. The order is a pure function of the netlist and the depth
-// sequence, so lockstep workers over the same model see identical prefixes —
-// the property the cube splitter's index-based cubes rely on. Requires
-// TrackComparators; the returned slice is owned by the generator.
-func (g *Generator) CompLits() []sat.Lit { return g.compLits }
 
 // compKey encodes a normalized (order-independent: equality is symmetric)
 // pair of literal vectors as a map key.

@@ -72,12 +72,6 @@ type Config struct {
 	// "" keeps the default pipeline, "none" disables it. Sub-checks that
 	// pin their own spec to replicate a paper number keep their pin.
 	Passes string
-	// Share and Cube turn on the cooperative fleet for every eligible
-	// verification run an experiment performs (learnt-clause bus and
-	// cube-and-conquer over EMM address comparators); ineligible runs —
-	// PBA, environment constraints, single-worker — ignore them.
-	Share bool
-	Cube  bool
 }
 
 // apply copies the engine-wide knobs (restart strategy, inprocessing,
@@ -89,12 +83,6 @@ func (c Config) apply(opt bmc.Options) bmc.Options {
 	opt.NoSimplify = c.NoSimplify
 	if opt.Passes == "" {
 		opt.Passes = c.Passes
-	}
-	if c.Share {
-		opt.Share = true
-	}
-	if c.Cube {
-		opt.Cube = true
 	}
 	return opt
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 )
@@ -78,6 +79,15 @@ func LazyAB(cfg GrowthSolveConfig, runs int) (LazyABResult, error) {
 	res.Spurious = res.On[0].Stats.LazySpurious
 	res.Axioms = res.On[0].Stats.EMM.LazyAxioms
 	return res, nil
+}
+
+func medianElapsed(rs []GrowthSolveResult) time.Duration {
+	ds := make([]time.Duration, len(rs))
+	for i, r := range rs {
+		ds[i] = r.Elapsed
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
 }
 
 // RenderLazyAB prints the §S7 table: per-run wall-clock and conflicts for

@@ -39,13 +39,6 @@ type GrowthSolveConfig struct {
 	// Passes is the compile-pipeline spec for the run ("" = default
 	// pipeline, pass.SpecNone = off).
 	Passes string
-	// Jobs, Cube and Share select the cooperative fleet: Jobs > 1 with
-	// Cube splits the search over EMM address comparators across that many
-	// workers, and Share turns on the learnt-clause bus between them. The
-	// §S4 A/B holds Jobs and Cube fixed and toggles Share.
-	Jobs  int
-	Cube  bool
-	Share bool
 	// Lazy switches the CE query to demand-driven read-over-write axiom
 	// instantiation (bmc.Options.LazyEMM). The §S7 A/B holds everything
 	// else fixed and toggles this.
@@ -88,9 +81,6 @@ func GrowthSolve(cfg GrowthSolveConfig) GrowthSolveResult {
 	opt.CollectDepthStats = true
 	opt.Passes = cfg.Passes
 	opt.LazyEMM = cfg.Lazy
-	if cfg.Jobs > 1 {
-		opt.Jobs, opt.Cube, opt.Share = cfg.Jobs, cfg.Cube, cfg.Share
-	}
 
 	t0 := time.Now()
 	r := bmc.Check(n, 0, opt)

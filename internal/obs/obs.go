@@ -76,20 +76,6 @@ const (
 	MLFPPairs  = "lfp.pairs"  // frame-pair distinctness constraints added
 	MLFPRounds = "lfp.rounds" // re-solves after a model repeated a state
 
-	// Cooperative solving: clause-sharing bus and cube-and-conquer.
-	MShareExported = "share.exported" // clauses published to the bus
-	MShareImported = "share.imported" // clauses replayed into a peer solver
-	MShareFiltered = "share.filtered" // clauses dropped by the canonical-coding filter
-	MCubeSplits    = "cube.split"     // cube refinements (budget-exceeded splits)
-	MCubeStolen    = "cube.stolen"    // cubes solved by a worker other than their producer
-	MShareDropped  = "share.dropped"  // clause deliveries lost to ring overrun
-
-	// Distributed solving: cross-process transport (package sharenet).
-	MNetSent       = "sharenet.sent"       // frames written to the socket
-	MNetReceived   = "sharenet.received"   // frames read from the socket
-	MNetDropped    = "sharenet.dropped"    // clause frames dropped on a full peer queue
-	MNetReconnects = "sharenet.reconnects" // dial retries before the link came up
-
 	// Proof-based abstraction.
 	MPBACoreSize     = "pba.core_size"     // gauge: last UNSAT core size
 	MPBALatchReasons = "pba.latch_reasons" // gauge: |LR| after the last update

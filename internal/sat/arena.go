@@ -48,17 +48,6 @@ const (
 	midAgeLimit = 30000
 )
 
-// Sharing filter: a learnt clause is offered to the Export hook when its
-// glue is at most shareLBD (or it is binary — binary clauses are glue
-// <= 2 by construction and cheap to propagate), capped at shareMaxLits
-// literals so the bus carries compact, high-value lemmas only. Variables
-// rather than constants so the benchmark harness can sweep the filter;
-// production code leaves them alone.
-var (
-	shareLBD     = midLBD
-	shareMaxLits = 30
-)
-
 // tierForLBD maps a glue value to its tier.
 func tierForLBD(lbd int) uint8 {
 	switch {

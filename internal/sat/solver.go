@@ -91,26 +91,6 @@ type Solver struct {
 	ConflictBudget int64       // ≤0 means unlimited
 	Interrupt      func() bool // polled at a bounded stride; returning true aborts Solve with Unknown
 
-	// Clause sharing (cooperative portfolio solving). Export, when non-nil,
-	// receives every learnt clause that passes the sharing filter (glue <=
-	// shareLBD or binary, at most shareMaxLits literals). The slice is the
-	// solver's analysis scratch: the hook must copy what it keeps and must
-	// not call back into the solver. Import, when non-nil, is polled at
-	// Solve entry and after every restart (decision level 0); the hook calls
-	// add once per foreign clause, and add reports whether the clause was
-	// incorporated. Both hooks run on the Solve goroutine. Importing is
-	// disabled while proof tracing is active — a foreign clause has no
-	// resolution derivation in this solver's proof log.
-	Export func(lits []Lit, lbd int)
-	Import func(add func(lits []Lit, lbd int) bool)
-
-	// ShareLBD and ShareMaxLits override the package-default export filter
-	// for this solver instance when positive (0 keeps the defaults: glue <=
-	// 6 or binary, at most 30 literals). Tunable from the engine so a
-	// distributed fleet can trade bus traffic against lemma quality.
-	ShareLBD     int
-	ShareMaxLits int
-
 	interrupted bool   // propagate observed Interrupt firing mid-queue
 	pollTick    uint32 // search-loop iterations since the last Interrupt poll
 
@@ -176,10 +156,6 @@ type Stats struct {
 	SubsumedClauses     int64
 	StrengthenedClauses int64
 	EliminatedVars      int64
-	// Clause-sharing tallies: learnt clauses offered to the Export hook and
-	// foreign clauses incorporated through the Import hook.
-	ExportedClauses int64
-	ImportedClauses int64
 }
 
 // New constructs an empty solver.
@@ -821,106 +797,7 @@ func (s *Solver) recordLearnt(lits []Lit, chain []int32) (cref, int) {
 		s.attach(c)
 		s.bumpClause(c)
 	}
-	if s.Export != nil {
-		maxLits, maxLBD := shareMaxLits, shareLBD
-		if s.ShareMaxLits > 0 {
-			maxLits = s.ShareMaxLits
-		}
-		if s.ShareLBD > 0 {
-			maxLBD = s.ShareLBD
-		}
-		if len(lits) <= maxLits && (lbd <= maxLBD || len(lits) <= 2) {
-			s.stats.ExportedClauses++
-			s.Export(lits, lbd)
-		}
-	}
 	return c, lbd
-}
-
-// doImport polls the Import hook at decision level 0 and propagates the
-// consequences of whatever was incorporated. Importing is skipped under
-// proof tracing (a foreign clause has no derivation in the proof log). A
-// level-0 conflict after import marks the database UNSAT.
-func (s *Solver) doImport() {
-	if s.Import == nil || s.trace || !s.ok {
-		return
-	}
-	s.Import(s.importLearnt)
-	if s.ok && s.qhead < len(s.trail) {
-		if confl := s.propagate(); confl != crefUndef {
-			s.ok = false
-		}
-	}
-}
-
-// importLearnt incorporates one foreign clause at decision level 0. It
-// mirrors AddClauseTagged's normalization (sort, dedup, tautology check,
-// level-0 strengthening) but allocates the clause as a learnt with the
-// carried glue, so the three-tier reduction manages imported clauses like
-// home-grown ones. Clauses referencing unknown or eliminated variables are
-// dropped — never a panic: a peer's canonical coding may legitimately reach
-// further than this solver's formula. Returns whether the clause was
-// incorporated.
-func (s *Solver) importLearnt(lits []Lit, lbd int) bool {
-	if !s.ok || s.trace || s.decisionLevel() != 0 {
-		return false
-	}
-	tmp := append(s.addTmp[:0], lits...)
-	sortLits(tmp)
-	out := tmp[:0]
-	prev := LitUndef
-	for _, l := range tmp {
-		if int(l.Var()) >= len(s.assigns) || s.elimed[l.Var()] {
-			s.addTmp = tmp
-			return false
-		}
-		if l == prev {
-			continue
-		}
-		if prev != LitUndef && l == prev.Not() {
-			s.addTmp = tmp
-			return false // tautology: nothing to learn
-		}
-		if s.value(l) == True {
-			s.addTmp = tmp
-			return false // already satisfied at level 0
-		}
-		if s.value(l) == False {
-			continue // strengthen away literals false at level 0
-		}
-		out = append(out, l)
-		prev = l
-	}
-	if len(out) == 0 {
-		// Every literal is false at level 0: the (sound) clause is empty
-		// here, so the database is UNSAT.
-		s.addTmp = tmp
-		s.ok = false
-		s.stats.ImportedClauses++
-		return true
-	}
-	c := s.db.alloc(out, true, -1)
-	s.addTmp = tmp
-	if len(out) == 1 {
-		s.uncheckedEnqueue(s.db.lits(c)[0], c)
-		s.stats.ImportedClauses++
-		return true
-	}
-	if lbd < 1 {
-		lbd = 1
-	}
-	if lbd > len(out) {
-		lbd = len(out)
-	}
-	h := &s.db.hdr[c]
-	h.lbd = uint16(lbd)
-	h.tier = tierForLBD(lbd)
-	h.touch = int32(s.stats.Conflicts)
-	s.nTier[h.tier]++
-	s.learnts = append(s.learnts, c)
-	s.attach(c)
-	s.stats.ImportedClauses++
-	return true
 }
 
 // locked reports whether c is the reason of its first (implied) literal and
@@ -1030,16 +907,6 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		s.interrupted = false
 		return Unknown
 	}
-	// Pick up peer lemmas before searching: short incremental solves may
-	// finish without ever restarting, so the entry point is a poll site too.
-	s.doImport()
-	if !s.ok {
-		return Unsat
-	}
-	if s.interrupted {
-		s.interrupted = false
-		return Unknown
-	}
 
 	var conflicts int64
 	useLuby := s.Restart == RestartLuby
@@ -1108,7 +975,6 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 				limit = int64(luby(2, restartN) * 100)
 				sinceRestart = 0
 				s.cancelUntil(0)
-				s.doImport()
 			}
 		} else if sinceRestart >= emaMinConflicts && s.ema.shouldRestart() {
 			s.stats.Restarts++
@@ -1116,12 +982,6 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 			s.ema.onRestart()
 			sinceRestart = 0
 			s.cancelUntil(0)
-			s.doImport()
-		}
-		if !s.ok {
-			// An imported clause closed the search at level 0.
-			s.cancelUntil(0)
-			return Unsat
 		}
 		if s.interrupted {
 			s.interrupted = false

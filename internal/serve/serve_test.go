@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -382,5 +384,30 @@ func TestEnginePanicFailsOnlyItsJob(t *testing.T) {
 	}
 	if got := string(stats["serve.panics"]); got != "1" {
 		t.Fatalf("serve.panics = %s, want 1", got)
+	}
+}
+
+// A submission carrying a field this build does not know is rejected with
+// 400 naming the field — whether it is a retired engine knob inside the
+// spec or a misspelled top-level field — instead of running with the
+// setting silently dropped.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Shutdown)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, c := range []struct{ body, field string }{
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"share":true}}`, `"share"`},
+		{`{"formatt":"verilog","source":"module m; endmodule"}`, `"formatt"`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field "+c.field) {
+			t.Errorf("%s: status %d, body %q; want 400 naming %s", c.body, resp.StatusCode, msg, c.field)
+		}
 	}
 }

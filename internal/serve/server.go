@@ -199,7 +199,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err == nil {
-		err = json.Unmarshal(body, &req)
+		req, err = decodeRequest(body)
 	}
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
@@ -218,6 +218,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, j.status())
+}
+
+// decodeRequest parses a submission strictly: a field this build does not
+// know — a misspelling, or a knob it no longer has — is an error naming the
+// field, never a silently dropped setting.
+func decodeRequest(body []byte) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // submit validates, keys, and either answers from cache or enqueues.

@@ -18,9 +18,9 @@ import (
 // tools whose workload fixes the engine or depth).
 //
 // The -passes usage line is completed with the live pass registry at call
-// time, and the -engine usage line and the capability-gated knobs' lines
-// (-lazy, -share, -cube) with the engine registry, so the help text always
-// lists exactly the passes and engines this build has.
+// time, and the -engine usage line and the capability-gated -lazy line with
+// the engine registry, so the help text always lists exactly the passes and
+// engines this build has.
 func RegisterFlags(fs *flag.FlagSet, s *Spec, skip ...string) {
 	skipped := make(map[string]bool, len(skip))
 	for _, name := range skip {

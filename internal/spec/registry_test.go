@@ -8,71 +8,36 @@ import (
 	"testing"
 )
 
-// The capability resolver contract: for every engine and every subset of
-// the performance knobs, the spec is either honored in full — Options
-// succeeds and each requested knob reaches its Options field — or rejected
-// with a descriptive *CapabilityError naming the engine and the first
-// offending knob. No combination may be silently ignored, and -lazy with
-// -cube is rejected on every engine (the cube fleet solves eagerly).
+// The capability resolver contract: for every engine, a spec with -lazy
+// is either honored in full — Options succeeds and the knob reaches
+// Options.LazyEMM — or rejected with a descriptive *CapabilityError naming
+// the engine and the knob. The knob may never be silently ignored.
 func TestCapabilityResolver(t *testing.T) {
 	for _, info := range Engines() {
-		for mask := 0; mask < 8; mask++ {
+		for _, lazy := range []bool{false, true} {
 			s := Default()
 			s.Engine = info.Name
-			s.Lazy = mask&1 != 0
-			s.Share = mask&2 != 0
-			s.Cube = mask&4 != 0
-			wantReject := s.Lazy && !info.Has(CapLazy) ||
-				s.Share && !info.Has(CapShare) ||
-				s.Cube && !info.Has(CapCube) ||
-				s.Lazy && s.Cube
+			s.Lazy = lazy
 			opt, err := s.Options()
-			if wantReject {
-				if err == nil {
-					t.Errorf("%s lazy=%v share=%v cube=%v: unsupported knob accepted",
-						info.Name, s.Lazy, s.Share, s.Cube)
-					continue
-				}
+			if lazy && !info.Has(CapLazy) {
 				var ce *CapabilityError
 				if !errors.As(err, &ce) {
-					t.Errorf("%s: rejection is not a *CapabilityError: %v", info.Name, err)
+					t.Errorf("%s -lazy: want a *CapabilityError, got %v", info.Name, err)
 					continue
 				}
-				if ce.Engine != info.Name || ce.Knob == "" || ce.Reason == "" {
+				if ce.Engine != info.Name || ce.Knob != "lazy" || ce.Reason == "" {
 					t.Errorf("%s: undescriptive CapabilityError: %+v", info.Name, ce)
 				}
 				continue
 			}
 			if err != nil {
-				t.Errorf("%s lazy=%v share=%v cube=%v: supported combination rejected: %v",
-					info.Name, s.Lazy, s.Share, s.Cube, err)
+				t.Errorf("%s lazy=%v: supported combination rejected: %v", info.Name, lazy, err)
 				continue
 			}
 			// Honored means the knob actually reaches the engine options.
-			if opt.LazyEMM != s.Lazy || opt.Share != s.Share || opt.Cube != s.Cube {
-				t.Errorf("%s: knobs dropped on the floor: spec lazy=%v share=%v cube=%v, opt lazy=%v share=%v cube=%v",
-					info.Name, s.Lazy, s.Share, s.Cube, opt.LazyEMM, opt.Share, opt.Cube)
+			if opt.LazyEMM != lazy {
+				t.Errorf("%s: -lazy=%v dropped on the floor (opt lazy=%v)", info.Name, lazy, opt.LazyEMM)
 			}
-		}
-	}
-}
-
-// The distributed-fleet dimension goes through the same registry: engines
-// without CapDist get the typed error, the rest pass.
-func TestDistCapable(t *testing.T) {
-	for _, info := range Engines() {
-		s := Default()
-		s.Engine = info.Name
-		err := s.DistCapable()
-		if info.Has(CapDist) {
-			if err != nil {
-				t.Errorf("%s: DistCapable rejected a dist-capable engine: %v", info.Name, err)
-			}
-			continue
-		}
-		var ce *CapabilityError
-		if !errors.As(err, &ce) || ce.Knob != "dist" || ce.Engine != info.Name {
-			t.Errorf("%s: want *CapabilityError{Knob: dist}, got %v", info.Name, err)
 		}
 	}
 }
@@ -137,10 +102,8 @@ func TestKnobUsageDerivedFromRegistry(t *testing.T) {
 			switch knob {
 			case "lazy":
 				probe.Lazy = true
-			case "share":
-				probe.Share = true
-			case "cube":
-				probe.Cube = true
+			default:
+				t.Fatalf("no probe for knob -%s", knob)
 			}
 			if probe.Validate() == nil {
 				want = append(want, info.Name)
@@ -167,16 +130,16 @@ func TestRegistryCoherence(t *testing.T) {
 	}
 	// Lazy needs an EMM-constrained CE path; an engine claiming CapLazy
 	// without EMM would silently no-op the knob at the engine layer.
-	for _, name := range []string{EngineBMC2, EngineBMC3, EnginePortfolio, EngineKInd} {
+	for _, name := range []string{EngineBMC2, EngineBMC3, EngineKInd} {
 		info, ok := LookupEngine(name)
 		if !ok || !info.Has(CapLazy) {
 			t.Errorf("%s: expected CapLazy", name)
 		}
 	}
-	if info, _ := LookupEngine(EngineBMC1); info.Has(CapLazy) || info.Has(CapCube) {
-		t.Error("bmc1 has no EMM constraints; CapLazy/CapCube must be off")
+	if info, _ := LookupEngine(EngineBMC1); info.Has(CapLazy) {
+		t.Error("bmc1 has no EMM constraints; CapLazy must be off")
 	}
-	if info, _ := LookupEngine(EnginePBA); info.Has(CapShare) || info.Has(CapLazy) {
-		t.Error("pba proof tracing excludes share/lazy")
+	if info, _ := LookupEngine(EnginePBA); info.Has(CapLazy) {
+		t.Error("pba proof tracing excludes lazy")
 	}
 }

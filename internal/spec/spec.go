@@ -4,8 +4,8 @@
 // RegisterFlags), the emmserved job server (requests carry a Spec as plain
 // JSON), and the content-addressed verdict cache (CanonicalKey /
 // FamilyKey). A Spec captures exactly the knobs a remote caller may turn —
-// engine choice, depth, compile passes, restart mode, and the cooperative
-// solving tunables — and converts to and from bmc.Options with
+// engine choice, depth, compile passes, restart mode, inprocessing and
+// lazy EMM — and converts to and from bmc.Options with
 // Spec.Options and FromOptions, so there is one schema instead of three
 // ad-hoc flag/builder surfaces.
 //
@@ -34,18 +34,16 @@ import (
 // read as the current version; consumers reject anything newer.
 const Version = 1
 
-// Engine names. PBA is the two-phase prove-with-abstraction flow;
-// Portfolio is BMC-3 with the per-depth forward/backward lane race (same
-// verdicts, racing solvers); KInd is EMM k-induction (the bmc3 termination
-// machinery with a strengthened induction hypothesis — unbounded proofs).
-// The registry in registry.go describes each engine and its capability set.
+// Engine names. PBA is the two-phase prove-with-abstraction flow; KInd is
+// EMM k-induction (the bmc3 termination machinery with a strengthened
+// induction hypothesis — unbounded proofs). The registry in registry.go
+// describes each engine and its capability set.
 const (
-	EngineBMC1      = "bmc1"
-	EngineBMC2      = "bmc2"
-	EngineBMC3      = "bmc3"
-	EnginePBA       = "pba"
-	EnginePortfolio = "portfolio"
-	EngineKInd      = "kind"
+	EngineBMC1 = "bmc1"
+	EngineBMC2 = "bmc2"
+	EngineBMC3 = "bmc3"
+	EnginePBA  = "pba"
+	EngineKInd = "kind"
 )
 
 // Duration is a time.Duration that marshals as a human-readable string
@@ -105,8 +103,8 @@ func (d *Duration) Set(s string) error {
 // Fields are split into two groups. The semantic fields (Engine, Depth,
 // Passes) select *what* is verified and participate in CanonicalKey /
 // FamilyKey, the verdict-cache keys. The performance fields (Timeout,
-// Jobs, Restart, NoSimplify, Share, Cube, Lazy, Share*) only change how
-// fast the same verdict arrives — the repo's equivalence suites pin verdict parity
+// Jobs, Restart, NoSimplify, Lazy) only change how fast the same verdict
+// arrives — the repo's equivalence suites pin verdict parity
 // across all of them — so two requests differing only there are cache-equal.
 type Spec struct {
 	// V is the schema version (0 reads as the current Version).
@@ -129,18 +127,8 @@ type Spec struct {
 	Restart string `json:"restart,omitempty" flag:"restart" usage:"solver restart strategy: luby or ema (adaptive)"`
 	// NoSimplify disables between-depth inprocessing.
 	NoSimplify bool `json:"no_simplify,omitempty" flag:"no-simplify" usage:"disable between-depth inprocessing (subsumption + variable elimination)"`
-	// Share connects fleet workers through the learnt-clause sharing bus.
-	Share bool `json:"share,omitempty" flag:"share" usage:"share learnt clauses between fleet workers; multi-worker runs only, off on designs with environment constraints"`
-	// Cube partitions single-property search over EMM address comparators.
-	Cube bool `json:"cube,omitempty" flag:"cube" usage:"cube-and-conquer: split the search over EMM address comparators across the fleet; needs jobs > 1"`
 	// Lazy instantiates read-over-write axioms on demand in every query.
-	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics; rejected together with -cube"`
-	// ShareCap overrides the per-worker clause ring capacity (0 = default).
-	ShareCap int `json:"share_cap,omitempty" flag:"share-cap" usage:"clause-sharing ring capacity per worker (0 = default 4096)"`
-	// ShareLBD overrides the clause-export glue filter (0 = default).
-	ShareLBD int `json:"share_lbd,omitempty" flag:"share-lbd" usage:"export learnt clauses of glue <= this (0 = default 6; binaries always export)"`
-	// ShareSize overrides the clause-export size filter (0 = default).
-	ShareSize int `json:"share_size,omitempty" flag:"share-size" usage:"export learnt clauses of at most this many literals (0 = default 30)"`
+	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics"`
 }
 
 // Default returns the canonical default request: BMC-3 to depth 100 under
@@ -181,11 +169,6 @@ func (s Spec) Canonical() Spec {
 	}
 	if c.Timeout < 0 {
 		c.Timeout = 0
-	}
-	for _, p := range []*int{&c.ShareCap, &c.ShareLBD, &c.ShareSize} {
-		if *p < 0 {
-			*p = 0
-		}
 	}
 	return c
 }
@@ -261,12 +244,7 @@ func (s Spec) Options() (bmc.Options, error) {
 		Passes:     c.Passes,
 		Restart:    restart,
 		NoSimplify: c.NoSimplify,
-		Share:      c.Share,
-		Cube:       c.Cube,
 		LazyEMM:    c.Lazy,
-		ShareCap:   c.ShareCap,
-		ShareLBD:   c.ShareLBD,
-		ShareSize:  c.ShareSize,
 	}
 	switch c.Engine {
 	case EngineBMC1:
@@ -279,10 +257,6 @@ func (s Spec) Options() (bmc.Options, error) {
 	case EnginePBA:
 		opt.UseEMM = true
 		opt.StabilityDepth = 10
-	case EnginePortfolio:
-		opt.UseEMM = true
-		opt.Proofs = true
-		opt.Portfolio = true
 	case EngineKInd:
 		opt.UseEMM = true
 		opt.Proofs = true
@@ -304,12 +278,7 @@ func FromOptions(o bmc.Options) Spec {
 		Jobs:       o.Jobs,
 		Passes:     o.Passes,
 		NoSimplify: o.NoSimplify,
-		Share:      o.Share,
-		Cube:       o.Cube,
 		Lazy:       o.LazyEMM,
-		ShareCap:   o.ShareCap,
-		ShareLBD:   o.ShareLBD,
-		ShareSize:  o.ShareSize,
 	}
 	if o.Restart == sat.RestartLuby {
 		s.Restart = "luby"
@@ -321,8 +290,6 @@ func FromOptions(o bmc.Options) Spec {
 		s.Engine = EnginePBA
 	case o.UseEMM && o.Proofs && o.KInduction:
 		s.Engine = EngineKInd
-	case o.UseEMM && o.Proofs && o.Portfolio:
-		s.Engine = EnginePortfolio
 	case o.UseEMM && o.Proofs:
 		s.Engine = EngineBMC3
 	case o.UseEMM:
@@ -338,9 +305,9 @@ func FromOptions(o bmc.Options) Spec {
 // FamilyKey over the same compiled netlist are the *same verification
 // problem at different depths*: a cached NO_CE at depth k answers any
 // request up to k outright and warm-starts deeper ones from k+1. The
-// performance fields (Timeout, Jobs, Restart, NoSimplify, Share/Cube/Lazy
-// and the sharing tunables) are deliberately excluded: the engine
-// equivalence suites pin that they never change verdicts, only wall-clock.
+// performance fields (Timeout, Jobs, Restart, NoSimplify, Lazy) are
+// deliberately excluded: the engine equivalence suites pin that they never
+// change verdicts, only wall-clock.
 func (s Spec) FamilyKey() string {
 	return hashKey(s.familyContent())
 }
@@ -365,7 +332,7 @@ func (s Spec) familyContent() string {
 // just with different engines or bounds. The verdict cache uses it for the
 // one verdict kind that transfers across both dimensions: a PROOF states
 // the property holds at every depth, so a k-induction proof answers later
-// bmc1/bmc3/portfolio requests at any bound. CE and NO_CE verdicts stay on
+// bmc1/bmc3 requests at any bound. CE and NO_CE verdicts stay on
 // FamilyKey — an engine without termination checks legitimately reports
 // NO_CE where a proving engine reports PROOF, and the cache must not blur
 // that observable difference.

@@ -14,8 +14,7 @@ import (
 // (modulo canonicalization): the converters are the API contract that
 // CLIs, server, and cache speak one schema. Each engine is exercised with
 // every performance knob its registry row declares — the capability
-// resolver rejects the rest (TestCapabilityResolver covers those). -lazy
-// and -cube exclude each other, so each engine runs once with each.
+// resolver rejects the rest (TestCapabilityResolver covers those).
 func TestOptionsRoundTrip(t *testing.T) {
 	for _, info := range Engines() {
 		for _, lazy := range []bool{false, true} {
@@ -33,12 +32,7 @@ func roundTrip(t *testing.T, info EngineInfo, lazy bool) {
 	s.Jobs = 3
 	s.Restart = "luby"
 	s.NoSimplify = true
-	s.Share = info.Has(CapShare)
-	s.Cube = !lazy && info.Has(CapCube)
 	s.Lazy = lazy && info.Has(CapLazy)
-	s.ShareCap = 128
-	s.ShareLBD = 4
-	s.ShareSize = 12
 	opt, err := s.Options()
 	if err != nil {
 		t.Fatalf("%s: Options: %v", info.Name, err)
@@ -51,15 +45,14 @@ func roundTrip(t *testing.T, info EngineInfo, lazy bool) {
 
 func TestOptionsEngineMapping(t *testing.T) {
 	cases := []struct {
-		engine                              string
-		useEMM, proofs, portfolio, wantsPBA bool
+		engine                   string
+		useEMM, proofs, wantsPBA bool
 	}{
-		{EngineBMC1, false, true, false, false},
-		{EngineBMC2, true, false, false, false},
-		{EngineBMC3, true, true, false, false},
-		{EnginePortfolio, true, true, true, false},
-		{EnginePBA, true, false, false, true},
-		{EngineKInd, true, true, false, false},
+		{EngineBMC1, false, true, false},
+		{EngineBMC2, true, false, false},
+		{EngineBMC3, true, true, false},
+		{EnginePBA, true, false, true},
+		{EngineKInd, true, true, false},
 	}
 	for _, c := range cases {
 		s := Spec{Engine: c.engine, Depth: 10}
@@ -67,8 +60,8 @@ func TestOptionsEngineMapping(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.engine, err)
 		}
-		if opt.UseEMM != c.useEMM || opt.Proofs != c.proofs || opt.Portfolio != c.portfolio {
-			t.Errorf("%s: got UseEMM=%v Proofs=%v Portfolio=%v", c.engine, opt.UseEMM, opt.Proofs, opt.Portfolio)
+		if opt.UseEMM != c.useEMM || opt.Proofs != c.proofs {
+			t.Errorf("%s: got UseEMM=%v Proofs=%v", c.engine, opt.UseEMM, opt.Proofs)
 		}
 		if c.wantsPBA && opt.StabilityDepth == 0 {
 			t.Errorf("%s: StabilityDepth not set", c.engine)
@@ -108,7 +101,7 @@ func TestCanonicalKeyPermutationInvariant(t *testing.T) {
 		`{"depth":24}`,                          // engine and passes defaulted
 		`{"v":1,"engine":"bmc3","depth":24}`,    // version explicit
 		`{"depth":24,"timeout":"30s","jobs":8}`, // performance knobs differ
-		`{"depth":24,"restart":"luby","no_simplify":true,"share":true,"cube":true,"share_cap":64}`,
+		`{"depth":24,"restart":"luby","no_simplify":true,"lazy":true,"jobs":2}`,
 	}
 	var want string
 	for i, doc := range docs {
@@ -213,8 +206,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	}
 	err := fs.Parse([]string{
 		"-engine", "bmc2", "-depth", "17", "-timeout", "90s",
-		"-restart", "luby", "-no-simplify", "-share", "-cube", "-lazy",
-		"-share-cap", "99", "-share-lbd", "3", "-share-size", "9",
+		"-restart", "luby", "-no-simplify", "-lazy",
 		"-jobs", "2", "-passes", "coi,dedup",
 	})
 	if err != nil {
@@ -222,22 +214,16 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	}
 	want := Spec{
 		V: Version, Engine: "bmc2", Depth: 17, Timeout: Duration(90 * time.Second),
-		Jobs: 2, Passes: "coi,dedup", Restart: "luby", NoSimplify: true,
-		Share: true, Cube: true, Lazy: true, ShareCap: 99, ShareLBD: 3, ShareSize: 9,
+		Jobs: 2, Passes: "coi,dedup", Restart: "luby", NoSimplify: true, Lazy: true,
 	}
 	if s != want {
 		t.Errorf("parsed spec %+v, want %+v", s, want)
 	}
-	// -lazy with -cube is a capability rejection; convert without -lazy.
-	if _, err := s.Options(); err == nil {
-		t.Error("-lazy -cube accepted")
-	}
-	s.Lazy = false
 	opt, err := s.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || !opt.UseEMM || opt.Proofs {
+	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || !opt.UseEMM || opt.Proofs || !opt.LazyEMM {
 		t.Errorf("flags did not flow into Options: %+v", opt)
 	}
 }

@@ -108,21 +108,6 @@ type Unroller struct {
 	obsClauses *obs.Counter
 	obsVars    *obs.Counter
 	obsPub     struct{ gates, strash, clauses, vars int }
-
-	// TrackCanon enables the per-variable canonical coding consumed by the
-	// clause-sharing bridge (internal/bmc). When on, every frame value built
-	// by nodeLit is tagged with a worker-independent code derived from its
-	// (node, time-frame) coordinate, so a learnt clause over such variables
-	// can be relocated into a peer solver's CNF numbering. Must be set
-	// before the first frame is unrolled.
-	TrackCanon bool
-
-	// canon maps CNF variable -> canonical code (base<<1 | signbit), 0 when
-	// the variable carries no canonical identity (depth-local auxiliaries).
-	// First writer wins: a variable serving several (node, frame) roles
-	// keeps its first coordinate, which is sound because any one coordinate
-	// names the same CNF signal in every worker.
-	canon []uint64
 }
 
 type frame struct {
@@ -259,75 +244,7 @@ func (u *Unroller) nodeLit(id aig.NodeID, t int) sat.Lit {
 	// against elimination.
 	u.frames[t].vals[id] = v
 	u.Freeze(v)
-	u.noteCanon(v, u.frameBase(id, t))
 	return v
-}
-
-// frameBase is the canonical base code of node id at time frame t. Bases
-// start at 1 so code 0 stays the "no identity" sentinel.
-func (u *Unroller) frameBase(id aig.NodeID, t int) uint64 {
-	return uint64(t)*uint64(u.N.NumNodes()) + uint64(id) + 1
-}
-
-// noteCanon records l's canonical identity (first writer wins).
-func (u *Unroller) noteCanon(l sat.Lit, base uint64) {
-	if !u.TrackCanon || u.IsConst(l) {
-		return
-	}
-	v := int(l.Var())
-	for len(u.canon) <= v {
-		u.canon = append(u.canon, 0)
-	}
-	if u.canon[v] != 0 {
-		return
-	}
-	code := base << 1
-	if l.Sign() {
-		code |= 1
-	}
-	u.canon[v] = code
-}
-
-// SetCanon assigns l a caller-chosen canonical base (the sharing bridge
-// uses it to give EMM address comparators a fleet-interned identity outside
-// the frame coordinate space). First writer wins, like noteCanon.
-func (u *Unroller) SetCanon(l sat.Lit, base uint64) { u.noteCanon(l, base) }
-
-// CanonLit returns l's canonical literal code, or 0 when l's variable has
-// no canonical identity. The low bit is the sign relative to the canonical
-// signal, so CanonLit(l.Not()) == CanonLit(l) ^ 1 for mapped l.
-func (u *Unroller) CanonLit(l sat.Lit) uint64 {
-	v := int(l.Var())
-	if !u.TrackCanon || v >= len(u.canon) || u.canon[v] == 0 {
-		return 0
-	}
-	code := u.canon[v]
-	if l.Sign() {
-		code ^= 1
-	}
-	return code
-}
-
-// LocalLit resolves a frame-coordinate canonical code to this unroller's
-// CNF literal, reporting false when the coded (node, frame) value has not
-// been built here (the import filter drops such clauses). Comparator-space
-// codes are the bridge's business, not this decoder's.
-func (u *Unroller) LocalLit(code uint64) (sat.Lit, bool) {
-	base := code >> 1
-	if base == 0 {
-		return sat.LitUndef, false
-	}
-	idx := base - 1
-	nn := uint64(u.N.NumNodes())
-	t := idx / nn
-	if t >= uint64(len(u.frames)) {
-		return sat.LitUndef, false
-	}
-	l := u.frames[t].vals[idx%nn]
-	if l == sat.LitUndef {
-		return sat.LitUndef, false
-	}
-	return l.XorSign(code&1 == 1), true
 }
 
 func (u *Unroller) latchLit(id aig.NodeID, t int) sat.Lit {
