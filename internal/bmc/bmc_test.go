@@ -1,7 +1,9 @@
 package bmc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -502,6 +504,73 @@ func TestPureLatchLFPIsUnsound(t *testing.T) {
 	if r := Check(build().N, 0, BMC3(6)); r.Kind != KindCE {
 		t.Fatalf("memory-aware LFP must find the CE, got %v", r)
 	}
+}
+
+// TestLatchFreeMemoryLFP: a design whose only state is a memory still has
+// loop-free paths, since a write makes two frames distinct. The
+// termination checks must not treat it as stateless and claim a proof at
+// depth 1 when the write-then-read violation needs exactly one step.
+func TestLatchFreeMemoryLFP(t *testing.T) {
+	m := rtl.NewModule("latchfree")
+	mem := m.Memory("mem", 2, 3, aig.MemZero)
+	mem.Write(m.Input("wa", 2), m.Input("wd", 3), m.InputBit("we"))
+	rd := mem.Read(m.Input("ra", 2), aig.True)
+	m.Done()
+	m.AssertAlways("ne5", m.EqConst(rd, 5).Not())
+	if len(m.N.Latches) != 0 {
+		t.Fatalf("design must be latch-free")
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"bmc3", BMC3(4)},
+		{"bmc3-lazy", func() Options { o := BMC3(4); o.LazyEMM = true; return o }()},
+		{"kind", KInd(4)},
+	} {
+		if r := Check(m.N, 0, tc.opt); r.Kind != KindCE || r.Depth != 1 {
+			t.Errorf("%s: got %v (%s), want CE at depth 1", tc.name, r, r.ProofSide)
+		}
+	}
+}
+
+// TestDisabledReadReplayMismatch pins a known mismatch between the EMM
+// and the concrete models (DESIGN §5). EMM leaves a disabled read's data
+// free (paper §2.3, core.TestReadDisabledIsFree), but the simulator and
+// the explicit expansion read mem[addr] whatever the enable. A property
+// that looks at read data while the enable is low therefore gets a CE from
+// EMM that the replay rejects and the explicit model does not have. The
+// replay must reject it, so such a CE is never reported as validated.
+func TestDisabledReadReplayMismatch(t *testing.T) {
+	m := rtl.NewModule("disabledread")
+	mem := m.Memory("mem", 1, 2, aig.MemZero)
+	rd := mem.Read(m.Input("ra", 1), m.InputBit("re"))
+	m.Done()
+	m.AssertAlways("zero", m.EqConst(rd, 0))
+
+	r := Check(m.N, 0, BMC2(3))
+	if r.Kind != KindCE || r.Depth != 0 {
+		t.Fatalf("EMM: got %v, want CE at depth 0 (disabled read data is free)", r)
+	}
+	if err := r.Witness.Replay(m.N, 0); err == nil || !strings.Contains(err.Error(), "spurious") {
+		t.Fatalf("replay must reject the disabled-read witness, got %v", err)
+	}
+	exp, _, err := expmem.Expand(m.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := Check(exp, 0, Options{MaxDepth: 3}); r.Kind != KindNoCE || r.Depth != 3 {
+		t.Fatalf("explicit model: got %v, want NO_CE at depth 3", r)
+	}
+	// With witness validation on, the engine stops instead of reporting it.
+	opt := BMC2(3)
+	opt.ValidateWitness = true
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "witness replay failed") {
+			t.Fatalf("validated run must refuse the witness, got panic %v", p)
+		}
+	}()
+	Check(m.N, 0, opt)
 }
 
 func TestConstraintsInBMC(t *testing.T) {

@@ -3,26 +3,29 @@ package bmc
 import (
 	"testing"
 
+	"emmver/internal/aig"
 	"emmver/internal/designs"
 	"emmver/internal/expmem"
+	"emmver/internal/rtl"
 )
 
 // The strash/memoization equivalence suite: on the Table 1 design
 // (quicksort) and the Table 2 stand-ins (image filter / Industry I, lookup
 // engine / Industry II), every BMC-1/2/3 verdict and witness depth must be
 // identical with the optimizations on (the default) and off — structural
-// hashing and comparator memoization only share logically equal definitions,
-// so they may change formula size but never answers.
+// hashing, comparator memoization and the read-event sharing that follows
+// it only share logically equal definitions, so they may change formula
+// size but never answers.
 
-// assertEquiv runs opt as-is and with both optimizations disabled, and
-// compares the outcomes.
-func assertEquiv(t *testing.T, name string, run func(opt Options) *Result, opt Options) {
+// assertEquiv runs opt as-is and with both optimizations disabled,
+// compares the outcomes, and returns both results.
+func assertEquiv(t *testing.T, name string, run func(opt Options) *Result, opt Options) (on, off *Result) {
 	t.Helper()
-	on := run(opt)
-	off := opt
-	off.DisableStrash = true
-	off.DisableEMMMemo = true
-	offR := run(off)
+	on = run(opt)
+	offOpt := opt
+	offOpt.DisableStrash = true
+	offOpt.DisableEMMMemo = true
+	offR := run(offOpt)
 	if on.Kind != offR.Kind || on.Depth != offR.Depth || on.ProofSide != offR.ProofSide {
 		t.Errorf("%s: optimized %v (%s) vs unoptimized %v (%s)",
 			name, on, on.ProofSide, offR, offR.ProofSide)
@@ -42,6 +45,7 @@ func assertEquiv(t *testing.T, name string, run func(opt Options) *Result, opt O
 		t.Errorf("%s: optimized run emitted MORE EMM clauses (%d) than unoptimized (%d)",
 			name, onEMM, offEMM)
 	}
+	return on, offR
 }
 
 func TestStrashEquivalenceQuickSort(t *testing.T) {
@@ -100,4 +104,37 @@ func TestStrashEquivalenceBMC1Explicit(t *testing.T) {
 	assertEquiv(t, "quicksort/bmc1-explicit", func(opt Options) *Result {
 		return Check(n, q.P2Index, opt)
 	}, opt)
+}
+
+func TestStrashEquivalenceSharedReads(t *testing.T) {
+	// The growth shape with every port on one address bus and both reads
+	// always enabled: each frame's second read duplicates the first, so
+	// the optimized run shares it (RD1 = RD0) where the unoptimized run
+	// builds a second chain, initial word and eq. 6 pairs.
+	m := rtl.NewModule("growth-shared")
+	mem := m.Memory("mem", 3, 4, aig.MemArbitrary)
+	a := m.Input("a", 3)
+	mem.Write(a, m.Input("wd", 4), m.InputBit("we"))
+	rd0, rd1 := mem.Read(a, aig.True), mem.Read(a, aig.True)
+	m.Done()
+	m.AssertAlways("agree", m.Eq(rd0, rd1))
+	for _, tc := range []struct {
+		name   string
+		opt    Options
+		shared bool // PBA tracks cores, which turns sharing off
+	}{
+		{"bmc2", BMC2(8), true},
+		{"bmc3-nopba", Options{MaxDepth: 8, UseEMM: true, Proofs: true}, true},
+		{"bmc3", BMC3(8), false},
+		{"kind", KInd(8), true},
+	} {
+		tc.opt.ValidateWitness = true
+		on, off := assertEquiv(t, "growth-shared/"+tc.name, func(opt Options) *Result {
+			return Check(m.N, 0, opt)
+		}, tc.opt)
+		if (on.Stats.EMM.SharedReads > 0) != tc.shared || off.Stats.EMM.SharedReads != 0 {
+			t.Errorf("growth-shared/%s: shared reads %d optimized, %d unoptimized; want sharing %v, then none",
+				tc.name, on.Stats.EMM.SharedReads, off.Stats.EMM.SharedReads, tc.shared)
+		}
+	}
 }

@@ -173,9 +173,14 @@ func TestLazyWitnessReplayThroughMapping(t *testing.T) {
 }
 
 // randMemDesign builds a small random multi-port memory design: 1-2 write
-// ports and two reads wired from a mix of inputs, counter slices, and
-// constants, under one of three property shapes. Seeded, so every trial is
-// reproducible from its index.
+// ports and three reads wired from a mix of inputs, counter slices, and
+// constants, under one of six property shapes. Read port 2 duplicates
+// read port 0 (same enable and address: EMM shares its event) or nearly
+// duplicates it (one address bit, or the enable, differs). Every property
+// observes a read's data only while that read's enable is high: EMM leaves
+// a disabled read's data free (§2.3), while the simulator and the explicit
+// expansion read the array whatever the enable (see DESIGN §5). Seeded, so
+// every trial is reproducible from its index.
 func randMemDesign(rng *rand.Rand) *rtl.Module {
 	const aw, dw = 2, 3
 	m := rtl.NewModule("fuzz")
@@ -206,29 +211,56 @@ func randMemDesign(rng *rand.Rand) *rtl.Module {
 		}
 		mem.Write(pick(fmt.Sprintf("wa%d", i), aw), pick(fmt.Sprintf("wd%d", i), dw), we)
 	}
-	re := m.InputBit("re")
+	twin := rng.Intn(4)
+	// A constant enable with a constant address gives equal literals at
+	// every frame. A differing enable only matters when port 0's can be
+	// low, so that case always drives it from an input.
+	re := aig.True
+	if twin == 3 || rng.Intn(2) == 0 {
+		re = m.InputBit("re")
+	}
 	ra0, ra1 := pick("ra0", aw), pick("ra1", aw)
-	rd0, rd1 := mem.Read(ra0, re), mem.Read(ra1, re)
+	re2, ra2 := re, ra0
+	switch twin {
+	case 1: // one address bit differs
+		ra2 = append(rtl.Vec{ra0[0].Not()}, ra0[1:]...)
+	case 2: // one address bit comes from its own input
+		ra2 = append(rtl.Vec{m.InputBit("ra2_0")}, ra0[1:]...)
+	case 3: // the enable differs
+		re2 = m.InputBit("re2")
+	}
+	rd0, rd1, rd2 := mem.Read(ra0, re), mem.Read(ra1, re), mem.Read(ra2, re2)
 	m.Done(cnt)
-	switch rng.Intn(3) {
+	switch rng.Intn(6) {
 	case 0:
 		m.AssertAlways("agree", m.N.Implies(m.N.And(re, m.Eq(ra0, ra1)), m.Eq(rd0, rd1)))
 	case 1:
 		m.AssertAlways("nonmax", m.N.Implies(re, m.EqConst(rd0, 1<<dw-1).Not()))
-	default:
+	case 2:
 		m.AssertAlways("ne", m.N.Implies(re, m.Ne(rd0, rd1)))
+	case 3: // reads rd0 too, so the port pass keeps read port 0
+		m.AssertAlways("nonmax2", m.N.And(
+			m.N.Implies(re2, m.EqConst(rd2, 1<<dw-1).Not()),
+			m.N.Implies(m.N.And(re, re2), m.Eq(rd0, rd2))))
+	case 4:
+		m.AssertAlways("same2", m.N.Implies(m.N.And(re, re2), m.Eq(rd0, rd2)))
+	default:
+		m.AssertAlways("ne2", m.N.Implies(m.N.And(re, re2), m.Ne(rd2, rd1)))
 	}
 	return m
 }
 
 func TestLazyDifferentialFuzz(t *testing.T) {
-	// Differential oracle: on random multi-port designs, lazy EMM, eager
-	// EMM, and the explicit-expansion baseline must agree on the verdict at
-	// EVERY depth, not just the final one. The proof engines — BMC-3
-	// without PBA, and kind — run their termination checks through the
-	// lazy refine loop too, so there eager and lazy must also agree on the
-	// proof side.
-	const trials, maxDepth = 60, 6
+	// Differential oracle: on random multi-port designs with duplicated
+	// and nearly duplicated read ports, EMM with read-event sharing, EMM
+	// without it (DisableEMMMemo), each eager and lazy, and the
+	// explicit-expansion baseline must agree on the verdict at EVERY
+	// depth, not just the final one. The proof engines — BMC-3 without
+	// PBA, and kind — run their termination checks through the lazy refine
+	// loop too, so there the four EMM variants must also agree on the
+	// proof side. Plain BMC on the explicit expansion pins bmc2's verdict
+	// and depth exactly; see agreesWithExplicit for the proof engines.
+	const trials, maxDepth = 60, 5
 	engines := []struct {
 		name string
 		opt  func(depth int) Options
@@ -237,6 +269,16 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 		{"bmc3", func(d int) Options { return Options{MaxDepth: d, UseEMM: true, Proofs: true} }},
 		{"kind", KInd},
 	}
+	variants := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"eager", func(*Options) {}},
+		{"lazy", func(o *Options) { o.LazyEMM = true }},
+		{"eager-unshared", func(o *Options) { o.DisableEMMMemo = true }},
+		{"lazy-unshared", func(o *Options) { o.LazyEMM, o.DisableEMMMemo = true, true }},
+	}
+	shared := 0
 	for seed := 0; seed < trials; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		m := randMemDesign(rng)
@@ -244,28 +286,55 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: expand: %v", seed, err)
 		}
+		explMax := Check(exp, 0, Options{MaxDepth: maxDepth})
 		for d := 0; d <= maxDepth; d++ {
+			expl := Check(exp, 0, Options{MaxDepth: d})
+			if expl.Kind == KindCE {
+				if err := expl.Witness.Replay(exp, 0); err != nil {
+					t.Fatalf("seed %d depth %d: explicit witness replay: %v", seed, d, err)
+				}
+			}
 			for _, eng := range engines {
-				eager := Check(m.N, 0, eng.opt(d))
-				lo := eng.opt(d)
-				lo.LazyEMM = true
-				lazy := Check(m.N, 0, lo)
-				if eager.Kind != lazy.Kind || eager.Depth != lazy.Depth || eager.ProofSide != lazy.ProofSide {
-					t.Fatalf("seed %d depth %d %s: eager %v (%s) vs lazy %v (%s)",
-						seed, d, eng.name, eager, eager.ProofSide, lazy, lazy.ProofSide)
-				}
-				if lazy.Kind == KindCE {
-					if err := lazy.Witness.Replay(m.N, 0); err != nil {
-						t.Fatalf("seed %d depth %d %s: lazy witness replay: %v", seed, d, eng.name, err)
+				var ref *Result
+				for _, v := range variants {
+					o := eng.opt(d)
+					v.set(&o)
+					r := Check(m.N, 0, o)
+					shared += r.Stats.EMM.SharedReads
+					if r.Kind == KindCE {
+						if err := r.Witness.Replay(m.N, 0); err != nil {
+							t.Fatalf("seed %d depth %d %s/%s: witness replay: %v", seed, d, eng.name, v.name, err)
+						}
 					}
-				}
-				if eng.name != "bmc2" {
-					continue
-				}
-				if expl := Check(exp, 0, Options{MaxDepth: d}); eager.Kind != expl.Kind || eager.Depth != expl.Depth {
-					t.Fatalf("seed %d depth %d: EMM %v vs explicit %v", seed, d, eager, expl)
+					if !agreesWithExplicit(eng.name, r, expl, d) {
+						t.Fatalf("seed %d depth %d %s/%s: EMM %v vs explicit %v", seed, d, eng.name, v.name, r, expl)
+					}
+					if r.Kind == KindProof && explMax.Kind == KindCE {
+						t.Fatalf("seed %d depth %d %s/%s: PROOF, but the explicit model has %v", seed, d, eng.name, v.name, explMax)
+					}
+					if ref == nil {
+						ref = r
+					} else if r.Kind != ref.Kind || r.Depth != ref.Depth || r.ProofSide != ref.ProofSide {
+						t.Fatalf("seed %d depth %d %s: %s %v (%s) vs %s %v (%s)",
+							seed, d, eng.name, variants[0].name, ref, ref.ProofSide, v.name, r, r.ProofSide)
+					}
 				}
 			}
 		}
 	}
+	if shared == 0 {
+		t.Fatalf("no trial shared a read event: the generator no longer reaches the sharing path")
+	}
+}
+
+// agreesWithExplicit reports whether engine eng's depth-d result r matches
+// plain BMC's result expl on the explicit expansion. bmc2 must match its
+// kind and depth exactly. A proof engine must report the same CE, and
+// where expl finds none, NO_CE at depth d or a PROOF — never another
+// verdict, and never a NO_CE that stops short of d.
+func agreesWithExplicit(eng string, r, expl *Result, d int) bool {
+	if eng == "bmc2" || expl.Kind == KindCE {
+		return r.Kind == expl.Kind && r.Depth == expl.Depth
+	}
+	return (r.Kind == KindNoCE && r.Depth == d) || r.Kind == KindProof
 }

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"emmver/internal/aig"
 	"emmver/internal/obs"
@@ -42,6 +43,12 @@ type Sizes struct {
 	// clauses and bumps no per-kind counter, so the other fields keep
 	// matching the paper's formulas for the comparators actually built.
 	CompMemoHits int
+	// SharedReads counts read events that duplicate an earlier port of the
+	// same memory at the same frame (same enable, same address literals)
+	// and were encoded as RE → RD = RD_twin alone: no chain, no initial
+	// word, no eq. 6 pairs. Their 2·DW forwarding clauses are counted in
+	// ReadDataClauses.
+	SharedReads int
 	// Lazy-EMM refinement accounting (EnableLazy runs only; zero in eager
 	// mode). The clause/gate counters above keep tallying what is actually
 	// emitted, so Clauses() reports the reduced on-demand constraint set.
@@ -57,8 +64,8 @@ func (s Sizes) Clauses() int { return s.AddrClauses + s.ReadDataClauses }
 
 // String renders the tally.
 func (s Sizes) String() string {
-	return fmt.Sprintf("%d clauses (%d addr, %d readdata), %d gates, %d init pairs (%d clauses)",
-		s.Clauses(), s.AddrClauses, s.ReadDataClauses, s.Gates, s.InitPairs, s.InitClauses)
+	return fmt.Sprintf("%d clauses (%d addr, %d readdata), %d gates, %d init pairs (%d clauses), %d shared reads",
+		s.Clauses(), s.AddrClauses, s.ReadDataClauses, s.Gates, s.InitPairs, s.InitClauses, s.SharedReads)
 }
 
 // Generator emits EMM constraints into an unroller, one analysis depth at a
@@ -98,7 +105,8 @@ type Generator struct {
 	noExclusivity bool
 
 	// noCompMemo disables comparator memoization (A/B measurement and
-	// equivalence tests only).
+	// equivalence tests only), and with it read-event sharing (see
+	// shareReads).
 	noCompMemo bool
 
 	// lazy switches AddUpTo to interface-only skeleton emission; the
@@ -129,6 +137,7 @@ type Generator struct {
 	obsIPair *obs.Counter
 	obsICl   *obs.Counter
 	obsMemo  *obs.Counter
+	obsShare *obs.Counter
 	obsPub   Sizes
 }
 
@@ -158,7 +167,8 @@ type readGen struct {
 
 // ReadEvent describes one read port at one processed depth, exposing the
 // CNF literals a witness decoder needs: whether the read was enabled and
-// hit no in-window write (N), its address, and its data.
+// hit no in-window write (N), its address, and its data. A shared event
+// (see shareReads) carries its twin's N literal.
 type ReadEvent struct {
 	Frame int
 	Re    sat.Lit
@@ -252,11 +262,13 @@ func (g *Generator) DisableExclusivity() {
 
 // DisableComparatorMemo turns off address-comparator memoization, so every
 // comparator is re-encoded even for a previously seen pair of address
-// vectors. The encoding is then exactly the paper's per-depth formula count;
-// used by the equivalence tests and before/after measurements, and by the
-// BMC engine whenever proof-based abstraction is tracking cores — a
-// memoized comparator keeps its first creator's TagEMM tag, which would
-// misattribute core membership across read events.
+// vectors, and read-event sharing with it: every read event then gets its
+// own chain. The encoding is then exactly the paper's per-depth formula
+// count; used by the equivalence tests and before/after measurements, and
+// by the BMC engine whenever proof-based abstraction is tracking cores — a
+// memoized comparator keeps its first creator's TagEMM tag, and a shared
+// read has no chain of its own, either of which would misattribute core
+// membership across read events.
 func (g *Generator) DisableComparatorMemo() {
 	g.mustBeFresh()
 	g.noCompMemo = true
@@ -295,7 +307,8 @@ func (g *Generator) mustBeFresh() {
 // AttachObs binds the generator to an observer: AddUpTo then emits one
 // emm.generate span per processed depth and publishes per-constraint-family
 // counter deltas (emm.addr_clauses, emm.readdata_clauses, emm.gates,
-// emm.init_pairs, emm.init_clauses, emm.memo_hits) into the registry.
+// emm.init_pairs, emm.init_clauses, emm.memo_hits, emm.shared_reads) into
+// the registry.
 func (g *Generator) AttachObs(o *obs.Observer) {
 	g.obs = o
 	reg := o.Registry()
@@ -308,6 +321,7 @@ func (g *Generator) AttachObs(o *obs.Observer) {
 	g.obsIPair = reg.Counter(obs.MEMMInitPairs)
 	g.obsICl = reg.Counter(obs.MEMMInitClauses)
 	g.obsMemo = reg.Counter(obs.MEMMMemoHits)
+	g.obsShare = reg.Counter(obs.MEMMSharedReads)
 }
 
 func (g *Generator) publishObs() {
@@ -321,6 +335,7 @@ func (g *Generator) publishObs() {
 	g.obsIPair.Add(int64(cur.InitPairs - g.obsPub.InitPairs))
 	g.obsICl.Add(int64(cur.InitClauses - g.obsPub.InitClauses))
 	g.obsMemo.Add(int64(cur.CompMemoHits - g.obsPub.CompMemoHits))
+	g.obsShare.Add(int64(cur.SharedReads - g.obsPub.SharedReads))
 	g.obsPub = cur
 }
 
@@ -348,7 +363,8 @@ func (g *Generator) AddUpTo(k int) {
 			obs.F("clauses", g.sizes.Clauses()-before.Clauses()),
 			obs.F("init_clauses", g.sizes.InitClauses-before.InitClauses),
 			obs.F("gates", g.sizes.Gates-before.Gates),
-			obs.F("memo_hits", g.sizes.CompMemoHits-before.CompMemoHits))
+			obs.F("memo_hits", g.sizes.CompMemoHits-before.CompMemoHits),
+			obs.F("shared_reads", g.sizes.SharedReads-before.SharedReads))
 		g.frames++
 	}
 }
@@ -358,12 +374,102 @@ func (g *Generator) addFrame(k int) {
 		if !g.memEnabled[mi] {
 			continue
 		}
-		for r := range mg.m.Reads {
+		share := g.shareReads(mg.m)
+		var frame []readLits
+		for r, rp := range mg.m.Reads {
 			if !g.readEnabled[mi][r] {
 				continue
 			}
-			g.addReadConstraints(mi, mg, r, k)
+			ev := g.readLitsAt(r, rp, k)
+			if q := g.shareRead(&frame, share, mi, k, ev); q != nil {
+				// Record the event with the twin's N literal and no
+				// initial word, so the witness decoder sees one consistent
+				// word and no eq. 6 pair is ever built against it.
+				rg := mg.reads[r]
+				rg.re = append(rg.re, ev.re)
+				rg.addr = append(rg.addr, ev.addr)
+				rg.n = append(rg.n, mg.reads[q.r].n[k])
+				rg.rd = append(rg.rd, ev.rd)
+				rg.v = append(rg.v, nil)
+				continue
+			}
+			g.addReadConstraints(mi, mg, ev, k)
 		}
+	}
+}
+
+// shareReads reports whether duplicate read events of m are shared: an
+// enabled read port whose frame-k enable literal and address literals equal
+// those of an earlier enabled port of m at frame k gets only
+// RE → RD = RD_twin. That is exact. Under RE the full encoding forces the
+// two data words equal anyway: both reads build the same chain over the
+// same write events, and for an unwritten location the eq. 6 pair between
+// them compares an address with itself. Under ¬RE both reads stay free,
+// because the clauses keep the RE literal. And every later eq. 6 pair with
+// the duplicate is implied by the same pair with its twin. Sharing follows
+// the comparator memo switch, so core tracking and the paper's formula
+// counts see one chain per read event. It is off when eq. 6 is disabled
+// for an arbitrary-init memory: that model gives each unwritten read its
+// own free word, so the two reads may legitimately disagree there.
+func (g *Generator) shareReads(m *aig.Memory) bool {
+	return !g.noCompMemo && !(g.eq6Disabled && g.arbitraryInit(m))
+}
+
+// readLits holds the frame-k literals of one enabled read port r: its
+// enable, address and data.
+type readLits struct {
+	r    int
+	re   sat.Lit
+	addr []sat.Lit
+	rd   []sat.Lit
+}
+
+// readLitsAt builds the frame-k literals of read port r.
+func (g *Generator) readLitsAt(r int, rp *aig.ReadPort, k int) readLits {
+	ev := readLits{r: r, re: g.u.Lit(rp.En, k), addr: g.u.VecLits(rp.Addr, k)}
+	ev.rd = make([]sat.Lit, len(rp.Data))
+	for bit, dn := range rp.Data {
+		ev.rd[bit] = g.u.Lit(aig.MkLit(dn, false), k)
+	}
+	return ev
+}
+
+// shareRead is the one twin lookup of the eager and lazy frame builders.
+// With sharing on, it matches ev against the earlier unshared reads of its
+// memory at frame k (*frame). On a match with the same enable and address
+// literals it emits RE → RD = RD_twin and returns the twin; otherwise it
+// adds ev to *frame and returns nil, and the caller encodes ev in full.
+func (g *Generator) shareRead(frame *[]readLits, share bool, mi, k int, ev readLits) *readLits {
+	if !share {
+		return nil
+	}
+	for i := range *frame {
+		q := &(*frame)[i]
+		if q.re == ev.re && slices.Equal(q.addr, ev.addr) {
+			g.emitShared(g.tagEMM(k, mi, ev.r), ev.re, ev.rd, q.rd)
+			return q
+		}
+	}
+	*frame = append(*frame, ev)
+	return nil
+}
+
+// emitShared emits RE → RD = RD_twin, 2·DW clauses: binary when RE is the
+// constant true, none when it is the constant false (both reads are then
+// disabled and free).
+func (g *Generator) emitShared(tag unroll.Tag, re sat.Lit, rd, twin []sat.Lit) {
+	g.sizes.SharedReads++
+	if re == g.u.FalseLit() {
+		return
+	}
+	var guard []sat.Lit
+	if re != g.u.TrueLit() {
+		guard = []sat.Lit{re.Not()}
+	}
+	for bit := range rd {
+		g.addClause(tag, append(guard, rd[bit].Not(), twin[bit])...)
+		g.addClause(tag, append(guard, rd[bit], twin[bit].Not())...)
+		g.sizes.ReadDataClauses += 2
 	}
 }
 
@@ -378,20 +484,15 @@ func (g *Generator) tagInit(k, mi, r int) unroll.Tag {
 // addReadConstraints emits the forwarding constraints for read port r of
 // memory mi at depth k: address comparisons against every enabled write
 // port at every earlier depth, the exclusivity chain of eq. 4, the read
-// data constraints of eq. 5, and the initial-state handling.
-func (g *Generator) addReadConstraints(mi int, mg *memGen, r int, k int) {
+// data constraints of eq. 5, and the initial-state handling. ev carries
+// the port's frame-k enable, address and data literals.
+func (g *Generator) addReadConstraints(mi int, mg *memGen, ev readLits, k int) {
 	u := g.u
 	m := mg.m
-	rp := m.Reads[r]
+	r := ev.r
 	rg := mg.reads[r]
 	tag := g.tagEMM(k, mi, r)
-
-	re := u.Lit(rp.En, k)
-	raddr := u.VecLits(rp.Addr, k)
-	rdata := make([]sat.Lit, m.DW)
-	for bit, dn := range rp.Data {
-		rdata[bit] = u.Lit(aig.MkLit(dn, false), k)
-	}
+	re, raddr, rdata := ev.re, ev.addr, ev.rd
 
 	// Per-(depth, write port) match signals s_{i,k,w,r} = E ∧ WE, most
 	// recent writes first (the priority order of eq. 4's chain).

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"emmver/internal/aig"
+	"emmver/internal/obs"
 	"emmver/internal/rtl"
 	"emmver/internal/sat"
 	"emmver/internal/unroll"
@@ -304,6 +307,263 @@ func TestReadDisabledIsFree(t *testing.T) {
 	as = append(as, h.assumeVec(h.raddr[0], 1, 6)...)
 	if got := h.s.Solve(append(as, h.rdEquals(0, 1, 5)...)...); got != sat.Sat {
 		t.Fatalf("disabled read must be unconstrained")
+	}
+}
+
+// readPorts wires the enables and addresses of read ports 0 and 1.
+type readPorts func(m *rtl.Module) (re [2]aig.Lit, ra [2]rtl.Vec)
+
+// twins drives both read ports from one enable input and one address bus.
+func twins(m *rtl.Module) ([2]aig.Lit, [2]rtl.Vec) {
+	re, ra := m.InputBit("re"), m.Input("ra", 3)
+	return [2]aig.Lit{re, re}, [2]rtl.Vec{ra, ra}
+}
+
+// newTwinHarness builds a 3-bit-address, 4-bit-data memory with one
+// input-driven write port and two read ports wired by ports, and returns it
+// with the design literal rd0 != rd1. setup runs on the fresh generator
+// (abstraction choices).
+func newTwinHarness(t *testing.T, init aig.MemInit, lazy bool, ports readPorts, setup func(*Generator)) (*memHarness, aig.Lit) {
+	t.Helper()
+	m := rtl.NewModule("twin")
+	mem := m.Memory("mem", 3, 4, init)
+	h := &memHarness{m: m}
+	we, wa, wd := m.InputBit("we"), m.Input("wa", 3), m.Input("wd", 4)
+	mem.Write(wa, wd, we)
+	h.we, h.waddr, h.wdata = []aig.Lit{we}, []rtl.Vec{wa}, []rtl.Vec{wd}
+	re, ra := ports(m)
+	for r := range re {
+		h.re = append(h.re, re[r])
+		h.raddr = append(h.raddr, ra[r])
+		h.rdata = append(h.rdata, mem.Read(ra[r], re[r]))
+	}
+	ne := m.Ne(h.rdata[0], h.rdata[1])
+	h.s = sat.New()
+	h.u = unroll.New(m.N, h.s, unroll.Initialized)
+	h.g = NewGenerator(h.u, false)
+	if lazy {
+		h.g.EnableLazy()
+	}
+	if setup != nil {
+		setup(h.g)
+	}
+	return h, ne
+}
+
+// solve runs the query, with the lazy refine loop when the generator is
+// lazy (RefineLazy is a no-op otherwise).
+func (h *memHarness) solve(as []sat.Lit) sat.Status {
+	for {
+		st := h.s.Solve(as...)
+		if st != sat.Sat || h.g.RefineLazy() == 0 {
+			return st
+		}
+	}
+}
+
+func modeName(lazy bool) string {
+	if lazy {
+		return "lazy"
+	}
+	return "eager"
+}
+
+// TestSharedReadForwarding: a read port with the same enable and address
+// as an earlier port of its frame is shared, and the sharing keeps the
+// §2.3 semantics: equal data while RE is high, both reads free while it
+// is low (as TestReadDisabledIsFree requires of a single read).
+func TestSharedReadForwarding(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		for _, init := range []aig.MemInit{aig.MemZero, aig.MemArbitrary} {
+			h, ne := newTwinHarness(t, init, lazy, twins, nil)
+			h.g.AddUpTo(2)
+			name := fmt.Sprintf("%s/init=%v", modeName(lazy), init)
+			if got := h.g.Sizes().SharedReads; got != 3 {
+				t.Fatalf("%s: %d shared reads, want one per frame (3)", name, got)
+			}
+			for k := 0; k <= 2; k++ {
+				as := []sat.Lit{h.u.Lit(ne, k), h.assumeBit(h.re[0], k, true)}
+				if got := h.solve(as); got != sat.Unsat {
+					t.Fatalf("%s frame %d: enabled twins must read equal data, got %v", name, k, got)
+				}
+				as[1] = h.assumeBit(h.re[0], k, false)
+				if got := h.solve(as); got != sat.Sat {
+					t.Fatalf("%s frame %d: disabled twins must stay free, got %v", name, k, got)
+				}
+			}
+			// The shared read still sees the written word.
+			var as []sat.Lit
+			as = append(as, h.write(0, 0, 5, 9)...)
+			as = append(as, h.noWrite(1)...)
+			as = append(as, h.read(0, 2, 5)...)
+			if got := h.solve(append(as, h.rdEquals(1, 2, 9)...)); got != sat.Sat {
+				t.Fatalf("%s: shared read must forward the written word, got %v", name, got)
+			}
+			if got := h.solve(append(as, h.rdEquals(1, 2, 3)...)); got != sat.Unsat {
+				t.Fatalf("%s: shared read must not see a stale word, got %v", name, got)
+			}
+		}
+	}
+}
+
+// TestSharedReadCost: a shared read event costs exactly 2·DW clauses (the
+// RE → RD = RD_twin equalities) and nothing else — no gates, no auxiliary
+// variables, no eq. 6 pair, no lazily tracked read.
+func TestSharedReadCost(t *testing.T) {
+	const depth, dw = 4, 4
+	for _, lazy := range []bool{false, true} {
+		h1, _ := newTwinHarness(t, aig.MemArbitrary, lazy, twins,
+			func(g *Generator) { g.SetReadPortEnabled(0, 1, false) })
+		h2, _ := newTwinHarness(t, aig.MemArbitrary, lazy, twins, nil)
+		h1.g.AddUpTo(depth)
+		h2.g.AddUpTo(depth)
+		one, two := h1.g.Sizes(), h2.g.Sizes()
+		if two.SharedReads != depth+1 || one.SharedReads != 0 {
+			t.Fatalf("%s: shared reads %d/%d, want 0/%d", modeName(lazy), one.SharedReads, two.SharedReads, depth+1)
+		}
+		added := two.Clauses() + two.InitClauses - one.Clauses() - one.InitClauses
+		if added != 2*dw*(depth+1) {
+			t.Errorf("%s: shared events added %d clauses, want 2·DW per event = %d", modeName(lazy), added, 2*dw*(depth+1))
+		}
+		if two.InitPairs != one.InitPairs || two.Gates != one.Gates || two.AuxVars != one.AuxVars || two.LazyReads != one.LazyReads {
+			t.Errorf("%s: shared events built more than their equalities: %+v vs %+v", modeName(lazy), two, one)
+		}
+	}
+}
+
+// spanSink collects the shared_reads fields of emm.generate span ends.
+type spanSink struct{ shared []int }
+
+func (s *spanSink) Emit(e obs.Event) {
+	if e.Ev != "end" || e.Name != "emm.generate" {
+		return
+	}
+	for _, kv := range e.Fields {
+		if kv.K == "shared_reads" {
+			s.shared = append(s.shared, kv.V.(int))
+		}
+	}
+}
+
+// TestSharedReadsObserved: the shared-read tally reaches Sizes, the
+// registry counter, the per-frame span ends and the stats line.
+func TestSharedReadsObserved(t *testing.T) {
+	h, _ := newTwinHarness(t, aig.MemZero, false, twins, nil)
+	reg, sink := obs.NewRegistry(), &spanSink{}
+	h.g.AttachObs(obs.New(reg, sink))
+	h.g.AddUpTo(2)
+	if got := h.g.Sizes().SharedReads; got != 3 {
+		t.Fatalf("Sizes.SharedReads = %d, want 3", got)
+	}
+	if got := reg.Snapshot()[obs.MEMMSharedReads]; got != 3 {
+		t.Fatalf("%s = %d, want 3", obs.MEMMSharedReads, got)
+	}
+	if fmt.Sprint(sink.shared) != "[1 1 1]" {
+		t.Fatalf("emm.generate shared_reads per frame = %v, want [1 1 1]", sink.shared)
+	}
+	if s := h.g.Sizes().String(); !strings.HasSuffix(s, ", 3 shared reads") {
+		t.Fatalf("Sizes.String() = %q, want the shared-read count", s)
+	}
+}
+
+// TestNearDuplicateReadsNotShared: a read that differs from port 0 in one
+// address bit or in its enable literal, or whose twin is abstracted away,
+// keeps its own chain and the full forwarding semantics.
+func TestNearDuplicateReadsNotShared(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ports readPorts
+		setup func(*Generator)
+		// apart returns assumptions under which a correct model lets the
+		// two reads differ but a wrongly shared pair would not.
+		apart func(h *memHarness) []sat.Lit
+	}{
+		{
+			name: "address bit",
+			ports: func(m *rtl.Module) ([2]aig.Lit, [2]rtl.Vec) {
+				re, ra := twins(m)
+				ra[1] = append(rtl.Vec{m.InputBit("ra1_0")}, ra[0][1:]...)
+				return re, ra
+			},
+			apart: func(h *memHarness) []sat.Lit {
+				as := append(h.read(0, 1, 5), h.read(1, 1, 4)...)
+				return append(as, h.write(0, 0, 5, 9)...)
+			},
+		},
+		{
+			name: "enable",
+			ports: func(m *rtl.Module) ([2]aig.Lit, [2]rtl.Vec) {
+				re, ra := twins(m)
+				re[1] = m.InputBit("re1")
+				return re, ra
+			},
+			apart: func(h *memHarness) []sat.Lit {
+				return append(h.read(1, 1, 5), h.assumeBit(h.re[0], 1, false))
+			},
+		},
+		{
+			name:  "twin disabled",
+			ports: twins,
+			setup: func(g *Generator) { g.SetReadPortEnabled(0, 0, false) },
+			apart: func(h *memHarness) []sat.Lit { return h.read(1, 1, 5) },
+		},
+	} {
+		for _, lazy := range []bool{false, true} {
+			name := tc.name + "/" + modeName(lazy)
+			h, ne := newTwinHarness(t, aig.MemZero, lazy, tc.ports, tc.setup)
+			h.g.AddUpTo(2)
+			if got := h.g.Sizes().SharedReads; got != 0 {
+				t.Fatalf("%s: %d reads shared, want 0", name, got)
+			}
+			if got := h.solve(append(tc.apart(h), h.u.Lit(ne, 1))); got != sat.Sat {
+				t.Fatalf("%s: reads must be free to differ, got %v", name, got)
+			}
+			var as []sat.Lit
+			as = append(as, h.write(0, 0, 5, 9)...)
+			as = append(as, h.noWrite(1)...)
+			as = append(as, h.read(1, 2, 5)...)
+			if got := h.solve(append(as, h.rdEquals(1, 2, 9)...)); got != sat.Sat {
+				t.Fatalf("%s: port 1 must forward the written word, got %v", name, got)
+			}
+			if got := h.solve(append(as, h.rdEquals(1, 2, 0)...)); got != sat.Unsat {
+				t.Fatalf("%s: port 1 must not read the initial word, got %v", name, got)
+			}
+		}
+	}
+}
+
+// TestSharedReadsStayInFrame: with a constant enable and address, every
+// frame's read events carry the same literals, yet only events of one
+// frame are shared — a read after a write must not be tied to a read
+// before it.
+func TestSharedReadsStayInFrame(t *testing.T) {
+	constPorts := func(m *rtl.Module) ([2]aig.Lit, [2]rtl.Vec) {
+		ra := m.Const(3, 2)
+		return [2]aig.Lit{aig.True, aig.True}, [2]rtl.Vec{ra, ra}
+	}
+	for _, lazy := range []bool{false, true} {
+		name := modeName(lazy)
+		h, _ := newTwinHarness(t, aig.MemZero, lazy, constPorts, nil)
+		h.g.AddUpTo(2)
+		if got := h.g.Sizes().SharedReads; got != 3 {
+			t.Fatalf("%s: %d shared reads, want port 1 once per frame (3)", name, got)
+		}
+		var as []sat.Lit
+		as = append(as, h.write(0, 0, 2, 9)...)
+		as = append(as, h.noWrite(1)...)
+		for _, c := range []struct {
+			r, frame int
+			val      uint64
+			want     sat.Status
+		}{
+			{0, 0, 0, sat.Sat}, {1, 0, 0, sat.Sat}, // before the write: zero init
+			{0, 1, 9, sat.Sat}, {1, 1, 9, sat.Sat}, // after it: the written word
+			{0, 1, 0, sat.Unsat}, {1, 1, 0, sat.Unsat},
+		} {
+			if got := h.solve(append(as, h.rdEquals(c.r, c.frame, c.val)...)); got != c.want {
+				t.Fatalf("%s: port %d at frame %d reading %d: got %v, want %v", name, c.r, c.frame, c.val, got, c.want)
+			}
+		}
 	}
 }
 

@@ -30,10 +30,7 @@
 // the loop terminates.
 package core
 
-import (
-	"emmver/internal/aig"
-	"emmver/internal/sat"
-)
+import "emmver/internal/sat"
 
 // lazyWrite caches the CNF literals of one enabled write port at one
 // frame — the granularity at which forwarding levels are instantiated and
@@ -85,7 +82,9 @@ func (g *Generator) Lazy() bool { return g != nil && g.lazy }
 // lazyAddFrame is addFrame under lazy mode: it builds (and thereby
 // freezes) the frame-k memory interface literals so the oracle can decode
 // them from any model, registers the frame's read events as pending, and
-// emits no forwarding constraints at all.
+// emits no forwarding constraints at all. A read event that duplicates an
+// earlier one of the frame (see shareReads) gets RE → RD = RD_twin at once
+// and is not tracked: the oracle validating its twin validates it too.
 func (g *Generator) lazyAddFrame(k int) {
 	u := g.u
 	for mi, mg := range g.mems {
@@ -105,22 +104,23 @@ func (g *Generator) lazyAddFrame(k int) {
 		}
 		mg.wpc = len(ws)
 		mg.lwrites = append(mg.lwrites, ws)
+		share := g.shareReads(mg.m)
+		var frame []readLits
 		for r, rp := range mg.m.Reads {
 			if !g.readEnabled[mi][r] {
 				continue
 			}
-			rdata := make([]sat.Lit, mg.m.DW)
-			for bit, dn := range rp.Data {
-				rdata[bit] = u.Lit(aig.MkLit(dn, false), k)
+			ev := g.readLitsAt(r, rp, k)
+			if g.shareRead(&frame, share, mi, k, ev) != nil {
+				continue
 			}
-			re := u.Lit(rp.En, k)
 			mg.lazyReads = append(mg.lazyReads, &lazyRead{
 				id: len(mg.lazyReads),
 				mi: mi, r: r, k: k,
-				re:   re,
-				addr: u.VecLits(rp.Addr, k),
-				rd:   rdata,
-				ps:   re,
+				re:   ev.re,
+				addr: ev.addr,
+				rd:   ev.rd,
+				ps:   ev.re,
 			})
 			g.sizes.LazyReads++
 		}

@@ -65,6 +65,7 @@ const (
 	MEMMInitPairs       = "emm.init_pairs"
 	MEMMInitClauses     = "emm.init_clauses"
 	MEMMMemoHits        = "emm.memo_hits"
+	MEMMSharedReads     = "emm.shared_reads" // duplicate read events encoded as RD = RD_twin
 
 	// Lazy-EMM refinement (demand-driven axiom instantiation in every
 	// query's refine loop, bmc.Options.LazyEMM).

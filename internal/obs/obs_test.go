@@ -172,6 +172,7 @@ func TestProgressReporter(t *testing.T) {
 	r.Gauge(MDepth).Set(12)
 	r.Counter(MConflicts).Add(3456)
 	r.Counter(MEMMAddrClauses).Add(100)
+	r.Counter(MEMMSharedReads).Add(7)
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	w := lockedWriter{mu: &mu, w: &buf}
@@ -182,7 +183,7 @@ func TestProgressReporter(t *testing.T) {
 	mu.Lock()
 	out := buf.String()
 	mu.Unlock()
-	if !strings.Contains(out, "depth=12") || !strings.Contains(out, "emm=") {
+	if !strings.Contains(out, "depth=12") || !strings.Contains(out, "emm=") || !strings.Contains(out, "shared 7") {
 		t.Fatalf("progress line missing summary: %q", out)
 	}
 	// Stop is idempotent and nil-safe.

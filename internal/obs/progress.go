@@ -95,7 +95,7 @@ func (p *Progress) emit() {
 		human(snap[MConflicts]),
 		human(int64(rate)))
 	if emm := snap[MEMMAddrClauses] + snap[MEMMReadDataClauses] + snap[MEMMInitClauses]; emm > 0 {
-		fmt.Fprintf(&b, " emm=%s (memo %s)", human(emm), human(snap[MEMMMemoHits]))
+		fmt.Fprintf(&b, " emm=%s (memo %s, shared %s)", human(emm), human(snap[MEMMMemoHits]), human(snap[MEMMSharedReads]))
 	}
 	if snap[MStrashHits] > 0 {
 		fmt.Fprintf(&b, " strash=%s", human(snap[MStrashHits]))

@@ -23,9 +23,10 @@ type eagerLFP struct {
 // BMC-1/BMC-3). Only the "assume positively" direction is encoded.
 func (r *eagerLFP) LoopFreeLit(depth int) sat.Lit {
 	u := r.u
-	if len(u.N.Latches) == 0 {
-		// A stateless design: any two frames have equal (empty) state, so
-		// no loop-free path of length ≥ 1 exists.
+	if len(u.N.Latches) == 0 && !u.MemAwareLFP {
+		// Any two frames have equal (empty) state, so no loop-free path
+		// of length ≥ 1 exists. Spelled out rather than shared with the
+		// production predicate, so the reference stays independent.
 		if depth == 0 {
 			return u.TrueLit()
 		}

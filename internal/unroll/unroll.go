@@ -388,9 +388,9 @@ func (u *Unroller) stateVector(t int) []sat.Lit {
 // RefineLoopFree reports no new pair. Only the "assume positively"
 // direction is encoded.
 func (u *Unroller) LoopFreeLit(depth int) sat.Lit {
-	if len(u.N.Latches) == 0 {
-		// A stateless design: any two frames have equal (empty) state, so
-		// no loop-free path of length ≥ 1 exists.
+	if u.stateless() {
+		// Any two frames have equal (empty) state, so no loop-free path
+		// of length ≥ 1 exists.
 		if depth == 0 {
 			return u.TrueLit()
 		}
@@ -436,7 +436,7 @@ func (u *Unroller) LoopFreeLit(depth int) sat.Lit {
 // difference variables), so an UNSAT answer over them is UNSAT over the
 // full encoding too.
 func (u *Unroller) RefineLoopFree(depth int) int {
-	if len(u.N.Latches) == 0 || depth == 0 {
+	if u.stateless() || depth == 0 {
 		return 0 // no frame pairs
 	}
 	// Per-frame model states, plus prefix counts of fired write frames
@@ -478,6 +478,13 @@ func (u *Unroller) RefineLoopFree(depth int) int {
 	}
 	return added
 }
+
+// stateless reports whether the loop-free-path constraint compares no
+// state at all: the design has no latches, and memory writes do not count
+// as state changes. A latch-free design with memories under MemAwareLFP is
+// not stateless — a write between two frames makes them distinct, so a
+// write-then-read violation needs a loop-free path of length 1.
+func (u *Unroller) stateless() bool { return len(u.N.Latches) == 0 && !u.MemAwareLFP }
 
 // writeAnyLit returns (building lazily) a literal that holds when any
 // memory write port is enabled at frame t.
