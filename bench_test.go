@@ -554,29 +554,6 @@ func BenchmarkGrowthSolve(b *testing.B) {
 	run("inproc", false)
 }
 
-// BenchmarkLazyEMM prices demand-driven read-over-write instantiation on
-// the shared-address growth shape: /eager is the full per-depth encoding,
-// /lazy the refinement loop, both reporting the EMM clause count actually
-// emitted so the trajectory captures the reduction alongside the time.
-func BenchmarkLazyEMM(b *testing.B) {
-	run := func(name string, lazy bool) {
-		b.Run(name, func(b *testing.B) {
-			var clauses int
-			for i := 0; i < b.N; i++ {
-				cfg := exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true, Lazy: lazy}
-				r := exp.GrowthSolve(cfg)
-				if r.Kind != bmc.KindNoCE {
-					b.Fatalf("valid property must report NO_CE, got %v", r.Kind)
-				}
-				clauses = r.Stats.EMM.Clauses() + r.Stats.EMM.InitClauses
-			}
-			b.ReportMetric(float64(clauses), "emm_clauses")
-		})
-	}
-	run("eager", false)
-	run("lazy", true)
-}
-
 // BenchmarkCompilePipeline prices the static compile pipeline and records
 // its effect on the decoy-salted growth design: /static times the four
 // netlist passes alone; /solve-off and /solve-on run the depth-12 BMC-2

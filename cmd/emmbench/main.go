@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -44,8 +43,6 @@ type report struct {
 func main() {
 	out := flag.String("o", "BENCH_solver.json", "output file")
 	benchSecs := flag.Float64("benchtime", 1, "minimum seconds per benchmark")
-	lazyDepth := flag.Int("lazydepth", 24, "BMC depth of the LazyEMM eager/lazy A/B (lower for smoke runs)")
-	lazyRuns := flag.Int("lazyruns", 3, "runs per side of the LazyEMM eager/lazy A/B (median is recorded)")
 	flag.Parse()
 	testing.Init()
 	if err := flag.Set("test.benchtime", fmt.Sprintf("%gs", *benchSecs)); err != nil {
@@ -81,50 +78,6 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, e)
 		fmt.Printf("%-22s %12.0f ns/op  %v\n", e.Name, e.NsPerOp, e.Metrics)
 	}
-
-	// The PR-9 headline: lazy EMM. Same shared-address workload, eager vs
-	// demand-driven read-over-write axiom instantiation; the clause metric
-	// is the EMM constraint count each side actually emitted, and the
-	// speedup is what skipping the irrelevant axioms buys on wall-clock.
-	lazyCfg := exp.DefaultLazyAB()
-	lazyCfg.MaxK = *lazyDepth
-	lazy, err := exp.LazyAB(lazyCfg, *lazyRuns)
-	if err != nil {
-		fatal(err)
-	}
-	for _, side := range []struct {
-		name   string
-		median time.Duration
-		runs   []exp.GrowthSolveResult
-	}{
-		{"LazyEMM/Off", lazy.OffMedian, lazy.Off},
-		{"LazyEMM/On", lazy.OnMedian, lazy.On},
-	} {
-		e := entry{
-			Name:       side.name,
-			Iterations: len(side.runs),
-			NsPerOp:    float64(side.median.Nanoseconds()),
-			Metrics: map[string]float64{
-				"conflicts":   medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Conflicts) }),
-				"emm_clauses": float64(side.runs[0].Stats.EMM.Clauses() + side.runs[0].Stats.EMM.InitClauses),
-				"rounds":      medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Stats.LazyRounds) }),
-				"spurious":    medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Stats.LazySpurious) }),
-				"axioms":      medianOf(side.runs, func(r exp.GrowthSolveResult) float64 { return float64(r.Stats.EMM.LazyAxioms) }),
-			},
-		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
-		fmt.Printf("%-22s %12.0f ns/op  %v\n", e.Name, e.NsPerOp, e.Metrics)
-	}
-	rep.Benchmarks = append(rep.Benchmarks, entry{
-		Name: "LazyEMM/Speedup",
-		Metrics: map[string]float64{
-			"speedup_x":     lazy.Speedup,
-			"depth":         float64(*lazyDepth),
-			"reduction_pct": 100 * lazy.Reduction,
-		},
-	})
-	fmt.Printf("lazy EMM at depth %d: %.1f%% fewer EMM clauses, %.2fx speedup (median of %d runs/side, verdict %s)\n",
-		*lazyDepth, 100*lazy.Reduction, lazy.Speedup, *lazyRuns, lazy.Off[0].Kind)
 
 	// The headline number: CNF reduction from strash + comparator
 	// memoization on the shared-address growth design.
@@ -471,16 +424,6 @@ func benchCompileSolve(spec string) entry {
 			"conflicts": float64(res.Conflicts),
 		},
 	}
-}
-
-// medianOf extracts f over runs and returns the median value.
-func medianOf(runs []exp.GrowthSolveResult, f func(exp.GrowthSolveResult) float64) float64 {
-	vs := make([]float64, len(runs))
-	for i, r := range runs {
-		vs[i] = f(r)
-	}
-	sort.Float64s(vs)
-	return vs[len(vs)/2]
 }
 
 func fatal(err error) {

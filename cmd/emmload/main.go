@@ -15,6 +15,8 @@
 //	        content-addressed family (post-pass cache hits)
 //	warm    a double-depth resubmission that must warm-start from the
 //	        cached NO_CE frontier instead of re-checking the prefix
+//	restart a burst under Luby restarts (a performance field, so exact
+//	        hits) and a deeper Luby request warm-started from the frontier
 //	ce      a counter-example design submitted twice; the duplicate must
 //	        return the identical witness from the cache
 //
@@ -178,32 +180,33 @@ func main() {
 	})
 	phases = append(phases, warm)
 
-	// lazy: the same problem under demand-driven EMM. The performance knob
-	// is excluded from the cache keys, so the burst must land as exact hits
-	// on the eagerly-solved verdict; the deeper tail request then actually
-	// solves lazily on the server, warm-started from the cached frontier.
-	lz := &phase{name: "lazy", note: "lazy-spec burst + deeper lazy solve"}
+	// restart: the same problem under Luby restarts. The performance
+	// field is excluded from the cache keys, so the burst must land as
+	// exact hits on the verdict solved under the default restarts; the
+	// deeper tail request then actually solves under Luby on the server,
+	// warm-started from the cached frontier.
+	rs := &phase{name: "restart", note: "luby-spec burst + deeper luby solve"}
 	for i := 0; i < *burst; i++ {
 		req := baseReq()
-		req.Spec.Lazy = true
-		run(lz, req, func(st *serve.JobStatus) string { return sameVerdict(st, true) })
+		req.Spec.Restart = "luby"
+		run(rs, req, func(st *serve.JobStatus) string { return sameVerdict(st, true) })
 	}
-	lreq := baseReq()
-	lreq.Spec.Lazy = true
-	lreq.Spec.Depth = 2**depth + 4
-	run(lz, lreq, func(st *serve.JobStatus) string {
+	rreq := baseReq()
+	rreq.Spec.Restart = "luby"
+	rreq.Spec.Depth = 2**depth + 4
+	run(rs, rreq, func(st *serve.JobStatus) string {
 		if st.Cached {
-			return "deeper lazy request claimed a full hit"
+			return "deeper luby request claimed a full hit"
 		}
 		if st.WarmStart != 2**depth+1 {
-			return fmt.Sprintf("lazy warm start at %d, want %d", st.WarmStart, 2**depth+1)
+			return fmt.Sprintf("luby warm start at %d, want %d", st.WarmStart, 2**depth+1)
 		}
 		if st.Verdict == nil || st.Verdict.Kind != "NO_CE" || st.Verdict.Depth != 2**depth+4 {
-			return fmt.Sprintf("lazy verdict: %+v", st.Verdict)
+			return fmt.Sprintf("luby verdict: %+v", st.Verdict)
 		}
 		return ""
 	})
-	phases = append(phases, lz)
+	phases = append(phases, rs)
 
 	// ce: witness-bearing duplicate.
 	ce := &phase{name: "ce", note: "counter-example + identical witness"}

@@ -6,7 +6,6 @@
 //	emmtables -exp i2            Industry II (multi-port lookup engine)
 //	emmtables -exp f1            constraint-growth validation ("figure")
 //	emmtables -exp s3            compile-pipeline A/B (§S3)
-//	emmtables -exp s7            lazy-EMM A/B (§S7)
 //	emmtables -exp all           everything
 //
 // By default experiments run at the reduced scale (small memory widths,
@@ -29,8 +28,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: t1, t2, i1, i2, f1, s3, s7, all")
-	runs := flag.Int("runs", 3, "runs per side of the s7 A/B (median is reported)")
+	which := flag.String("exp", "all", "experiment: t1, t2, i1, i2, f1, s3, all")
 	scale := flag.String("scale", "reduced", "design sizing: reduced or paper")
 	sizes := flag.String("n", "3,4,5", "quicksort array sizes for t1/t2")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
@@ -103,14 +101,6 @@ func main() {
 				os.Exit(2)
 			}
 			fmt.Println(exp.RenderCompileAB(ab))
-		case "s7":
-			fmt.Printf("## Experiment S7 (lazy EMM A/B)\n\n")
-			ab, err := exp.LazyAB(exp.DefaultLazyAB(), *runs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Println(exp.RenderLazyAB(ab))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
@@ -118,7 +108,7 @@ func main() {
 	}
 
 	if *which == "all" {
-		for _, name := range []string{"t1", "t2", "i1", "i2", "f1", "s3", "s7"} {
+		for _, name := range []string{"t1", "t2", "i1", "i2", "f1", "s3"} {
 			run(name)
 		}
 		return

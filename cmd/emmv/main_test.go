@@ -68,8 +68,9 @@ func TestExitCodes(t *testing.T) {
 		{"missing-file", []string{filepath.Join(dir, "missing.v")}, 2, "no such file"},
 		{"unknown-engine", []string{"-engine", "nope", wedge}, 2, "unknown engine"},
 		{"remote-design", []string{"-remote", "unix:" + filepath.Join(dir, "none.sock"), "-design", "growth"}, 2, "-remote"},
-		{"lazy-cube", []string{"-design", "quicksort", "-lazy", "-cube"}, 2, "flag provided but not defined: -cube"},
-		// The retired fleet flags are usage errors now.
+		// The retired fleet flags and the retired -lazy knob (the engine
+		// picks the EMM encoding) are usage errors now.
+		{"lazy", []string{"-design", "quicksort", "-lazy"}, 2, "flag provided but not defined: -lazy"},
 		{"share", []string{"-design", "growth", "-jobs", "2", "-share"}, 2, "flag provided but not defined: -share"},
 		{"cube", []string{"-design", "growth", "-jobs", "2", "-cube"}, 2, "flag provided but not defined: -cube"},
 		{"listen", []string{"-design", "growth", "-listen", "unix:" + filepath.Join(dir, "fleet.sock")}, 2, "flag provided but not defined: -listen"},

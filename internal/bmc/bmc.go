@@ -145,20 +145,6 @@ type Options struct {
 	// n > 1 bounds the worker pool. Check itself ignores it — per-depth lane
 	// racing stays opt-in via Portfolio.
 	Jobs int
-	// LazyEMM switches the EMM constraints of both windows to demand-driven
-	// instantiation (core.Generator.EnableLazy): every query — the
-	// counter-example check and, under Proofs, the forward and backward
-	// termination checks — starts with read data unconstrained, and the
-	// refine loop (refineSolve) validates each SAT model against the true
-	// memory semantics, instantiating exactly the violated read-over-write
-	// axioms before re-solving incrementally. UNSAT on the relaxation is
-	// UNSAT of the full encoding (clause removal cannot turn a satisfiable
-	// formula unsatisfiable), and SAT stands only for a validated model,
-	// so verdicts, depths and proof sides equal the eager encoding's. A
-	// performance knob only. Ignored under PBA (cores attribute relevance
-	// to eagerly tagged clauses) and under DisableExclusivity (the
-	// refinement machinery suspends the eq. 4 chains).
-	LazyEMM bool
 	// KInduction selects the k-induction strategy (temporal induction,
 	// spec engine "kind"): at each depth k the base case (the plain
 	// counter-example check) runs first, then the forward recurrence-
@@ -169,7 +155,11 @@ type Options struct {
 	// ever writes keeps its declared contents in every reachable state).
 	// The strengthening is what lets kind close proofs that BMC-3's
 	// arbitrary-initial-state induction cannot reach at any bounded depth.
-	// Requires Proofs and UseEMM; spec.Options sets all three.
+	// Requires Proofs and UseEMM; spec.Options sets all three. Check and
+	// the property pool (CheckManyParallel) run this check order; the
+	// sequential multi-property CheckMany keeps BMC-3's order (forward,
+	// then per property backward and counter-example) over the same
+	// strengthened windows.
 	KInduction bool
 	// StartDepth warm-starts the BMC loop: the unrolling and EMM
 	// constraints are still built from frame 0 (they are cumulative), but
@@ -185,6 +175,11 @@ type Options struct {
 	// verdict at the same depth as a cold one. Honored by Check/CheckCtx;
 	// the multi-property entry points ignore it.
 	StartDepth int
+
+	// eagerEMM keeps a run that would be lazy (see newWindow) on the eager
+	// EMM encoding: the reference side of the package's lazy-vs-eager
+	// differential tests.
+	eagerEMM bool
 }
 
 // Kind classifies a Result.
@@ -242,7 +237,8 @@ type Stats struct {
 	SubsumedClauses     int64
 	StrengthenedClauses int64
 	EliminatedVars      int64
-	// Lazy-EMM refinement (zero unless Options.LazyEMM was active): model
+	// Lazy-EMM refinement (zero unless the run was lazy: EMM without
+	// termination checks, PBA or the eq. 1 ablation; see newWindow): model
 	// validations run by the semantic oracle and SAT models it rejected,
 	// over every query. The instantiated-axiom count lives in
 	// EMM.LazyAxioms — the EMM tally reports the forward window's

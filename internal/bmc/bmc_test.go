@@ -525,7 +525,6 @@ func TestLatchFreeMemoryLFP(t *testing.T) {
 		opt  Options
 	}{
 		{"bmc3", BMC3(4)},
-		{"bmc3-lazy", func() Options { o := BMC3(4); o.LazyEMM = true; return o }()},
 		{"kind", KInd(4)},
 	} {
 		if r := Check(m.N, 0, tc.opt); r.Kind != KindCE || r.Depth != 1 {

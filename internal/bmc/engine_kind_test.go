@@ -149,31 +149,3 @@ func TestKIndWarmStart(t *testing.T) {
 		}
 	}
 }
-
-// TestKIndLazyWriteFreeRetention: the lazy backward window's semantic
-// oracle must honour write-free-init retention exactly as the eager
-// encoding does — without it, the oracle treats the ROM as arbitrary and
-// both wedges lose their induction proofs — while the writable wedge keeps
-// its genuine counter-example.
-func TestKIndLazyWriteFreeRetention(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		n     *aig.Netlist
-		kind  Kind
-		depth int
-		side  string
-	}{
-		{"wedge", wedgeNetlist(), KindProof, 0, "backward"},
-		{"shift-wedge", shiftWedgeNetlist(), KindProof, 2, "backward"},
-		{"writable-wedge", writableWedgeNetlist(), KindCE, 1, ""},
-	} {
-		opt := KInd(20)
-		opt.LazyEMM = true
-		opt.ValidateWitness = true
-		r := Check(tc.n, 0, opt)
-		if r.Kind != tc.kind || r.Depth != tc.depth || r.ProofSide != tc.side {
-			t.Errorf("%s: kind+lazy gave %v (side %q), want %v depth=%d %q",
-				tc.name, r, r.ProofSide, tc.kind, tc.depth, tc.side)
-		}
-	}
-}

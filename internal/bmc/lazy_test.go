@@ -9,27 +9,29 @@ import (
 	"emmver/internal/aig"
 	"emmver/internal/designs"
 	"emmver/internal/expmem"
+	"emmver/internal/pass"
 	"emmver/internal/rtl"
 )
 
-// The lazy-EMM equivalence suite: demand-driven instantiation relaxes
-// every query of a lazy window — the counter-example query and, under
-// Proofs, the forward and backward termination checks — and the refine
-// loop accepts a SAT model only once the semantic oracle validates it, so
-// every verdict, depth, proof side, and witness length must match the
-// eager encoding exactly. The relaxation must also never emit MORE EMM
-// clauses than the eager run (it should emit strictly fewer whenever any
-// read-over-write axiom goes unneeded).
+// The lazy-EMM equivalence suite: a run without termination checks
+// relaxes its counter-example query (see newWindow), and the refine loop
+// accepts a SAT model only once the semantic oracle validates it, so every
+// verdict, depth, and witness length must match the eager encoding
+// exactly. The relaxation must also never emit MORE EMM clauses than the
+// eager run (it should emit strictly fewer whenever any read-over-write
+// axiom goes unneeded).
 
-// assertLazyEquiv runs opt eagerly and with LazyEMM, and compares verdict,
-// depth, proof side and witness length, the forward window's EMM clause
-// tally, and the refinement counters.
+// assertLazyEquiv runs opt (lazy: it has no termination checks) and its
+// eager twin, and compares verdict, depth, proof side and witness length,
+// the forward window's EMM clause tally, and the refinement counters.
 func assertLazyEquiv(t *testing.T, name string, run func(opt Options) *Result, opt Options) {
 	t.Helper()
+	lazy := run(opt)
+	opt.eagerEMM = true
 	eager := run(opt)
-	lo := opt
-	lo.LazyEMM = true
-	lazy := run(lo)
+	if lazy.Stats.EMM.LazyReads == 0 {
+		t.Errorf("%s: the default run tracked no lazy reads", name)
+	}
 	if eager.Kind != lazy.Kind || eager.Depth != lazy.Depth || eager.ProofSide != lazy.ProofSide {
 		t.Errorf("%s: eager %v (%s) vs lazy %v (%s)",
 			name, eager, eager.ProofSide, lazy, lazy.ProofSide)
@@ -53,6 +55,42 @@ func assertLazyEquiv(t *testing.T, name string, run func(opt Options) *Result, o
 	}
 }
 
+// TestEngineChoosesEMMEncoding pins the encoding rule of newWindow: a run
+// without termination checks is lazy; bmc3, kind, both PBA phases and
+// the eq. 1 ablation are eager.
+func TestEngineChoosesEMMEncoding(t *testing.T) {
+	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
+	n := q.Netlist()
+	ablation := BMC2(8)
+	ablation.DisableExclusivity = true
+	pba := ProveWithPBA(n, q.P2Index, Options{MaxDepth: 14, UseEMM: true, StabilityDepth: 10})
+	if pba.Proof == nil {
+		t.Fatalf("PBA stopped after phase 1: %v", pba.Phase1)
+	}
+	for _, tc := range []struct {
+		name string
+		r    *Result
+		lazy bool
+	}{
+		{"bmc2", Check(n, q.P2Index, BMC2(14)), true},
+		{"bmc3", Check(n, q.P1Index, BMC3(8)), false},
+		{"kind", Check(n, q.P1Index, KInd(8)), false},
+		{"pba-abstract", pba.Phase1, false},
+		{"pba-prove", pba.Proof, false},
+		{"eq1-ablation", Check(n, q.P1Index, ablation), false},
+	} {
+		st := tc.r.Stats
+		if tc.lazy && (st.EMM.LazyReads == 0 || st.LazyRounds == 0) {
+			t.Errorf("%s: want a lazy run, got %d lazy reads and %d refinement rounds",
+				tc.name, st.EMM.LazyReads, st.LazyRounds)
+		}
+		if !tc.lazy && (st.EMM.LazyReads != 0 || st.LazyRounds != 0) {
+			t.Errorf("%s: want an eager run, got %d lazy reads and %d refinement rounds",
+				tc.name, st.EMM.LazyReads, st.LazyRounds)
+		}
+	}
+}
+
 func TestLazyEquivalenceQuickSort(t *testing.T) {
 	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
 	n := q.Netlist()
@@ -62,11 +100,7 @@ func TestLazyEquivalenceQuickSort(t *testing.T) {
 		opt  Options
 	}{
 		{"bmc2-p1", q.P1Index, BMC2(8)},
-		// Proofs without PBA: the termination checks refine lazily too.
-		{"proofs-p2", q.P2Index, Options{MaxDepth: 14, UseEMM: true, Proofs: true}},
-		// Portfolio lanes refine the forward and backward windows
-		// concurrently (the CI race step covers this case).
-		{"portfolio-p1", q.P1Index, Options{MaxDepth: 14, UseEMM: true, Proofs: true, Portfolio: true}},
+		{"bmc2-p2", q.P2Index, BMC2(14)},
 	} {
 		tc.opt.ValidateWitness = true
 		assertLazyEquiv(t, "quicksort/"+tc.name, func(opt Options) *Result {
@@ -88,15 +122,21 @@ func TestLazyEquivalenceImageFilter(t *testing.T) {
 }
 
 func TestLazyEquivalenceLookup(t *testing.T) {
-	// Arbitrary-init memory under proofs: exercises the eq. 6 oracle
-	// grouping on the forward window and on the backward window, where
-	// every memory is arbitrary-initialized.
+	// Arbitrary-init memory: exercises the eq. 6 oracle grouping on the
+	// invariant (compiled without passes: the constant sweep folds it to
+	// true) and on the reachability properties.
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 4, Latency: 3})
 	n := l.Netlist()
-	opt := Options{MaxDepth: 12, UseEMM: true, Proofs: true}
+	inv := BMC2(12)
+	inv.Passes = pass.SpecNone
 	assertLazyEquiv(t, "lookup/inv", func(opt Options) *Result {
 		return Check(n, l.InvariantIndex, opt)
-	}, opt)
+	}, inv)
+	for _, prop := range l.ReachIndices[:2] {
+		assertLazyEquiv(t, fmt.Sprintf("lookup/p%d", prop), func(opt Options) *Result {
+			return Check(n, prop, opt)
+		}, BMC2(12))
+	}
 }
 
 func TestLazyEquivalenceGrowthShape(t *testing.T) {
@@ -125,7 +165,7 @@ func TestLazyWitnessMemInit(t *testing.T) {
 	mem := m.Memory("mem", 2, 3, aig.MemArbitrary)
 	rd := mem.Read(m.Const(2, 2), aig.True)
 	m.AssertAlways("ne5", m.EqConst(rd, 5).Not())
-	opt := Options{MaxDepth: 3, UseEMM: true, LazyEMM: true, ValidateWitness: true}
+	opt := Options{MaxDepth: 3, UseEMM: true, ValidateWitness: true}
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindCE {
 		t.Fatalf("expected CE, got %v", r)
@@ -157,7 +197,7 @@ func TestLazyWitnessReplayThroughMapping(t *testing.T) {
 	m.Done(junk)
 	m.AssertAlways("ne9", m.EqConst(rd, 9).Not())
 
-	opt := Options{MaxDepth: 6, UseEMM: true, LazyEMM: true, ValidateWitness: true}
+	opt := Options{MaxDepth: 6, UseEMM: true, ValidateWitness: true}
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindCE {
 		t.Fatalf("expected CE, got %v", r)
@@ -252,31 +292,36 @@ func randMemDesign(rng *rand.Rand) *rtl.Module {
 
 func TestLazyDifferentialFuzz(t *testing.T) {
 	// Differential oracle: on random multi-port designs with duplicated
-	// and nearly duplicated read ports, EMM with read-event sharing, EMM
-	// without it (DisableEMMMemo), each eager and lazy, and the
-	// explicit-expansion baseline must agree on the verdict at EVERY
-	// depth, not just the final one. The proof engines — BMC-3 without
-	// PBA, and kind — run their termination checks through the lazy refine
-	// loop too, so there the four EMM variants must also agree on the
-	// proof side. Plain BMC on the explicit expansion pins bmc2's verdict
-	// and depth exactly; see agreesWithExplicit for the proof engines.
+	// and nearly duplicated read ports, EMM with read-event sharing and
+	// without it (DisableEMMMemo), and the explicit-expansion baseline
+	// must agree on the verdict at EVERY depth, not just the final one.
+	// bmc2 runs lazy and, through the eager override, eager; the proof
+	// engines — BMC-3 without PBA, and kind — always run eager, and their
+	// variants must also agree on the proof side. Plain BMC on the
+	// explicit expansion pins bmc2's verdict and depth exactly; see
+	// agreesWithExplicit for the proof engines.
 	const trials, maxDepth = 60, 5
-	engines := []struct {
-		name string
-		opt  func(depth int) Options
-	}{
-		{"bmc2", BMC2},
-		{"bmc3", func(d int) Options { return Options{MaxDepth: d, UseEMM: true, Proofs: true} }},
-		{"kind", KInd},
-	}
-	variants := []struct {
+	type variant struct {
 		name string
 		set  func(*Options)
+	}
+	unshared := []variant{
+		{"shared", func(*Options) {}},
+		{"unshared", func(o *Options) { o.DisableEMMMemo = true }},
+	}
+	withEager := []variant{
+		unshared[0], unshared[1],
+		{"eager", func(o *Options) { o.eagerEMM = true }},
+		{"eager-unshared", func(o *Options) { o.eagerEMM, o.DisableEMMMemo = true, true }},
+	}
+	engines := []struct {
+		name     string
+		opt      func(depth int) Options
+		variants []variant
 	}{
-		{"eager", func(*Options) {}},
-		{"lazy", func(o *Options) { o.LazyEMM = true }},
-		{"eager-unshared", func(o *Options) { o.DisableEMMMemo = true }},
-		{"lazy-unshared", func(o *Options) { o.LazyEMM, o.DisableEMMMemo = true, true }},
+		{"bmc2", BMC2, withEager},
+		{"bmc3", func(d int) Options { return Options{MaxDepth: d, UseEMM: true, Proofs: true} }, unshared},
+		{"kind", KInd, unshared},
 	}
 	shared := 0
 	for seed := 0; seed < trials; seed++ {
@@ -296,7 +341,7 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 			}
 			for _, eng := range engines {
 				var ref *Result
-				for _, v := range variants {
+				for _, v := range eng.variants {
 					o := eng.opt(d)
 					v.set(&o)
 					r := Check(m.N, 0, o)
@@ -316,7 +361,7 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 						ref = r
 					} else if r.Kind != ref.Kind || r.Depth != ref.Depth || r.ProofSide != ref.ProofSide {
 						t.Fatalf("seed %d depth %d %s: %s %v (%s) vs %s %v (%s)",
-							seed, d, eng.name, variants[0].name, ref, ref.ProofSide, v.name, r, r.ProofSide)
+							seed, d, eng.name, eng.variants[0].name, ref, ref.ProofSide, v.name, r, r.ProofSide)
 					}
 				}
 			}

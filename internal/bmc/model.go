@@ -28,8 +28,18 @@ import (
 // generator treats every memory as arbitrary-initialized (§4.2) — except,
 // under KInduction, memories with no write ports: a memory nothing ever
 // writes keeps its declared contents in every reachable state, so the
-// induction step may assume them. Under LazyEMM both generators
-// instantiate their read-over-write axioms on demand (refineSolve).
+// induction step may assume them.
+//
+// The engine picks the EMM encoding itself. A run without termination
+// checks (bmc2, CheckMany without Proofs, CEGAR's concrete checks)
+// instantiates its read-over-write axioms on demand
+// (core.Generator.EnableLazy, refined in refineSolve): its only query is
+// the counter-example check, which the relaxation answers with a fraction
+// of the eager clauses. Runs with
+// termination checks (bmc3, kind, PBA phase 2) stay eager: made lazy,
+// they measured slower on prove-qsort (EXPERIMENTS §S10), whose forward
+// and backward queries answer SAT at almost every depth and so pay a
+// model validation, often a refinement round, per answer.
 //
 // Cross-tag sharing (strash, comparator memoization) reuses clauses
 // emitted under the first requester's tag. That is sound for verdicts,
@@ -39,7 +49,9 @@ import (
 // needs. Like init folding, both caches are therefore off while cores
 // are being tracked (phase 2 of the PBA flow runs without opt.PBA and
 // keeps full sharing), and so is lazy instantiation: the cores must see
-// the full set of eagerly tagged EMM clauses (§4.3).
+// the full set of eagerly tagged EMM clauses (§4.3). The eq. 1 ablation
+// (DisableExclusivity) is eager too: the refinement machinery suspends
+// the eq. 4 chains it replaces.
 func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *core.Generator) {
 	opt, n := e.opt, e.n
 	s := e.newSolver()
@@ -73,7 +85,7 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 	}
 	if opt.DisableExclusivity {
 		g.DisableExclusivity()
-	} else if opt.LazyEMM && !opt.PBA {
+	} else if !opt.Proofs && !opt.PBA && !opt.eagerEMM {
 		g.EnableLazy()
 	}
 	e.applyMemAbstraction(g)

@@ -23,8 +23,10 @@ import (
 // paper's "10 induction proofs in < 1 s" effect, now paid for once.
 //
 // Outcomes are deterministic: every per-property verdict (Kind, Depth,
-// ProofSide) equals what the sequential CheckMany computes, because SAT
-// answers are semantic and at most one verdict class can fire per depth.
+// ProofSide) equals what the sequential CheckMany computes (under
+// KInduction: what Check computes, since each property runs k-induction),
+// because SAT answers are semantic and at most one verdict class can fire
+// per depth.
 // Only timeout placement and witness input values (which always replay) may
 // vary between runs.
 func CheckManyParallel(n *aig.Netlist, props []int, opt Options, jobs int) *ManyResult {
@@ -92,14 +94,19 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 			e = newEngine(ctx, n, props[pi], wopt)
 			engines[w] = e
 		}
-		// One driver run per property on the worker's engine, consulting
-		// the pool-shared forward-termination oracle. The result carries
-		// this property's wall time; the solver-level counters are
-		// aggregated per worker instead (ManyResult.Stats).
+		// One driver run per property on the worker's engine: k-induction
+		// under KInduction, as Check runs it, and otherwise the bmc order
+		// consulting the pool-shared forward-termination oracle. The
+		// result carries this property's wall time; the solver-level
+		// counters are aggregated per worker instead (ManyResult.Stats).
 		t0 := time.Now()
 		e.prop = props[pi]
 		d := newDriver(e, props[pi:pi+1], 0)
-		d.run(ctx, &bmcStrategy{e: e, d: d, fwd: &fwdUnsat})
+		var strat Strategy = &bmcStrategy{e: e, d: d, fwd: &fwdUnsat}
+		if opt.KInduction && opt.Proofs {
+			strat = &kindStrategy{e}
+		}
+		d.run(ctx, strat)
 		out.Results[pi] = d.res[0]
 		out.Results[pi].Stats.Elapsed = time.Since(t0)
 	})

@@ -196,8 +196,8 @@ type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options
 
 // entryPoints lists every public entry point of the package: Check (also
 // routed to k-induction), sequential CheckMany (jobs 0), the property
-// pool, and the pool given one property at a time (two workers race its
-// termination lanes).
+// pool (also under k-induction), and the pool given one property at a
+// time (two workers race its termination lanes).
 func entryPoints() []struct {
 	name string
 	run  entryRun
@@ -215,8 +215,12 @@ func entryPoints() []struct {
 			return out, calls
 		}
 	}
-	many := func(jobs int) entryRun {
+	kind := func(o *Options) { o.KInduction = true }
+	many := func(jobs int, tune ...func(*Options)) entryRun {
 		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
+			for _, f := range tune {
+				f(&opt)
+			}
 			var mr *ManyResult
 			if jobs == 0 {
 				mr = CheckManyCtx(ctx, n, props, opt)
@@ -245,7 +249,43 @@ func entryPoints() []struct {
 		{"CheckManyParallel/1", many(1)},
 		{"CheckManyParallel/2", many(2)},
 		{"CheckManyParallel/2/one-prop", lanes},
-		{"kind", check(func(o *Options) { o.KInduction = true })},
+		{"kind", check(kind)},
+		{"kind/CheckManyParallel/1", many(1, kind)},
+		{"kind/CheckManyParallel/2", many(2, kind)},
+	}
+}
+
+// TestPoolRunsKInduction: under KInduction the property pool runs each
+// property with the k-induction strategy, exactly as Check does — same
+// verdict, depth and proof side, and the same solver calls for a single
+// property. BMC-3's check order (forward, backward, then the
+// counter-example query) would spend a different number of calls.
+func TestPoolRunsKInduction(t *testing.T) {
+	qs := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
+	counter, _ := manyCounter()
+	for _, tc := range []struct {
+		name string
+		n    *aig.Netlist
+		prop int
+	}{
+		{"quicksort-p2", qs.Netlist(), qs.P2Index},
+		{"counter-ce", counter.N, 3},
+		{"counter-proof", counter.N, 8},
+	} {
+		opt := KInd(14)
+		want := Check(tc.n, tc.prop, opt)
+		for _, jobs := range []int{1, 2} {
+			mr := CheckManyParallel(tc.n, []int{tc.prop}, opt, jobs)
+			r := mr.Results[0]
+			if r.Kind != want.Kind || r.Depth != want.Depth || r.ProofSide != want.ProofSide {
+				t.Errorf("%s jobs=%d: pool %v (%s), Check %v (%s)",
+					tc.name, jobs, r, r.ProofSide, want, want.ProofSide)
+			}
+			if mr.Stats.SolveCalls != want.Stats.SolveCalls {
+				t.Errorf("%s jobs=%d: pool made %d solver calls, Check %d",
+					tc.name, jobs, mr.Stats.SolveCalls, want.Stats.SolveCalls)
+			}
+		}
 	}
 }
 

@@ -20,10 +20,11 @@ import (
 // The refactor-equivalence pin: every existing engine must produce
 // byte-identical verdicts, depths, witnesses, and deterministic Stats
 // counters across the case-study designs, compared against golden fixtures
-// generated before the model/session/strategy extraction (the kind, lazy
-// and multi-property records: before the entry points shared one
-// per-depth driver; the bmc3-lazy count fields: after the termination
-// checks joined the lazy refine loop). Regenerate with
+// generated before the model/session/strategy extraction (the kind and
+// multi-property records: before the entry points shared one per-depth
+// driver; the bmc2 and many-bmc2 records: after the engine made bmc2 lazy,
+// when the bmc2 records took the former bmc2-lazy records' values).
+// Regenerate with
 //
 //	go test ./internal/bmc -run TestRefactorEquivalence -update-golden
 //
@@ -164,13 +165,6 @@ func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int
 		opt.Portfolio = true
 	case "kind":
 		opt = KInd(depth)
-	case "bmc2-lazy":
-		opt.UseEMM = true
-		opt.LazyEMM = true
-	case "bmc3-lazy":
-		opt.UseEMM = true
-		opt.Proofs = true
-		opt.LazyEMM = true
 	case "pba":
 		opt.UseEMM = true
 		opt.StabilityDepth = 10
@@ -270,7 +264,12 @@ func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, dept
 		t.Fatalf("unknown engine %s", engine)
 	}
 	var recs []goldenRecord
-	for _, r := range mr.Results {
+	for pi, r := range mr.Results {
+		if r.Kind == KindCE {
+			if err := r.Witness.Replay(n, props[pi]); err != nil {
+				t.Errorf("%s prop %d: witness does not replay: %v", engine, props[pi], err)
+			}
+		}
 		rec := goldenRecord{Kind: r.Kind.String(), Depth: r.Depth, ProofSide: r.ProofSide}
 		if full {
 			rec = fullRecord(r, mr.Stats)
@@ -287,7 +286,7 @@ func TestRefactorEquivalence(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "refactor_golden.json")
 	var got []goldenRecord
 	for _, d := range equivDesigns() {
-		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba", "kind", "bmc2-lazy", "bmc3-lazy"} {
+		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba", "kind"} {
 			rec := runEquivEngine(t, engine, d.n, d.prop, d.depth)
 			rec.Design, rec.Engine = d.name, engine
 			got = append(got, rec)

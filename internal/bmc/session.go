@@ -133,8 +133,8 @@ func (e *engine) snapshotStats() Stats {
 		s.EliminatedVars += st.EliminatedVars
 	}
 	// The EMM tally reports the forward window's generator: it hosts the
-	// counter-example queries, and under LazyEMM its tally is the figure
-	// the A/B harness compares against an eager run.
+	// counter-example queries, and in a lazy run its tally counts the
+	// axioms the refinement actually instantiated.
 	if e.fg != nil {
 		s.EMM = e.fg.Sizes()
 	}

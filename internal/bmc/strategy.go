@@ -110,9 +110,8 @@ func (d *driver) finish(r *Result) *Result {
 }
 
 // strategyFor selects the Strategy the options ask for on a
-// single-property run. The capability resolver in internal/spec guarantees
-// specs only reach combinations listed here; Options-level callers get the
-// closest sequential flow.
+// single-property run; Options-level callers get the closest sequential
+// flow.
 func (e *engine) strategyFor(d *driver) Strategy {
 	bmc := bmcStrategy{e: e, d: d}
 	switch {
@@ -128,7 +127,8 @@ func (e *engine) strategyFor(d *driver) Strategy {
 }
 
 // bmcStrategy is the paper's per-depth flow, shared by BMC-1, BMC-2, BMC-3,
-// PBA phase 1, sequential CheckMany and each property of the property pool:
+// PBA phase 1, sequential CheckMany (kind included) and each property of
+// the property pool outside KInduction:
 // forward termination once per depth (property-independent, so UNSAT
 // proves every open property), then for each open property backward
 // termination and the counter-example query.

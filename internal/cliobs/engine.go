@@ -13,7 +13,7 @@ import (
 
 // EngineFlags bundles the engine flags shared by all verification CLIs.
 // Every knob a request can carry — -engine, -depth, -timeout, -jobs,
-// -passes, -restart, -no-simplify and -lazy — is derived from the
+// -passes, -restart and -no-simplify — is derived from the
 // internal/spec.Spec field tags via spec.RegisterFlags, so the tools
 // expose exactly the schema the emmserved job server and the verdict cache
 // speak and cannot drift from it. Only -no-passes (a CLI convenience alias

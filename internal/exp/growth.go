@@ -15,6 +15,7 @@ import (
 type GrowthPoint struct {
 	Depth        int
 	Clauses      int // EMM clauses per the paper's accounting
+	InitClauses  int // eq. 6 initial-state consistency clauses
 	Gates        int
 	PredClauses  int // closed-form prediction
 	PredGates    int
@@ -100,6 +101,7 @@ func Growth(cfg GrowthConfig) []GrowthPoint {
 		pts = append(pts, GrowthPoint{
 			Depth:        k,
 			Clauses:      sz.Clauses(),
+			InitClauses:  sz.InitClauses,
 			Gates:        sz.Gates,
 			PredClauses:  predClauses,
 			PredGates:    predGates,

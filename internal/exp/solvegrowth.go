@@ -39,10 +39,6 @@ type GrowthSolveConfig struct {
 	// Passes is the compile-pipeline spec for the run ("" = default
 	// pipeline, pass.SpecNone = off).
 	Passes string
-	// Lazy switches the CE query to demand-driven read-over-write axiom
-	// instantiation (bmc.Options.LazyEMM). The §S7 A/B holds everything
-	// else fixed and toggles this.
-	Lazy bool
 }
 
 // DefaultGrowthSolve is the §S2 configuration: the shared-address shape at
@@ -80,7 +76,6 @@ func GrowthSolve(cfg GrowthSolveConfig) GrowthSolveResult {
 	opt.DisableEMMMemo = cfg.NoOpt
 	opt.CollectDepthStats = true
 	opt.Passes = cfg.Passes
-	opt.LazyEMM = cfg.Lazy
 
 	t0 := time.Now()
 	r := bmc.Check(n, 0, opt)

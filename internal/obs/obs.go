@@ -67,8 +67,8 @@ const (
 	MEMMMemoHits        = "emm.memo_hits"
 	MEMMSharedReads     = "emm.shared_reads" // duplicate read events encoded as RD = RD_twin
 
-	// Lazy-EMM refinement (demand-driven axiom instantiation in every
-	// query's refine loop, bmc.Options.LazyEMM).
+	// Lazy-EMM refinement (demand-driven axiom instantiation in the
+	// refine loop of runs without termination checks, such as bmc2).
 	MLazyRounds   = "lazy.rounds"   // model validations run by the oracle
 	MLazyAxioms   = "lazy.axioms"   // forwarding axioms instantiated on demand
 	MLazySpurious = "lazy.spurious" // SAT models rejected as semantically spurious

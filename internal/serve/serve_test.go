@@ -398,6 +398,7 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 	t.Cleanup(ts.Close)
 	for _, c := range []struct{ body, field string }{
 		{`{"format":"verilog","source":"module m; endmodule","spec":{"share":true}}`, `"share"`},
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"lazy":true}}`, `"lazy"`},
 		{`{"formatt":"verilog","source":"module m; endmodule"}`, `"formatt"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))

@@ -18,9 +18,8 @@ import (
 // tools whose workload fixes the engine or depth).
 //
 // The -passes usage line is completed with the live pass registry at call
-// time, and the -engine usage line and the capability-gated -lazy line with
-// the engine registry, so the help text always lists exactly the passes and
-// engines this build has.
+// time, and the -engine usage line with the engine registry, so the help
+// text always lists exactly the passes and engines this build has.
 func RegisterFlags(fs *flag.FlagSet, s *Spec, skip ...string) {
 	skipped := make(map[string]bool, len(skip))
 	for _, name := range skip {
@@ -34,7 +33,7 @@ func RegisterFlags(fs *flag.FlagSet, s *Spec, skip ...string) {
 		if name == "" || skipped[name] {
 			continue
 		}
-		usage := knobUsage(name, f.Tag.Get("usage"))
+		usage := f.Tag.Get("usage")
 		switch name {
 		case "passes":
 			usage = fmt.Sprintf("static compile pipeline: comma-separated passes from %s (default %q), or none",

@@ -5,21 +5,15 @@ import (
 	"strings"
 )
 
-// Capability is one orthogonal engine feature a performance knob may
-// require. Every engine declares the set it supports in the registry below;
-// Validate checks each requested knob against that set and rejects the
-// combination with a *CapabilityError instead of silently ignoring the
-// knob. There is exactly one table, and a spec that passes Validate is
-// honored in full.
+// Capability is one orthogonal engine feature the serving layer relies
+// on. Every engine declares the set it supports in the registry below;
+// warm-start eligibility and the verdict cache's proof index read it.
 type Capability uint32
 
 const (
-	// CapLazy: the engine's queries can run the demand-driven EMM axiom
-	// instantiation (-lazy).
-	CapLazy Capability = 1 << iota
 	// CapWarm: the engine honors warm-started deepening
 	// (bmc.Options.StartDepth), so a cached NO_CE frontier can resume it.
-	CapWarm
+	CapWarm Capability = 1 << iota
 	// CapProof: the engine can return PROOF verdicts (termination checks),
 	// so its results feed the engine-independent proof index of the
 	// verdict cache.
@@ -41,7 +35,7 @@ type EngineInfo struct {
 func (e EngineInfo) Has(c Capability) bool { return e.Caps.Has(c) }
 
 // engineRegistry is the single source of truth for which engines exist,
-// what each one is, and which performance knobs it supports. Validate, the
+// what each one is, and which capabilities it has. Validate, the
 // -engine usage string, WarmEligible, and the serve-layer proof index all
 // derive from it; adding an engine means adding exactly one row here plus
 // its Options mapping.
@@ -49,13 +43,13 @@ var engineRegistry = []EngineInfo{
 	{EngineBMC1, "plain BMC + induction proofs (Fig. 1)",
 		CapWarm | CapProof},
 	{EngineBMC2, "EMM falsification (Fig. 2)",
-		CapLazy | CapWarm},
+		CapWarm},
 	{EngineBMC3, "EMM + induction proofs (Fig. 3)",
-		CapLazy | CapWarm | CapProof},
+		CapWarm | CapProof},
 	{EnginePBA, "two-phase prove-with-abstraction",
 		CapProof},
 	{EngineKInd, "EMM k-induction: unbounded proofs via strengthened simple-path induction",
-		CapLazy | CapWarm | CapProof},
+		CapWarm | CapProof},
 }
 
 // Engines returns the registry rows in canonical order.
@@ -96,63 +90,4 @@ func EngineUsage() string {
 		fmt.Fprintf(&b, "%s (%s)", e.Name, e.Summary)
 	}
 	return b.String()
-}
-
-// knobCaps maps each capability-gated Spec knob, flag-spelled, to the
-// capability an engine needs to honor it.
-var knobCaps = map[string]Capability{
-	"lazy": CapLazy,
-}
-
-// enginesWith lists, in registry order, the engines that support c.
-func enginesWith(c Capability) []string {
-	var out []string
-	for _, e := range engineRegistry {
-		if e.Has(c) {
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}
-
-// knobUsage completes a capability-gated flag's help text with the engines
-// that honor the knob, rendered from the registry like EngineUsage. Other
-// flags' usage is returned unchanged.
-func knobUsage(name, usage string) string {
-	if c, ok := knobCaps[name]; ok {
-		return fmt.Sprintf("%s (engines: %s)", usage, strings.Join(enginesWith(c), ", "))
-	}
-	return usage
-}
-
-// CapabilityError reports a knob the selected engine does not support. It
-// is a typed rejection: callers (CLIs, the job server) surface Reason
-// verbatim, and the capability-sweep test asserts every unsupported
-// (engine, knob) pair returns one of these rather than silently dropping
-// the knob.
-type CapabilityError struct {
-	// Engine is the canonical engine name.
-	Engine string
-	// Knob is the flag-spelled name of the rejected option ("lazy").
-	Knob string
-	// Reason says why the combination is unsupported.
-	Reason string
-}
-
-// Error implements error.
-func (e *CapabilityError) Error() string {
-	return fmt.Sprintf("spec: -%s is not supported by engine %s: %s", e.Knob, e.Engine, e.Reason)
-}
-
-// lazyReason explains why an engine without CapLazy rejects -lazy.
-const lazyReason = "demand-driven EMM instantiates read-over-write axioms as each query's models demand; this engine cannot run its queries on the relaxation (no EMM constraints, or proof tracing attributes relevance to eagerly tagged clauses)"
-
-// checkCapabilities validates every requested knob of the canonical spec c
-// against the engine's declared capability set. It is the one central
-// resolver: a nil return means every knob in c is honored end to end.
-func checkCapabilities(c Spec, info EngineInfo) error {
-	if c.Lazy && !info.Has(CapLazy) {
-		return &CapabilityError{Engine: info.Name, Knob: "lazy", Reason: lazyReason}
-	}
-	return nil
 }

@@ -4,8 +4,8 @@
 // RegisterFlags), the emmserved job server (requests carry a Spec as plain
 // JSON), and the content-addressed verdict cache (CanonicalKey /
 // FamilyKey). A Spec captures exactly the knobs a remote caller may turn —
-// engine choice, depth, compile passes, restart mode, inprocessing and
-// lazy EMM — and converts to and from bmc.Options with
+// engine choice, depth, compile passes, restart mode and inprocessing —
+// and converts to and from bmc.Options with
 // Spec.Options and FromOptions, so there is one schema instead of three
 // ad-hoc flag/builder surfaces.
 //
@@ -37,7 +37,9 @@ const Version = 1
 // Engine names. PBA is the two-phase prove-with-abstraction flow; KInd is
 // EMM k-induction (the bmc3 termination machinery with a strengthened
 // induction hypothesis — unbounded proofs). The registry in registry.go
-// describes each engine and its capability set.
+// describes each engine and its capability set. The engine also fixes the
+// EMM encoding: bmc2 instantiates read-over-write axioms on demand, the
+// proof engines use the eager encoding (see bmc's newWindow).
 const (
 	EngineBMC1 = "bmc1"
 	EngineBMC2 = "bmc2"
@@ -103,7 +105,7 @@ func (d *Duration) Set(s string) error {
 // Fields are split into two groups. The semantic fields (Engine, Depth,
 // Passes) select *what* is verified and participate in CanonicalKey /
 // FamilyKey, the verdict-cache keys. The performance fields (Timeout,
-// Jobs, Restart, NoSimplify, Lazy) only change how fast the same verdict
+// Jobs, Restart, NoSimplify) only change how fast the same verdict
 // arrives — the repo's equivalence suites pin verdict parity
 // across all of them — so two requests differing only there are cache-equal.
 type Spec struct {
@@ -127,8 +129,6 @@ type Spec struct {
 	Restart string `json:"restart,omitempty" flag:"restart" usage:"solver restart strategy: luby or ema (adaptive)"`
 	// NoSimplify disables between-depth inprocessing.
 	NoSimplify bool `json:"no_simplify,omitempty" flag:"no-simplify" usage:"disable between-depth inprocessing (subsumption + variable elimination)"`
-	// Lazy instantiates read-over-write axioms on demand in every query.
-	Lazy bool `json:"lazy,omitempty" flag:"lazy" usage:"demand-driven EMM: start every query (counter-example and termination checks) with read data unconstrained and instantiate forwarding axioms only when a model violates memory semantics"`
 }
 
 // Default returns the canonical default request: BMC-3 to depth 100 under
@@ -198,28 +198,22 @@ func canonicalPasses(spec string) string {
 	return strings.Join(out, ",")
 }
 
-// Validate reports the first problem with s, or nil. Options calls it; the
-// server calls it before accepting a job. Beyond field-level checks, it
-// runs the central capability resolver: every performance knob the spec
-// turns on must be declared supported by the selected engine's registry
-// row, or the combination is rejected with a typed *CapabilityError —
-// never silently ignored.
+// Validate reports the first problem with s, or nil: a schema version
+// this build does not speak, an unknown engine or restart mode, or an
+// invalid pass spec. Options calls it; the server calls it before
+// accepting a job.
 func (s Spec) Validate() error {
 	if s.V < 0 || s.V > Version {
 		return fmt.Errorf("spec: unsupported schema version %d (this build speaks <= %d)", s.V, Version)
 	}
 	c := s.Canonical()
-	info, ok := LookupEngine(c.Engine)
-	if !ok {
+	if _, ok := LookupEngine(c.Engine); !ok {
 		return fmt.Errorf("spec: unknown engine %q (want %s)", c.Engine, strings.Join(EngineNames(), ", "))
 	}
 	if _, err := sat.ParseRestartMode(c.Restart); err != nil {
 		return err
 	}
-	if err := pass.ValidSpec(c.Passes); err != nil {
-		return err
-	}
-	return checkCapabilities(c, info)
+	return pass.ValidSpec(c.Passes)
 }
 
 // Options converts the spec into the engine configuration it denotes.
@@ -244,7 +238,6 @@ func (s Spec) Options() (bmc.Options, error) {
 		Passes:     c.Passes,
 		Restart:    restart,
 		NoSimplify: c.NoSimplify,
-		LazyEMM:    c.Lazy,
 	}
 	switch c.Engine {
 	case EngineBMC1:
@@ -278,7 +271,6 @@ func FromOptions(o bmc.Options) Spec {
 		Jobs:       o.Jobs,
 		Passes:     o.Passes,
 		NoSimplify: o.NoSimplify,
-		Lazy:       o.LazyEMM,
 	}
 	if o.Restart == sat.RestartLuby {
 		s.Restart = "luby"
@@ -305,7 +297,7 @@ func FromOptions(o bmc.Options) Spec {
 // FamilyKey over the same compiled netlist are the *same verification
 // problem at different depths*: a cached NO_CE at depth k answers any
 // request up to k outright and warm-starts deeper ones from k+1. The
-// performance fields (Timeout, Jobs, Restart, NoSimplify, Lazy) are
+// performance fields (Timeout, Jobs, Restart, NoSimplify) are
 // deliberately excluded: the engine equivalence suites pin that they never
 // change verdicts, only wall-clock.
 func (s Spec) FamilyKey() string {

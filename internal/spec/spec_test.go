@@ -11,35 +11,26 @@ import (
 )
 
 // Every engine's Spec must survive Spec → Options → Spec unchanged
-// (modulo canonicalization): the converters are the API contract that
-// CLIs, server, and cache speak one schema. Each engine is exercised with
-// every performance knob its registry row declares — the capability
-// resolver rejects the rest (TestCapabilityResolver covers those).
+// (modulo canonicalization) with every performance knob set: the
+// converters are the API contract that CLIs, server, and cache speak one
+// schema.
 func TestOptionsRoundTrip(t *testing.T) {
 	for _, info := range Engines() {
-		for _, lazy := range []bool{false, true} {
-			roundTrip(t, info, lazy)
+		s := Default()
+		s.Engine = info.Name
+		s.Depth = 42
+		s.Timeout = Duration(90 * time.Second)
+		s.Jobs = 3
+		s.Restart = "luby"
+		s.NoSimplify = true
+		opt, err := s.Options()
+		if err != nil {
+			t.Fatalf("%s: Options: %v", info.Name, err)
 		}
-	}
-}
-
-func roundTrip(t *testing.T, info EngineInfo, lazy bool) {
-	t.Helper()
-	s := Default()
-	s.Engine = info.Name
-	s.Depth = 42
-	s.Timeout = Duration(90 * time.Second)
-	s.Jobs = 3
-	s.Restart = "luby"
-	s.NoSimplify = true
-	s.Lazy = lazy && info.Has(CapLazy)
-	opt, err := s.Options()
-	if err != nil {
-		t.Fatalf("%s: Options: %v", info.Name, err)
-	}
-	back := FromOptions(opt)
-	if back != s.Canonical() {
-		t.Errorf("%s: round trip drifted:\n  in:  %+v\n  out: %+v", info.Name, s.Canonical(), back)
+		back := FromOptions(opt)
+		if back != s.Canonical() {
+			t.Errorf("%s: round trip drifted:\n  in:  %+v\n  out: %+v", info.Name, s.Canonical(), back)
+		}
 	}
 }
 
@@ -101,7 +92,7 @@ func TestCanonicalKeyPermutationInvariant(t *testing.T) {
 		`{"depth":24}`,                          // engine and passes defaulted
 		`{"v":1,"engine":"bmc3","depth":24}`,    // version explicit
 		`{"depth":24,"timeout":"30s","jobs":8}`, // performance knobs differ
-		`{"depth":24,"restart":"luby","no_simplify":true,"lazy":true,"jobs":2}`,
+		`{"depth":24,"restart":"luby","no_simplify":true,"jobs":2}`,
 	}
 	var want string
 	for i, doc := range docs {
@@ -150,28 +141,38 @@ func TestCanonicalKeyDistinguishesSemantics(t *testing.T) {
 	}
 }
 
-// Lazy is a performance field: it changes how the verdict is found, never
-// which verdict — so both cache keys must be byte-identical with it on and
-// off, and the knob must round-trip through bmc.Options.
-func TestLazyIsCacheTransparent(t *testing.T) {
+// The performance fields change how fast the verdict arrives, never which
+// verdict: both cache keys must be byte-identical with each of them set,
+// and each must round-trip through bmc.Options.
+func TestPerformanceFieldsAreCacheTransparent(t *testing.T) {
 	base := Spec{Engine: EngineBMC2, Depth: 24}
-	lazy := base
-	lazy.Lazy = true
-	if base.FamilyKey() != lazy.FamilyKey() {
-		t.Error("family key must not depend on -lazy")
-	}
-	if base.CanonicalKey() != lazy.CanonicalKey() {
-		t.Error("canonical key must not depend on -lazy")
-	}
-	opt, err := lazy.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !opt.LazyEMM {
-		t.Error("spec Lazy did not reach Options.LazyEMM")
-	}
-	if rt := FromOptions(opt); !rt.Lazy {
-		t.Error("Options.LazyEMM did not round-trip to spec Lazy")
+	for _, tc := range []struct {
+		name string
+		set  func(*Spec)
+	}{
+		{"restart", func(s *Spec) { s.Restart = "luby" }},
+		{"no-simplify", func(s *Spec) { s.NoSimplify = true }},
+		{"jobs", func(s *Spec) { s.Jobs = 2 }},
+		{"timeout", func(s *Spec) { s.Timeout = Duration(90 * time.Second) }},
+	} {
+		perf := base
+		tc.set(&perf)
+		if perf.Canonical() == base.Canonical() {
+			t.Fatalf("%s: setter changed nothing", tc.name)
+		}
+		if base.FamilyKey() != perf.FamilyKey() {
+			t.Errorf("family key must not depend on -%s", tc.name)
+		}
+		if base.CanonicalKey() != perf.CanonicalKey() {
+			t.Errorf("canonical key must not depend on -%s", tc.name)
+		}
+		opt, err := perf.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt := FromOptions(opt); rt != perf.Canonical() {
+			t.Errorf("-%s did not round-trip through Options: %+v vs %+v", tc.name, rt, perf.Canonical())
+		}
 	}
 }
 
@@ -206,7 +207,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	}
 	err := fs.Parse([]string{
 		"-engine", "bmc2", "-depth", "17", "-timeout", "90s",
-		"-restart", "luby", "-no-simplify", "-lazy",
+		"-restart", "luby", "-no-simplify",
 		"-jobs", "2", "-passes", "coi,dedup",
 	})
 	if err != nil {
@@ -214,7 +215,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	}
 	want := Spec{
 		V: Version, Engine: "bmc2", Depth: 17, Timeout: Duration(90 * time.Second),
-		Jobs: 2, Passes: "coi,dedup", Restart: "luby", NoSimplify: true, Lazy: true,
+		Jobs: 2, Passes: "coi,dedup", Restart: "luby", NoSimplify: true,
 	}
 	if s != want {
 		t.Errorf("parsed spec %+v, want %+v", s, want)
@@ -223,7 +224,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || !opt.UseEMM || opt.Proofs || !opt.LazyEMM {
+	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || !opt.UseEMM || opt.Proofs {
 		t.Errorf("flags did not flow into Options: %+v", opt)
 	}
 }
