@@ -22,12 +22,10 @@ import (
 	"testing"
 	"time"
 
-	"emmver/internal/aig"
 	"emmver/internal/bmc"
 	"emmver/internal/designs"
 	"emmver/internal/exp"
 	"emmver/internal/expmem"
-	"emmver/internal/ltl"
 	"emmver/internal/pass"
 	"emmver/internal/rtl"
 	"emmver/internal/sat"
@@ -122,7 +120,7 @@ func BenchmarkConstraintGrowth(b *testing.B) {
 	b.Logf("\n%s", exp.RenderGrowth(pts))
 }
 
-// BenchmarkParallelSpeedup measures the property-level worker pool on the
+// BenchmarkParallelSpeedup measures the property groups on the
 // Industry I property set: the same CheckManyParallel run at 1/2/4/8
 // workers, reporting each configuration's speedup over the 1-worker
 // baseline as x_speedup. On a single-core host the sub-benchmarks time-share
@@ -332,39 +330,6 @@ func BenchmarkVerilogQuicksort(b *testing.B) {
 			b.Fatalf("expected proof, got %v", r)
 		}
 	}
-}
-
-// BenchmarkLTLLassoSearch measures bounded-LTL witness search with loop
-// encodings over a counter design.
-func BenchmarkLTLLassoSearch(b *testing.B) {
-	f, err := ltl.Parse("G F wrap")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		d := designsCounter()
-		bd := ltl.Binding{"wrap": d.EqConst(probeBus(d), 6)}
-		w, err := ltl.FindWitness(d.N, bd, f, ltl.SearchOptions{MaxK: 12})
-		if err != nil || w == nil {
-			b.Fatalf("no witness: %v %v", w, err)
-		}
-	}
-}
-
-func designsCounter() *rtl.Module {
-	m := rtl.NewModule("cnt")
-	c := m.Register("c", 3, 0)
-	c.SetNext(m.Inc(c.Q))
-	m.Done(c)
-	return m
-}
-
-func probeBus(m *rtl.Module) rtl.Vec {
-	var v rtl.Vec
-	for _, l := range m.N.Latches {
-		v = append(v, aig.MkLit(l.Node, false))
-	}
-	return v
 }
 
 // BenchmarkAblationPBAvsCEGAR contrasts the paper's proof-based

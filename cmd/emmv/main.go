@@ -85,7 +85,7 @@ func main() {
 	bddNodes := flag.Int("bddnodes", 500000, "BDD node budget for -engine bdd")
 	vcdOut := flag.String("vcd", "", "write the first counter-example waveform here")
 	export := flag.String("export", "", "write the model (after -explicit) to this .btor2/.btor/.aag/.aig file and exit")
-	stats := flag.Bool("stats", false, "print solver, EMM and per-depth stats (forces a sequential run)")
+	stats := flag.Bool("stats", false, "print solver, EMM and per-depth stats")
 	verbose := flag.Bool("v", false, "log per-depth progress")
 	engFlags := cliobs.RegisterEngine()
 	obsFlags := cliobs.Register()
@@ -211,14 +211,7 @@ func main() {
 				st.Add(r.Stats)
 			}
 		default:
-			// -stats needs one shared engine processing depths in order,
-			// so the run is sequential.
-			var mr *bmc.ManyResult
-			if *stats {
-				mr = bmc.CheckMany(n, sel, opt)
-			} else {
-				mr = bmc.CheckManyParallel(n, sel, opt, opt.Jobs)
-			}
+			mr := bmc.CheckManyParallel(n, sel, opt, opt.Jobs)
 			results, st, depthStats = mr.Results, mr.Stats, mr.DepthStats
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,5 +85,38 @@ func TestExitCodes(t *testing.T) {
 					strings.Join(c.args, " "), code, c.want, c.out, out)
 			}
 		})
+	}
+}
+
+// verdictLine matches a result line, capturing "[name] KIND depth=N" and
+// the proof side, if any, around the wall time.
+var verdictLine = regexp.MustCompile(`(?m)^  (\[[^\]]+\] [A-Z_]+ depth=\d+) t=\S+( \(\w+\))?$`)
+
+// verdicts returns out's result lines without their wall times.
+func verdicts(out string) []string {
+	var vs []string
+	for _, m := range verdictLine.FindAllStringSubmatch(out, -1) {
+		vs = append(vs, m[1]+m[2])
+	}
+	return vs
+}
+
+// TestStatsKeepsVerdicts: -stats only observes. At -jobs 2 a multi-property
+// run prints the same verdict lines with and without it, and the -stats run
+// adds the per-depth table.
+func TestStatsKeepsVerdicts(t *testing.T) {
+	args := []string{"-design", "filter", "-jobs", "2"}
+	code, plain := emmv(t, args...)
+	scode, stats := emmv(t, append(args, "-stats")...)
+	want, got := verdicts(plain), verdicts(stats)
+	if code != 1 || scode != 1 || len(want) != 16 {
+		t.Fatalf("filter: exit %d and %d with %d verdicts, want exit 1 and 16 verdicts\n%s", code, scode, len(want), plain)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("-stats changed the verdicts:\n%s\nwithout -stats:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if !strings.Contains(stats, "\ndepth   0: ") || strings.Contains(plain, "\ndepth   0: ") {
+		t.Errorf("the per-depth table must appear exactly with -stats:\n%s", stats)
 	}
 }

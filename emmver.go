@@ -50,7 +50,6 @@ import (
 	"emmver/internal/bmc"
 	"emmver/internal/btor2"
 	"emmver/internal/expmem"
-	"emmver/internal/ltl"
 	"emmver/internal/obs"
 	"emmver/internal/pass"
 	"emmver/internal/rtl"
@@ -108,8 +107,7 @@ func MkBit(n aig.NodeID) Bit { return aig.MkLit(n, false) }
 type (
 	// Options configures a verification run; see BMC1/BMC2/BMC3 for the
 	// paper's algorithm presets. For a serializable, cache-keyable
-	// description of a run, use Spec (OptionsSpec converts between the
-	// two).
+	// description of a run, use Spec (Spec.Options converts it).
 	Options = bmc.Options
 	// Result is a verification outcome.
 	Result = bmc.Result
@@ -209,12 +207,6 @@ type Spec = spec.Spec
 // depth with the full compile pipeline.
 func DefaultSpec() Spec { return spec.Default() }
 
-// OptionsSpec lifts an engine configuration into the request schema —
-// the inverse of Spec.Options. Fields outside the schema (observers,
-// writers, callbacks) are dropped; round-tripping an Options produced
-// by a Spec is lossless.
-func OptionsSpec(o Options) Spec { return spec.FromOptions(o) }
-
 // VerifySpec model-checks one safety property as described by a request
 // spec — Verify with the configuration coming from the serializable
 // schema instead of an Options struct. Invalid specs report an error
@@ -230,21 +222,17 @@ func VerifySpecCtx(ctx context.Context, n *Netlist, prop int, s Spec) (*Result, 
 	return s.RunCtx(ctx, n, prop, 0, nil)
 }
 
-// VerifyAll model-checks many properties of one design. With Options.Jobs
-// != 1 the properties are distributed over a worker pool (0 selects
-// NumCPU) whose engines share a forward-termination oracle; Jobs == 1 — or
-// Options.CollectDepthStats, which only the sequential engine can
-// attribute to depths — runs all properties over a single shared
-// incremental unrolling. Verdicts are identical either way.
+// VerifyAll model-checks many properties of one design. The properties
+// are split into Options.Jobs groups (0 selects NumCPU), each running over
+// one shared incremental unrolling, and the groups share a
+// forward-termination oracle; Jobs == 1 runs every property over a single
+// unrolling. Verdicts are identical at any Jobs.
 func VerifyAll(n *Netlist, props []int, opt Options) *ManyResult {
 	return VerifyAllCtx(context.Background(), n, props, opt)
 }
 
 // VerifyAllCtx is VerifyAll under a cancellation context; see VerifyCtx.
 func VerifyAllCtx(ctx context.Context, n *Netlist, props []int, opt Options) *ManyResult {
-	if opt.Jobs == 1 || opt.CollectDepthStats {
-		return bmc.CheckManyCtx(ctx, n, props, opt)
-	}
 	return bmc.CheckManyParallelCtx(ctx, n, props, opt, opt.Jobs)
 }
 
@@ -319,19 +307,3 @@ func ReadBTOR2(r io.Reader) (*Netlist, error) { return btor2.Read(r) }
 // WriteBTOR2 serializes a design as BTOR2, keeping memories word-level
 // (array states with read nodes and write-chain next functions).
 func WriteBTOR2(w io.Writer, n *Netlist) error { return btor2.Write(w, n) }
-
-// LTLFormula is a linear-temporal-logic formula (see ParseLTL).
-type LTLFormula = ltl.Formula
-
-// LTLBinding maps formula atoms to design signals.
-type LTLBinding = ltl.Binding
-
-// ParseLTL parses an LTL formula ("G (req -> F ack)").
-func ParseLTL(s string) (*LTLFormula, error) { return ltl.Parse(s) }
-
-// FindLTLWitness searches for a bounded witness (path or lasso) of an
-// existential LTL formula over the design. To refute "always ψ", search
-// for a witness of ¬ψ.
-func FindLTLWitness(n *Netlist, bind LTLBinding, f *LTLFormula, maxK int) (*ltl.LassoWitness, error) {
-	return ltl.FindWitness(n, bind, f, ltl.SearchOptions{MaxK: maxK})
-}

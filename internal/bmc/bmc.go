@@ -132,7 +132,7 @@ type Options struct {
 	// step, and each portfolio lane. Nil (the default) costs nothing.
 	Obs *obs.Observer
 	// Passes selects the static compile pipeline every public entry point
-	// (Check/CheckCtx/CheckMany*/CheckManyParallel*) runs before the first
+	// (Check/CheckCtx/CheckManyParallel*) runs before the first
 	// solver call: "" for the default pass.SpecDefault pipeline
 	// (coi,sweep,ports,dedup), "none" to disable it, or an explicit
 	// comma-separated pass list. Results are always reported in source
@@ -141,9 +141,10 @@ type Options struct {
 	Passes string
 	// Jobs is the worker count used by entry points that fan out across
 	// properties or lanes (the facade's VerifyAll and the CLIs): 0 picks
-	// runtime.NumCPU, 1 forces the sequential shared-unrolling engine, and
-	// n > 1 bounds the worker pool. Check itself ignores it — per-depth lane
-	// racing stays opt-in via Portfolio.
+	// runtime.NumCPU, and n >= 1 splits the properties into min(n, #props)
+	// groups, each sharing one unrolling (see CheckManyParallel), so 1 runs
+	// every property over a single shared unrolling. Check itself ignores
+	// it — per-depth lane racing stays opt-in via Portfolio.
 	Jobs int
 	// KInduction selects the k-induction strategy (temporal induction,
 	// spec engine "kind"): at each depth k the base case (the plain
@@ -155,11 +156,10 @@ type Options struct {
 	// ever writes keeps its declared contents in every reachable state).
 	// The strengthening is what lets kind close proofs that BMC-3's
 	// arbitrary-initial-state induction cannot reach at any bounded depth.
-	// Requires Proofs and UseEMM; spec.Options sets all three. Check and
-	// the property pool (CheckManyParallel) run this check order; the
-	// sequential multi-property CheckMany keeps BMC-3's order (forward,
-	// then per property backward and counter-example) over the same
-	// strengthened windows.
+	// Requires Proofs and UseEMM; spec.Options sets all three. Every entry
+	// point runs this check order: on a multi-property group, each open
+	// property's base case, then one forward check, then each open
+	// property's induction step.
 	KInduction bool
 	// StartDepth warm-starts the BMC loop: the unrolling and EMM
 	// constraints are still built from frame 0 (they are cumulative), but
@@ -252,10 +252,10 @@ type Stats struct {
 	LFPRounds int64
 }
 
-// Add accumulates o into s. The parallel engines use it to merge
-// per-worker statistics after the workers have joined: counters sum, while
-// the heap high-water mark and the EMM constraint tally (which every
-// worker re-generates identically) take the maximum.
+// Add accumulates o into s. CheckManyParallel uses it to merge the
+// property groups' statistics after the workers have joined: counters sum,
+// while the heap high-water mark and the EMM constraint tally (which every
+// group re-generates identically) take the maximum.
 func (s *Stats) Add(o Stats) {
 	s.SolveCalls += o.SolveCalls
 	s.Clauses += o.Clauses
@@ -367,10 +367,6 @@ type engine struct {
 	tracker  *pba.Tracker
 	start    time.Time
 	deadline time.Time
-	// fwdSatDepth memoizes the deepest depth whose (property-independent)
-	// forward termination check is known SAT, so an engine reused across
-	// properties never repeats it.
-	fwdSatDepth int
 	// bwdSatProp and bwdSatDepth name the backward query whose model the
 	// backward solver's saved phases hold: set when a backward check
 	// answers SAT, cleared (-1) by any other answer. They guard the phase
@@ -408,7 +404,7 @@ type engine struct {
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
 	e := &engine{n: n, opt: opt, prop: prop, ctx: ctx, start: time.Now(),
-		fwdSatDepth: -1, bwdSatProp: -1, bwdSatDepth: -1}
+		bwdSatProp: -1, bwdSatDepth: -1}
 	if opt.Timeout > 0 {
 		e.deadline = e.start.Add(opt.Timeout)
 	}

@@ -419,7 +419,7 @@ func TestCheckMany(t *testing.T) {
 		m.AssertAlways("ne", m.EqConst(c.Q, uint64(k)).Not())
 		props = append(props, k)
 	}
-	res := CheckMany(m.N, props, Options{MaxDepth: 30, Proofs: true, ValidateWitness: true})
+	res := CheckManyParallel(m.N, props, Options{MaxDepth: 30, Proofs: true, ValidateWitness: true}, 1)
 	for k := 0; k <= 7; k++ {
 		r := res.Results[k]
 		if r.Kind != KindCE || r.Depth != k {
@@ -453,7 +453,7 @@ func TestCheckManyWithEMM(t *testing.T) {
 	m.Done(got5)
 	m.AssertAlways("ne5", got5.Bit().Not())               // reachable (CE)
 	m.AssertAlways("tauto", m.N.Or(got5.Bit(), aig.True)) // trivially true
-	res := CheckMany(m.N, []int{0, 1}, Options{MaxDepth: 8, UseEMM: true, Proofs: true, ValidateWitness: true})
+	res := CheckManyParallel(m.N, []int{0, 1}, Options{MaxDepth: 8, UseEMM: true, Proofs: true, ValidateWitness: true}, 1)
 	if res.Results[0].Kind != KindCE || res.Results[0].Depth != 2 {
 		t.Fatalf("prop 0: expected CE at depth 2, got %v", res.Results[0])
 	}

@@ -10,7 +10,7 @@ import (
 
 // compiled carries the output of the static pass pipeline together with
 // everything needed to translate engine results back to the source
-// netlist's coordinates. The public entry points (CheckCtx, CheckManyCtx,
+// netlist's coordinates. The public entry points (CheckCtx,
 // CheckManyParallelCtx) compile first, run the engines on the reduced
 // netlist, and back-map before returning, so callers only ever see source
 // property indices, source node ids in witnesses, and source latch indices

@@ -14,15 +14,17 @@ import (
 
 // kindStrategy implements k-induction (temporal induction). At each k:
 //
-//  1. Base case — the plain counter-example check SAT(I ∧ ¬P_k ∧ C_k).
-//     SAT falsifies the property with a replayable witness.
-//  2. Recurrence-diameter check — SAT(I ∧ LFP_k ∧ C_k). UNSAT means no
-//     loop-free initialized path of length k exists, so the base cases
-//     already covered every reachable state: PROOF (forward).
+//  1. Base case — the plain counter-example check SAT(I ∧ ¬P_k ∧ C_k),
+//     for each open property. SAT falsifies the property with a
+//     replayable witness.
+//  2. Recurrence-diameter check — SAT(I ∧ LFP_k ∧ C_k), once per depth.
+//     UNSAT means no loop-free initialized path of length k exists, so the
+//     base cases already covered every reachable state: PROOF (forward)
+//     for every open property.
 //  3. Induction step — SAT(LFP_k ∧ P_0..P_{k-1} ∧ ¬P_k ∧ C_k) on the
-//     arbitrary-initial-state backward window. UNSAT means a state
-//     satisfying P for k steps cannot reach ¬P: together with the base
-//     cases, PROOF (backward).
+//     arbitrary-initial-state backward window, for each open property.
+//     UNSAT means a state satisfying P for k steps cannot reach ¬P:
+//     together with the base cases, PROOF (backward).
 //
 // The checks are BMC-3's, reordered base-first; what makes kind prove
 // designs BMC-3 cannot is the induction step's strengthened memory model:
@@ -31,30 +33,51 @@ import (
 // Both UNSAT checks are monotone in k — a satisfying assignment at k
 // restricts (2) by prefix and (3) by suffix to one at k-1 — so skipping
 // depths below a warm-start frontier never loses a proof: a warm-started
-// run reproves at the frontier what a cold run proved below it.
-type kindStrategy struct{ e *engine }
+// run reproves at the frontier what a cold run proved below it. The
+// recurrence-diameter check is property-independent, so it consults the
+// property groups' forward oracle exactly as bmcStrategy does; only Step
+// differs from bmcStrategy.
+type kindStrategy struct{ bmcStrategy }
 
 func (s *kindStrategy) Name() string { return "kind" }
 
 func (s *kindStrategy) Step(_ context.Context, k int) (*Result, bool) {
-	e := s.e
-	prop := e.prop
-	if r := e.solveCE(prop, k); r != nil {
-		return r, true
+	e, d := s.e, s.d
+	for pi, p := range d.props {
+		if d.res[pi] != nil {
+			continue
+		}
+		if r := e.solveCE(p, k); r != nil {
+			if r.Kind == KindTimeout {
+				return r, true
+			}
+			d.resolve(pi, r)
+		}
 	}
-	switch e.forwardCheck(k) {
+	if d.open == 0 {
+		return nil, true
+	}
+	switch e.oracleForwardCheck(k, s.fwd) {
 	case sat.Unsat:
 		e.logf("depth %d: forward termination", k)
 		return &Result{Kind: KindProof, Depth: k, ProofSide: "forward"}, true
 	case sat.Unknown:
 		return &Result{Kind: KindTimeout, Depth: k}, true
 	}
-	switch e.backwardCheck(prop, k) {
-	case sat.Unsat:
-		e.logf("depth %d: induction step holds", k)
-		return &Result{Kind: KindProof, Depth: k, ProofSide: "backward"}, true
-	case sat.Unknown:
-		return &Result{Kind: KindTimeout, Depth: k}, true
+	for pi, p := range d.props {
+		if d.res[pi] != nil {
+			continue
+		}
+		switch e.backwardCheck(p, k) {
+		case sat.Unsat:
+			e.logf("depth %d: prop %d: induction step holds", k, p)
+			d.resolve(pi, &Result{Kind: KindProof, Depth: k, ProofSide: "backward"})
+		case sat.Unknown:
+			return &Result{Kind: KindTimeout, Depth: k}, true
+		}
+	}
+	if d.open == 0 {
+		return nil, true
 	}
 	e.logf("depth %d: no CE, induction step fails", k)
 	return nil, false

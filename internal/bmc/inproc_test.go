@@ -113,9 +113,9 @@ func TestInprocEquivalenceCheckMany(t *testing.T) {
 	props := []int{0, 2, 5, 7}
 	opt := BMC2(3*4 + 10)
 	opt.ValidateWitness = true
-	on := CheckMany(n, props, opt)
+	on := CheckManyParallel(n, props, opt, 1)
 	opt.NoSimplify = true
-	off := CheckMany(n, props, opt)
+	off := CheckManyParallel(n, props, opt, 1)
 	for pi := range props {
 		a, b := on.Results[pi], off.Results[pi]
 		if a.Kind != b.Kind || a.Depth != b.Depth {
@@ -183,9 +183,9 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestCheckManyEndsAtDeadline cancels a sequential CheckMany from its own
-// log writer at the first counter-example, partway through depth 0, with
-// inprocessing forced after every undecided depth. The depth that timed out
+// TestCheckManyEndsAtDeadline cancels a one-group CheckManyParallel from
+// its own log writer at the first counter-example, partway through depth
+// 0, with inprocessing forced after every undecided depth. The depth that timed out
 // must end the run: no inprocessing pass may start after the cancellation,
 // and every property still open times out at that depth.
 func TestCheckManyEndsAtDeadline(t *testing.T) {
@@ -208,7 +208,7 @@ func TestCheckManyEndsAtDeadline(t *testing.T) {
 		})
 		return len(p), nil
 	})}
-	mr := CheckManyCtx(ctx, m.N, props, opt)
+	mr := CheckManyParallelCtx(ctx, m.N, props, opt, 1)
 
 	if sink.cut < 0 {
 		t.Fatal("the run never logged, so it was never cancelled")

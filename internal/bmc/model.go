@@ -31,7 +31,7 @@ import (
 // induction step may assume them.
 //
 // The engine picks the EMM encoding itself. A run without termination
-// checks (bmc2, CheckMany without Proofs, CEGAR's concrete checks)
+// checks (bmc2, CheckManyParallel without Proofs, CEGAR's concrete checks)
 // instantiates its read-over-write axioms on demand
 // (core.Generator.EnableLazy, refined in refineSolve): its only query is
 // the counter-example check, which the relaxation answers with a fraction

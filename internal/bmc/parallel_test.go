@@ -54,7 +54,7 @@ func assertSameVerdicts(t *testing.T, seq, par *ManyResult) {
 func TestCheckManyParallelMatchesSequential(t *testing.T) {
 	m, props := manyCounter()
 	opt := Options{MaxDepth: 30, Proofs: true, ValidateWitness: true}
-	seq := CheckMany(m.N, props, opt)
+	seq := CheckManyParallel(m.N, props, opt, 1)
 	for _, jobs := range []int{1, 2, 4} {
 		par := CheckManyParallel(m.N, props, opt, jobs)
 		assertSameVerdicts(t, seq, par)
@@ -66,12 +66,12 @@ func TestCheckManyParallelMatchesSequential(t *testing.T) {
 
 func TestCheckManyParallelDeterministicOnIndustryI(t *testing.T) {
 	// The Industry I reduced design: 16 reachability properties, most with
-	// witnesses, over a real memory (EMM constraints). The parallel engine
-	// must produce the sequential verdicts, and two parallel runs must
+	// witnesses, over a real memory (EMM constraints). Four property groups
+	// must produce the one-group verdicts, and two four-group runs must
 	// agree with each other.
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16})
 	opt := Options{MaxDepth: 3*4 + 10, UseEMM: true, Proofs: true, ValidateWitness: true}
-	seq := CheckMany(f.Netlist(), f.PropIndices(), opt)
+	seq := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, 1)
 	first := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, 4)
 	assertSameVerdicts(t, seq, first)
 	second := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, 4)
@@ -126,10 +126,10 @@ func TestTimeoutBeforeDepthZeroClampsDepth(t *testing.T) {
 	if r.Depth < 0 {
 		t.Fatalf("Check reported negative depth %d", r.Depth)
 	}
-	mr := CheckMany(m.N, []int{0}, opt)
+	mr := CheckManyParallel(m.N, []int{0}, opt, 1)
 	for _, rr := range mr.Results {
 		if rr.Kind != KindTimeout || rr.Depth < 0 {
-			t.Fatalf("CheckMany reported %v depth=%d", rr, rr.Depth)
+			t.Fatalf("CheckManyParallel/1 reported %v depth=%d", rr, rr.Depth)
 		}
 	}
 	pr := CheckManyParallel(m.N, []int{0}, opt, 2)
@@ -195,9 +195,9 @@ func TestStatsAdd(t *testing.T) {
 type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int)
 
 // entryPoints lists every public entry point of the package: Check (also
-// routed to k-induction), sequential CheckMany (jobs 0), the property
-// pool (also under k-induction), and the pool given one property at a
-// time (two workers race its termination lanes).
+// routed to k-induction), CheckManyParallel with one property group and
+// with two (also under k-induction), and CheckManyParallel given one
+// property at a time (two workers race its termination lanes).
 func entryPoints() []struct {
 	name string
 	run  entryRun
@@ -221,12 +221,7 @@ func entryPoints() []struct {
 			for _, f := range tune {
 				f(&opt)
 			}
-			var mr *ManyResult
-			if jobs == 0 {
-				mr = CheckManyCtx(ctx, n, props, opt)
-			} else {
-				mr = CheckManyParallelCtx(ctx, n, props, opt, jobs)
-			}
+			mr := CheckManyParallelCtx(ctx, n, props, opt, jobs)
 			return mr.Results, mr.Stats.SolveCalls
 		}
 	}
@@ -245,7 +240,6 @@ func entryPoints() []struct {
 		run  entryRun
 	}{
 		{"Check", check(func(*Options) {})},
-		{"CheckMany", many(0)},
 		{"CheckManyParallel/1", many(1)},
 		{"CheckManyParallel/2", many(2)},
 		{"CheckManyParallel/2/one-prop", lanes},
@@ -255,7 +249,7 @@ func entryPoints() []struct {
 	}
 }
 
-// TestPoolRunsKInduction: under KInduction the property pool runs each
+// TestPoolRunsKInduction: under KInduction CheckManyParallel runs a single
 // property with the k-induction strategy, exactly as Check does — same
 // verdict, depth and proof side, and the same solver calls for a single
 // property. BMC-3's check order (forward, backward, then the
@@ -297,6 +291,9 @@ func TestPoolRunsKInduction(t *testing.T) {
 func TestEntryPointsAgree(t *testing.T) {
 	qs := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
 	counter, _ := manyCounter()
+	// The RD=0-constrained lookup asserts environment constraints, which
+	// every property of a group shares with its siblings.
+	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 3, Latency: 2})
 	cases := []struct {
 		name  string
 		n     *aig.Netlist
@@ -305,6 +302,7 @@ func TestEntryPointsAgree(t *testing.T) {
 	}{
 		{"quicksort", qs.Netlist(), []int{qs.P1Index, qs.P2Index}, []Kind{KindNoCE, KindNoCE}},
 		{"counter", counter.N, []int{3, 8}, []Kind{KindCE, KindProof}},
+		{"lookup-rd0", l.WithRDZeroConstraint(), l.ReachIndices, []Kind{KindProof, KindProof, KindProof}},
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -337,6 +335,67 @@ func TestEntryPointsAgree(t *testing.T) {
 			}
 			if calls != 0 {
 				t.Errorf("%s/%s on a cancelled context made %d solver calls", tc.name, ep.name, calls)
+			}
+		}
+	}
+}
+
+// TestDepthStatsAtAnyJobs: CollectDepthStats works at any worker count.
+// The per-depth table sums the property groups' engines by depth, so its
+// Solves column sums to the run's solver calls, and the verdicts are the
+// same at one and at two groups.
+func TestDepthStatsAtAnyJobs(t *testing.T) {
+	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
+	opt := Options{MaxDepth: 3*4 + 10, UseEMM: true, Proofs: true, CollectDepthStats: true}
+	var first *ManyResult
+	for _, jobs := range []int{1, 2} {
+		mr := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, jobs)
+		if first == nil {
+			first = mr
+		}
+		assertSameVerdicts(t, first, mr)
+		if len(mr.DepthStats) == 0 {
+			t.Fatalf("jobs=%d: no per-depth table", jobs)
+		}
+		solves := 0
+		for d, ds := range mr.DepthStats {
+			if ds.Depth != d {
+				t.Fatalf("jobs=%d: row %d holds depth %d", jobs, d, ds.Depth)
+			}
+			solves += ds.Solves
+		}
+		if solves != mr.Stats.SolveCalls {
+			t.Errorf("jobs=%d: Solves column sums to %d, run made %d solver calls",
+				jobs, solves, mr.Stats.SolveCalls)
+		}
+	}
+}
+
+// TestManyKInductionMatchesCheck: one property group under KInduction runs
+// k-induction over all of its properties (each open property's base case,
+// one forward check, each open property's induction step) and reaches the
+// verdict Check reaches on each property alone.
+func TestManyKInductionMatchesCheck(t *testing.T) {
+	qs := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
+	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 3, Latency: 2})
+	counter, cprops := manyCounter()
+	for _, tc := range []struct {
+		name  string
+		n     *aig.Netlist
+		props []int
+	}{
+		{"quicksort", qs.Netlist(), []int{qs.P1Index, qs.P2Index}},
+		{"lookup", l.Netlist(), append([]int{l.InvariantIndex}, l.ReachIndices...)},
+		{"counter", counter.N, cprops},
+	} {
+		opt := KInd(14)
+		opt.ValidateWitness = true
+		mr := CheckManyParallel(tc.n, tc.props, opt, 1)
+		for pi, p := range tc.props {
+			want, got := Check(tc.n, p, opt), mr.Results[pi]
+			if got.Kind != want.Kind || got.Depth != want.Depth || got.ProofSide != want.ProofSide {
+				t.Errorf("%s prop %d: group %v (%s), Check %v (%s)",
+					tc.name, p, got, got.ProofSide, want, want.ProofSide)
 			}
 		}
 	}

@@ -127,10 +127,10 @@ func TestPassEquivalenceCheckMany(t *testing.T) {
 	opt.ValidateWitness = true
 	none := opt
 	none.Passes = "none"
-	off := CheckMany(n, props, none)
+	off := CheckManyParallel(n, props, none, 1)
 	for _, spec := range []string{"", "coi,sweep", "ports"} {
 		opt.Passes = spec
-		on := CheckMany(n, props, opt)
+		on := CheckManyParallel(n, props, opt, 1)
 		for pi := range props {
 			or, nr := off.Results[pi], on.Results[pi]
 			if or.Kind != nr.Kind || or.Depth != nr.Depth {

@@ -33,8 +33,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/refactor_
 
 // goldenRecord is one (design, engine) outcome. Wall-clock and heap fields
 // are excluded; everything recorded is deterministic for a sequential
-// single-threaded run. The racing runs — portfolio lanes and a two-worker
-// property pool — pin only their verdicts (Full=false).
+// single-threaded run. The racing runs — portfolio lanes and two property
+// groups — pin only their verdicts (Full=false).
 type goldenRecord struct {
 	Design string `json:"design"`
 	Engine string `json:"engine"`
@@ -232,10 +232,11 @@ func manyDesigns() []struct {
 	}
 }
 
-// runEquivMany runs one multi-property entry point and returns a record per
-// property. Sequential CheckMany and the one-worker property pool are
-// deterministic, so every field is pinned (the solver counters are the
-// run's); a two-worker pool only pins each verdict.
+// runEquivMany runs the multi-property entry point and returns a record per
+// property. With one worker every property shares one group, so the run is
+// deterministic and every field is pinned (the solver counters are the
+// run's); with two workers only each verdict is pinned. The many-* and
+// pool1-bmc3 rows run the same code: pool1-bmc3 equals many-bmc3.
 func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, depth int) []goldenRecord {
 	t.Helper()
 	var mr *ManyResult
@@ -243,10 +244,10 @@ func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, dept
 	opt := Options{MaxDepth: depth, UseEMM: true, Proofs: true}
 	switch engine {
 	case "many-bmc3":
-		mr = CheckMany(n, props, opt)
+		mr = CheckManyParallel(n, props, opt, 1)
 	case "many-bmc2":
 		opt.Proofs = false
-		mr = CheckMany(n, props, opt)
+		mr = CheckManyParallel(n, props, opt, 1)
 	case "many-bmc3-simplify":
 		// Inprocessing after every undecided depth pins where the run
 		// places its between-depth passes.
@@ -254,7 +255,7 @@ func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, dept
 			simplifyMinConflicts, simplifyClausesPerConfl = mc, cd
 		}(simplifyMinConflicts, simplifyClausesPerConfl)
 		simplifyMinConflicts, simplifyClausesPerConfl = 0, 0
-		mr = CheckMany(n, props, opt)
+		mr = CheckManyParallel(n, props, opt, 1)
 	case "pool1-bmc3":
 		mr = CheckManyParallel(n, props, opt, 1)
 	case "pool2-bmc3":

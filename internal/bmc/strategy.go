@@ -116,7 +116,7 @@ func (e *engine) strategyFor(d *driver) Strategy {
 	bmc := bmcStrategy{e: e, d: d}
 	switch {
 	case e.opt.KInduction && e.opt.Proofs:
-		return &kindStrategy{e}
+		return &kindStrategy{bmc}
 	case e.opt.Proofs && e.opt.Portfolio:
 		return &portfolioStrategy{e}
 	case e.opt.PBA:
@@ -127,15 +127,14 @@ func (e *engine) strategyFor(d *driver) Strategy {
 }
 
 // bmcStrategy is the paper's per-depth flow, shared by BMC-1, BMC-2, BMC-3,
-// PBA phase 1, sequential CheckMany (kind included) and each property of
-// the property pool outside KInduction:
-// forward termination once per depth (property-independent, so UNSAT
-// proves every open property), then for each open property backward
-// termination and the counter-example query.
+// PBA phase 1 and each property group of CheckManyParallel outside
+// KInduction: forward termination once per depth (property-independent,
+// so UNSAT proves every open property), then for each open property
+// backward termination and the counter-example query.
 type bmcStrategy struct {
 	e   *engine
 	d   *driver
-	fwd *atomic.Int64 // the property pool's forward oracle; nil otherwise
+	fwd *atomic.Int64 // the property groups' forward oracle; nil otherwise
 }
 
 func (s *bmcStrategy) Name() string { return "bmc" }

@@ -96,12 +96,12 @@ func TestFilterMaxOutput(t *testing.T) {
 func TestFilterReachabilitySplit(t *testing.T) {
 	cfg := tinyFilter()
 	f := NewImageFilter(cfg)
-	res := bmc.CheckMany(f.Netlist(), f.PropIndices(), bmc.Options{
+	res := bmc.CheckManyParallel(f.Netlist(), f.PropIndices(), bmc.Options{
 		MaxDepth:        40,
 		UseEMM:          true,
 		Proofs:          true,
 		ValidateWitness: true,
-	})
+	}, 1)
 	for v := 0; v < cfg.NumProps; v++ {
 		r := res.Results[v]
 		if f.ExpectedReachable(v) {

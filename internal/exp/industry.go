@@ -53,8 +53,9 @@ func Industry1(cfg Config) *I1Result {
 	// first, then prove the leftovers by induction — this avoids paying
 	// per-property induction checks at every depth for properties that
 	// are about to produce witnesses anyway. Both phases fan out over the
-	// worker pool: the witness hunt runs per-property engines, and the
-	// induction follow-ups are independent bmc.Check runs.
+	// worker pool: the witness hunt runs property groups, each on one
+	// shared unrolling, and the induction follow-ups are independent
+	// bmc.Check runs.
 	runBoth := func(n *aig.Netlist, useEMM bool) (wit, proofs, other, maxDepth int, sec, mb float64, timedOut bool) {
 		t0 := time.Now()
 		props := f.PropIndices()

@@ -5,9 +5,8 @@
 // JSON), and the content-addressed verdict cache (CanonicalKey /
 // FamilyKey). A Spec captures exactly the knobs a remote caller may turn —
 // engine choice, depth, compile passes, restart mode and inprocessing —
-// and converts to and from bmc.Options with
-// Spec.Options and FromOptions, so there is one schema instead of three
-// ad-hoc flag/builder surfaces.
+// and converts to bmc.Options with Spec.Options, so there is one schema
+// instead of three ad-hoc configuration surfaces.
 //
 // The zero Spec is valid and means "defaults": Canonical normalizes it to
 // the explicit default values, and every consumer compares canonicalized
@@ -256,40 +255,6 @@ func (s Spec) Options() (bmc.Options, error) {
 		opt.KInduction = true
 	}
 	return opt, nil
-}
-
-// FromOptions is the inverse converter: it reads the engine choice and the
-// spec-visible knobs back out of a bmc.Options. Fields Options cannot
-// express in a Spec (abstractions, ablation switches, observability) are
-// dropped; round-tripping Default().Options() through FromOptions yields
-// the canonical default spec again (see the round-trip test).
-func FromOptions(o bmc.Options) Spec {
-	s := Spec{
-		V:          Version,
-		Depth:      o.MaxDepth,
-		Timeout:    Duration(o.Timeout),
-		Jobs:       o.Jobs,
-		Passes:     o.Passes,
-		NoSimplify: o.NoSimplify,
-	}
-	if o.Restart == sat.RestartLuby {
-		s.Restart = "luby"
-	} else {
-		s.Restart = "ema"
-	}
-	switch {
-	case o.PBA && !o.Proofs, o.StabilityDepth > 0 && !o.Proofs:
-		s.Engine = EnginePBA
-	case o.UseEMM && o.Proofs && o.KInduction:
-		s.Engine = EngineKInd
-	case o.UseEMM && o.Proofs:
-		s.Engine = EngineBMC3
-	case o.UseEMM:
-		s.Engine = EngineBMC2
-	default:
-		s.Engine = EngineBMC1
-	}
-	return s.Canonical()
 }
 
 // FamilyKey hashes the depth-independent semantic content of the spec —
