@@ -128,7 +128,7 @@ func BenchmarkConstraintGrowth(b *testing.B) {
 // when GOMAXPROCS cores are available (see EXPERIMENTS.md).
 func BenchmarkParallelSpeedup(b *testing.B) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16})
-	opt := bmc.Options{MaxDepth: 3*4 + 10, UseEMM: true, Proofs: true}
+	opt := bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 3*4 + 10}
 	var baseline float64
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
@@ -326,7 +326,7 @@ func BenchmarkVerilogQuicksort(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r := bmc.Check(n, 0, bmc.BMC3(120)); r.Kind != bmc.KindProof {
+		if r := bmc.Check(n, 0, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 120}); r.Kind != bmc.KindProof {
 			b.Fatalf("expected proof, got %v", r)
 		}
 	}
@@ -343,7 +343,7 @@ func BenchmarkAblationPBAvsCEGAR(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := designs.NewQuickSort(cfg)
 			res := bmc.ProveWithPBA(q.Netlist(), q.P2Index,
-				bmc.Options{MaxDepth: 200, UseEMM: true, StabilityDepth: 10})
+				bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 200, StabilityDepth: 10})
 			if res.Kind() != bmc.KindProof {
 				b.Fatalf("PBA failed: %v", res.Kind())
 			}
@@ -356,7 +356,7 @@ func BenchmarkAblationPBAvsCEGAR(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := designs.NewQuickSort(cfg)
 			res := bmc.CEGAR(q.Netlist(), q.P2Index,
-				bmc.Options{MaxDepth: 200, UseEMM: true}, 12)
+				bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 200}, 12)
 			if res.Final.Kind != bmc.KindProof {
 				b.Fatalf("CEGAR failed: %v", res.Final)
 			}
@@ -380,7 +380,7 @@ func BenchmarkAblationExclusivity(b *testing.B) {
 		b.Run(variant.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := designs.NewQuickSort(cfg)
-				opt := bmc.Options{MaxDepth: 200, UseEMM: true, Proofs: true,
+				opt := bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 200,
 					DisableExclusivity: variant.disable}
 				if r := bmc.Check(q.Netlist(), q.P1Index, opt); r.Kind != bmc.KindProof {
 					b.Fatalf("expected proof, got %v", r)
@@ -396,7 +396,7 @@ func BenchmarkEMMFalsification(b *testing.B) {
 	cfg := designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3, Buggy: true}
 	for i := 0; i < b.N; i++ {
 		q := designs.NewQuickSort(cfg)
-		r := bmc.Check(q.Netlist(), q.P1Index, bmc.Options{MaxDepth: 80, UseEMM: true})
+		r := bmc.Check(q.Netlist(), q.P1Index, bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 80})
 		if r.Kind != bmc.KindCE {
 			b.Fatalf("expected CE, got %v", r)
 		}
@@ -412,7 +412,7 @@ func BenchmarkEMMFalsification(b *testing.B) {
 // an in-memory buffer for comparison.
 func BenchmarkObsOverhead(b *testing.B) {
 	cfg := designs.QuickSortConfig{N: 3, ArrayAW: 4, DataW: 8, StackAW: 4}
-	base := bmc.Options{MaxDepth: 200, UseEMM: true, Proofs: true}
+	base := bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 200}
 	run := func(name string, mkOpt func() bmc.Options) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -40,9 +40,7 @@ func main() {
 	engFlags := cliobs.RegisterEngineFor(def, "engine", "depth")
 	obsFlags := cliobs.Register()
 	flag.Parse()
-	timeout := time.Duration(engFlags.Spec.Timeout)
-
-	restart, noSimplify, passes, err := engFlags.Values()
+	opt, err := engFlags.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -50,8 +48,8 @@ func main() {
 	observer, obsStop := obsFlags.Setup()
 	defer obsStop()
 	cfg := exp.Config{
-		Timeout: timeout, Jobs: engFlags.Spec.Jobs, Obs: observer,
-		Restart: restart, NoSimplify: noSimplify, Passes: passes,
+		Timeout: opt.Timeout, Jobs: opt.Jobs, Obs: observer,
+		Restart: opt.Restart, NoSimplify: opt.NoSimplify, Passes: opt.Passes,
 	}
 	switch *scale {
 	case "reduced":
@@ -79,16 +77,16 @@ func main() {
 	run := func(name string) {
 		switch name {
 		case "t1":
-			fmt.Printf("## Experiment T1 (scale=%s, timeout=%s)\n\n", cfg.Scale, timeout)
+			fmt.Printf("## Experiment T1 (scale=%s, timeout=%s)\n\n", cfg.Scale, cfg.Timeout)
 			fmt.Println(exp.RenderTable1(exp.Table1(cfg, ns)))
 		case "t2":
-			fmt.Printf("## Experiment T2 (scale=%s, timeout=%s)\n\n", cfg.Scale, timeout)
+			fmt.Printf("## Experiment T2 (scale=%s, timeout=%s)\n\n", cfg.Scale, cfg.Timeout)
 			fmt.Println(exp.RenderTable2(exp.Table2(cfg, ns)))
 		case "i1":
-			fmt.Printf("## Experiment I1 (scale=%s, timeout=%s)\n\n", cfg.Scale, timeout)
+			fmt.Printf("## Experiment I1 (scale=%s, timeout=%s)\n\n", cfg.Scale, cfg.Timeout)
 			fmt.Println(exp.RenderIndustry1(exp.Industry1(cfg)))
 		case "i2":
-			fmt.Printf("## Experiment I2 (scale=%s, timeout=%s)\n\n", cfg.Scale, timeout)
+			fmt.Printf("## Experiment I2 (scale=%s, timeout=%s)\n\n", cfg.Scale, cfg.Timeout)
 			fmt.Println(exp.RenderIndustry2(exp.Industry2(cfg)))
 		case "f1":
 			fmt.Printf("## Experiment F1 (constraint growth)\n\n")

@@ -16,10 +16,11 @@
 //	emmv -design quicksort -export q.btor2       # write the model and exit
 //	emmv -remote unix:/tmp/emmserved.sock d.v    # solve on an emmserved server
 //
-// Engines: bmc1 (plain + proofs), bmc2 (EMM falsification), bmc3 (EMM +
-// proofs), kind (k-induction with write-free-init retention), pba
-// (two-phase prove-with-abstraction), and bdd (BDD-based reachability;
-// needs -explicit). -explicit first expands every memory into latches (the
+// Engines: bmc1 (plain + proofs; needs -explicit on a design with
+// memories), bmc2 (EMM falsification), bmc3 (EMM + proofs), kind
+// (k-induction with write-free-init retention), pba (two-phase
+// prove-with-abstraction), and bdd (BDD-based reachability; needs
+// -explicit). -explicit first expands every memory into latches (the
 // paper's Explicit Modeling baseline).
 //
 // Exit status: 0 when every property is PROOF or NO_CE, 1 when any property
@@ -154,6 +155,7 @@ func main() {
 		}
 		os.Exit(exitCode(ce, abnormal))
 	}
+	must(req.CheckModel(n))
 
 	results := make([]*bmc.Result, len(sel))
 	notes := make([]string, len(sel))
@@ -183,11 +185,9 @@ func main() {
 	} else {
 		opt, err := engFlags.Options()
 		must(err)
-		// Expanded memories are latches now; solve the latch-level model
-		// and skip the replay against the memory model.
-		opt.UseEMM = opt.UseEMM && !*explicit
+		// Expanded memories are latches now (an EMM engine on them is
+		// plain BMC); skip the replay against the memory model.
 		opt.ValidateWitness = !*explicit
-		opt.CollectDepthStats = *stats
 		if *verbose {
 			opt.Log = os.Stderr
 		}

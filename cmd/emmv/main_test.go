@@ -41,8 +41,8 @@ func emmv(t *testing.T, args ...string) (int, string) {
 
 // TestExitCodes pins the exit-status contract — 0 when every property is
 // PROOF or NO_CE, 1 on a counter-example, 2 for errors and any other
-// verdict — across every input kind: Verilog, BTOR2, AIGER (both written
-// by -export first), and a built-in -design.
+// verdict, never a panic — across every input kind: Verilog, BTOR2, AIGER
+// (both written by -export first), and a built-in -design.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	btor := filepath.Join(dir, "growth.btor2")
@@ -69,6 +69,10 @@ func TestExitCodes(t *testing.T) {
 		{"design-timeout", []string{"-design", "quicksort", "-prop", "p1", "-timeout", "1ns"}, 2, "TIMEOUT depth=0"},
 		{"missing-file", []string{filepath.Join(dir, "missing.v")}, 2, "no such file"},
 		{"unknown-engine", []string{"-engine", "nope", wedge}, 2, "unknown engine"},
+		// bmc1 leaves memory reads free: refused before solving, pointing
+		// to the explicit model, instead of a witness-replay panic.
+		{"bmc1-memories", []string{"-design", "lookup", "-prop", "0", "-engine", "bmc1", "-depth", "20"}, 2, "expand them first (emmv -explicit)"},
+		{"design-pba", []string{"-design", "quicksort", "-n", "3", "-prop", "p2", "-engine", "pba"}, 0, "PROOF depth=28"},
 		{"remote-design", []string{"-remote", "unix:" + filepath.Join(dir, "none.sock"), "-design", "growth"}, 2, "-remote"},
 		// The retired fleet flags and the retired -lazy knob (the engine
 		// picks the EMM encoding) are usage errors now.
@@ -80,7 +84,7 @@ func TestExitCodes(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			code, out := emmv(t, c.args...)
-			if code != c.want || !strings.Contains(out, c.out) {
+			if code != c.want || !strings.Contains(out, c.out) || strings.Contains(out, "panic:") {
 				t.Errorf("emmv %s: exit %d (want %d; output must contain %q)\n%s",
 					strings.Join(c.args, " "), code, c.want, c.out, out)
 			}

@@ -20,7 +20,7 @@
 //	addr := d.Input("addr", 4)
 //	data := mem.Read(addr, emmver.True)
 //	d.AssertAlways("read-zero", d.IsZero(data))
-//	res := emmver.Verify(d.N, 0, emmver.BMC3(50))
+//	res := emmver.Verify(d.N, 0, emmver.Options{Engine: emmver.EngineBMC3, MaxDepth: 50})
 //	fmt.Println(res)
 //
 // The package is a facade over the internal engine:
@@ -32,7 +32,7 @@
 //	internal/core    the EMM constraint generation (the paper's §3–§4)
 //	internal/expmem  the Explicit Modeling baseline
 //	internal/pass    the static compile pipeline (COI, sweep, ports, dedup)
-//	internal/bmc     BMC-1 / BMC-2 / BMC-3 engines and the PBA flow
+//	internal/bmc     the bmc1 / bmc2 / bmc3 / kind engines and the PBA flow
 //	internal/pba     latch-reason tracking and model reduction
 //	internal/bdd     a BDD-based model checker for comparison
 //	internal/sim     concrete-memory simulation and witness replay
@@ -105,9 +105,10 @@ func MkBit(n aig.NodeID) Bit { return aig.MkLit(n, false) }
 
 // Verification aliases.
 type (
-	// Options configures a verification run; see BMC1/BMC2/BMC3 for the
-	// paper's algorithm presets. For a serializable, cache-keyable
-	// description of a run, use Spec (Spec.Options converts it).
+	// Options configures a verification run; Options.Engine names the
+	// algorithm (see EngineBMC1 and its siblings). For a serializable,
+	// cache-keyable description of a run, use Spec (Spec.Options converts
+	// it).
 	Options = bmc.Options
 	// Result is a verification outcome.
 	Result = bmc.Result
@@ -168,21 +169,23 @@ const (
 	TimedOut = bmc.KindTimeout
 )
 
-// BMC1 configures plain BMC with induction proofs (Fig. 1) — for designs
-// without memories or with explicitly expanded ones.
-func BMC1(maxDepth int) Options { return bmc.BMC1(maxDepth) }
-
-// BMC2 configures EMM falsification (Fig. 2).
-func BMC2(maxDepth int) Options { return bmc.BMC2(maxDepth) }
-
-// BMC3 configures EMM with proofs and proof-based abstraction (Fig. 3).
-func BMC3(maxDepth int) Options { return bmc.BMC3(maxDepth) }
-
-// KInd configures k-induction over EMM: base case, recurrence-diameter
-// check, and an induction step strengthened by write-free-init retention —
-// the unbounded-proof engine for properties plain induction loses to an
-// adversarial initial memory state.
-func KInd(maxDepth int) Options { return bmc.KInd(maxDepth) }
+// Engine names, the values of Options.Engine; the empty name is plain BMC
+// (no memory constraints, no proofs).
+const (
+	// EngineBMC1 is plain BMC with induction proofs (Fig. 1) — for designs
+	// without memories or with explicitly expanded ones.
+	EngineBMC1 = bmc.EngineBMC1
+	// EngineBMC2 is EMM falsification (Fig. 2).
+	EngineBMC2 = bmc.EngineBMC2
+	// EngineBMC3 is EMM with induction proofs (Fig. 3); ProveWithAbstraction
+	// adds the proof-based abstraction.
+	EngineBMC3 = bmc.EngineBMC3
+	// EngineKInd is k-induction over EMM: base case, recurrence-diameter
+	// check, and an induction step strengthened by write-free-init
+	// retention — the unbounded-proof engine for properties plain induction
+	// loses to an adversarial initial memory state.
+	EngineKInd = bmc.EngineKInd
+)
 
 // Verify model-checks one safety property of a design.
 func Verify(n *Netlist, prop int, opt Options) *Result {
@@ -236,9 +239,10 @@ func VerifyAllCtx(ctx context.Context, n *Netlist, props []int, opt Options) *Ma
 	return bmc.CheckManyParallelCtx(ctx, n, props, opt, opt.Jobs)
 }
 
-// ProveWithAbstraction runs the §4.3 flow: collect a stable latch-reason
-// set with PBA, reduce the model (dropping irrelevant memories and ports),
-// and prove on the reduced model.
+// ProveWithAbstraction runs the §4.3 flow over the base engine
+// opt.Engine (EngineBMC3 for the paper's BMC-3): collect a stable
+// latch-reason set with PBA, reduce the model (dropping irrelevant
+// memories and ports), and prove on the reduced model.
 func ProveWithAbstraction(n *Netlist, prop int, opt Options) *PBAResult {
 	return bmc.ProveWithPBA(n, prop, opt)
 }

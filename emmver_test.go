@@ -11,7 +11,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	addr := d.Input("addr", 4)
 	data := mem.Read(addr, True)
 	d.AssertAlways("read-zero", d.IsZero(data))
-	res := Verify(d.N, 0, BMC3(20))
+	res := Verify(d.N, 0, Options{Engine: EngineBMC3, MaxDepth: 20})
 	if res.Kind != Proved {
 		t.Fatalf("unwritten zero memory must read zero: %v", res)
 	}
@@ -23,7 +23,7 @@ func TestFacadeCounterExampleAndReplay(t *testing.T) {
 	mem.Write(d.Input("wa", 3), d.Input("wd", 4), d.InputBit("we"))
 	rd := mem.Read(d.Input("ra", 3), True)
 	d.AssertAlways("never-7", d.EqConst(rd, 7).Not())
-	opt := BMC2(10)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 10}
 	opt.ValidateWitness = true
 	res := Verify(d.N, 0, opt)
 	if res.Kind != CounterExample {
@@ -41,7 +41,7 @@ func TestFacadeVerifyAll(t *testing.T) {
 	d.Done(c)
 	d.AssertAlways("ne2", d.EqConst(c.Q, 2).Not())
 	d.AssertAlways("tauto", True)
-	opt := Options{MaxDepth: 10, Proofs: true}
+	opt := Options{Engine: EngineBMC1, MaxDepth: 10}
 	res := VerifyAll(d.N, []int{0, 1}, opt)
 	if res.Results[0].Kind != CounterExample || res.Results[1].Kind != Proved {
 		t.Fatalf("unexpected outcomes: %v %v", res.Results[0], res.Results[1])
@@ -96,7 +96,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Verify(n, 0, BMC1(5)).Kind != Proved {
+	if Verify(n, 0, Options{Engine: EngineBMC1, MaxDepth: 5}).Kind != Proved {
 		t.Fatalf("tautology must be proved")
 	}
 }

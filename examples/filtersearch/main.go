@@ -20,9 +20,8 @@ func main() {
 	fmt.Printf("smoothing bound: output ≤ %d\n\n", f.MaxOutput)
 
 	res := emmver.VerifyAll(f.Netlist(), f.PropIndices(), bmc.Options{
+		Engine:          emmver.EngineBMC3,
 		MaxDepth:        6*cfg.LineWidth + 10,
-		UseEMM:          true,
-		Proofs:          true,
 		ValidateWitness: true,
 	})
 

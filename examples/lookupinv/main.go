@@ -36,11 +36,11 @@ func main() {
 	}
 
 	// 2. EMM: no witness.
-	r = emmver.Verify(l.Netlist(), p0, emmver.BMC2(60))
+	r = emmver.Verify(l.Netlist(), p0, emmver.Options{Engine: emmver.EngineBMC2, MaxDepth: 60})
 	fmt.Printf("2. with EMM:          %s\n", r)
 
 	// 3. The invariant, by backward induction.
-	r = emmver.Verify(l.Netlist(), l.InvariantIndex, emmver.BMC3(20))
+	r = emmver.Verify(l.Netlist(), l.InvariantIndex, emmver.Options{Engine: emmver.EngineBMC3, MaxDepth: 20})
 	fmt.Printf("3. G(WE=0 or WD=0):   %s via %s induction\n", r, r.ProofSide)
 
 	// 4. RD=0 abstraction + PBA proves every property.
@@ -48,7 +48,7 @@ func main() {
 	proved := 0
 	for _, p := range l.ReachIndices {
 		pr := emmver.ProveWithAbstraction(constrained, p, bmc.Options{
-			MaxDepth: 30, StabilityDepth: 5,
+			Engine: emmver.EngineBMC1, MaxDepth: 30, StabilityDepth: 5,
 		})
 		if pr.Kind() == emmver.Proved {
 			proved++

@@ -32,7 +32,7 @@ func main() {
 
 	// Hunt for a violation with EMM-based BMC (the memory array is never
 	// expanded into state bits).
-	opt := emmver.BMC2(20)
+	opt := emmver.Options{Engine: emmver.EngineBMC2, MaxDepth: 20}
 	opt.ValidateWitness = true // replay every CE on the concrete design
 	res := emmver.Verify(d.N, 0, opt)
 	fmt.Println("buggy design:", res)
@@ -56,6 +56,6 @@ func main() {
 	fixed.Done(hit2)
 	fixed.AssertAlways("reserved-slot-untouched", hit2.Bit().Not())
 
-	res2 := emmver.Verify(fixed.N, 0, emmver.BMC3(20))
+	res2 := emmver.Verify(fixed.N, 0, emmver.Options{Engine: emmver.EngineBMC3, MaxDepth: 20})
 	fmt.Println("fixed design:", res2)
 }

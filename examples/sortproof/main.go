@@ -34,14 +34,14 @@ func main() {
 		prop int
 	}{{"P1 (sorted)", q.P1Index}, {"P2 (stack discipline)", q.P2Index}} {
 		q := designs.NewQuickSort(cfg)
-		r := emmver.Verify(q.Netlist(), pc.prop, emmver.BMC3(200))
+		r := emmver.Verify(q.Netlist(), pc.prop, emmver.Options{Engine: emmver.EngineBMC3, MaxDepth: 200})
 		fmt.Printf("EMM      %-22s %s\n", pc.name, r)
 
 		exp, err := emmver.ExpandMemories(q.Netlist())
 		if err != nil {
 			panic(err)
 		}
-		opt := emmver.BMC1(200)
+		opt := emmver.Options{Engine: emmver.EngineBMC1, MaxDepth: 200}
 		opt.Timeout = 2 * time.Minute
 		re := emmver.Verify(exp, pc.prop, opt)
 		fmt.Printf("Explicit %-22s %s\n\n", pc.name, re)
@@ -51,7 +51,7 @@ func main() {
 	// proof obligation entirely.
 	q2 := designs.NewQuickSort(cfg)
 	res := emmver.ProveWithAbstraction(q2.Netlist(), q2.P2Index, bmc.Options{
-		MaxDepth: 200, UseEMM: true, StabilityDepth: 10,
+		Engine: emmver.EngineBMC3, MaxDepth: 200, StabilityDepth: 10,
 	})
 	fmt.Printf("P2 with PBA: %s\n", res.Kind())
 	fmt.Printf("  reduced model: %s\n", res.Abs)

@@ -48,7 +48,7 @@ func main() {
 	}
 	fmt.Printf("fifo: %s\n", n.Stats())
 
-	opt := emmver.BMC2(20)
+	opt := emmver.Options{Engine: emmver.EngineBMC2, MaxDepth: 20}
 	opt.ValidateWitness = true
 	res := emmver.Verify(n, 0, opt)
 	fmt.Println("buggy fifo:", res)
@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res2 := emmver.Verify(fixed, 0, emmver.BMC3(30))
+	res2 := emmver.Verify(fixed, 0, emmver.Options{Engine: emmver.EngineBMC3, MaxDepth: 30})
 	fmt.Println("fixed fifo:", res2)
 }
 

@@ -143,10 +143,10 @@ func TestRoundtripPreservesVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := bmc.Check(back, 0, bmc.BMC1(20)); r.Kind != bmc.KindCE || r.Depth != 3 {
+		if r := bmc.Check(back, 0, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 20}); r.Kind != bmc.KindCE || r.Depth != 3 {
 			t.Fatalf("binary=%v: prop0 got %v", binary, r)
 		}
-		if r := bmc.Check(back, 1, bmc.BMC1(20)); r.Kind != bmc.KindProof {
+		if r := bmc.Check(back, 1, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 20}); r.Kind != bmc.KindProof {
 			t.Fatalf("binary=%v: prop1 got %v", binary, r)
 		}
 	}

@@ -131,7 +131,7 @@ func TestMCAgreesWithBMC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm := bmc.Check(m.N, 0, bmc.BMC1(1<<uint(w)+2))
+		bm := bmc.Check(m.N, 0, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 1<<uint(w) + 2})
 		switch {
 		case mc.Kind == MCViolated && bm.Kind == bmc.KindCE:
 			if mc.Depth != bm.Depth {

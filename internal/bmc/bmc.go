@@ -1,17 +1,24 @@
 // Package bmc implements the paper's SAT-based model checking algorithms
-// over aig netlists:
+// over aig netlists. Options.Engine names the algorithm:
 //
-//   - BMC-1 (Fig. 1): plain BMC with forward/backward termination checks
-//     (SAT-based induction proofs) and optional proof-based abstraction.
-//     Used on memory-free models — in particular the Explicit Modeling
-//     baseline produced by package expmem.
-//   - BMC-2 (Fig. 2): BMC with EMM constraints, falsification only.
-//   - BMC-3 (Fig. 3): BMC with EMM constraints, termination proofs (using
-//     the precise arbitrary-initial-state modeling of §4.2) and PBA.
-//   - k-induction ("kind"): BMC-3's checks reordered into temporal
+//   - "" (plain BMC): counter-example checks only, memory read data left
+//     free.
+//   - bmc1, BMC-1 (Fig. 1): plain BMC with forward/backward termination
+//     checks (SAT-based induction proofs). Meant for memory-free models —
+//     in particular the Explicit Modeling baseline produced by package
+//     expmem.
+//   - bmc2, BMC-2 (Fig. 2): BMC with EMM constraints, falsification only.
+//   - bmc3, BMC-3 (Fig. 3): BMC with EMM constraints and termination
+//     proofs, using the precise arbitrary-initial-state modeling of §4.2.
+//   - kind (k-induction): BMC-3's checks reordered into temporal
 //     induction, with the induction step strengthened by write-free-init
 //     retention — the first engine able to prove properties whose
 //     invariant depends on declared memory contents (engine_kind.go).
+//
+// Three flows run an engine more than once: ProveWithPBA (§4.3 proof-based
+// abstraction, the rest of Fig. 3), CEGAR (the refinement loop the paper
+// contrasts it with) and CheckManyParallel (many properties over shared
+// unrollings, racing the termination checks for a single property).
 //
 // The engine is layered (one struct, three responsibilities in three
 // files): the Model (model.go) owns the unrolled time frames, EMM
@@ -19,8 +26,7 @@
 // incremental solvers' lifecycles — construction, interrupts,
 // inprocessing, statistics; the Strategy (strategy.go) is the per-depth
 // decision procedure. All engines share the Model and Session and differ
-// only in their Strategy plus Options-selected Model strengthenings;
-// constructors with the paper's names pick the right combination.
+// only in their Strategy and the Model strengthenings their name selects.
 package bmc
 
 import (
@@ -38,38 +44,83 @@ import (
 	"emmver/internal/unroll"
 )
 
+// Engine names, the values of Options.Engine. They are the spec's engine
+// names (package spec re-exports them); the empty name is plain BMC, and
+// the spec's pba is the ProveWithPBA flow over bmc3 rather than an engine
+// of its own.
+const (
+	// EngineBMC1 is plain BMC with forward/backward termination checks
+	// (Fig. 1). Memory reads stay free, so it is meant for memory-free
+	// models such as the Explicit Modeling baseline.
+	EngineBMC1 = "bmc1"
+	// EngineBMC2 is BMC with EMM constraints, falsification only (Fig. 2).
+	EngineBMC2 = "bmc2"
+	// EngineBMC3 is BMC with EMM constraints and termination checks
+	// (Fig. 3).
+	EngineBMC3 = "bmc3"
+	// EngineKInd is EMM k-induction: bmc3's checks reordered into temporal
+	// induction, with the induction step strengthened by write-free-init
+	// retention (engine_kind.go).
+	EngineKInd = "kind"
+)
+
+// engineMode is what an engine name selects: EMM constraints on the memory
+// interface, the forward/backward termination checks, and k-induction's
+// check order.
+type engineMode struct{ emm, proofs, kind bool }
+
+var engineModes = map[string]engineMode{
+	"":         {},
+	EngineBMC1: {proofs: true},
+	EngineBMC2: {emm: true},
+	EngineBMC3: {emm: true, proofs: true},
+	EngineKInd: {emm: true, proofs: true, kind: true},
+}
+
+// modeOf resolves an engine name. An unknown name is a caller bug (the
+// spec layer validates user input), so it panics with the name.
+func modeOf(engine string) engineMode {
+	m, ok := engineModes[engine]
+	if !ok {
+		panic(fmt.Sprintf("bmc: unknown engine %q", engine))
+	}
+	return m
+}
+
+// withProofs names the engine with engine's memory model and the
+// termination checks on or off: bmc1 and plain BMC swap, as do bmc3 and
+// bmc2; kind without termination checks is bmc2. The multi-run flows
+// (ProveWithPBA, CEGAR) use it to derive their phases from one base engine.
+func withProofs(engine string, on bool) string {
+	m := modeOf(engine)
+	switch {
+	case on == m.proofs:
+		return engine
+	case m.emm && on:
+		return EngineBMC3
+	case m.emm:
+		return EngineBMC2
+	case on:
+		return EngineBMC1
+	}
+	return ""
+}
+
 // Options configures a BMC run.
 type Options struct {
+	// Engine selects the algorithm by name: "" is plain BMC (no EMM
+	// constraints, so memory read data stays entirely unconstrained — the
+	// "abstract out the memory completely" configuration of the Industry
+	// II case study — and no termination checks), and EngineBMC1,
+	// EngineBMC2, EngineBMC3 and EngineKInd are the named engines. An
+	// unknown name panics.
+	Engine string
 	// MaxDepth is the bound n of Figs. 1–3.
 	MaxDepth int
-	// UseEMM adds the memory-modeling constraints (BMC-2/BMC-3). Without
-	// it, memory read data stays entirely unconstrained — the "abstract
-	// out the memory completely" configuration discussed in the Industry
-	// II case study.
-	UseEMM bool
-	// Proofs enables the forward/backward termination checks.
-	Proofs bool
-	// PBA enables proof-tracing and latch-reason collection on the
-	// counter-example checks.
-	//
-	// Proof tracing changes more than the solver: while cores are being
-	// harvested, the engine also turns off structural hashing in the
-	// unrollers, init-literal folding, comparator memoization, and the
-	// between-depth inprocessing pass. All four optimizations share (or
-	// rewrite) clauses across clause tags, and PBA attributes relevance by
-	// tag — a shared clause would implicate only its first creator, so
-	// the abstraction could silently drop latches or EMM events the proof
-	// needs. This means a PBA run (BMC-3's phase 1) has deliberately
-	// different performance characteristics from a plain BMC-2 run at the
-	// same options; TestPBADisablesClauseSharing pins the coupling.
-	PBA bool
-	// StabilityDepth is the number of depths the latch-reason set must
-	// stay unchanged before the abstraction is considered stable
-	// (the paper uses 10 in Table 2).
+	// StabilityDepth is the number of depths ProveWithPBA's latch-reason
+	// set must stay unchanged before the abstraction is considered stable
+	// (0 selects the paper's 10, as in Table 2).
 	StabilityDepth int
-	// StopAtStable ends the run (with KindStable) once the latch-reason
-	// set has been stable for StabilityDepth depths.
-	StopAtStable bool
 	// Abs runs the check on a reduced model: latches in Abs.FreeLatches
 	// become pseudo-primary inputs and disabled memories/ports get no EMM
 	// constraints (§4.3).
@@ -78,7 +129,9 @@ type Options struct {
 	Timeout time.Duration
 	// ValidateWitness replays counter-examples on the concrete-memory
 	// simulator and fails loudly on divergence. Only meaningful on
-	// unabstracted models.
+	// unabstracted models whose memories the engine models: plain BMC and
+	// bmc1 leave memory reads free, so on a design with memories their
+	// counter-examples may not replay.
 	ValidateWitness bool
 	// DisableEq6 drops the arbitrary-initial-state consistency
 	// constraints (§4.2, eq. 6), demonstrating why proofs need them.
@@ -87,17 +140,6 @@ type Options struct {
 	// without the exclusive valid-read chains — the ablation for the
 	// paper's claim that the chains speed up the SAT solver.
 	DisableExclusivity bool
-	// Portfolio runs the depth-level checks as a two-lane race when Proofs
-	// is on: one goroutine owns the forward solver (forward termination,
-	// then the counter-example check), the other owns the backward solver
-	// (backward termination). The first decisive answer interrupts the
-	// other lane. Verdicts are unchanged, but when forward and backward
-	// termination both prove at the same depth the reported ProofSide may
-	// differ from the sequential run's.
-	Portfolio bool
-	// CollectDepthStats records a DepthStat delta for every processed
-	// depth in Result.DepthStats (the -stats CLI flag).
-	CollectDepthStats bool
 	// DisableStrash turns off structural hashing in the unrollers, and
 	// DisableEMMMemo turns off EMM comparator memoization. Both exist for
 	// A/B measurement and the equivalence tests; the optimizations are on
@@ -144,23 +186,9 @@ type Options struct {
 	// runtime.NumCPU, and n >= 1 splits the properties into min(n, #props)
 	// groups, each sharing one unrolling (see CheckManyParallel), so 1 runs
 	// every property over a single shared unrolling. Check itself ignores
-	// it — per-depth lane racing stays opt-in via Portfolio.
+	// it; CheckManyParallel races the termination lanes of a single
+	// property.
 	Jobs int
-	// KInduction selects the k-induction strategy (temporal induction,
-	// spec engine "kind"): at each depth k the base case (the plain
-	// counter-example check) runs first, then the forward recurrence-
-	// diameter check, then the induction step — the backward termination
-	// check with its simple-path constraint, strengthened by retaining
-	// declared initial contents for write-port-free memories
-	// (core.Generator.RetainWriteFreeInit; sound because a memory nothing
-	// ever writes keeps its declared contents in every reachable state).
-	// The strengthening is what lets kind close proofs that BMC-3's
-	// arbitrary-initial-state induction cannot reach at any bounded depth.
-	// Requires Proofs and UseEMM; spec.Options sets all three. Every entry
-	// point runs this check order: on a multi-property group, each open
-	// property's base case, then one forward check, then each open
-	// property's induction step.
-	KInduction bool
 	// StartDepth warm-starts the BMC loop: the unrolling and EMM
 	// constraints are still built from frame 0 (they are cumulative), but
 	// the per-depth solver checks — forward/backward termination and the
@@ -176,6 +204,32 @@ type Options struct {
 	// the multi-property entry points ignore it.
 	StartDepth int
 
+	// pba turns on proof tracing and latch-reason collection on the
+	// counter-example checks (ProveWithPBA's phase 1, CEGAR's
+	// concretization checks).
+	//
+	// Proof tracing changes more than the solver: while cores are being
+	// harvested, the engine also turns off structural hashing in the
+	// unrollers, init-literal folding, comparator memoization, and the
+	// between-depth inprocessing pass. All four optimizations share (or
+	// rewrite) clauses across clause tags, and PBA attributes relevance by
+	// tag — a shared clause would implicate only its first creator, so
+	// the abstraction could silently drop latches or EMM events the proof
+	// needs. TestPBADisablesClauseSharing pins the coupling.
+	pba bool
+	// stopAtStable ends a pba run (with KindStable) once the latch-reason
+	// set has been stable for StabilityDepth depths.
+	stopAtStable bool
+	// portfolio runs the depth-level checks of a run with termination
+	// checks as a two-lane race (CheckManyParallel sets it for a single
+	// property when more than one worker is free): one goroutine owns the
+	// forward solver (forward termination, then the counter-example
+	// check), the other owns the backward solver (backward termination).
+	// The first decisive answer interrupts the other lane. Verdicts are
+	// unchanged, but when forward and backward termination both prove at
+	// the same depth the reported ProofSide may differ from the
+	// sequential run's.
+	portfolio bool
 	// eagerEMM keeps a run that would be lazy (see newWindow) on the eager
 	// EMM encoding: the reference side of the package's lazy-vs-eager
 	// differential tests.
@@ -193,8 +247,8 @@ const (
 	KindCE
 	// KindProof: a termination check proved the property.
 	KindProof
-	// KindStable: the run stopped because the PBA latch-reason set became
-	// stable (StopAtStable).
+	// KindStable: ProveWithPBA's phase 1 stopped because its latch-reason
+	// set became stable.
 	KindStable
 	// KindTimeout: the time budget expired.
 	KindTimeout
@@ -281,7 +335,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // DepthStat is the per-depth delta of formula growth and solver work,
-// recorded when Options.CollectDepthStats is on. Each field is the increase
+// recorded for every processed depth. Each field is the increase
 // over the previous depth (so summing a column gives the run total).
 type DepthStat struct {
 	Depth        int
@@ -312,10 +366,11 @@ type Result struct {
 	// ProofSide is "forward" or "backward" for KindProof.
 	ProofSide string
 	Witness   *Witness
-	// Tracker carries the accumulated latch reasons when PBA was on.
+	// Tracker carries the accumulated latch reasons of a proof-tracing run
+	// (ProveWithPBA's phase 1, CEGAR's concretization checks).
 	Tracker *pba.Tracker
 	Stats   Stats
-	// DepthStats holds per-depth deltas (Options.CollectDepthStats only).
+	// DepthStats holds the per-depth deltas, one per processed depth.
 	DepthStats []DepthStat
 }
 
@@ -328,31 +383,10 @@ func (r *Result) String() string {
 	return s
 }
 
-// BMC1 returns options for the plain algorithm of Fig. 1.
-func BMC1(maxDepth int) Options {
-	return Options{MaxDepth: maxDepth, Proofs: true}
-}
-
-// BMC2 returns options for the EMM falsification algorithm of Fig. 2.
-func BMC2(maxDepth int) Options {
-	return Options{MaxDepth: maxDepth, UseEMM: true}
-}
-
-// BMC3 returns options for the EMM + proofs + PBA algorithm of Fig. 3.
-func BMC3(maxDepth int) Options {
-	return Options{MaxDepth: maxDepth, UseEMM: true, Proofs: true, PBA: true, StabilityDepth: 10}
-}
-
-// KInd returns options for the EMM k-induction engine: BMC-3's checks
-// reordered into temporal induction (base case first), with the induction
-// step strengthened by write-free-init retention. See Options.KInduction.
-func KInd(maxDepth int) Options {
-	return Options{MaxDepth: maxDepth, UseEMM: true, Proofs: true, KInduction: true}
-}
-
 type engine struct {
 	n    *aig.Netlist
 	opt  Options
+	mode engineMode // what opt.Engine selects
 	prop int
 	ctx  context.Context
 
@@ -403,8 +437,8 @@ type engine struct {
 }
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
-	e := &engine{n: n, opt: opt, prop: prop, ctx: ctx, start: time.Now(),
-		bwdSatProp: -1, bwdSatDepth: -1}
+	e := &engine{n: n, opt: opt, mode: modeOf(opt.Engine), prop: prop, ctx: ctx,
+		start: time.Now(), bwdSatProp: -1, bwdSatDepth: -1}
 	if opt.Timeout > 0 {
 		e.deadline = e.start.Add(opt.Timeout)
 	}
@@ -423,10 +457,10 @@ func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engi
 	// Model construction (model.go): each window is an unrolling plus its
 	// EMM generator over a fresh session solver (session.go).
 	e.fs, e.fu, e.fg = e.newWindow(unroll.Initialized)
-	if opt.PBA {
+	if opt.pba {
 		e.tracker = pba.NewTracker()
 	}
-	if opt.Proofs {
+	if e.mode.proofs {
 		e.bs, e.bu, e.bg = e.newWindow(unroll.Free)
 	}
 	return e

@@ -27,6 +27,28 @@ func mod5Counter(target uint64) *rtl.Module {
 	return m
 }
 
+// An unknown engine name is a caller bug: every entry point panics with
+// the name before it solves anything.
+func TestUnknownEnginePanics(t *testing.T) {
+	n := mod5Counter(2).N
+	opt := Options{Engine: "bmc4", MaxDepth: 3}
+	for name, run := range map[string]func(){
+		"Check":             func() { Check(n, 0, opt) },
+		"CheckManyParallel": func() { CheckManyParallel(n, []int{0}, opt, 2) },
+		"ProveWithPBA":      func() { ProveWithPBA(n, 0, opt) },
+		"CEGAR":             func() { CEGAR(n, 0, opt, 2) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), `unknown engine "bmc4"`) {
+					t.Errorf("%s: recovered %v, want a panic naming the engine", name, r)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
 func TestCounterexampleAtExactDepth(t *testing.T) {
 	for target := uint64(0); target <= 4; target++ {
 		m := mod5Counter(target)
@@ -42,7 +64,7 @@ func TestCounterexampleAtExactDepth(t *testing.T) {
 
 func TestProofOnMod5Counter(t *testing.T) {
 	m := mod5Counter(2)
-	r := Check(m.N, 0, BMC1(20))
+	r := Check(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 20})
 	if r.Kind != KindProof {
 		t.Fatalf("expected proof, got %v", r)
 	}
@@ -66,7 +88,7 @@ func TestForwardTerminationProof(t *testing.T) {
 	// The compile pipeline would fold bit 0 of the +2 counter (it is
 	// inductively constant) and prove the property structurally; pin it
 	// off so the forward-termination machinery itself is exercised.
-	r := Check(m.N, 0, Options{MaxDepth: 20, Proofs: true, Passes: "none"})
+	r := Check(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 20, Passes: "none"})
 	if r.Kind != KindProof || r.ProofSide != "forward" || r.Depth != 4 {
 		t.Fatalf("expected forward proof at depth 4, got %v side=%s", r, r.ProofSide)
 	}
@@ -82,7 +104,7 @@ func TestLFPRefinementObserved(t *testing.T) {
 	m.Done(c)
 	m.AssertAlways("ne5", m.EqConst(c.Q, 5).Not())
 	reg := obs.NewRegistry()
-	opt := Options{MaxDepth: 20, Proofs: true, Passes: "none"}
+	opt := Options{Engine: EngineBMC1, MaxDepth: 20, Passes: "none"}
 	opt.Obs = obs.New(reg, nil)
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindProof || r.Depth != 4 {
@@ -113,7 +135,7 @@ func TestBackwardInductionProof(t *testing.T) {
 	prev.UpdateBit(aig.True, flag.Bit())
 	m.Done(flag, prev)
 	m.AssertAlways("monotone", m.N.Implies(prev.Bit(), flag.Bit()))
-	r := Check(m.N, 0, BMC1(20))
+	r := Check(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 20})
 	if r.Kind != KindProof || r.ProofSide != "backward" {
 		t.Fatalf("expected backward proof, got %+v", r)
 	}
@@ -149,7 +171,7 @@ func memEcho() *rtl.Module {
 
 func TestEMMProvesMemoryProperty(t *testing.T) {
 	m := memEcho()
-	r := Check(m.N, 0, BMC3(20))
+	r := Check(m.N, 0, Options{Engine: EngineBMC3, MaxDepth: 20})
 	if r.Kind != KindProof {
 		t.Fatalf("expected proof, got %v", r)
 	}
@@ -161,7 +183,7 @@ func TestExplicitProvesSameProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Check(exp, 0, BMC1(20))
+	r := Check(exp, 0, Options{Engine: EngineBMC1, MaxDepth: 20})
 	if r.Kind != KindProof {
 		t.Fatalf("expected proof on explicit model, got %v", r)
 	}
@@ -184,7 +206,7 @@ func memReach() *rtl.Module {
 
 func TestEMMvsExplicitAgreeOnReachability(t *testing.T) {
 	m := memReach()
-	emm := Check(m.N, 0, Options{MaxDepth: 6, UseEMM: true, ValidateWitness: true})
+	emm := Check(m.N, 0, Options{Engine: EngineBMC2, MaxDepth: 6, ValidateWitness: true})
 	exp, _, err := expmem.Expand(m.N)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +250,7 @@ func TestEMMvsExplicitAgreementFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(2005))
 	for iter := 0; iter < 25; iter++ {
 		m := randomMemDesign(rng)
-		emm := Check(m.N, 0, Options{MaxDepth: 5, UseEMM: true, ValidateWitness: true})
+		emm := Check(m.N, 0, Options{Engine: EngineBMC2, MaxDepth: 5, ValidateWitness: true})
 		exp, _, err := expmem.Expand(m.N)
 		if err != nil {
 			t.Fatal(err)
@@ -260,11 +282,11 @@ func initConsistency() *rtl.Module {
 
 func TestArbitraryInitProofNeedsEq6(t *testing.T) {
 	m := initConsistency()
-	with := Check(m.N, 0, BMC3(10))
+	with := Check(m.N, 0, Options{Engine: EngineBMC3, MaxDepth: 10})
 	if with.Kind != KindProof {
 		t.Fatalf("with eq6: expected proof, got %v", with)
 	}
-	opt := BMC3(10)
+	opt := Options{Engine: EngineBMC3, MaxDepth: 10}
 	opt.DisableEq6 = true
 	without := Check(m.N, 0, opt)
 	if without.Kind != KindCE {
@@ -279,7 +301,7 @@ func TestArbitraryInitProofNeedsEq6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expl := Check(exp, 0, BMC1(10))
+	expl := Check(exp, 0, Options{Engine: EngineBMC1, MaxDepth: 10})
 	if expl.Kind != KindProof {
 		t.Fatalf("explicit model: expected proof, got %v", expl)
 	}
@@ -313,7 +335,7 @@ func TestFullMemoryAbstractionIsSpurious(t *testing.T) {
 		t.Fatalf("abstract CE should not replay concretely")
 	}
 	// With EMM: proof.
-	emm := Check(m.N, 0, BMC3(20))
+	emm := Check(m.N, 0, Options{Engine: EngineBMC3, MaxDepth: 20})
 	if emm.Kind != KindProof {
 		t.Fatalf("EMM should prove the property, got %v", emm)
 	}
@@ -326,7 +348,7 @@ func TestWitnessMemInitExtraction(t *testing.T) {
 	mem := m.Memory("mem", 2, 3, aig.MemArbitrary)
 	rd := mem.Read(m.Const(2, 2), aig.True)
 	m.AssertAlways("ne5", m.EqConst(rd, 5).Not())
-	r := Check(m.N, 0, Options{MaxDepth: 3, UseEMM: true, ValidateWitness: true})
+	r := Check(m.N, 0, Options{Engine: EngineBMC2, MaxDepth: 3, ValidateWitness: true})
 	if r.Kind != KindCE {
 		t.Fatalf("expected CE, got %v", r)
 	}
@@ -353,7 +375,7 @@ func TestPBAFlowReducesAndProves(t *testing.T) {
 	m.Done(c1, c2, dangle)
 	m.AssertAlways("ne6", m.EqConst(c1.Q, 6).Not())
 
-	opt := Options{MaxDepth: 40, UseEMM: true, StabilityDepth: 5}
+	opt := Options{Engine: EngineBMC3, MaxDepth: 40, StabilityDepth: 5}
 	res := ProveWithPBA(m.N, 0, opt)
 	if res.Kind() != KindProof {
 		t.Fatalf("expected proof, got %v (phase1=%v)", res.Kind(), res.Phase1)
@@ -380,7 +402,7 @@ func TestPBAFlowReducesAndProves(t *testing.T) {
 
 func TestPBAPhase1FindsRealCE(t *testing.T) {
 	m := mod5Counter(3)
-	res := ProveWithPBA(m.N, 1, Options{MaxDepth: 20, StabilityDepth: 5})
+	res := ProveWithPBA(m.N, 1, Options{Engine: EngineBMC1, MaxDepth: 20, StabilityDepth: 5})
 	if res.Kind() != KindCE || res.Phase1.Depth != 3 {
 		t.Fatalf("PBA flow must surface the real CE: %v", res.Phase1)
 	}
@@ -419,7 +441,7 @@ func TestCheckMany(t *testing.T) {
 		m.AssertAlways("ne", m.EqConst(c.Q, uint64(k)).Not())
 		props = append(props, k)
 	}
-	res := CheckManyParallel(m.N, props, Options{MaxDepth: 30, Proofs: true, ValidateWitness: true}, 1)
+	res := CheckManyParallel(m.N, props, Options{Engine: EngineBMC1, MaxDepth: 30, ValidateWitness: true}, 1)
 	for k := 0; k <= 7; k++ {
 		r := res.Results[k]
 		if r.Kind != KindCE || r.Depth != k {
@@ -453,7 +475,7 @@ func TestCheckManyWithEMM(t *testing.T) {
 	m.Done(got5)
 	m.AssertAlways("ne5", got5.Bit().Not())               // reachable (CE)
 	m.AssertAlways("tauto", m.N.Or(got5.Bit(), aig.True)) // trivially true
-	res := CheckManyParallel(m.N, []int{0, 1}, Options{MaxDepth: 8, UseEMM: true, Proofs: true, ValidateWitness: true}, 1)
+	res := CheckManyParallel(m.N, []int{0, 1}, Options{Engine: EngineBMC3, MaxDepth: 8, ValidateWitness: true}, 1)
 	if res.Results[0].Kind != KindCE || res.Results[0].Depth != 2 {
 		t.Fatalf("prop 0: expected CE at depth 2, got %v", res.Results[0])
 	}
@@ -495,13 +517,13 @@ func TestPureLatchLFPIsUnsound(t *testing.T) {
 		t.Fatalf("ground truth should be CE, got %v", r)
 	}
 	// Paper-literal LFP: bogus forward proof before the CE depth.
-	lit := BMC3(6)
+	lit := Options{Engine: EngineBMC3, MaxDepth: 6}
 	lit.PureLatchLFP = true
 	if r := Check(build().N, 0, lit); r.Kind != KindProof {
 		t.Fatalf("expected the literal LFP to (unsoundly) prove, got %v", r)
 	}
 	// Memory-aware LFP (default): the real counter-example is found.
-	if r := Check(build().N, 0, BMC3(6)); r.Kind != KindCE {
+	if r := Check(build().N, 0, Options{Engine: EngineBMC3, MaxDepth: 6}); r.Kind != KindCE {
 		t.Fatalf("memory-aware LFP must find the CE, got %v", r)
 	}
 }
@@ -524,8 +546,8 @@ func TestLatchFreeMemoryLFP(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"bmc3", BMC3(4)},
-		{"kind", KInd(4)},
+		{"bmc3", Options{Engine: EngineBMC3, MaxDepth: 4}},
+		{"kind", Options{Engine: EngineKInd, MaxDepth: 4}},
 	} {
 		if r := Check(m.N, 0, tc.opt); r.Kind != KindCE || r.Depth != 1 {
 			t.Errorf("%s: got %v (%s), want CE at depth 1", tc.name, r, r.ProofSide)
@@ -547,7 +569,7 @@ func TestDisabledReadReplayMismatch(t *testing.T) {
 	m.Done()
 	m.AssertAlways("zero", m.EqConst(rd, 0))
 
-	r := Check(m.N, 0, BMC2(3))
+	r := Check(m.N, 0, Options{Engine: EngineBMC2, MaxDepth: 3})
 	if r.Kind != KindCE || r.Depth != 0 {
 		t.Fatalf("EMM: got %v, want CE at depth 0 (disabled read data is free)", r)
 	}
@@ -562,7 +584,7 @@ func TestDisabledReadReplayMismatch(t *testing.T) {
 		t.Fatalf("explicit model: got %v, want NO_CE at depth 3", r)
 	}
 	// With witness validation on, the engine stops instead of reporting it.
-	opt := BMC2(3)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 3}
 	opt.ValidateWitness = true
 	defer func() {
 		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "witness replay failed") {
@@ -581,7 +603,7 @@ func TestConstraintsInBMC(t *testing.T) {
 	m.Done(r)
 	m.Assume(x.Not())
 	m.AssertAlways("stays0", r.Bit().Not())
-	res := Check(m.N, 0, BMC1(10))
+	res := Check(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 10})
 	if res.Kind != KindProof {
 		t.Fatalf("constraint should make the property provable, got %v", res)
 	}
@@ -601,7 +623,7 @@ func TestResultStrings(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	m := memEcho()
-	r := Check(m.N, 0, BMC3(15))
+	r := Check(m.N, 0, Options{Engine: EngineBMC3, MaxDepth: 15})
 	if r.Stats.SolveCalls == 0 || r.Stats.Clauses == 0 || r.Stats.Vars == 0 {
 		t.Fatalf("stats not populated: %+v", r.Stats)
 	}

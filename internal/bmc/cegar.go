@@ -68,8 +68,7 @@ func CEGAR(n *aig.Netlist, prop int, opt Options, maxRounds int) *CEGARResult {
 
 		aOpt := opt
 		aOpt.Abs = abs
-		aOpt.Proofs = true
-		aOpt.PBA = false
+		aOpt.Engine = withProofs(opt.Engine, true)
 		aOpt.ValidateWitness = false
 		r := Check(n, prop, aOpt)
 		if r.Kind != KindCE {
@@ -84,8 +83,8 @@ func CEGAR(n *aig.Netlist, prop int, opt Options, maxRounds int) *CEGARResult {
 		// tracing so a refutation tells us what to refine with.
 		cOpt := opt
 		cOpt.Abs = nil
-		cOpt.Proofs = false
-		cOpt.PBA = true
+		cOpt.Engine = withProofs(opt.Engine, false)
+		cOpt.pba = true
 		cOpt.MaxDepth = r.Depth
 		cOpt.ValidateWitness = opt.ValidateWitness
 		cr := Check(n, prop, cOpt)
@@ -117,7 +116,7 @@ func CEGAR(n *aig.Netlist, prop int, opt Options, maxRounds int) *CEGARResult {
 		if !grew {
 			// No new reasons: fall back to the concrete model outright.
 			fOpt := opt
-			fOpt.Proofs = true
+			fOpt.Engine = withProofs(opt.Engine, true)
 			res.Final = Check(n, prop, fOpt)
 			res.Elapsed = time.Since(start)
 			return res
@@ -125,7 +124,7 @@ func CEGAR(n *aig.Netlist, prop int, opt Options, maxRounds int) *CEGARResult {
 	}
 	// Round budget exhausted: decide concretely.
 	fOpt := opt
-	fOpt.Proofs = true
+	fOpt.Engine = withProofs(opt.Engine, true)
 	res.Final = Check(n, prop, fOpt)
 	res.Elapsed = time.Since(start)
 	return res

@@ -22,7 +22,7 @@ func TestCEGARProvesWithSmallModel(t *testing.T) {
 	}
 	m.Done(regs...)
 	m.AssertAlways("ne6", m.EqConst(c.Q, 6).Not())
-	res := CEGAR(m.N, 0, Options{MaxDepth: 40}, 10)
+	res := CEGAR(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 40}, 10)
 	if res.Final.Kind != KindProof {
 		t.Fatalf("expected proof, got %v", res.Final)
 	}
@@ -37,7 +37,7 @@ func TestCEGARFindsRealCE(t *testing.T) {
 	c.SetNext(m.Inc(c.Q))
 	m.Done(c)
 	m.AssertAlways("ne5", m.EqConst(c.Q, 5).Not())
-	res := CEGAR(m.N, 0, Options{MaxDepth: 20, ValidateWitness: true}, 10)
+	res := CEGAR(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 20, ValidateWitness: true}, 10)
 	if res.Final.Kind != KindCE || res.Final.Depth != 5 {
 		t.Fatalf("expected real CE at 5, got %v", res.Final)
 	}
@@ -57,7 +57,7 @@ func TestCEGARRefinesThroughDependencies(t *testing.T) {
 	m.AssertAlways("r2zero", r2.Bit().Not())
 	// Pin the compile pipeline off: constant sweep would prove r1 and r2
 	// constant outright, leaving no dependency chain to refine through.
-	res := CEGAR(m.N, 0, Options{MaxDepth: 20, Passes: "none"}, 10)
+	res := CEGAR(m.N, 0, Options{Engine: EngineBMC1, MaxDepth: 20, Passes: "none"}, 10)
 	if res.Final.Kind != KindProof {
 		t.Fatalf("expected proof, got %v", res.Final)
 	}
@@ -80,7 +80,7 @@ func TestCEGARWithMemoryDesign(t *testing.T) {
 	sink.SetNext(mem.Read(m.Slice(jc.Q, 1, 3), aig.True))
 	m.Done(c, jc, sink)
 	m.AssertAlways("ne6", m.EqConst(c.Q, 6).Not())
-	res := CEGAR(m.N, 0, Options{MaxDepth: 40, UseEMM: true}, 10)
+	res := CEGAR(m.N, 0, Options{Engine: EngineBMC3, MaxDepth: 40}, 10)
 	if res.Final.Kind != KindProof {
 		t.Fatalf("expected proof, got %v", res.Final)
 	}

@@ -29,7 +29,7 @@ import (
 // The checks are BMC-3's, reordered base-first; what makes kind prove
 // designs BMC-3 cannot is the induction step's strengthened memory model:
 // the backward window retains declared initial contents for write-free
-// memories instead of treating them as arbitrary (Options.KInduction).
+// memories instead of treating them as arbitrary (see newWindow).
 // Both UNSAT checks are monotone in k — a satisfying assignment at k
 // restricts (2) by prefix and (3) by suffix to one at k-1 — so skipping
 // depths below a warm-start frontier never loses a proof: a warm-started

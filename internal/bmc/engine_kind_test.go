@@ -74,11 +74,11 @@ func writableWedgeNetlist() *aig.Netlist {
 // budget, BMC-3 exhausts the bound undecided while kind proves at depth 0.
 func TestKIndProvesWhereBMC3CannotBound(t *testing.T) {
 	n := wedgeNetlist()
-	opt3 := Options{MaxDepth: 20, UseEMM: true, Proofs: true}
+	opt3 := Options{Engine: EngineBMC3, MaxDepth: 20}
 	if r := Check(n, 0, opt3); r.Kind != KindNoCE {
 		t.Fatalf("bmc3 on the wedge: %v, want NO_CE (bound exhausted)", r)
 	}
-	r := Check(n, 0, KInd(20))
+	r := Check(n, 0, Options{Engine: EngineKInd, MaxDepth: 20})
 	if r.Kind != KindProof || r.Depth != 0 || r.ProofSide != "backward" {
 		t.Fatalf("kind on the wedge: %v (side %s), want PROOF depth=0 backward", r, r.ProofSide)
 	}
@@ -89,11 +89,11 @@ func TestKIndProvesWhereBMC3CannotBound(t *testing.T) {
 // exactly depth 2.
 func TestKIndNeedsInductionDepth(t *testing.T) {
 	n := shiftWedgeNetlist()
-	r := Check(n, 0, KInd(20))
+	r := Check(n, 0, Options{Engine: EngineKInd, MaxDepth: 20})
 	if r.Kind != KindProof || r.Depth != 2 || r.ProofSide != "backward" {
 		t.Fatalf("kind on the shift wedge: %v (side %s), want PROOF depth=2 backward", r, r.ProofSide)
 	}
-	if r3 := Check(n, 0, Options{MaxDepth: 20, UseEMM: true, Proofs: true}); r3.Kind != KindNoCE {
+	if r3 := Check(n, 0, Options{Engine: EngineBMC3, MaxDepth: 20}); r3.Kind != KindNoCE {
 		t.Fatalf("bmc3 on the shift wedge: %v, want NO_CE", r3)
 	}
 }
@@ -102,7 +102,7 @@ func TestKIndNeedsInductionDepth(t *testing.T) {
 // port present the init must not be retained, so kind finds the genuine
 // depth-1 counter-example instead of a bogus depth-0 proof.
 func TestKIndRetentionRequiresWriteFree(t *testing.T) {
-	opt := KInd(10)
+	opt := Options{Engine: EngineKInd, MaxDepth: 10}
 	opt.ValidateWitness = true
 	r := Check(writableWedgeNetlist(), 0, opt)
 	if r.Kind != KindCE || r.Depth != 1 {
@@ -119,8 +119,8 @@ func TestKIndRetentionRequiresWriteFree(t *testing.T) {
 // smoke on growth.v).
 func TestKIndMatchesBMC3OnArbitraryInitMemory(t *testing.T) {
 	n := growthEquivNetlist()
-	r3 := Check(n, 0, Options{MaxDepth: 10, UseEMM: true, Proofs: true})
-	rk := Check(n, 0, KInd(10))
+	r3 := Check(n, 0, Options{Engine: EngineBMC3, MaxDepth: 10})
+	rk := Check(n, 0, Options{Engine: EngineKInd, MaxDepth: 10})
 	if rk.Kind != r3.Kind || rk.Depth != r3.Depth {
 		t.Fatalf("kind %v vs bmc3 %v on arbitrary-init memory", rk, r3)
 	}
@@ -136,11 +136,11 @@ func TestKIndWarmStart(t *testing.T) {
 		{"wedge", wedgeNetlist()},
 		{"shift-wedge", shiftWedgeNetlist()},
 	} {
-		cold := Check(tc.n, 0, KInd(20))
+		cold := Check(tc.n, 0, Options{Engine: EngineKInd, MaxDepth: 20})
 		if cold.Kind != KindProof {
 			t.Fatalf("%s: cold run %v", tc.name, cold)
 		}
-		opt := KInd(20)
+		opt := Options{Engine: EngineKInd, MaxDepth: 20}
 		opt.StartDepth = 5
 		warm := Check(tc.n, 0, opt)
 		if warm.Kind != KindProof || warm.Depth != 5 {

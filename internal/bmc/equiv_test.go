@@ -58,8 +58,8 @@ func TestStrashEquivalenceQuickSort(t *testing.T) {
 		prop int
 		opt  Options
 	}{
-		{"bmc2-p1", q.P1Index, BMC2(8)},
-		{"bmc3-p2", q.P2Index, BMC3(14)},
+		{"bmc2-p1", q.P1Index, Options{Engine: EngineBMC2, MaxDepth: 8}},
+		{"bmc3-p2", q.P2Index, Options{Engine: EngineBMC3, MaxDepth: 14}},
 	} {
 		tc.opt.ValidateWitness = true
 		assertEquiv(t, "quicksort/"+tc.name, func(opt Options) *Result {
@@ -73,7 +73,7 @@ func TestStrashEquivalenceImageFilter(t *testing.T) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
 	n := f.Netlist()
 	for _, prop := range []int{0, 3, 7} {
-		opt := BMC2(3*4 + 10)
+		opt := Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10}
 		opt.ValidateWitness = true
 		assertEquiv(t, "filter", func(opt Options) *Result {
 			return Check(n, prop, opt)
@@ -83,10 +83,10 @@ func TestStrashEquivalenceImageFilter(t *testing.T) {
 
 func TestStrashEquivalenceLookup(t *testing.T) {
 	// Industry II stand-in: the invariant proves by induction over the EMM
-	// model (BMC-3 exercises proofs + PBA + arbitrary init).
+	// model (BMC-3 exercises proofs + arbitrary init).
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 4, Latency: 3})
 	n := l.Netlist()
-	opt := BMC3(12)
+	opt := Options{Engine: EngineBMC3, MaxDepth: 12}
 	assertEquiv(t, "lookup/inv", func(opt Options) *Result {
 		return Check(n, l.InvariantIndex, opt)
 	}, opt)
@@ -100,7 +100,7 @@ func TestStrashEquivalenceBMC1Explicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := BMC1(10)
+	opt := Options{Engine: EngineBMC1, MaxDepth: 10}
 	assertEquiv(t, "quicksort/bmc1-explicit", func(opt Options) *Result {
 		return Check(n, q.P2Index, opt)
 	}, opt)
@@ -121,12 +121,12 @@ func TestStrashEquivalenceSharedReads(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		opt    Options
-		shared bool // PBA tracks cores, which turns sharing off
+		shared bool // proof tracing tracks cores, which turns sharing off
 	}{
-		{"bmc2", BMC2(8), true},
-		{"bmc3-nopba", Options{MaxDepth: 8, UseEMM: true, Proofs: true}, true},
-		{"bmc3", BMC3(8), false},
-		{"kind", KInd(8), true},
+		{"bmc2", Options{Engine: EngineBMC2, MaxDepth: 8}, true},
+		{"bmc3", Options{Engine: EngineBMC3, MaxDepth: 8}, true},
+		{"bmc3-traced", Options{Engine: EngineBMC3, MaxDepth: 8, pba: true}, false},
+		{"kind", Options{Engine: EngineKInd, MaxDepth: 8}, true},
 	} {
 		tc.opt.ValidateWitness = true
 		on, off := assertEquiv(t, "growth-shared/"+tc.name, func(opt Options) *Result {

@@ -50,7 +50,7 @@ func assertInprocEquiv(t *testing.T, name string, run func(opt Options) *Result,
 		if off.Stats.Simplifies != 0 {
 			t.Errorf("%s: NoSimplify run still simplified %d times", tag, off.Stats.Simplifies)
 		}
-		if !opt.PBA && on.Depth > 0 && on.Stats.Simplifies == 0 {
+		if !opt.pba && on.Depth > 0 && on.Stats.Simplifies == 0 {
 			t.Errorf("%s: multi-depth run never ran the inprocessing pass", tag)
 		}
 	}
@@ -64,10 +64,10 @@ func TestInprocEquivalenceQuickSort(t *testing.T) {
 		prop int
 		opt  Options
 	}{
-		{"bmc2-p1", q.P1Index, BMC2(8)},
+		{"bmc2-p1", q.P1Index, Options{Engine: EngineBMC2, MaxDepth: 8}},
 		// Proofs without PBA: the backward solver participates in the
 		// between-depth Simplify as well.
-		{"proofs-p2", q.P2Index, Options{MaxDepth: 14, UseEMM: true, Proofs: true}},
+		{"proofs-p2", q.P2Index, Options{Engine: EngineBMC3, MaxDepth: 14}},
 	} {
 		assertInprocEquiv(t, "quicksort/"+tc.name, func(opt Options) *Result {
 			return Check(n, tc.prop, opt)
@@ -81,7 +81,7 @@ func TestInprocEquivalenceImageFilter(t *testing.T) {
 	for _, prop := range []int{0, 3, 7} {
 		assertInprocEquiv(t, fmt.Sprintf("filter/p%d", prop), func(opt Options) *Result {
 			return Check(n, prop, opt)
-		}, BMC2(3*4+10))
+		}, Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10})
 	}
 }
 
@@ -90,7 +90,7 @@ func TestInprocEquivalenceLookup(t *testing.T) {
 	n := l.Netlist()
 	assertInprocEquiv(t, "lookup/inv", func(opt Options) *Result {
 		return Check(n, l.InvariantIndex, opt)
-	}, Options{MaxDepth: 12, UseEMM: true, Proofs: true})
+	}, Options{Engine: EngineBMC3, MaxDepth: 12})
 }
 
 func TestInprocEquivalenceBMC1Explicit(t *testing.T) {
@@ -101,7 +101,7 @@ func TestInprocEquivalenceBMC1Explicit(t *testing.T) {
 	}
 	assertInprocEquiv(t, "quicksort/bmc1-explicit", func(opt Options) *Result {
 		return Check(n, q.P2Index, opt)
-	}, BMC1(10))
+	}, Options{Engine: EngineBMC1, MaxDepth: 10})
 }
 
 func TestInprocEquivalenceCheckMany(t *testing.T) {
@@ -111,7 +111,7 @@ func TestInprocEquivalenceCheckMany(t *testing.T) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
 	n := f.Netlist()
 	props := []int{0, 2, 5, 7}
-	opt := BMC2(3*4 + 10)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10}
 	opt.ValidateWitness = true
 	on := CheckManyParallel(n, props, opt, 1)
 	opt.NoSimplify = true
@@ -130,7 +130,7 @@ func TestInprocEquivalenceCheckMany(t *testing.T) {
 func TestInprocPBASkipped(t *testing.T) {
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 4, Latency: 3})
 	n := l.Netlist()
-	opt := BMC3(12)
+	opt := Options{Engine: EngineBMC3, MaxDepth: 12, pba: true}
 	on := Check(n, l.InvariantIndex, opt)
 	opt.NoSimplify = true
 	off := Check(n, l.InvariantIndex, opt)
@@ -156,8 +156,8 @@ func TestInprocPBASkipped(t *testing.T) {
 // leaves its clause database untouched.
 func TestInprocTracingGuard(t *testing.T) {
 	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 2, DataW: 3, StackAW: 2})
-	opt := BMC2(6)
-	opt.PBA = true // tracing on, simplify skipped by the engine guard
+	opt := Options{Engine: EngineBMC2, MaxDepth: 6}
+	opt.pba = true // tracing on, simplify skipped by the engine guard
 	r := Check(q.Netlist(), q.P1Index, opt)
 	if r.Stats.Simplifies != 0 || r.Stats.EliminatedVars != 0 {
 		t.Fatalf("tracing run reported inprocessing work: %+v", r.Stats)

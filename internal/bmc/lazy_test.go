@@ -61,9 +61,9 @@ func assertLazyEquiv(t *testing.T, name string, run func(opt Options) *Result, o
 func TestEngineChoosesEMMEncoding(t *testing.T) {
 	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
 	n := q.Netlist()
-	ablation := BMC2(8)
+	ablation := Options{Engine: EngineBMC2, MaxDepth: 8}
 	ablation.DisableExclusivity = true
-	pba := ProveWithPBA(n, q.P2Index, Options{MaxDepth: 14, UseEMM: true, StabilityDepth: 10})
+	pba := ProveWithPBA(n, q.P2Index, Options{Engine: EngineBMC3, MaxDepth: 14, StabilityDepth: 10})
 	if pba.Proof == nil {
 		t.Fatalf("PBA stopped after phase 1: %v", pba.Phase1)
 	}
@@ -72,9 +72,9 @@ func TestEngineChoosesEMMEncoding(t *testing.T) {
 		r    *Result
 		lazy bool
 	}{
-		{"bmc2", Check(n, q.P2Index, BMC2(14)), true},
-		{"bmc3", Check(n, q.P1Index, BMC3(8)), false},
-		{"kind", Check(n, q.P1Index, KInd(8)), false},
+		{"bmc2", Check(n, q.P2Index, Options{Engine: EngineBMC2, MaxDepth: 14}), true},
+		{"bmc3", Check(n, q.P1Index, Options{Engine: EngineBMC3, MaxDepth: 8}), false},
+		{"kind", Check(n, q.P1Index, Options{Engine: EngineKInd, MaxDepth: 8}), false},
 		{"pba-abstract", pba.Phase1, false},
 		{"pba-prove", pba.Proof, false},
 		{"eq1-ablation", Check(n, q.P1Index, ablation), false},
@@ -99,8 +99,8 @@ func TestLazyEquivalenceQuickSort(t *testing.T) {
 		prop int
 		opt  Options
 	}{
-		{"bmc2-p1", q.P1Index, BMC2(8)},
-		{"bmc2-p2", q.P2Index, BMC2(14)},
+		{"bmc2-p1", q.P1Index, Options{Engine: EngineBMC2, MaxDepth: 8}},
+		{"bmc2-p2", q.P2Index, Options{Engine: EngineBMC2, MaxDepth: 14}},
 	} {
 		tc.opt.ValidateWitness = true
 		assertLazyEquiv(t, "quicksort/"+tc.name, func(opt Options) *Result {
@@ -113,7 +113,7 @@ func TestLazyEquivalenceImageFilter(t *testing.T) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
 	n := f.Netlist()
 	for _, prop := range []int{0, 3, 7} {
-		opt := BMC2(3*4 + 10)
+		opt := Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10}
 		opt.ValidateWitness = true
 		assertLazyEquiv(t, fmt.Sprintf("filter/p%d", prop), func(opt Options) *Result {
 			return Check(n, prop, opt)
@@ -127,7 +127,7 @@ func TestLazyEquivalenceLookup(t *testing.T) {
 	// true) and on the reachability properties.
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 4, Latency: 3})
 	n := l.Netlist()
-	inv := BMC2(12)
+	inv := Options{Engine: EngineBMC2, MaxDepth: 12}
 	inv.Passes = pass.SpecNone
 	assertLazyEquiv(t, "lookup/inv", func(opt Options) *Result {
 		return Check(n, l.InvariantIndex, opt)
@@ -135,7 +135,7 @@ func TestLazyEquivalenceLookup(t *testing.T) {
 	for _, prop := range l.ReachIndices[:2] {
 		assertLazyEquiv(t, fmt.Sprintf("lookup/p%d", prop), func(opt Options) *Result {
 			return Check(n, prop, opt)
-		}, BMC2(12))
+		}, Options{Engine: EngineBMC2, MaxDepth: 12})
 	}
 }
 
@@ -151,7 +151,7 @@ func TestLazyEquivalenceGrowthShape(t *testing.T) {
 	rd0, rd1 := mem.Read(addr, re0), mem.Read(addr, re1)
 	both := m.N.And(re0, re1)
 	m.AssertAlways("agree", m.N.And(both, m.Eq(rd0, rd1).Not()).Not())
-	opt := BMC2(10)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 10}
 	assertLazyEquiv(t, "growth", func(opt Options) *Result {
 		return Check(m.N, 0, opt)
 	}, opt)
@@ -165,7 +165,7 @@ func TestLazyWitnessMemInit(t *testing.T) {
 	mem := m.Memory("mem", 2, 3, aig.MemArbitrary)
 	rd := mem.Read(m.Const(2, 2), aig.True)
 	m.AssertAlways("ne5", m.EqConst(rd, 5).Not())
-	opt := Options{MaxDepth: 3, UseEMM: true, ValidateWitness: true}
+	opt := Options{Engine: EngineBMC2, MaxDepth: 3, ValidateWitness: true}
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindCE {
 		t.Fatalf("expected CE, got %v", r)
@@ -197,7 +197,7 @@ func TestLazyWitnessReplayThroughMapping(t *testing.T) {
 	m.Done(junk)
 	m.AssertAlways("ne9", m.EqConst(rd, 9).Not())
 
-	opt := Options{MaxDepth: 6, UseEMM: true, ValidateWitness: true}
+	opt := Options{Engine: EngineBMC2, MaxDepth: 6, ValidateWitness: true}
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindCE {
 		t.Fatalf("expected CE, got %v", r)
@@ -316,12 +316,11 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 	}
 	engines := []struct {
 		name     string
-		opt      func(depth int) Options
 		variants []variant
 	}{
-		{"bmc2", BMC2, withEager},
-		{"bmc3", func(d int) Options { return Options{MaxDepth: d, UseEMM: true, Proofs: true} }, unshared},
-		{"kind", KInd, unshared},
+		{EngineBMC2, withEager},
+		{EngineBMC3, unshared},
+		{EngineKInd, unshared},
 	}
 	shared := 0
 	for seed := 0; seed < trials; seed++ {
@@ -342,7 +341,7 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 			for _, eng := range engines {
 				var ref *Result
 				for _, v := range eng.variants {
-					o := eng.opt(d)
+					o := Options{Engine: eng.name, MaxDepth: d}
 					v.set(&o)
 					r := Check(m.N, 0, o)
 					shared += r.Stats.EMM.SharedReads

@@ -20,9 +20,8 @@ type ManyResult struct {
 	Stats   Stats
 	// MaxWitnessDepth is the deepest counter-example found.
 	MaxWitnessDepth int
-	// DepthStats holds the per-depth deltas (Options.CollectDepthStats),
-	// summed by depth over the property groups' engines, so each column
-	// still sums to the run total.
+	// DepthStats holds the per-depth deltas, summed by depth over the
+	// property groups' engines, so each column still sums to the run total.
 	DepthStats []DepthStat
 }
 
@@ -42,10 +41,11 @@ func (m *ManyResult) Counts() map[Kind]int {
 // at a time. Each group shares one engine — one incremental unrolling and
 // EMM constraint set — across all of its properties, the paper's Industry I
 // shared unrolling: at each depth the group runs, per open property, the
-// counter-example check; with Proofs it also runs the property-independent
-// forward termination check once per depth (UNSAT proves every open
-// property at once) and a per-property backward induction check. Under
-// KInduction the same checks run base case first (kindStrategy).
+// counter-example check; an engine with termination checks also runs the
+// property-independent forward termination check once per depth (UNSAT
+// proves every open property at once) and a per-property backward
+// induction check. Under kind the same checks run base case first
+// (kindStrategy).
 //
 // The groups cooperate through the forward-termination oracle: the forward
 // check is property-independent and its UNSAT answer is upward-closed in
@@ -53,8 +53,8 @@ func (m *ManyResult) Counts() map[Kind]int {
 // other group reaching it resolves its open properties without a solver
 // call. jobs=1 is one group holding every property; with at least as many
 // workers as properties each group holds one. A single property with
-// proofs and more than one worker races the forward and backward
-// termination checks in two lanes instead (Options.Portfolio).
+// termination checks (bmc1, bmc3) and more than one worker races the
+// forward and backward termination checks in two lanes instead.
 //
 // Outcomes are deterministic: every per-property verdict (Kind, Depth,
 // ProofSide) is the same at any jobs, because SAT answers are semantic and
@@ -71,6 +71,7 @@ func CheckManyParallel(n *aig.Netlist, props []int, opt Options, jobs int) *Many
 // ends its group, and every property still open reports KindTimeout there.
 func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt Options, jobs int) *ManyResult {
 	start := time.Now()
+	mode := modeOf(opt.Engine)
 	out := &ManyResult{Results: make([]*Result, len(props))}
 	if len(props) == 0 {
 		return out
@@ -80,11 +81,11 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	c := compileModel(n, props, &opt)
 	n, props = c.n, c.props
 	jobs = par.Jobs(jobs)
-	if len(props) == 1 && jobs > 1 && opt.Proofs && !opt.KInduction {
+	if len(props) == 1 && jobs > 1 && mode.proofs && !mode.kind {
 		// A single property leaves the pool idle; race the forward and
 		// backward termination checks in separate lanes instead (only
 		// meaningful with proofs; k-induction fixes its own check order).
-		opt.Portfolio = true
+		opt.portfolio = true
 		r := checkCompiled(ctx, n, props[0], opt)
 		out.Results[0], out.Stats, out.DepthStats = r, r.Stats, r.DepthStats
 		out.finish(c, opt)
@@ -116,7 +117,7 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 		d := newDriver(e, gprops, 0)
 		bmc := bmcStrategy{e: e, d: d, fwd: &fwdUnsat}
 		var strat Strategy = &bmc
-		if opt.KInduction && opt.Proofs {
+		if mode.kind {
 			strat = &kindStrategy{bmc}
 		}
 		d.run(ctx, strat)

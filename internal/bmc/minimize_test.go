@@ -50,7 +50,7 @@ func TestMinimizeKeepsEssentialMemoryWords(t *testing.T) {
 	m.Done(acc)
 	m.AssertAlways("ne5", m.EqConst(rd, 5).Not())
 
-	r := Check(m.N, 0, Options{MaxDepth: 4, UseEMM: true, ValidateWitness: true})
+	r := Check(m.N, 0, Options{Engine: EngineBMC2, MaxDepth: 4, ValidateWitness: true})
 	if r.Kind != KindCE {
 		t.Fatalf("expected CE")
 	}
@@ -98,8 +98,8 @@ func TestCOIEquivalentVerdicts(t *testing.T) {
 		if len(reduced.Latches) != 3 {
 			t.Fatalf("cone kept %d latches, want 3", len(reduced.Latches))
 		}
-		full := Check(m.N, prop, BMC3(20))
-		red := Check(reduced, 0, BMC1(20))
+		full := Check(m.N, prop, Options{Engine: EngineBMC3, MaxDepth: 20})
+		red := Check(reduced, 0, Options{Engine: EngineBMC1, MaxDepth: 20})
 		if full.Kind != want || red.Kind != want {
 			t.Fatalf("prop %d: full=%v reduced=%v want %v", prop, full.Kind, red.Kind, want)
 		}

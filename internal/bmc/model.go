@@ -21,17 +21,17 @@ import (
 )
 
 // newWindow builds one solver window: the unrolling in mode over a fresh
-// session solver and, under UseEMM on a design with memories, its EMM
-// generator. Initialized windows host the forward termination check and
+// session solver and, under an EMM engine on a design with memories, its
+// EMM generator. Initialized windows host the forward termination check and
 // the counter-example checks; the Free window hosts the backward
 // (induction-step) check and starts in an arbitrary state, so its
 // generator treats every memory as arbitrary-initialized (§4.2) — except,
-// under KInduction, memories with no write ports: a memory nothing ever
+// under kind, memories with no write ports: a memory nothing ever
 // writes keeps its declared contents in every reachable state, so the
 // induction step may assume them.
 //
 // The engine picks the EMM encoding itself. A run without termination
-// checks (bmc2, CheckManyParallel without Proofs, CEGAR's concrete checks)
+// checks (bmc2, also under CheckManyParallel; CEGAR's concrete checks)
 // instantiates its read-over-write axioms on demand
 // (core.Generator.EnableLazy, refined in refineSolve): its only query is
 // the counter-example check, which the relaxation answers with a fraction
@@ -47,7 +47,7 @@ import (
 // a shared clause would implicate only its first creator, so the
 // abstraction could silently drop latches or EMM events the proof
 // needs. Like init folding, both caches are therefore off while cores
-// are being tracked (phase 2 of the PBA flow runs without opt.PBA and
+// are being tracked (phase 2 of the PBA flow runs without opt.pba and
 // keeps full sharing), and so is lazy instantiation: the cores must see
 // the full set of eagerly tagged EMM clauses (§4.3). The eq. 1 ablation
 // (DisableExclusivity) is eager too: the refinement machinery suspends
@@ -55,12 +55,12 @@ import (
 func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *core.Generator) {
 	opt, n := e.opt, e.n
 	s := e.newSolver()
-	if opt.PBA && mode == unroll.Initialized {
+	if opt.pba && mode == unroll.Initialized {
 		s.EnableProofTracing()
 	}
 	u := unroll.New(n, s, mode)
-	u.NoStrash = opt.DisableStrash || opt.PBA
-	u.FoldInits = !opt.PBA
+	u.NoStrash = opt.DisableStrash || opt.pba
+	u.FoldInits = !opt.pba
 	u.MemAwareLFP = len(n.Memories) > 0 && !opt.PureLatchLFP
 	u.AttachObs(opt.Obs)
 	if opt.Abs != nil {
@@ -68,16 +68,16 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 			u.Abstracted[id] = true
 		}
 	}
-	if !opt.UseEMM || len(n.Memories) == 0 {
+	if !e.mode.emm || len(n.Memories) == 0 {
 		return s, u, nil
 	}
 	arb := mode == unroll.Free
 	g := core.NewGenerator(u, arb)
 	g.AttachObs(opt.Obs)
-	if arb && opt.KInduction {
+	if arb && e.mode.kind {
 		g.RetainWriteFreeInit()
 	}
-	if opt.DisableEMMMemo || opt.PBA {
+	if opt.DisableEMMMemo || opt.pba {
 		g.DisableComparatorMemo()
 	}
 	if opt.DisableEq6 {
@@ -85,7 +85,7 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 	}
 	if opt.DisableExclusivity {
 		g.DisableExclusivity()
-	} else if !opt.Proofs && !opt.PBA && !opt.eagerEMM {
+	} else if !e.mode.proofs && !opt.pba && !opt.eagerEMM {
 		g.EnableLazy()
 	}
 	e.applyMemAbstraction(g)
@@ -115,7 +115,8 @@ type window struct {
 	g *core.Generator
 }
 
-// windows lists the engine's windows: forward, plus backward under Proofs.
+// windows lists the engine's windows: forward, plus backward with
+// termination checks.
 func (e *engine) windows() []window {
 	ws := []window{{e.fs, e.fu, e.fg}}
 	if e.bs != nil {

@@ -53,7 +53,7 @@ func assertSameVerdicts(t *testing.T, seq, par *ManyResult) {
 
 func TestCheckManyParallelMatchesSequential(t *testing.T) {
 	m, props := manyCounter()
-	opt := Options{MaxDepth: 30, Proofs: true, ValidateWitness: true}
+	opt := Options{Engine: EngineBMC1, MaxDepth: 30, ValidateWitness: true}
 	seq := CheckManyParallel(m.N, props, opt, 1)
 	for _, jobs := range []int{1, 2, 4} {
 		par := CheckManyParallel(m.N, props, opt, jobs)
@@ -70,7 +70,7 @@ func TestCheckManyParallelDeterministicOnIndustryI(t *testing.T) {
 	// must produce the one-group verdicts, and two four-group runs must
 	// agree with each other.
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16})
-	opt := Options{MaxDepth: 3*4 + 10, UseEMM: true, Proofs: true, ValidateWitness: true}
+	opt := Options{Engine: EngineBMC3, MaxDepth: 3*4 + 10, ValidateWitness: true}
 	seq := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, 1)
 	first := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, 4)
 	assertSameVerdicts(t, seq, first)
@@ -81,7 +81,7 @@ func TestCheckManyParallelDeterministicOnIndustryI(t *testing.T) {
 func TestCheckManyParallelCounts(t *testing.T) {
 	m, props := manyCounter()
 	// Proofs on, generous bound: 8 CEs (max depth 7) + 2 forward proofs.
-	res := CheckManyParallel(m.N, props, Options{MaxDepth: 30, Proofs: true}, 3)
+	res := CheckManyParallel(m.N, props, Options{Engine: EngineBMC1, MaxDepth: 30}, 3)
 	counts := res.Counts()
 	if counts[KindCE] != 8 || counts[KindProof] != 2 {
 		t.Fatalf("counts wrong: %v", counts)
@@ -118,7 +118,7 @@ func TestTimeoutBeforeDepthZeroClampsDepth(t *testing.T) {
 	// A timeout that fires before depth 0 completes must not report the
 	// nonsensical depth -1.
 	m := slowDesign()
-	opt := Options{MaxDepth: 60, UseEMM: true, Timeout: time.Nanosecond}
+	opt := Options{Engine: EngineBMC2, MaxDepth: 60, Timeout: time.Nanosecond}
 	r := Check(m.N, 0, opt)
 	if r.Kind != KindTimeout {
 		t.Fatalf("expected timeout, got %v", r)
@@ -147,9 +147,9 @@ func TestPortfolioMatchesSequential(t *testing.T) {
 		prop  int
 		opt   Options
 	}{
-		{"backward-proof", func() *rtl.Module { return mod5Counter(2) }, 0, BMC1(20)},
-		{"ce", func() *rtl.Module { return mod5Counter(3) }, 1, BMC1(20)},
-		{"emm-proof", memEcho, 0, BMC3(20)},
+		{"backward-proof", func() *rtl.Module { return mod5Counter(2) }, 0, Options{Engine: EngineBMC1, MaxDepth: 20}},
+		{"ce", func() *rtl.Module { return mod5Counter(3) }, 1, Options{Engine: EngineBMC1, MaxDepth: 20}},
+		{"emm-proof", memEcho, 0, Options{Engine: EngineBMC3, MaxDepth: 20}},
 		{"forward-proof", func() *rtl.Module {
 			m := rtl.NewModule("plus2")
 			c := m.Register("cnt", 3, 0)
@@ -157,13 +157,13 @@ func TestPortfolioMatchesSequential(t *testing.T) {
 			m.Done(c)
 			m.AssertAlways("ne5", m.EqConst(c.Q, 5).Not())
 			return m
-		}, 0, BMC1(20)},
+		}, 0, Options{Engine: EngineBMC1, MaxDepth: 20}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := Check(tc.build().N, tc.prop, tc.opt)
 			popt := tc.opt
-			popt.Portfolio = true
+			popt.portfolio = true
 			popt.ValidateWitness = true
 			por := Check(tc.build().N, tc.prop, popt)
 			// ProofSide may legitimately differ when both termination
@@ -215,7 +215,7 @@ func entryPoints() []struct {
 			return out, calls
 		}
 	}
-	kind := func(o *Options) { o.KInduction = true }
+	kind := func(o *Options) { o.Engine = EngineKInd }
 	many := func(jobs int, tune ...func(*Options)) entryRun {
 		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
 			for _, f := range tune {
@@ -249,7 +249,7 @@ func entryPoints() []struct {
 	}
 }
 
-// TestPoolRunsKInduction: under KInduction CheckManyParallel runs a single
+// TestPoolRunsKInduction: under kind CheckManyParallel runs a single
 // property with the k-induction strategy, exactly as Check does — same
 // verdict, depth and proof side, and the same solver calls for a single
 // property. BMC-3's check order (forward, backward, then the
@@ -266,7 +266,7 @@ func TestPoolRunsKInduction(t *testing.T) {
 		{"counter-ce", counter.N, 3},
 		{"counter-proof", counter.N, 8},
 	} {
-		opt := KInd(14)
+		opt := Options{Engine: EngineKInd, MaxDepth: 14}
 		want := Check(tc.n, tc.prop, opt)
 		for _, jobs := range []int{1, 2} {
 			mr := CheckManyParallel(tc.n, []int{tc.prop}, opt, jobs)
@@ -307,7 +307,7 @@ func TestEntryPointsAgree(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range cases {
-		opt := Options{MaxDepth: 14, UseEMM: true, Proofs: true, ValidateWitness: true}
+		opt := Options{Engine: EngineBMC3, MaxDepth: 14, ValidateWitness: true}
 		var base []*Result
 		for _, ep := range entryPoints() {
 			got, _ := ep.run(context.Background(), tc.n, tc.props, opt)
@@ -340,13 +340,14 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// TestDepthStatsAtAnyJobs: CollectDepthStats works at any worker count.
+// TestDepthStatsAtAnyJobs: every run records DepthStats, at any worker
+// count.
 // The per-depth table sums the property groups' engines by depth, so its
 // Solves column sums to the run's solver calls, and the verdicts are the
 // same at one and at two groups.
 func TestDepthStatsAtAnyJobs(t *testing.T) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
-	opt := Options{MaxDepth: 3*4 + 10, UseEMM: true, Proofs: true, CollectDepthStats: true}
+	opt := Options{Engine: EngineBMC3, MaxDepth: 3*4 + 10}
 	var first *ManyResult
 	for _, jobs := range []int{1, 2} {
 		mr := CheckManyParallel(f.Netlist(), f.PropIndices(), opt, jobs)
@@ -371,7 +372,7 @@ func TestDepthStatsAtAnyJobs(t *testing.T) {
 	}
 }
 
-// TestManyKInductionMatchesCheck: one property group under KInduction runs
+// TestManyKInductionMatchesCheck: one property group under kind runs
 // k-induction over all of its properties (each open property's base case,
 // one forward check, each open property's induction step) and reaches the
 // verdict Check reaches on each property alone.
@@ -388,7 +389,7 @@ func TestManyKInductionMatchesCheck(t *testing.T) {
 		{"lookup", l.Netlist(), append([]int{l.InvariantIndex}, l.ReachIndices...)},
 		{"counter", counter.N, cprops},
 	} {
-		opt := KInd(14)
+		opt := Options{Engine: EngineKInd, MaxDepth: 14}
 		opt.ValidateWitness = true
 		mr := CheckManyParallel(tc.n, tc.props, opt, 1)
 		for pi, p := range tc.props {

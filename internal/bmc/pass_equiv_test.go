@@ -71,8 +71,8 @@ func TestPassEquivalenceQuickSort(t *testing.T) {
 		prop int
 		opt  Options
 	}{
-		{"bmc2-p1", q.P1Index, BMC2(8)},
-		{"bmc3-p2", q.P2Index, BMC3(14)},
+		{"bmc2-p1", q.P1Index, Options{Engine: EngineBMC2, MaxDepth: 8}},
+		{"bmc3-p2", q.P2Index, Options{Engine: EngineBMC3, MaxDepth: 14}},
 	} {
 		tc.opt.ValidateWitness = true
 		assertPassEquiv(t, "quicksort/"+tc.name, func(opt Options) *Result {
@@ -85,7 +85,7 @@ func TestPassEquivalenceImageFilter(t *testing.T) {
 	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 8})
 	n := f.Netlist()
 	for _, prop := range []int{0, 7} {
-		opt := BMC2(3*4 + 10)
+		opt := Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10}
 		opt.ValidateWitness = true
 		assertPassEquiv(t, "filter", func(opt Options) *Result {
 			return Check(n, prop, opt)
@@ -98,7 +98,7 @@ func TestPassEquivalenceLookup(t *testing.T) {
 	n := l.Netlist()
 	assertPassEquiv(t, "lookup/inv", func(opt Options) *Result {
 		return Check(n, l.InvariantIndex, opt)
-	}, BMC3(12))
+	}, Options{Engine: EngineBMC3, MaxDepth: 12})
 }
 
 func TestPassEquivalenceBMC1Explicit(t *testing.T) {
@@ -109,7 +109,7 @@ func TestPassEquivalenceBMC1Explicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := BMC1(3*4 + 10)
+	opt := Options{Engine: EngineBMC1, MaxDepth: 3*4 + 10}
 	opt.ValidateWitness = true
 	assertPassEquiv(t, "filter/bmc1-explicit", func(opt Options) *Result {
 		return Check(exp, 0, opt)
@@ -123,7 +123,7 @@ func TestPassEquivalenceCheckMany(t *testing.T) {
 	for pi := range props {
 		props[pi] = pi
 	}
-	opt := BMC2(3*4 + 10)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10}
 	opt.ValidateWitness = true
 	none := opt
 	none.Passes = "none"
@@ -160,7 +160,7 @@ func TestPassWitnessReplaysOnSource(t *testing.T) {
 	n := f.Netlist()
 	for _, spec := range passSpecs {
 		for _, prop := range []int{0, 7} {
-			opt := BMC2(3*4 + 10)
+			opt := Options{Engine: EngineBMC2, MaxDepth: 3*4 + 10}
 			opt.Passes = spec
 			r := Check(n, prop, opt)
 			if r.Kind != KindCE {
@@ -195,7 +195,7 @@ func TestPassPBALatchReasonsResolveToSourceNames(t *testing.T) {
 	m.AssertAlways("ne6", m.EqConst(c.Q, 6).Not())
 
 	for _, spec := range []string{"none", "coi", ""} {
-		r := Check(m.N, 0, Options{MaxDepth: 5, PBA: true, Passes: spec})
+		r := Check(m.N, 0, Options{MaxDepth: 5, pba: true, Passes: spec})
 		if r.Kind != KindNoCE {
 			t.Fatalf("passes=%q: expected NO_CE, got %v", spec, r)
 		}
@@ -215,7 +215,7 @@ func TestPassPBALatchReasonsResolveToSourceNames(t *testing.T) {
 }
 
 // TestPBADisablesClauseSharing pins the PBA/strash coupling documented on
-// Options.PBA: while proof tracing is active, the engine must run with
+// Options.pba: while proof tracing is active, the engine must run with
 // structural hashing, init folding, comparator memoization, and
 // inprocessing off, because all four share or rewrite clauses across the
 // tags PBA harvests relevance from. A plain run keeps them on.
@@ -224,7 +224,7 @@ func TestPBADisablesClauseSharing(t *testing.T) {
 	n := l.Netlist()
 	ctx := context.Background()
 
-	pbaE := newEngine(ctx, n, l.InvariantIndex, Options{MaxDepth: 5, UseEMM: true, PBA: true})
+	pbaE := newEngine(ctx, n, l.InvariantIndex, Options{Engine: EngineBMC2, MaxDepth: 5, pba: true})
 	if !pbaE.fu.NoStrash {
 		t.Errorf("PBA run must disable strash in the unroller")
 	}
@@ -232,7 +232,7 @@ func TestPBADisablesClauseSharing(t *testing.T) {
 		t.Errorf("PBA run must disable init folding")
 	}
 
-	plainE := newEngine(ctx, n, l.InvariantIndex, Options{MaxDepth: 5, UseEMM: true})
+	plainE := newEngine(ctx, n, l.InvariantIndex, Options{Engine: EngineBMC2, MaxDepth: 5})
 	if plainE.fu.NoStrash {
 		t.Errorf("plain run must keep strash on")
 	}

@@ -35,11 +35,13 @@ func (r *PBAResult) Kind() Kind {
 	return r.Phase1.Kind
 }
 
-// ProveWithPBA runs the §4.3 flow for one property: BMC with proof-based
-// abstraction on the concrete model until the latch-reason set is stable
-// for opt.StabilityDepth depths, then a full proof attempt (same EMM
-// setting) on the abstract model. Counter-examples found in phase 1 are
-// real (the model is concrete) and end the flow.
+// ProveWithPBA runs the §4.3 flow for one property over the base engine
+// opt.Engine (the spec's pba is bmc3): BMC with proof-based abstraction on
+// the concrete model — the base engine's memory model without termination
+// checks — until the latch-reason set is stable for opt.StabilityDepth
+// depths (default 10), then a full proof attempt with the termination
+// checks on the abstract model. Counter-examples found in phase 1 are real
+// (the model is concrete) and end the flow.
 func ProveWithPBA(n *aig.Netlist, prop int, opt Options) *PBAResult {
 	return ProveWithPBACtx(context.Background(), n, prop, opt)
 }
@@ -50,9 +52,9 @@ func ProveWithPBA(n *aig.Netlist, prop int, opt Options) *PBAResult {
 // its verdict.
 func ProveWithPBACtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *PBAResult {
 	p1opt := opt
-	p1opt.PBA = true
-	p1opt.Proofs = false // phase 1 only hunts CEs and collects reasons
-	p1opt.StopAtStable = true
+	p1opt.pba = true
+	p1opt.Engine = withProofs(opt.Engine, false) // phase 1 only hunts CEs and collects reasons
+	p1opt.stopAtStable = true
 	if p1opt.StabilityDepth <= 0 {
 		p1opt.StabilityDepth = 10
 	}
@@ -69,8 +71,7 @@ func ProveWithPBACtx(ctx context.Context, n *aig.Netlist, prop int, opt Options)
 	res.Abs = phase1.Tracker.Abstract(n)
 
 	p2opt := opt
-	p2opt.PBA = false
-	p2opt.Proofs = true
+	p2opt.Engine = withProofs(opt.Engine, true)
 	p2opt.Abs = res.Abs
 	p2opt.ValidateWitness = false // abstract-model traces may be spurious
 	if opt.Timeout > 0 {
@@ -90,8 +91,7 @@ func ProveWithPBACtx(ctx context.Context, n *aig.Netlist, prop int, opt Options)
 		// depth). Fall back to the concrete model, as iterative
 		// abstraction would.
 		p3opt := opt
-		p3opt.PBA = false
-		p3opt.Proofs = true
+		p3opt.Engine = p2opt.Engine
 		sp = opt.Obs.Span("pba.phase", obs.F("phase", "concrete-fallback"), obs.F("prop", prop))
 		res.Proof = CheckCtx(ctx, n, prop, p3opt)
 		sp.End(obs.F("kind", res.Proof.Kind.String()), obs.F("depth", res.Proof.Depth))

@@ -19,7 +19,7 @@ func TestBackwardPhaseSeedGuard(t *testing.T) {
 	m, _ := manyCounter()
 	const a, b, unreachable = 5, 3, 8
 	newE := func() *engine {
-		return newEngine(context.Background(), m.N, a, Options{MaxDepth: 8, Proofs: true})
+		return newEngine(context.Background(), m.N, a, Options{Engine: EngineBMC1, MaxDepth: 8})
 	}
 	step := func(e *engine, prop, i int, want sat.Status) {
 		t.Helper()

@@ -47,11 +47,6 @@ func (e *engine) depthStepPortfolio(i int) *Result {
 		case sat.Unknown:
 			return laneOutcome{unknown: true}, false
 		}
-		if e.opt.PBA {
-			// The UNSAT core is only valid until the next fs solve; the
-			// tracker is touched by this lane alone.
-			e.obsPBAUpdate(i)
-		}
 		return laneOutcome{}, false
 	}
 	bwdLane := func(ctx context.Context) (laneOutcome, bool) {
@@ -84,13 +79,6 @@ func (e *engine) depthStepPortfolio(i int) *Result {
 	}
 	// Both lanes ran to completion without a verdict — forward SAT, no CE,
 	// backward SAT — exactly the sequential "no CE at this depth" outcome.
-	if e.opt.PBA {
-		e.logf("depth %d: no CE, |LR|=%d (stable %d)", i, e.tracker.Size(), e.tracker.StableFor(i))
-		if e.opt.StopAtStable && e.tracker.StableFor(i) >= e.opt.StabilityDepth {
-			return &Result{Kind: KindStable, Depth: i}
-		}
-	} else {
-		e.logf("depth %d: no CE", i)
-	}
+	e.logf("depth %d: no CE", i)
 	return nil
 }

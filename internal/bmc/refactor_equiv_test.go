@@ -148,44 +148,28 @@ func equivDesigns() []struct {
 	}
 }
 
-func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int) (rec goldenRecord) {
-	t.Helper()
-	opt := Options{MaxDepth: depth}
+// runEquivEngine runs one record's engine: the engine name is the record
+// name, except the lane race (bmc3 with the portfolio switch) and the PBA
+// flow over bmc3.
+func runEquivEngine(engine string, n *aig.Netlist, prop, depth int) goldenRecord {
+	opt := Options{Engine: engine, MaxDepth: depth}
 	switch engine {
-	case "bmc1":
-		opt.Proofs = true
-	case "bmc2":
-		opt.UseEMM = true
-	case "bmc3":
-		opt.UseEMM = true
-		opt.Proofs = true
 	case "portfolio":
-		opt.UseEMM = true
-		opt.Proofs = true
-		opt.Portfolio = true
-	case "kind":
-		opt = KInd(depth)
+		// Two racing lanes: verdict and depth are deterministic, the rest
+		// (which lane answered, solver work split) is not.
+		r := Check(n, prop, Options{Engine: EngineBMC3, MaxDepth: depth, portfolio: true})
+		return goldenRecord{Kind: r.Kind.String(), Depth: r.Depth}
 	case "pba":
-		opt.UseEMM = true
-		opt.StabilityDepth = 10
-		res := ProveWithPBA(n, prop, opt)
+		res := ProveWithPBA(n, prop, Options{Engine: EngineBMC3, MaxDepth: depth, StabilityDepth: 10})
 		r := res.Phase1
 		if res.Proof != nil {
 			r = res.Proof
 		}
-		rec = fullRecord(r, r.Stats)
+		rec := fullRecord(r, r.Stats)
 		rec.Kind = res.Kind().String()
 		return rec
-	default:
-		t.Fatalf("unknown engine %s", engine)
 	}
 	r := Check(n, prop, opt)
-	rec = goldenRecord{Kind: r.Kind.String(), Depth: r.Depth}
-	if engine == "portfolio" {
-		// Two racing lanes: verdict and depth are deterministic, the rest
-		// (which lane answered, solver work split) is not.
-		return rec
-	}
 	return fullRecord(r, r.Stats)
 }
 
@@ -241,12 +225,12 @@ func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, dept
 	t.Helper()
 	var mr *ManyResult
 	full := true
-	opt := Options{MaxDepth: depth, UseEMM: true, Proofs: true}
+	opt := Options{Engine: EngineBMC3, MaxDepth: depth}
 	switch engine {
 	case "many-bmc3":
 		mr = CheckManyParallel(n, props, opt, 1)
 	case "many-bmc2":
-		opt.Proofs = false
+		opt.Engine = EngineBMC2
 		mr = CheckManyParallel(n, props, opt, 1)
 	case "many-bmc3-simplify":
 		// Inprocessing after every undecided depth pins where the run
@@ -288,7 +272,7 @@ func TestRefactorEquivalence(t *testing.T) {
 	var got []goldenRecord
 	for _, d := range equivDesigns() {
 		for _, engine := range []string{"bmc1", "bmc2", "bmc3", "portfolio", "pba", "kind"} {
-			rec := runEquivEngine(t, engine, d.n, d.prop, d.depth)
+			rec := runEquivEngine(engine, d.n, d.prop, d.depth)
 			rec.Design, rec.Engine = d.name, engine
 			got = append(got, rec)
 		}

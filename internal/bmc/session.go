@@ -84,7 +84,7 @@ var (
 // the last pass: on easy per-depth instances the occurrence-list rebuild
 // costs more than the search it would save.
 func (e *engine) simplifyStep(i int) {
-	if e.opt.NoSimplify || e.opt.PBA {
+	if e.opt.NoSimplify || e.opt.pba {
 		return
 	}
 	var confl, clauses int64

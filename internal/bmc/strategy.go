@@ -66,9 +66,7 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 			}
 		}
 		e.publishObs(k)
-		if e.opt.CollectDepthStats {
-			e.collectDepthStat(k)
-		}
+		e.collectDepthStat(k)
 		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
 			obs.F("clauses", e.fs.NumClauses()),
 			obs.F("unresolved", d.open))
@@ -115,11 +113,11 @@ func (d *driver) finish(r *Result) *Result {
 func (e *engine) strategyFor(d *driver) Strategy {
 	bmc := bmcStrategy{e: e, d: d}
 	switch {
-	case e.opt.KInduction && e.opt.Proofs:
+	case e.mode.kind:
 		return &kindStrategy{bmc}
-	case e.opt.Proofs && e.opt.Portfolio:
+	case e.mode.proofs && e.opt.portfolio:
 		return &portfolioStrategy{e}
-	case e.opt.PBA:
+	case e.opt.pba:
 		return &pbaStrategy{bmc}
 	default:
 		return &bmc
@@ -128,7 +126,7 @@ func (e *engine) strategyFor(d *driver) Strategy {
 
 // bmcStrategy is the paper's per-depth flow, shared by BMC-1, BMC-2, BMC-3,
 // PBA phase 1 and each property group of CheckManyParallel outside
-// KInduction: forward termination once per depth (property-independent,
+// kind: forward termination once per depth (property-independent,
 // so UNSAT proves every open property), then for each open property
 // backward termination and the counter-example query.
 type bmcStrategy struct {
@@ -141,7 +139,7 @@ func (s *bmcStrategy) Name() string { return "bmc" }
 
 func (s *bmcStrategy) Step(_ context.Context, k int) (*Result, bool) {
 	e, d := s.e, s.d
-	if e.opt.Proofs {
+	if e.mode.proofs {
 		switch e.oracleForwardCheck(k, s.fwd) {
 		case sat.Unsat:
 			e.logf("depth %d: forward termination", k)
@@ -176,7 +174,7 @@ func (s *bmcStrategy) check(p, k int) *Result {
 	if e.timedOut() {
 		return &Result{Kind: KindTimeout, Depth: k}
 	}
-	if e.opt.Proofs {
+	if e.mode.proofs {
 		switch e.backwardCheck(p, k) {
 		case sat.Unsat:
 			e.logf("depth %d: prop %d: backward termination", k, p)
@@ -200,7 +198,7 @@ func (s *pbaStrategy) Step(ctx context.Context, k int) (*Result, bool) {
 	e := s.e
 	e.obsPBAUpdate(k)
 	e.logf("depth %d: |LR|=%d (stable %d)", k, e.tracker.Size(), e.tracker.StableFor(k))
-	if e.opt.StopAtStable && e.tracker.StableFor(k) >= e.opt.StabilityDepth {
+	if e.opt.stopAtStable && e.tracker.StableFor(k) >= e.opt.StabilityDepth {
 		return &Result{Kind: KindStable, Depth: k}, true
 	}
 	return nil, false

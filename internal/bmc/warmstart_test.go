@@ -75,7 +75,7 @@ func checkWarmParity(t *testing.T, n *aig.Netlist, opt Options, start int, wantF
 // cold run.
 func TestWarmStartIdenticalVerdictAndWitness(t *testing.T) {
 	n := counterNetlist(4, 6)
-	for _, opt := range []Options{BMC1(12), BMC2(12)} {
+	for _, opt := range []Options{Options{Engine: EngineBMC1, MaxDepth: 12}, Options{Engine: EngineBMC2, MaxDepth: 12}} {
 		for _, start := range []int{1, 3, 6} {
 			checkWarmParity(t, n, opt, start, true)
 		}
@@ -86,7 +86,7 @@ func TestWarmStartIdenticalVerdictAndWitness(t *testing.T) {
 // checks at 3 must find the same violation depth and a valid witness.
 func TestWarmStartEMMCounterExample(t *testing.T) {
 	n := memCENetlist()
-	opt := BMC2(10)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 10}
 	opt.ValidateWitness = true
 	checkWarmParity(t, n, opt, 3, false)
 	// Warm-starting exactly at the CE depth still finds it.
@@ -107,7 +107,7 @@ func TestWarmStartNoCEAndProofParity(t *testing.T) {
 	rd1 := mem.Read(addr, re1)
 	m.AssertAlways("consistent", m.N.Implies(m.N.And(re0, re1), m.Eq(rd0, rd1)))
 	m.Done()
-	checkWarmParity(t, m.N, BMC2(8), 4, false)
+	checkWarmParity(t, m.N, Options{Engine: EngineBMC2, MaxDepth: 8}, 4, false)
 
 	// Closed counter that saturates at 9: the bound is inductive, so the
 	// cold proof fires at depth 1 and the warm run defers it to its start
@@ -118,8 +118,8 @@ func TestWarmStartNoCEAndProofParity(t *testing.T) {
 	c.SetNext(p.MuxV(sat9, c.Q, p.Inc(c.Q)))
 	p.AssertAlways("bounded", p.Ule(c.Q, p.Const(4, 9)))
 	p.Done(c)
-	cold := Check(p.N, 0, BMC1(20))
-	warm := BMC1(20)
+	cold := Check(p.N, 0, Options{Engine: EngineBMC1, MaxDepth: 20})
+	warm := Options{Engine: EngineBMC1, MaxDepth: 20}
 	warm.StartDepth = 3
 	wr := Check(p.N, 0, warm)
 	if cold.Kind != KindProof || wr.Kind != KindProof {
@@ -140,7 +140,7 @@ func TestWarmStartNoCEAndProofParity(t *testing.T) {
 // a replaying witness (the proof side is covered by TestKIndWarmStart).
 func TestWarmStartKIndBaseCase(t *testing.T) {
 	n := memCENetlist()
-	opt := KInd(10)
+	opt := Options{Engine: EngineKInd, MaxDepth: 10}
 	opt.ValidateWitness = true
 	checkWarmParity(t, n, opt, 3, false)
 	checkWarmParity(t, n, opt, 5, false)

@@ -91,7 +91,7 @@ func TestReadArrayMemory(t *testing.T) {
 		t.Fatalf("ports wrong: %dW %dR", len(m.Writes), len(m.Reads))
 	}
 	// EMM: reachable (write 7, read it back) at depth 1.
-	r := bmc.Check(n, 0, bmc.Options{MaxDepth: 5, UseEMM: true, ValidateWitness: true})
+	r := bmc.Check(n, 0, bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 5, ValidateWitness: true})
 	if r.Kind != bmc.KindCE || r.Depth != 1 {
 		t.Fatalf("verdict wrong: %v", r)
 	}
@@ -118,7 +118,7 @@ func TestReadArbitraryInitArray(t *testing.T) {
 	if n.Memories[0].Init != aig.MemArbitrary {
 		t.Fatalf("uninitialized array must be arbitrary")
 	}
-	r := bmc.Check(n, 0, bmc.Options{MaxDepth: 3, UseEMM: true, ValidateWitness: true})
+	r := bmc.Check(n, 0, bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 3, ValidateWitness: true})
 	if r.Kind != bmc.KindCE || r.Depth != 0 {
 		t.Fatalf("arbitrary contents make 9 readable at depth 0: %v", r)
 	}
@@ -142,7 +142,7 @@ func TestReadOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bmc.Check(n, 0, bmc.BMC1(4))
+	r := bmc.Check(n, 0, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 4})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("identity must be proved: %v", r)
 	}
@@ -165,7 +165,7 @@ func TestReadNegatedRefsAndConstraint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With x constrained to 0, s stays 0: the bad state is unreachable.
-	r := bmc.Check(n, 0, bmc.BMC1(10))
+	r := bmc.Check(n, 0, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 10})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("constrained design must be proved: %v", r)
 	}
@@ -248,10 +248,10 @@ func TestRoundtripVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := bmc.Check(back, 0, bmc.BMC1(20)); r.Kind != bmc.KindCE || r.Depth != 3 {
+	if r := bmc.Check(back, 0, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 20}); r.Kind != bmc.KindCE || r.Depth != 3 {
 		t.Fatalf("prop0: %v", r)
 	}
-	if r := bmc.Check(back, 1, bmc.BMC1(20)); r.Kind != bmc.KindProof {
+	if r := bmc.Check(back, 1, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 20}); r.Kind != bmc.KindProof {
 		t.Fatalf("prop1: %v", r)
 	}
 }
@@ -278,7 +278,7 @@ func TestRoundtripMultiPortRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bmc.Check(back, 0, bmc.Options{MaxDepth: 5, UseEMM: true, ValidateWitness: true})
+	r := bmc.Check(back, 0, bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 5, ValidateWitness: true})
 	if r.Kind != bmc.KindCE {
 		t.Fatalf("race winner lost in roundtrip: %v", r)
 	}
@@ -298,7 +298,7 @@ func TestWriteQuicksortParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bmc.Check(back, 0, bmc.BMC3(120))
+	r := bmc.Check(back, 0, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 120})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("P1 must survive the roundtrip: %v", r)
 	}

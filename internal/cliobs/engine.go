@@ -7,7 +7,6 @@ import (
 	"emmver/internal/aig"
 	"emmver/internal/bmc"
 	"emmver/internal/pass"
-	"emmver/internal/sat"
 	"emmver/internal/spec"
 )
 
@@ -72,21 +71,6 @@ func DescribeCompile(n *aig.Netlist, props []int, spec string) string {
 		return ""
 	}
 	return c.Summary()
-}
-
-// Values validates the parsed flags and returns the raw engine knobs, for
-// callers that thread them into non-bmc config structs (e.g. exp.Config).
-// The error is user-facing (bad -restart or -passes value).
-func (f *EngineFlags) Values() (mode sat.RestartMode, noSimplify bool, passSpec string, err error) {
-	s := f.Request().Canonical()
-	mode, err = sat.ParseRestartMode(s.Restart)
-	if err != nil {
-		return mode, false, "", err
-	}
-	if err := pass.ValidSpec(s.Passes); err != nil {
-		return mode, false, "", err
-	}
-	return mode, s.NoSimplify, s.Passes, nil
 }
 
 // Options converts the parsed request into the engine configuration it

@@ -97,9 +97,9 @@ func TestFilterReachabilitySplit(t *testing.T) {
 	cfg := tinyFilter()
 	f := NewImageFilter(cfg)
 	res := bmc.CheckManyParallel(f.Netlist(), f.PropIndices(), bmc.Options{
-		MaxDepth:        40,
-		UseEMM:          true,
-		Proofs:          true,
+		Engine:   bmc.EngineBMC3,
+		MaxDepth: 40,
+
 		ValidateWitness: true,
 	}, 1)
 	for v := 0; v < cfg.NumProps; v++ {
@@ -127,7 +127,7 @@ func TestFilterUnreachableProofIsByInduction(t *testing.T) {
 	f := NewImageFilter(cfg)
 	// out == 13 > MaxOutput: backward induction should prove at depth 1
 	// (the output register's next value is combinationally bounded).
-	r := bmc.Check(f.Netlist(), 13, bmc.BMC3(10))
+	r := bmc.Check(f.Netlist(), 13, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 10})
 	if r.Kind != bmc.KindProof || r.ProofSide != "backward" {
 		t.Fatalf("expected backward induction proof, got %v (%s)", r, r.ProofSide)
 	}

@@ -65,7 +65,7 @@ func TestLookupDefaultSpuriousDepthIsSeven(t *testing.T) {
 func TestLookupEMMFindsNoWitness(t *testing.T) {
 	l := NewLookup(tinyLookup())
 	for _, p := range l.ReachIndices {
-		r := bmc.Check(l.Netlist(), p, bmc.Options{MaxDepth: 25, UseEMM: true})
+		r := bmc.Check(l.Netlist(), p, bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 25})
 		if r.Kind == bmc.KindCE {
 			t.Fatalf("prop %d: EMM must find no witness, got %v", p, r)
 		}
@@ -77,7 +77,7 @@ func TestLookupInvariantBackwardInductionDepth2(t *testing.T) {
 	// The compile pipeline's constant sweep discharges the invariant
 	// structurally (depth 0); pin it off to observe the 2-induction the
 	// design is built to need.
-	opt := bmc.BMC3(10)
+	opt := bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 10}
 	opt.Passes = "none"
 	r := bmc.Check(l.Netlist(), l.InvariantIndex, opt)
 	if r.Kind != bmc.KindProof || r.ProofSide != "backward" || r.Depth != 2 {
@@ -89,7 +89,7 @@ func TestLookupRDZeroAbstractionProvesAll(t *testing.T) {
 	l := NewLookup(tinyLookup())
 	constrained := l.WithRDZeroConstraint()
 	for _, p := range l.ReachIndices {
-		r := bmc.Check(constrained, p, bmc.Options{MaxDepth: 20, Proofs: true})
+		r := bmc.Check(constrained, p, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 20})
 		if r.Kind != bmc.KindProof {
 			t.Fatalf("prop %d: RD=0 abstraction must prove, got %v", p, r)
 		}
@@ -105,7 +105,7 @@ func TestLookupRDZeroWithPBA(t *testing.T) {
 	l := NewLookup(tinyLookup())
 	constrained := l.WithRDZeroConstraint()
 	p := l.ReachIndices[0]
-	res := bmc.ProveWithPBA(constrained, p, bmc.Options{MaxDepth: 30, StabilityDepth: 5})
+	res := bmc.ProveWithPBA(constrained, p, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 30, StabilityDepth: 5})
 	if res.Kind() != bmc.KindProof {
 		t.Fatalf("PBA flow must prove, got %v", res.Kind())
 	}
@@ -122,7 +122,7 @@ func TestLookupEMMAloneCannotProve(t *testing.T) {
 	// large forward diameter. The flow that works is the invariant +
 	// RD=0 abstraction (see TestLookupRDZeroAbstractionProvesAll).
 	l := NewLookup(tinyLookup())
-	r := bmc.Check(l.Netlist(), l.ReachIndices[0], bmc.BMC3(40))
+	r := bmc.Check(l.Netlist(), l.ReachIndices[0], bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 40})
 	if r.Kind != bmc.KindNoCE {
 		t.Fatalf("expected NO_CE at the bound, got %v", r)
 	}

@@ -105,7 +105,7 @@ func TestQuickSortCyclesGrowWithN(t *testing.T) {
 
 func TestQuickSortP1ProofEMM(t *testing.T) {
 	q := NewQuickSort(tinyQS(3))
-	r := bmc.Check(q.Netlist(), q.P1Index, bmc.BMC3(120))
+	r := bmc.Check(q.Netlist(), q.P1Index, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 120})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("P1 must be proved, got %v", r)
 	}
@@ -116,7 +116,7 @@ func TestQuickSortP1ProofEMM(t *testing.T) {
 
 func TestQuickSortP2ProofEMM(t *testing.T) {
 	q := NewQuickSort(tinyQS(3))
-	r := bmc.Check(q.Netlist(), q.P2Index, bmc.BMC3(120))
+	r := bmc.Check(q.Netlist(), q.P2Index, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 120})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("P2 must be proved, got %v", r)
 	}
@@ -128,7 +128,7 @@ func TestQuickSortP1ProofExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bmc.Check(exp, q.P1Index, bmc.BMC1(60))
+	r := bmc.Check(exp, q.P1Index, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 60})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("explicit P1 must be proved, got %v", r)
 	}
@@ -139,7 +139,8 @@ func TestQuickSortBuggyP1CounterExample(t *testing.T) {
 	cfg.Buggy = true
 	q := NewQuickSort(cfg)
 	r := bmc.Check(q.Netlist(), q.P1Index, bmc.Options{
-		MaxDepth: 80, UseEMM: true, ValidateWitness: true,
+		Engine:   bmc.EngineBMC2,
+		MaxDepth: 80, ValidateWitness: true,
 	})
 	if r.Kind != bmc.KindCE {
 		t.Fatalf("buggy P1 must have a counter-example, got %v", r)
@@ -148,7 +149,7 @@ func TestQuickSortBuggyP1CounterExample(t *testing.T) {
 
 func TestQuickSortPBADropsArrayForP2(t *testing.T) {
 	q := NewQuickSort(tinyQS(3))
-	opt := bmc.Options{MaxDepth: 120, UseEMM: true, StabilityDepth: 8}
+	opt := bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 120, StabilityDepth: 8}
 	res := bmc.ProveWithPBA(q.Netlist(), q.P2Index, opt)
 	if res.Kind() != bmc.KindProof {
 		t.Fatalf("P2 must be proved through PBA, got %v (phase1 %v)", res.Kind(), res.Phase1)

@@ -74,11 +74,13 @@ type Config struct {
 	Passes string
 }
 
-// apply copies the engine-wide knobs (restart strategy, inprocessing,
-// compile-pipeline spec) onto opt. An opt that already pins Passes keeps
-// its pin — Industry II's invariant check relies on that to replicate the
-// unreduced 2-induction depth.
+// apply copies the run-wide knobs (timeout, observer, restart strategy,
+// inprocessing, compile-pipeline spec) onto opt. An opt that already pins
+// Passes keeps its pin — Industry II's invariant check relies on that to
+// replicate the unreduced 2-induction depth.
 func (c Config) apply(opt bmc.Options) bmc.Options {
+	opt.Timeout = c.Timeout
+	opt.Obs = c.Obs
 	opt.Restart = c.Restart
 	opt.NoSimplify = c.NoSimplify
 	if opt.Passes == "" {

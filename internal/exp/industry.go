@@ -56,14 +56,13 @@ func Industry1(cfg Config) *I1Result {
 	// worker pool: the witness hunt runs property groups, each on one
 	// shared unrolling, and the induction follow-ups are independent
 	// bmc.Check runs.
-	runBoth := func(n *aig.Netlist, useEMM bool) (wit, proofs, other, maxDepth int, sec, mb float64, timedOut bool) {
+	// On the expanded netlist (no memories left) the EMM engines are plain
+	// BMC and bmc1.
+	runBoth := func(n *aig.Netlist) (wit, proofs, other, maxDepth int, sec, mb float64, timedOut bool) {
 		t0 := time.Now()
 		props := f.PropIndices()
 		mr := bmc.CheckManyParallel(n, props, cfg.apply(bmc.Options{
-			MaxDepth: 3*fcfg.LineWidth + 10,
-			UseEMM:   useEMM,
-			Timeout:  cfg.Timeout,
-			Obs:      cfg.Obs,
+			Engine: bmc.EngineBMC2, MaxDepth: 3*fcfg.LineWidth + 10,
 		}), cfg.Jobs)
 		mb = mr.Stats.PeakHeapMB
 		var leftovers []int
@@ -84,9 +83,7 @@ func Industry1(cfg Config) *I1Result {
 		}
 		kinds := make([]bmc.Kind, len(leftovers))
 		par.ForEach(context.Background(), cfg.Jobs, len(leftovers), func(_ context.Context, _, li int) {
-			pr := bmc.Check(n, leftovers[li], cfg.apply(bmc.Options{
-				MaxDepth: 10, UseEMM: useEMM, Proofs: true, Timeout: cfg.Timeout, Obs: cfg.Obs,
-			}))
+			pr := bmc.Check(n, leftovers[li], cfg.apply(bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 10}))
 			kinds[li] = pr.Kind
 		})
 		for _, k := range kinds {
@@ -105,12 +102,12 @@ func Industry1(cfg Config) *I1Result {
 
 	cfg.logf("industry1: EMM over %d properties ...", fcfg.NumProps)
 	res.EMMWitnesses, res.EMMProofs, res.EMMOther, res.EMMMaxDepth, res.EMMSec, res.EMMMB, _ =
-		runBoth(f.Netlist(), true)
+		runBoth(f.Netlist())
 
 	cfg.logf("industry1: Explicit over %d properties ...", fcfg.NumProps)
 	exp := mustExpand(f.Netlist())
 	res.ExplWitnesses, res.ExplProofs, res.ExplOther, _, res.ExplSec, res.ExplMB, res.ExplTO =
-		runBoth(exp, false)
+		runBoth(exp)
 	return res
 }
 
@@ -168,7 +165,7 @@ func Industry2(cfg Config) *I2Result {
 	// (a) Full memory abstraction: spurious witnesses at shallow depth.
 	cfg.logf("industry2: full-abstraction spurious CE ...")
 	l := designs.NewLookup(lcfg)
-	r := bmc.Check(l.Netlist(), l.ReachIndices[0], cfg.apply(bmc.Options{MaxDepth: 20, Timeout: cfg.Timeout, Obs: cfg.Obs}))
+	r := bmc.Check(l.Netlist(), l.ReachIndices[0], cfg.apply(bmc.Options{MaxDepth: 20}))
 	if r.Kind == bmc.KindCE {
 		res.SpuriousDepth = r.Depth
 	}
@@ -185,7 +182,7 @@ func Industry2(cfg Config) *I2Result {
 	sweepCtx, cancelSweep := context.WithCancel(context.Background())
 	par.ForEach(sweepCtx, cfg.Jobs, len(l.ReachIndices), func(ctx context.Context, _, i int) {
 		rr := bmc.CheckCtx(ctx, l.Netlist(), l.ReachIndices[i], cfg.apply(bmc.Options{
-			MaxDepth: depth, UseEMM: true, Timeout: cfg.Timeout, Obs: cfg.Obs,
+			Engine: bmc.EngineBMC2, MaxDepth: depth,
 		}))
 		if rr.Kind == bmc.KindCE {
 			foundCE.Store(true)
@@ -207,15 +204,14 @@ func Industry2(cfg Config) *I2Result {
 	// but the number this experiment replicates is the 2-induction depth
 	// on the unreduced design.
 	ir := bmc.Check(l.Netlist(), l.InvariantIndex, cfg.apply(bmc.Options{
-		MaxDepth: 20, UseEMM: true, Proofs: true, Timeout: cfg.Timeout, Obs: cfg.Obs,
-		Passes: "none",
+		Engine: bmc.EngineBMC3, MaxDepth: 20, Passes: "none",
 	}))
 	if ir.Kind == bmc.KindProof {
 		res.InvDepth = ir.Depth
 		res.InvSec = ir.Stats.Elapsed.Seconds()
 	}
 	exp := mustExpand(l.Netlist())
-	ier := bmc.Check(exp, l.InvariantIndex, cfg.apply(bmc.Options{MaxDepth: 20, Proofs: true, Timeout: cfg.Timeout, Obs: cfg.Obs}))
+	ier := bmc.Check(exp, l.InvariantIndex, cfg.apply(bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 20}))
 	res.InvExplSec = ier.Stats.Elapsed.Seconds()
 	res.InvExplTO = ier.Kind == bmc.KindTimeout
 
@@ -228,7 +224,7 @@ func Industry2(cfg Config) *I2Result {
 	var rdProofs atomic.Int64
 	par.ForEach(context.Background(), cfg.Jobs, len(l.ReachIndices), func(_ context.Context, _, i int) {
 		pr := bmc.ProveWithPBA(constrained, l.ReachIndices[i], cfg.apply(bmc.Options{
-			MaxDepth: 30, StabilityDepth: 5, Timeout: cfg.Timeout, Obs: cfg.Obs,
+			Engine: bmc.EngineBMC1, MaxDepth: 30, StabilityDepth: 5,
 		}))
 		if pr.Kind() == bmc.KindProof {
 			rdProofs.Add(1)

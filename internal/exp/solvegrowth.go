@@ -68,14 +68,11 @@ type GrowthSolveResult struct {
 func GrowthSolve(cfg GrowthSolveConfig) GrowthSolveResult {
 	n := GrowthSolveNetlist(cfg)
 
-	opt := bmc.BMC2(cfg.MaxK)
-	opt.Restart = cfg.Restart
-	opt.NoSimplify = cfg.NoSimplify
-	opt.Timeout = cfg.Timeout
-	opt.DisableStrash = cfg.NoOpt
-	opt.DisableEMMMemo = cfg.NoOpt
-	opt.CollectDepthStats = true
-	opt.Passes = cfg.Passes
+	opt := bmc.Options{
+		Engine: bmc.EngineBMC2, MaxDepth: cfg.MaxK,
+		Restart: cfg.Restart, NoSimplify: cfg.NoSimplify, Timeout: cfg.Timeout,
+		DisableStrash: cfg.NoOpt, DisableEMMMemo: cfg.NoOpt, Passes: cfg.Passes,
+	}
 
 	t0 := time.Now()
 	r := bmc.Check(n, 0, opt)

@@ -64,7 +64,7 @@ func Table1(cfg Config, sizes []int) []T1Row {
 		row := T1Row{N: n, Prop: prop}
 
 		cfg.logf("table1: N=%d %s EMM ...", n, prop)
-		opt := cfg.apply(bmc.Options{MaxDepth: 400, UseEMM: true, Proofs: true, Timeout: cfg.Timeout, Obs: cfg.Obs})
+		opt := cfg.apply(bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 400})
 		r := bmc.Check(q.Netlist(), pi, opt)
 		row.EMMKind = r.Kind
 		row.EMMSec = r.Stats.Elapsed.Seconds()
@@ -76,7 +76,7 @@ func Table1(cfg Config, sizes []int) []T1Row {
 
 		cfg.logf("table1: N=%d %s Explicit ...", n, prop)
 		exp := mustExpand(q.Netlist())
-		re := bmc.Check(exp, pi, cfg.apply(bmc.Options{MaxDepth: 400, Proofs: true, Timeout: cfg.Timeout, Obs: cfg.Obs}))
+		re := bmc.Check(exp, pi, cfg.apply(bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 400}))
 		row.ExplKind = re.Kind
 		row.ExplSec = re.Stats.Elapsed.Seconds()
 		row.ExplMB = re.Stats.PeakHeapMB

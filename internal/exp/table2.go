@@ -50,7 +50,7 @@ func Table2(cfg Config, sizes []int) []T2Row {
 
 		cfg.logf("table2: N=%d EMM+PBA ...", n)
 		q := designs.NewQuickSort(qcfg)
-		opt := cfg.apply(bmc.Options{MaxDepth: 400, UseEMM: true, StabilityDepth: 10, Timeout: cfg.Timeout, Obs: cfg.Obs})
+		opt := cfg.apply(bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 400, StabilityDepth: 10})
 		res := bmc.ProveWithPBA(q.Netlist(), q.P2Index, opt)
 		row.EMMOrigFF = len(q.Netlist().Latches)
 		row.EMMPBASec = res.AbstractionTime.Seconds()
@@ -69,7 +69,7 @@ func Table2(cfg Config, sizes []int) []T2Row {
 
 		cfg.logf("table2: N=%d Explicit+PBA ...", n)
 		exp := mustExpand(q.Netlist())
-		eopt := cfg.apply(bmc.Options{MaxDepth: 400, StabilityDepth: 10, Timeout: cfg.Timeout, Obs: cfg.Obs})
+		eopt := cfg.apply(bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 400, StabilityDepth: 10})
 		eres := bmc.ProveWithPBA(exp, q.P2Index, eopt)
 		row.ExplOrigFF = len(exp.Latches)
 		row.ExplPBASec = eres.AbstractionTime.Seconds()

@@ -282,6 +282,32 @@ func TestKIndDeepeningWarmStarts(t *testing.T) {
 	}
 }
 
+// bmc1 leaves memory reads free, so a served bmc1 job on a design with
+// memories fails before solving with the refusal that points to -explicit,
+// instead of panicking in the witness replay of a spurious counter-example.
+func TestBMC1OnMemoriesFailsCleanly(t *testing.T) {
+	s, c := testServer(t)
+	st, err := c.Submit(Request{Format: "btor2", Source: wedgeBTOR2(t), Prop: 0,
+		Spec: spec.Spec{Engine: spec.EngineBMC1, Depth: 5}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "failed" || !strings.Contains(st.Error, "(emmv -explicit)") {
+		t.Fatalf("bmc1 on the wedge: state %s, error %q; want failed pointing to -explicit",
+			st.State, st.Error)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(stats["serve.panics"]); got != "0" {
+		t.Fatalf("serve.panics = %s, want 0", got)
+	}
+	if st := s.CacheStats(); st.Stores != 0 {
+		t.Errorf("a refused job left a cache entry: %+v", st)
+	}
+}
+
 // CE and NO_CE verdicts must NOT cross engines: only a PROOF states an
 // engine-independent truth. A bmc2 NO_CE frontier stays invisible to bmc3.
 func TestOnlyProofsCrossEngines(t *testing.T) {

@@ -38,7 +38,7 @@ func (e EngineInfo) Has(c Capability) bool { return e.Caps.Has(c) }
 // what each one is, and which capabilities it has. Validate, the
 // -engine usage string, WarmEligible, and the serve-layer proof index all
 // derive from it; adding an engine means adding exactly one row here plus
-// its Options mapping.
+// the engine itself in package bmc, under the same name.
 var engineRegistry = []EngineInfo{
 	{EngineBMC1, "plain BMC + induction proofs (Fig. 1)",
 		CapWarm | CapProof},

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -33,19 +34,25 @@ import (
 // read as the current version; consumers reject anything newer.
 const Version = 1
 
-// Engine names. PBA is the two-phase prove-with-abstraction flow; KInd is
+// Engine names. All but pba are bmc's engine names (bmc.Options.Engine);
+// PBA is the two-phase prove-with-abstraction flow over bmc3, and KInd is
 // EMM k-induction (the bmc3 termination machinery with a strengthened
 // induction hypothesis — unbounded proofs). The registry in registry.go
 // describes each engine and its capability set. The engine also fixes the
 // EMM encoding: bmc2 instantiates read-over-write axioms on demand, the
 // proof engines use the eager encoding (see bmc's newWindow).
 const (
-	EngineBMC1 = "bmc1"
-	EngineBMC2 = "bmc2"
-	EngineBMC3 = "bmc3"
+	EngineBMC1 = bmc.EngineBMC1
+	EngineBMC2 = bmc.EngineBMC2
+	EngineBMC3 = bmc.EngineBMC3
 	EnginePBA  = "pba"
-	EngineKInd = "kind"
+	EngineKInd = bmc.EngineKInd
 )
+
+// ErrBMC1Memories refuses bmc1 on a design with memories: bmc1 leaves
+// memory reads free, so its counter-examples there can be spurious and the
+// witness replay rejects them.
+var ErrBMC1Memories = errors.New("spec: bmc1 leaves memory reads free and cannot check a design with memories; expand them first (emmv -explicit) or use an EMM engine such as bmc3")
 
 // Duration is a time.Duration that marshals as a human-readable string
 // ("30s", "5m") and accepts either a string or integer nanoseconds when
@@ -218,9 +225,10 @@ func (s Spec) Validate() error {
 // Options converts the spec into the engine configuration it denotes.
 // This is the one Spec → bmc.Options path: CLIs, the server, and tests all
 // route through it, so "engine=bmc3, depth=24" means the same Options
-// everywhere. The mapping is netlist-independent — UseEMM is set whenever
-// the engine calls for it and the engine itself ignores it on memory-free
-// models.
+// everywhere. The engine name is copied as is, except pba, which becomes
+// its base engine bmc3 with the paper's stability depth of 10 (RunCtx
+// dispatches it to bmc.ProveWithPBA). The mapping is netlist-independent:
+// an EMM engine on a memory-free model is plain BMC.
 func (s Spec) Options() (bmc.Options, error) {
 	if err := s.Validate(); err != nil {
 		return bmc.Options{}, err
@@ -231,6 +239,7 @@ func (s Spec) Options() (bmc.Options, error) {
 		return bmc.Options{}, err
 	}
 	opt := bmc.Options{
+		Engine:     c.Engine,
 		MaxDepth:   c.Depth,
 		Timeout:    time.Duration(c.Timeout),
 		Jobs:       c.Jobs,
@@ -238,21 +247,8 @@ func (s Spec) Options() (bmc.Options, error) {
 		Restart:    restart,
 		NoSimplify: c.NoSimplify,
 	}
-	switch c.Engine {
-	case EngineBMC1:
-		opt.Proofs = true
-	case EngineBMC2:
-		opt.UseEMM = true
-	case EngineBMC3:
-		opt.UseEMM = true
-		opt.Proofs = true
-	case EnginePBA:
-		opt.UseEMM = true
-		opt.StabilityDepth = 10
-	case EngineKInd:
-		opt.UseEMM = true
-		opt.Proofs = true
-		opt.KInduction = true
+	if c.Engine == EnginePBA {
+		opt.Engine, opt.StabilityDepth = EngineBMC3, 10
 	}
 	return opt, nil
 }
@@ -312,16 +308,29 @@ func (s Spec) WarmEligible() bool {
 	return ok && info.Has(CapWarm)
 }
 
+// CheckModel reports whether the engine behind s can check n: it returns
+// ErrBMC1Memories for bmc1 on a design with memories, else nil.
+func (s Spec) CheckModel(n *aig.Netlist) error {
+	if s.Canonical().Engine == EngineBMC1 && len(n.Memories) > 0 {
+		return ErrBMC1Memories
+	}
+	return nil
+}
+
 // RunCtx executes the request against property prop of n — the one
 // engine-dispatch path shared by the facade, the CLIs' remote mode, and
 // the job server. startDepth > 0 warm-starts the BMC loop (the caller
 // asserts depths below it are known counter-example-free, e.g. from a
 // cached shallower verdict); it is ignored by the PBA flow. For EnginePBA
 // the returned Result is the final proof phase when one ran, otherwise the
-// phase-1 result — the same collapse emmv renders for -engine pba.
+// phase-1 result — the same collapse emmv renders for -engine pba. A
+// model the engine cannot check (CheckModel) is refused before solving.
 func (s Spec) RunCtx(ctx context.Context, n *aig.Netlist, prop int, startDepth int, extend func(*bmc.Options)) (*bmc.Result, error) {
 	opt, err := s.Options()
 	if err != nil {
+		return nil, err
+	}
+	if err := s.CheckModel(n); err != nil {
 		return nil, err
 	}
 	if extend != nil {

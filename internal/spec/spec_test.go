@@ -1,12 +1,19 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"strings"
 	"testing"
 	"time"
 
+	"emmver/internal/aig"
+	"emmver/internal/bmc"
+	"emmver/internal/expmem"
 	"emmver/internal/pass"
+	"emmver/internal/rtl"
 	"emmver/internal/sat"
 )
 
@@ -34,35 +41,67 @@ func TestOptionsCarriesEveryKnob(t *testing.T) {
 	}
 }
 
+// Every registered engine converts to the bmc engine of the same name —
+// except pba, which is the PBA flow over bmc3 at the paper's stability
+// depth — and bmc accepts the name.
 func TestOptionsEngineMapping(t *testing.T) {
-	cases := []struct {
-		engine                   string
-		useEMM, proofs, wantsPBA bool
-	}{
-		{EngineBMC1, false, true, false},
-		{EngineBMC2, true, false, false},
-		{EngineBMC3, true, true, false},
-		{EnginePBA, true, false, true},
-		{EngineKInd, true, true, false},
+	n, _, err := expmem.Expand(zeroROM())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		s := Spec{Engine: c.engine, Depth: 10}
-		opt, err := s.Options()
+	for _, name := range EngineNames() {
+		opt, err := Spec{Engine: name, Depth: 3}.Options()
 		if err != nil {
-			t.Fatalf("%s: %v", c.engine, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if opt.UseEMM != c.useEMM || opt.Proofs != c.proofs {
-			t.Errorf("%s: got UseEMM=%v Proofs=%v", c.engine, opt.UseEMM, opt.Proofs)
+		wantEngine, wantStab := name, 0
+		if name == EnginePBA {
+			wantEngine, wantStab = bmc.EngineBMC3, 10
 		}
-		if c.wantsPBA && opt.StabilityDepth == 0 {
-			t.Errorf("%s: StabilityDepth not set", c.engine)
+		if opt.Engine != wantEngine || opt.StabilityDepth != wantStab || opt.MaxDepth != 3 {
+			t.Errorf("%s: Engine=%q StabilityDepth=%d MaxDepth=%d, want %q, %d, 3",
+				name, opt.Engine, opt.StabilityDepth, opt.MaxDepth, wantEngine, wantStab)
 		}
-		if opt.MaxDepth != 10 {
-			t.Errorf("%s: MaxDepth %d", c.engine, opt.MaxDepth)
+		if r := bmc.Check(n, 0, opt); r.Kind == bmc.KindCE {
+			t.Errorf("%s: %v on a valid property", name, r)
 		}
-		if opt.KInduction != (c.engine == EngineKInd) {
-			t.Errorf("%s: KInduction=%v", c.engine, opt.KInduction)
-		}
+	}
+}
+
+// zeroROM is a zero-initialized memory nothing writes, with the valid
+// property that every read returns zero. Memory reads left free (bmc1)
+// violate it at depth 0.
+func zeroROM() *aig.Netlist {
+	m := rtl.NewModule("zero-rom")
+	mem := m.Memory("mem", 2, 2, aig.MemZero)
+	rd := mem.Read(m.Input("a", 2), aig.True)
+	m.Done()
+	m.AssertAlways("zero", m.IsZero(rd))
+	return m.N
+}
+
+// bmc1 leaves memory reads free, so RunCtx refuses it on a design with
+// memories before solving (its witnesses would not replay); on the
+// memory-free explicit model it runs.
+func TestRunCtxRefusesBMC1OnMemories(t *testing.T) {
+	n := zeroROM()
+	s := Spec{Engine: EngineBMC1, Depth: 4}
+	if _, err := s.RunCtx(context.Background(), n, 0, 0, nil); !errors.Is(err, ErrBMC1Memories) {
+		t.Fatalf("bmc1 on a memory design: err = %v, want ErrBMC1Memories", err)
+	}
+	if !strings.Contains(ErrBMC1Memories.Error(), "-explicit") {
+		t.Errorf("the refusal does not point to -explicit: %v", ErrBMC1Memories)
+	}
+	ex, _, err := expmem.Expand(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.RunCtx(context.Background(), ex, 0, 0, nil)
+	if err != nil || r.Kind != bmc.KindProof {
+		t.Fatalf("bmc1 on the explicit model: %v, %v; want PROOF", r, err)
+	}
+	if err := (Spec{Engine: EngineBMC3}).CheckModel(n); err != nil {
+		t.Errorf("bmc3 refused a memory design: %v", err)
 	}
 }
 
@@ -216,7 +255,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || !opt.UseEMM || opt.Proofs {
+	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || opt.Engine != bmc.EngineBMC2 {
 		t.Errorf("flags did not flow into Options: %+v", opt)
 	}
 }

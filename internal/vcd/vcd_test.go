@@ -83,7 +83,7 @@ func TestDumpWitnessWithMemoryInit(t *testing.T) {
 	mem := m.Memory("mem", 2, 3, aig.MemArbitrary)
 	rd := mem.Read(m.Const(2, 2), aig.True)
 	m.AssertAlways("ne5", m.EqConst(rd, 5).Not())
-	r := bmc.Check(m.N, 0, bmc.Options{MaxDepth: 3, UseEMM: true, ValidateWitness: true})
+	r := bmc.Check(m.N, 0, bmc.Options{Engine: bmc.EngineBMC2, MaxDepth: 3, ValidateWitness: true})
 	if r.Kind != bmc.KindCE {
 		t.Fatalf("expected CE, got %v", r)
 	}

@@ -127,7 +127,7 @@ func TestVerilogQuicksortProofs(t *testing.T) {
 		t.Fatalf("expected arr and stk memories, got %d", len(n.Memories))
 	}
 	for pi, p := range n.Props {
-		r := bmc.Check(n, pi, bmc.BMC3(150))
+		r := bmc.Check(n, pi, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 150})
 		if r.Kind != bmc.KindProof {
 			t.Fatalf("property %q: expected proof, got %v", p.Name, r)
 		}
@@ -147,7 +147,7 @@ func TestVerilogQuicksortPBADropsArray(t *testing.T) {
 	if p2 < 0 {
 		t.Fatalf("P2 not found")
 	}
-	res := bmc.ProveWithPBA(n, p2, bmc.Options{MaxDepth: 150, UseEMM: true, StabilityDepth: 8})
+	res := bmc.ProveWithPBA(n, p2, bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 150, StabilityDepth: 8})
 	if res.Kind() != bmc.KindProof {
 		t.Fatalf("expected proof, got %v", res.Kind())
 	}

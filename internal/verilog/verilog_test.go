@@ -284,7 +284,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bmc.Check(n, 0, bmc.BMC1(10))
+	r := bmc.Check(n, 0, bmc.Options{Engine: bmc.EngineBMC1, MaxDepth: 10})
 	if r.Kind != bmc.KindProof {
 		t.Fatalf("assumed design must be provable: %v", r)
 	}

@@ -24,11 +24,11 @@ func TestVerifyCtxHonorsCancelledContext(t *testing.T) {
 	d := quickstartDesign()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := VerifyCtx(ctx, d.N, 0, BMC3(50))
+	r := VerifyCtx(ctx, d.N, 0, Options{Engine: EngineBMC3, MaxDepth: 50})
 	if r.Kind != TimedOut {
 		t.Fatalf("already-cancelled context must report TimedOut, got %v", r)
 	}
-	many := VerifyAllCtx(ctx, d.N, []int{0}, BMC3(50))
+	many := VerifyAllCtx(ctx, d.N, []int{0}, Options{Engine: EngineBMC3, MaxDepth: 50})
 	if many.Results[0].Kind != TimedOut {
 		t.Fatalf("VerifyAllCtx under a cancelled context must report TimedOut, got %v", many.Results[0])
 	}
@@ -44,7 +44,7 @@ func TestTraceJournalMatchesEMMSizes(t *testing.T) {
 	d := quickstartDesign()
 	var buf bytes.Buffer
 	journal := NewJSONLTrace(&buf)
-	opt := Observe(BMC3(20), journal)
+	opt := Observe(Options{Engine: EngineBMC3, MaxDepth: 20}, journal)
 	r := Verify(d.N, 0, opt)
 	if r.Kind != Proved {
 		t.Fatalf("quickstart must prove: %v", r)
@@ -151,7 +151,7 @@ func TestInprocCountersReconcile(t *testing.T) {
 
 	var buf bytes.Buffer
 	journal := NewJSONLTrace(&buf)
-	opt := BMC2(10)
+	opt := Options{Engine: EngineBMC2, MaxDepth: 10}
 	opt.DisableStrash = true
 	opt.DisableEMMMemo = true
 	opt = Observe(opt, journal)
