@@ -469,54 +469,17 @@ func BenchmarkReduceDBTiers(b *testing.B) {
 	}
 }
 
-// BenchmarkSimplify prices one inprocessing pass over a CNF salted with
-// subsumable supersets, self-subsuming near-duplicates, and an eliminable
-// implication chain. Mirrored (at larger scale) in cmd/emmbench.
-func BenchmarkSimplify(b *testing.B) {
-	const chain = 1000
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := sat.New()
-		vars := make([]sat.Var, chain)
-		for j := range vars {
-			vars[j] = s.NewVar()
-		}
-		s.Freeze(vars[0])
-		s.Freeze(vars[chain-1])
-		for j := 0; j+1 < chain; j++ {
-			a, c := sat.NegLit(vars[j]), sat.PosLit(vars[j+1])
-			s.AddClause(a, c)
-			s.AddClause(a, c, sat.PosLit(vars[(j+7)%chain]))
-			p := sat.PosLit(vars[(j+11)%chain])
-			q := sat.PosLit(vars[(j+23)%chain])
-			x := sat.PosLit(vars[(j+13)%chain])
-			s.AddClause(p, q, x)
-			s.AddClause(p, q, x.Not())
-		}
-		b.StartTimer()
-		if err := s.Simplify(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGrowthSolve runs the solve-based growth experiment (§S2) at a
 // CI-sized configuration: the shared-address read-consistency property,
-// BMC-2 to depth 12 with strash and memoization off, with and without
-// inprocessing. The full-depth A/B lives in cmd/emmbench.
+// BMC-2 to depth 12 with strash and memoization off. The full-depth run
+// lives in cmd/emmbench.
 func BenchmarkGrowthSolve(b *testing.B) {
-	run := func(name string, noSimplify bool) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true, NoSimplify: noSimplify}
-				if r := exp.GrowthSolve(cfg); r.Kind != bmc.KindNoCE {
-					b.Fatalf("valid property must report NO_CE, got %v", r.Kind)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		cfg := exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true}
+		if r := exp.GrowthSolve(cfg); r.Kind != bmc.KindNoCE {
+			b.Fatalf("valid property must report NO_CE, got %v", r.Kind)
+		}
 	}
-	run("baseline", true)
-	run("inproc", false)
 }
 
 // BenchmarkCompilePipeline prices the static compile pipeline and records

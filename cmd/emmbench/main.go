@@ -66,9 +66,7 @@ func main() {
 		{"EMMDepthGrowth/On", func() entry { return benchGrowth(false) }},
 		{"EMMDepthGrowth/Off", func() entry { return benchGrowth(true) }},
 		{"ReduceDBTiers", benchReduceDBTiers},
-		{"Simplify", benchSimplify},
-		{"GrowthSolve/Baseline", func() entry { return benchGrowthSolve(sat.RestartLuby, true) }},
-		{"GrowthSolve/Inproc", func() entry { return benchGrowthSolve(sat.RestartEMA, false) }},
+		{"GrowthSolve", benchGrowthSolve},
 		{"CompilePipeline/Static", benchCompileStatic},
 		{"CompilePipeline/Off", func() entry { return benchCompileSolve(pass.SpecNone) }},
 		{"CompilePipeline/On", func() entry { return benchCompileSolve("") }},
@@ -97,32 +95,6 @@ func main() {
 			Metrics: map[string]float64{"reduction_pct": red},
 		})
 		fmt.Printf("CNF reduction at depth 24: %.1f%%\n", red)
-	}
-
-	// The PR-4 headline: solve-time reduction from adaptive restarts +
-	// LBD tiers + between-depth inprocessing on the solve-based growth
-	// experiment (Baseline approximates the pre-inprocessing solver:
-	// Luby restarts, no Simplify).
-	var base, inp entry
-	for _, e := range rep.Benchmarks {
-		switch e.Name {
-		case "GrowthSolve/Baseline":
-			base = e
-		case "GrowthSolve/Inproc":
-			inp = e
-		}
-	}
-	if base.NsPerOp > 0 && inp.NsPerOp > 0 {
-		timeRed := 100 * (1 - inp.NsPerOp/base.NsPerOp)
-		conflRed := 100 * (1 - inp.Metrics["conflicts"]/base.Metrics["conflicts"])
-		rep.Benchmarks = append(rep.Benchmarks, entry{
-			Name: "GrowthSolve/Reduction",
-			Metrics: map[string]float64{
-				"time_reduction_pct":     timeRed,
-				"conflict_reduction_pct": conflRed,
-			},
-		})
-		fmt.Printf("solve reduction at depth 24: %.1f%% time, %.1f%% conflicts\n", timeRed, conflRed)
 	}
 
 	// The PR-5 headline: CNF reduction from the static compile pipeline
@@ -302,63 +274,11 @@ func addPigeonhole(s *sat.Solver, pigeons, holes int) {
 	}
 }
 
-// benchSimplify: one inprocessing pass over a CNF salted with redundancy —
-// every clause has a strict superset right next to it (subsumption food), a
-// long implication chain of unfrozen auxiliaries (elimination food), and
-// near-duplicate clauses differing in one flipped literal (strengthening
-// food). The construction runs outside the timer; only Simplify is priced.
-func benchSimplify() entry {
-	const chain = 4000
-	var st sat.Stats
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s := sat.New()
-			vars := make([]sat.Var, chain)
-			for j := range vars {
-				vars[j] = s.NewVar()
-			}
-			s.Freeze(vars[0])
-			s.Freeze(vars[chain-1])
-			for j := 0; j+1 < chain; j++ {
-				a, c := sat.NegLit(vars[j]), sat.PosLit(vars[j+1])
-				s.AddClause(a, c)
-				// Superset of the binary above: subsumed on sight.
-				s.AddClause(a, c, sat.PosLit(vars[(j+7)%chain]))
-				// (p ∨ q ∨ x) with (p ∨ q ∨ ¬x), no (p ∨ q) around: the
-				// first self-subsumes the second down to (p ∨ q).
-				p := sat.PosLit(vars[(j+11)%chain])
-				q := sat.PosLit(vars[(j+23)%chain])
-				x := sat.PosLit(vars[(j+13)%chain])
-				s.AddClause(p, q, x)
-				s.AddClause(p, q, x.Not())
-			}
-			b.StartTimer()
-			if err := s.Simplify(); err != nil {
-				b.Fatal(err)
-			}
-			st = s.Stats()
-		}
-	})
-	return entry{
-		Iterations: r.N,
-		NsPerOp:    float64(r.NsPerOp()),
-		Metrics: map[string]float64{
-			"subsumed":     float64(st.SubsumedClauses),
-			"strengthened": float64(st.StrengthenedClauses),
-			"eliminated":   float64(st.EliminatedVars),
-		},
-	}
-}
-
 // benchGrowthSolve: the solve-based growth experiment (§S2) — BMC-2 on the
 // shared-address read-consistency property to depth 24 with strash and
-// comparator memoization off. Baseline (Luby, no Simplify) approximates the
-// pre-inprocessing solver; Inproc is the current default configuration.
-func benchGrowthSolve(mode sat.RestartMode, noSimplify bool) entry {
+// comparator memoization off.
+func benchGrowthSolve() entry {
 	cfg := exp.DefaultGrowthSolve()
-	cfg.Restart = mode
-	cfg.NoSimplify = noSimplify
 	var res exp.GrowthSolveResult
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -369,10 +289,8 @@ func benchGrowthSolve(mode sat.RestartMode, noSimplify bool) entry {
 		Iterations: r.N,
 		NsPerOp:    float64(r.NsPerOp()),
 		Metrics: map[string]float64{
-			"conflicts":       float64(res.Conflicts),
-			"restarts":        float64(res.Stats.Restarts),
-			"eliminated_vars": float64(res.Stats.EliminatedVars),
-			"subsumed":        float64(res.Stats.SubsumedClauses),
+			"conflicts": float64(res.Conflicts),
+			"restarts":  float64(res.Stats.Restarts),
 		},
 	}
 }

@@ -15,8 +15,8 @@
 //	        content-addressed family (post-pass cache hits)
 //	warm    a double-depth resubmission that must warm-start from the
 //	        cached NO_CE frontier instead of re-checking the prefix
-//	restart a burst under Luby restarts (a performance field, so exact
-//	        hits) and a deeper Luby request warm-started from the frontier
+//	jobs    a sequential (Jobs: 1) burst (a performance field, so exact
+//	        hits) and a deeper Jobs: 1 request warm-started from the frontier
 //	ce      a counter-example design submitted twice; the duplicate must
 //	        return the identical witness from the cache
 //
@@ -180,33 +180,33 @@ func main() {
 	})
 	phases = append(phases, warm)
 
-	// restart: the same problem under Luby restarts. The performance
-	// field is excluded from the cache keys, so the burst must land as
-	// exact hits on the verdict solved under the default restarts; the
-	// deeper tail request then actually solves under Luby on the server,
+	// jobs: the same problem with a sequential worker count. The
+	// performance field is excluded from the cache keys, so the burst must
+	// land as exact hits on the verdict solved at the default count; the
+	// deeper tail request then actually solves at Jobs: 1 on the server,
 	// warm-started from the cached frontier.
-	rs := &phase{name: "restart", note: "luby-spec burst + deeper luby solve"}
+	js := &phase{name: "jobs", note: "jobs=1 burst + deeper jobs=1 solve"}
 	for i := 0; i < *burst; i++ {
 		req := baseReq()
-		req.Spec.Restart = "luby"
-		run(rs, req, func(st *serve.JobStatus) string { return sameVerdict(st, true) })
+		req.Spec.Jobs = 1
+		run(js, req, func(st *serve.JobStatus) string { return sameVerdict(st, true) })
 	}
-	rreq := baseReq()
-	rreq.Spec.Restart = "luby"
-	rreq.Spec.Depth = 2**depth + 4
-	run(rs, rreq, func(st *serve.JobStatus) string {
+	jreq := baseReq()
+	jreq.Spec.Jobs = 1
+	jreq.Spec.Depth = 2**depth + 4
+	run(js, jreq, func(st *serve.JobStatus) string {
 		if st.Cached {
-			return "deeper luby request claimed a full hit"
+			return "deeper jobs=1 request claimed a full hit"
 		}
 		if st.WarmStart != 2**depth+1 {
-			return fmt.Sprintf("luby warm start at %d, want %d", st.WarmStart, 2**depth+1)
+			return fmt.Sprintf("jobs=1 warm start at %d, want %d", st.WarmStart, 2**depth+1)
 		}
 		if st.Verdict == nil || st.Verdict.Kind != "NO_CE" || st.Verdict.Depth != 2**depth+4 {
-			return fmt.Sprintf("luby verdict: %+v", st.Verdict)
+			return fmt.Sprintf("jobs=1 verdict: %+v", st.Verdict)
 		}
 		return ""
 	})
-	phases = append(phases, rs)
+	phases = append(phases, js)
 
 	// ce: witness-bearing duplicate.
 	ce := &phase{name: "ce", note: "counter-example + identical witness"}

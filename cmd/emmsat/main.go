@@ -3,10 +3,9 @@
 //
 //	emmsat problem.cnf
 //	emmsat -core problem.cnf
-//	emmsat -restart luby -stats -trace run.jsonl problem.cnf
+//	emmsat -stats -trace run.jsonl problem.cnf
 //
-// It shares the engine CLIs' solver flag plumbing: -restart selects the
-// restart strategy, -stats prints the full solver statistics block, and
+// -stats prints the full solver statistics block, and
 // -trace/-progress/-pprof attach the observability layer exactly as on
 // emmv.
 //
@@ -30,17 +29,11 @@ func main() {
 	budget := flag.Int64("conflicts", 0, "conflict budget (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = unlimited)")
 	quiet := flag.Bool("q", false, "suppress the model/core listing")
-	restart := flag.String("restart", "ema", "solver restart strategy: luby or ema (adaptive)")
 	stats := flag.Bool("stats", false, "print the full solver statistics block")
 	obsFlags := cliobs.Register()
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: emmsat [-core] [-conflicts N] [-restart luby|ema] [-stats] problem.cnf")
-		os.Exit(1)
-	}
-	mode, err := sat.ParseRestartMode(*restart)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "usage: emmsat [-core] [-conflicts N] [-stats] problem.cnf")
 		os.Exit(1)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -52,7 +45,6 @@ func main() {
 	observer, stopObs := obsFlags.Setup()
 
 	s := sat.New()
-	s.Restart = mode
 	if *core {
 		s.EnableProofTracing()
 	}
@@ -110,16 +102,13 @@ func main() {
 
 // printStats renders the detailed statistics block in DIMACS comment lines.
 func printStats(st sat.Stats) {
-	fmt.Printf("c restarts: %d (luby %d, ema %d, blocked %d)\n",
-		st.Restarts, st.RestartsLuby, st.RestartsEMA, st.RestartsBlocked)
+	fmt.Printf("c restarts: %d (blocked %d)\n", st.Restarts, st.RestartsBlocked)
 	fmt.Printf("c learnts: %d added, %d deleted, %d reducedbs\n",
 		st.LearntsAdded, st.LearntsDeleted, st.ReduceDBs)
 	if st.LearntsAdded > 0 {
 		fmt.Printf("c avg lbd: %.2f\n", float64(st.LBDSum)/float64(st.LearntsAdded))
 	}
 	fmt.Printf("c binary propagations: %d\n", st.BinPropagations)
-	fmt.Printf("c inprocessing: %d passes, %d subsumed, %d strengthened, %d vars eliminated\n",
-		st.Simplifies, st.SubsumedClauses, st.StrengthenedClauses, st.EliminatedVars)
 }
 
 // readTagged loads the CNF; with tagging, each clause carries its index so

@@ -48,8 +48,7 @@ func main() {
 	observer, obsStop := obsFlags.Setup()
 	defer obsStop()
 	cfg := exp.Config{
-		Timeout: opt.Timeout, Jobs: opt.Jobs, Obs: observer,
-		Restart: opt.Restart, NoSimplify: opt.NoSimplify, Passes: opt.Passes,
+		Timeout: opt.Timeout, Jobs: opt.Jobs, Obs: observer, Passes: opt.Passes,
 	}
 	switch *scale {
 	case "reduced":

@@ -91,8 +91,8 @@ func main() {
 	engFlags := cliobs.RegisterEngine()
 	obsFlags := cliobs.Register()
 	flag.Parse()
-	if *remote != "" && (*design != "" || *explicit) {
-		must(errors.New("-remote submits a design file; it excludes -design and -explicit"))
+	if *remote != "" && (*design != "" || *explicit || engFlags.Spec.Canonical().Engine == "bdd") {
+		must(errors.New("-remote submits a design file to the server's engines; it excludes -design, -explicit and -engine bdd"))
 	}
 
 	var n *aig.Netlist
@@ -137,7 +137,7 @@ func main() {
 		return
 	}
 
-	req := engFlags.Request()
+	req := engFlags.Spec
 	engine := req.Canonical().Engine
 	if engine == "bdd" {
 		// BDD reachability sits outside the request schema (no depth, no
@@ -282,11 +282,7 @@ func remoteResult(v *serve.Verdict) *bmc.Result {
 func printStats(st bmc.Stats, depthStats []bmc.DepthStat) {
 	fmt.Printf("stats: %d solver calls, %d clauses, %d vars, %d conflicts, %.0f MB heap\n",
 		st.SolveCalls, st.Clauses, st.Vars, st.Conflicts, st.PeakHeapMB)
-	fmt.Printf("restarts: %d (luby %d, ema %d)\n", st.Restarts, st.RestartsLuby, st.RestartsEMA)
-	if st.Simplifies > 0 {
-		fmt.Printf("inprocessing: %d passes, %d clauses subsumed, %d strengthened, %d vars eliminated\n",
-			st.Simplifies, st.SubsumedClauses, st.StrengthenedClauses, st.EliminatedVars)
-	}
+	fmt.Printf("restarts: %d\n", st.Restarts)
 	if st.EMM.Clauses() > 0 {
 		fmt.Printf("emm constraints: %s\n", st.EMM)
 	}

@@ -56,6 +56,12 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 	wedge := filepath.Join("..", "..", "internal", "serve", "testdata", "wedge.v")
+	// A memory-free counter: the BDD engine runs on it without -explicit.
+	counter := filepath.Join(dir, "counter.v")
+	src := "module counter(input clk);\n  reg [3:0] cnt;\n  always @(posedge clk) cnt <= cnt + 4'd1;\n  assert(cnt != 4'd9, \"cnt_ne_9\");\nendmodule\n"
+	if err := os.WriteFile(counter, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -74,9 +80,17 @@ func TestExitCodes(t *testing.T) {
 		{"bmc1-memories", []string{"-design", "lookup", "-prop", "0", "-engine", "bmc1", "-depth", "20"}, 2, "expand them first (emmv -explicit)"},
 		{"design-pba", []string{"-design", "quicksort", "-n", "3", "-prop", "p2", "-engine", "pba"}, 0, "PROOF depth=28"},
 		{"remote-design", []string{"-remote", "unix:" + filepath.Join(dir, "none.sock"), "-design", "growth"}, 2, "-remote"},
-		// The retired fleet flags and the retired -lazy knob (the engine
-		// picks the EMM encoding) are usage errors now.
+		// The server has no BDD engine: -remote must not fall back to a
+		// local BDD run.
+		{"remote-bdd", []string{"-remote", "unix:" + filepath.Join(dir, "none.sock"), "-engine", "bdd", counter}, 2, "-engine bdd"},
+		// The retired fleet flags, the retired -lazy knob (the engine
+		// picks the EMM encoding), the retired solver knobs (one solver
+		// configuration) and the -no-passes alias (-passes none) are
+		// usage errors now.
 		{"lazy", []string{"-design", "quicksort", "-lazy"}, 2, "flag provided but not defined: -lazy"},
+		{"restart", []string{"-design", "quicksort", "-restart", "luby"}, 2, "flag provided but not defined: -restart"},
+		{"no-simplify", []string{"-design", "quicksort", "-no-simplify"}, 2, "flag provided but not defined: -no-simplify"},
+		{"no-passes", []string{"-design", "quicksort", "-no-passes"}, 2, "flag provided but not defined: -no-passes"},
 		{"share", []string{"-design", "growth", "-jobs", "2", "-share"}, 2, "flag provided but not defined: -share"},
 		{"cube", []string{"-design", "growth", "-jobs", "2", "-cube"}, 2, "flag provided but not defined: -cube"},
 		{"listen", []string{"-design", "growth", "-listen", "unix:" + filepath.Join(dir, "fleet.sock")}, 2, "flag provided but not defined: -listen"},

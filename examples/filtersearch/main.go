@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"emmver"
-	"emmver/internal/bmc"
 	"emmver/internal/designs"
 )
 
@@ -19,7 +18,7 @@ func main() {
 	fmt.Printf("image filter: %s\n", f.Netlist().Stats())
 	fmt.Printf("smoothing bound: output ≤ %d\n\n", f.MaxOutput)
 
-	res := emmver.VerifyAll(f.Netlist(), f.PropIndices(), bmc.Options{
+	res := emmver.VerifyAll(f.Netlist(), f.PropIndices(), emmver.Options{
 		Engine:          emmver.EngineBMC3,
 		MaxDepth:        6*cfg.LineWidth + 10,
 		ValidateWitness: true,

@@ -17,7 +17,6 @@ import (
 
 	"emmver"
 	"emmver/internal/bdd"
-	"emmver/internal/bmc"
 	"emmver/internal/designs"
 )
 
@@ -28,7 +27,7 @@ func main() {
 
 	// 1. Full memory abstraction: read data free -> spurious witness.
 	p0 := l.ReachIndices[0]
-	r := emmver.Verify(l.Netlist(), p0, bmc.Options{MaxDepth: 20})
+	r := emmver.Verify(l.Netlist(), p0, emmver.Options{MaxDepth: 20})
 	fmt.Printf("1. no memory model:   %s\n", r)
 	if r.Kind == emmver.CounterExample {
 		err := r.Witness.Replay(l.Netlist(), p0)
@@ -47,7 +46,7 @@ func main() {
 	constrained := l.WithRDZeroConstraint()
 	proved := 0
 	for _, p := range l.ReachIndices {
-		pr := emmver.ProveWithAbstraction(constrained, p, bmc.Options{
+		pr := emmver.ProveWithAbstraction(constrained, p, emmver.Options{
 			Engine: emmver.EngineBMC1, MaxDepth: 30, StabilityDepth: 5,
 		})
 		if pr.Kind() == emmver.Proved {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"emmver"
-	"emmver/internal/bmc"
 	"emmver/internal/designs"
 )
 
@@ -50,7 +49,7 @@ func main() {
 	// Table 2's point: with PBA, the array memory disappears from the P2
 	// proof obligation entirely.
 	q2 := designs.NewQuickSort(cfg)
-	res := emmver.ProveWithAbstraction(q2.Netlist(), q2.P2Index, bmc.Options{
+	res := emmver.ProveWithAbstraction(q2.Netlist(), q2.P2Index, emmver.Options{
 		Engine: emmver.EngineBMC3, MaxDepth: 200, StabilityDepth: 10,
 	})
 	fmt.Printf("P2 with PBA: %s\n", res.Kind())

@@ -24,7 +24,7 @@
 // files): the Model (model.go) owns the unrolled time frames, EMM
 // constraints, and witness extraction; the Session (session.go) owns the
 // incremental solvers' lifecycles — construction, interrupts,
-// inprocessing, statistics; the Strategy (strategy.go) is the per-depth
+// statistics; the Strategy (strategy.go) is the per-depth
 // decision procedure. All engines share the Model and Session and differ
 // only in their Strategy and the Model strengthenings their name selects.
 package bmc
@@ -146,17 +146,6 @@ type Options struct {
 	// by default.
 	DisableStrash  bool
 	DisableEMMMemo bool
-	// Restart selects the solvers' restart strategy: sat.RestartEMA (the
-	// adaptive glue-driven default) or sat.RestartLuby (the classic
-	// schedule).
-	Restart sat.RestartMode
-	// NoSimplify disables the between-depth inprocessing pass
-	// (sat.Solver.Simplify: subsumption, clause strengthening, bounded
-	// variable elimination over non-frozen auxiliaries). Inprocessing is
-	// also skipped automatically whenever PBA proof tracing is active —
-	// clause rewriting would invalidate resolution chains — with
-	// sat.ErrTracingActive as the solver-level second guard.
-	NoSimplify bool
 	// PureLatchLFP uses the paper's literal loop-free-path constraint
 	// (latch states pairwise distinct). The default strengthens state
 	// equality with "and no write fired in between", which keeps the
@@ -210,12 +199,12 @@ type Options struct {
 	//
 	// Proof tracing changes more than the solver: while cores are being
 	// harvested, the engine also turns off structural hashing in the
-	// unrollers, init-literal folding, comparator memoization, and the
-	// between-depth inprocessing pass. All four optimizations share (or
-	// rewrite) clauses across clause tags, and PBA attributes relevance by
-	// tag — a shared clause would implicate only its first creator, so
-	// the abstraction could silently drop latches or EMM events the proof
-	// needs. TestPBADisablesClauseSharing pins the coupling.
+	// unrollers, init-literal folding and comparator memoization. All
+	// three optimizations share clauses across clause tags, and PBA
+	// attributes relevance by tag — a shared clause would implicate only
+	// its first creator, so the abstraction could silently drop latches or
+	// EMM events the proof needs. TestPBADisablesClauseSharing pins the
+	// coupling.
 	pba bool
 	// stopAtStable ends a pba run (with KindStable) once the latch-reason
 	// set has been stable for StabilityDepth depths.
@@ -281,16 +270,7 @@ type Stats struct {
 	Conflicts  int64
 	PeakHeapMB float64
 	EMM        core.Sizes
-	// Restarts, split by trigger: Luby budget expiry vs the adaptive glue
-	// EMA crossing its threshold (RestartsLuby + RestartsEMA = Restarts).
-	Restarts     int64
-	RestartsLuby int64
-	RestartsEMA  int64
-	// Between-depth inprocessing work (zero under PBA or NoSimplify).
-	Simplifies          int64
-	SubsumedClauses     int64
-	StrengthenedClauses int64
-	EliminatedVars      int64
+	Restarts   int64
 	// Lazy-EMM refinement (zero unless the run was lazy: EMM without
 	// termination checks, PBA or the eq. 1 ablation; see newWindow): model
 	// validations run by the semantic oracle and SAT models it rejected,
@@ -316,12 +296,6 @@ func (s *Stats) Add(o Stats) {
 	s.Vars += o.Vars
 	s.Conflicts += o.Conflicts
 	s.Restarts += o.Restarts
-	s.RestartsLuby += o.RestartsLuby
-	s.RestartsEMA += o.RestartsEMA
-	s.Simplifies += o.Simplifies
-	s.SubsumedClauses += o.SubsumedClauses
-	s.StrengthenedClauses += o.StrengthenedClauses
-	s.EliminatedVars += o.EliminatedVars
 	s.LazyRounds += o.LazyRounds
 	s.LazySpurious += o.LazySpurious
 	s.LFPPairs += o.LFPPairs
@@ -416,10 +390,6 @@ type engine struct {
 
 	depthStats []DepthStat
 	mark       depthMark
-	// lastSimpConfl is the cumulative conflict count (both solvers) at the
-	// last inprocessing pass; simplifyStep skips until enough new search
-	// effort has accumulated to pay for the occurrence-list rebuild.
-	lastSimpConfl int64
 
 	// Observability handle plus the gauges/counters the engine itself
 	// maintains (the solvers/unrollers/generators publish their own).

@@ -1,9 +1,9 @@
-// The Model layer: netlist → unrolled time frames, EMM constraints, and
-// the frozen frame frontier. It owns what the formula *says* — the two
-// solver windows (forward, which also hosts the counter-example queries,
-// and backward), structural hashing and comparator memoization,
-// abstraction application, per-depth frame extension, and witness
-// extraction back into source-netlist coordinates.
+// The Model layer: netlist → unrolled time frames and EMM constraints. It
+// owns what the formula *says* — the two solver windows (forward, which
+// also hosts the counter-example queries, and backward), structural
+// hashing and comparator memoization, abstraction application, per-depth
+// frame extension, and witness extraction back into source-netlist
+// coordinates.
 // The Session layer (session.go) owns the solvers those windows are built
 // over; the Strategy layer (strategy.go) decides which checks to run on
 // them at each depth.

@@ -2,11 +2,13 @@ package bmc
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"emmver/internal/aig"
 	"emmver/internal/designs"
+	"emmver/internal/obs"
 	"emmver/internal/rtl"
 )
 
@@ -398,6 +400,65 @@ func TestManyKInductionMatchesCheck(t *testing.T) {
 				t.Errorf("%s prop %d: group %v (%s), Check %v (%s)",
 					tc.name, p, got, got.ProofSide, want, want.ProofSide)
 			}
+		}
+	}
+}
+
+// cutSink records trace events and the position at which the run was
+// cancelled.
+type cutSink struct {
+	mu     sync.Mutex
+	events []obs.Event
+	cut    int
+}
+
+func (s *cutSink) Emit(ev obs.Event) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestCheckManyEndsAtDeadline cancels a one-group CheckManyParallel from
+// its own log writer at the first counter-example, partway through depth
+// 0. The depth that timed out must end the run: no later depth may start
+// after the cancellation, and every property still open times out at that
+// depth.
+func TestCheckManyEndsAtDeadline(t *testing.T) {
+	m, props := manyCounter()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := &cutSink{cut: -1}
+	var once sync.Once
+	opt := Options{MaxDepth: 12, Obs: obs.New(nil, sink), Log: writerFunc(func(p []byte) (int, error) {
+		once.Do(func() {
+			sink.mu.Lock()
+			sink.cut = len(sink.events)
+			sink.mu.Unlock()
+			cancel()
+		})
+		return len(p), nil
+	})}
+	mr := CheckManyParallelCtx(ctx, m.N, props, opt, 1)
+
+	if sink.cut < 0 {
+		t.Fatal("the run never logged, so it was never cancelled")
+	}
+	for i, ev := range sink.events[sink.cut:] {
+		if ev.Name == "bmc.depth" && ev.Ev == "start" {
+			t.Fatalf("depth %v started %d events after the cancellation", ev.Fields, i)
+		}
+	}
+	if r := mr.Results[0]; r.Kind != KindCE || r.Depth != 0 {
+		t.Fatalf("prop 0: %v depth %d, want CE depth 0", r.Kind, r.Depth)
+	}
+	for pi, r := range mr.Results[1:] {
+		if r.Kind != KindTimeout || r.Depth != 0 {
+			t.Errorf("prop %d: %v depth %d, want TIMEOUT depth 0", pi+1, r.Kind, r.Depth)
 		}
 	}
 }

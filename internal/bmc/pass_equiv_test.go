@@ -216,9 +216,9 @@ func TestPassPBALatchReasonsResolveToSourceNames(t *testing.T) {
 
 // TestPBADisablesClauseSharing pins the PBA/strash coupling documented on
 // Options.pba: while proof tracing is active, the engine must run with
-// structural hashing, init folding, comparator memoization, and
-// inprocessing off, because all four share or rewrite clauses across the
-// tags PBA harvests relevance from. A plain run keeps them on.
+// structural hashing, init folding and comparator memoization off,
+// because all three share clauses across the tags PBA harvests relevance
+// from. A plain run keeps them on.
 func TestPBADisablesClauseSharing(t *testing.T) {
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 4, Latency: 3})
 	n := l.Netlist()

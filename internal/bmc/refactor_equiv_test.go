@@ -45,18 +45,12 @@ type goldenRecord struct {
 	ProofSide string `json:"proof_side,omitempty"`
 	Witness   string `json:"witness,omitempty"`
 
-	SolveCalls   int   `json:"solve_calls,omitempty"`
-	Conflicts    int64 `json:"conflicts,omitempty"`
-	Clauses      int   `json:"clauses,omitempty"`
-	Vars         int   `json:"vars,omitempty"`
-	Restarts     int64 `json:"restarts,omitempty"`
-	RestartsLuby int64 `json:"restarts_luby,omitempty"`
-	RestartsEMA  int64 `json:"restarts_ema,omitempty"`
-	Simplifies   int64 `json:"simplifies,omitempty"`
-	Subsumed     int64 `json:"subsumed,omitempty"`
-	Strengthened int64 `json:"strengthened,omitempty"`
-	Eliminated   int64 `json:"eliminated_vars,omitempty"`
-	EMMClauses   int   `json:"emm_clauses,omitempty"`
+	SolveCalls int   `json:"solve_calls,omitempty"`
+	Conflicts  int64 `json:"conflicts,omitempty"`
+	Clauses    int   `json:"clauses,omitempty"`
+	Vars       int   `json:"vars,omitempty"`
+	Restarts   int64 `json:"restarts,omitempty"`
+	EMMClauses int   `json:"emm_clauses,omitempty"`
 }
 
 // witnessDigest renders a Witness deterministically (maps sorted).
@@ -182,10 +176,7 @@ func fullRecord(r *Result, st Stats) goldenRecord {
 		ProofSide: r.ProofSide, Witness: witnessDigest(r.Witness),
 		SolveCalls: st.SolveCalls, Conflicts: st.Conflicts,
 		Clauses: st.Clauses, Vars: st.Vars,
-		Restarts: st.Restarts, RestartsLuby: st.RestartsLuby,
-		RestartsEMA: st.RestartsEMA, Simplifies: st.Simplifies,
-		Subsumed: st.SubsumedClauses, Strengthened: st.StrengthenedClauses,
-		Eliminated: st.EliminatedVars, EMMClauses: st.EMM.Clauses(),
+		Restarts: st.Restarts, EMMClauses: st.EMM.Clauses(),
 	}
 }
 
@@ -232,14 +223,6 @@ func runEquivMany(t *testing.T, engine string, n *aig.Netlist, props []int, dept
 	case "many-bmc2":
 		opt.Engine = EngineBMC2
 		mr = CheckManyParallel(n, props, opt, 1)
-	case "many-bmc3-simplify":
-		// Inprocessing after every undecided depth pins where the run
-		// places its between-depth passes.
-		defer func(mc, cd int64) {
-			simplifyMinConflicts, simplifyClausesPerConfl = mc, cd
-		}(simplifyMinConflicts, simplifyClausesPerConfl)
-		simplifyMinConflicts, simplifyClausesPerConfl = 0, 0
-		mr = CheckManyParallel(n, props, opt, 1)
 	case "pool1-bmc3":
 		mr = CheckManyParallel(n, props, opt, 1)
 	case "pool2-bmc3":
@@ -278,7 +261,7 @@ func TestRefactorEquivalence(t *testing.T) {
 		}
 	}
 	for _, d := range manyDesigns() {
-		for _, engine := range []string{"many-bmc3", "many-bmc2", "many-bmc3-simplify", "pool1-bmc3", "pool2-bmc3"} {
+		for _, engine := range []string{"many-bmc3", "many-bmc2", "pool1-bmc3", "pool2-bmc3"} {
 			for pi, rec := range runEquivMany(t, engine, d.n, d.props, d.depth) {
 				rec.Design, rec.Engine = fmt.Sprintf("%s/%d", d.name, pi), engine
 				got = append(got, rec)

@@ -1,30 +1,25 @@
 // The Session layer: incremental solver lifecycles. It owns what the
 // solvers *do* between depths — solver construction and configuration,
 // interrupt/deadline arming (including the portfolio lanes' re-arming),
-// the between-depth inprocessing schedule, and statistics aggregation
-// across the Model's two windows. The Model layer (model.go) decides what
-// formula each solver holds; the Strategy layer (strategy.go) decides
-// which queries to issue.
+// and statistics aggregation across the Model's two windows. The Model
+// layer (model.go) decides what formula each solver holds; the Strategy
+// layer (strategy.go) decides which queries to issue.
 
 package bmc
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"time"
 
-	"emmver/internal/obs"
 	"emmver/internal/sat"
 )
 
 // newSolver creates one solver configured from the session-level options:
-// restart strategy, observability attachment, and the engine's interrupt
-// budget (wall-clock deadline + run context).
+// observability attachment and the engine's interrupt budget (wall-clock
+// deadline + run context).
 func (e *engine) newSolver() *sat.Solver {
 	s := sat.New()
-	s.Restart = e.opt.Restart
 	s.AttachObs(e.opt.Obs)
 	e.installInterrupt(s)
 	return s
@@ -61,60 +56,6 @@ func (e *engine) solve(s *sat.Solver, assumps ...sat.Lit) sat.Status {
 	return s.Solve(assumps...)
 }
 
-// simplifyMinConflicts gates between-depth inprocessing on search effort: a
-// pass only runs once the solvers have logged this many new conflicts since
-// the previous pass, plus one conflict per simplifyClausesPerConfl clauses
-// (a pass rebuilds the occurrence lists, so its cost grows with the
-// formula while its payoff grows with the search). Vars rather than consts
-// so the equivalence tests can force every pass on designs too small to
-// clear the bar.
-var (
-	simplifyMinConflicts    int64 = 500
-	simplifyClausesPerConfl       = int64(50)
-)
-
-// simplifyStep runs the between-depth inprocessing pass on both solvers
-// after depth i failed to decide the property. The frame frontier, EMM
-// interface signals, and every strash/memo-cached literal are frozen by the
-// unroller and generator, so elimination only consumes depth-local
-// auxiliaries that no later depth can mention. Skipped under NoSimplify and
-// under PBA (clause rewriting would invalidate the proof log); the solver's
-// ErrTracingActive guard backstops the latter. Also skipped until the
-// solvers have accumulated simplifyMinConflicts of new search effort since
-// the last pass: on easy per-depth instances the occurrence-list rebuild
-// costs more than the search it would save.
-func (e *engine) simplifyStep(i int) {
-	if e.opt.NoSimplify || e.opt.pba {
-		return
-	}
-	var confl, clauses int64
-	for _, w := range e.windows() {
-		confl += w.s.Stats().Conflicts
-		clauses += int64(w.s.NumClauses())
-	}
-	need := simplifyMinConflicts
-	if simplifyClausesPerConfl > 0 {
-		need += clauses / simplifyClausesPerConfl
-	}
-	if confl-e.lastSimpConfl < need {
-		return
-	}
-	e.lastSimpConfl = confl
-	sp := e.obs.Span("bmc.simplify", obs.F("depth", i), obs.F("prop", e.prop))
-	var sub, str, elim int64
-	for _, w := range e.windows() {
-		if err := w.s.Simplify(); err != nil && !errors.Is(err, sat.ErrTracingActive) {
-			panic(fmt.Sprintf("bmc: inprocessing failed: %v", err))
-		}
-		st := w.s.Stats()
-		sub += st.SubsumedClauses
-		str += st.StrengthenedClauses
-		elim += st.EliminatedVars
-	}
-	sp.End(obs.F("subsumed", sub), obs.F("strengthened", str),
-		obs.F("eliminated_vars", elim))
-}
-
 // snapshotStats materializes the engine's cumulative statistics, summed
 // over its solvers.
 func (e *engine) snapshotStats() Stats {
@@ -125,12 +66,6 @@ func (e *engine) snapshotStats() Stats {
 		st := w.s.Stats()
 		s.Conflicts += st.Conflicts
 		s.Restarts += st.Restarts
-		s.RestartsLuby += st.RestartsLuby
-		s.RestartsEMA += st.RestartsEMA
-		s.Simplifies += st.Simplifies
-		s.SubsumedClauses += st.SubsumedClauses
-		s.StrengthenedClauses += st.StrengthenedClauses
-		s.EliminatedVars += st.EliminatedVars
 	}
 	// The EMM tally reports the forward window's generator: it hosts the
 	// counter-example queries, and in a lazy run its tally counts the

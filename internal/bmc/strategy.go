@@ -2,7 +2,7 @@
 // checks over a prepared Model (model.go) and Session (session.go), and the
 // one driver loop that calls it. Each strategy decides which solver queries
 // to issue at depth k and how to interpret their answers; the driver owns
-// frame extension, warm-start gating, inprocessing, verdict bookkeeping and
+// frame extension, warm-start gating, verdict bookkeeping and
 // observability for every entry point. A strategy is exactly the
 // paper-visible difference between engines.
 
@@ -70,9 +70,6 @@ func (d *driver) run(ctx context.Context, strat Strategy) {
 		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
 			obs.F("clauses", e.fs.NumClauses()),
 			obs.F("unresolved", d.open))
-		if d.open > 0 && !e.timedOut() {
-			e.simplifyStep(k)
-		}
 	}
 	d.resolveOpen(&Result{Kind: KindNoCE, Depth: e.opt.MaxDepth})
 }

@@ -11,18 +11,15 @@ import (
 )
 
 // EngineFlags bundles the engine flags shared by all verification CLIs.
-// Every knob a request can carry — -engine, -depth, -timeout, -jobs,
-// -passes, -restart and -no-simplify — is derived from the
-// internal/spec.Spec field tags via spec.RegisterFlags, so the tools
-// expose exactly the schema the emmserved job server and the verdict cache
-// speak and cannot drift from it. Only -no-passes (a CLI convenience alias
-// for -passes=none) sits outside the request schema and is declared here.
+// Every knob a request can carry — -engine, -depth, -timeout, -jobs and
+// -passes — is derived from the internal/spec.Spec field tags via
+// spec.RegisterFlags, so the tools expose exactly the schema the emmserved
+// job server and the verdict cache speak and cannot drift from it.
 type EngineFlags struct {
 	// Spec accumulates the parsed schema flags; after flag.Parse it is the
-	// verification request the command line describes.
+	// verification request the command line describes: the value to submit
+	// to a remote server or convert with Options.
 	Spec spec.Spec
-
-	NoPasses *bool
 }
 
 // RegisterEngine declares the shared engine flags on the default flag set
@@ -39,25 +36,7 @@ func RegisterEngine() *EngineFlags {
 func RegisterEngineFor(def spec.Spec, skip ...string) *EngineFlags {
 	f := &EngineFlags{Spec: def}
 	spec.RegisterFlags(flag.CommandLine, &f.Spec, skip...)
-	f.NoPasses = flag.Bool("no-passes", false, "disable the static compile pipeline (same as -passes=none)")
 	return f
-}
-
-// Request resolves the convenience aliases (-no-passes) into the parsed
-// Spec and returns the resulting request. Call it after flag.Parse; it is
-// the value to submit to a remote server or convert with Spec.Options.
-func (f *EngineFlags) Request() spec.Spec {
-	s := f.Spec
-	if f.NoPasses != nil && *f.NoPasses {
-		s.Passes = pass.SpecNone
-	}
-	return s
-}
-
-// PassSpec resolves -passes/-no-passes to the pipeline spec string for
-// bmc.Options.Passes / pass.Options.Spec.
-func (f *EngineFlags) PassSpec() string {
-	return f.Request().Canonical().Passes
 }
 
 // DescribeCompile runs the static pipeline once over n for the given
@@ -75,9 +54,9 @@ func DescribeCompile(n *aig.Netlist, props []int, spec string) string {
 
 // Options converts the parsed request into the engine configuration it
 // denotes, via the one Spec → bmc.Options path. The error is user-facing
-// (unknown -engine, bad -restart or -passes value).
+// (unknown -engine or bad -passes value).
 func (f *EngineFlags) Options() (bmc.Options, error) {
-	return f.Request().Options()
+	return f.Spec.Options()
 }
 
 // ParseNetAddr splits a server address flag into the (network, address)

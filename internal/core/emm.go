@@ -571,9 +571,6 @@ func (g *Generator) addReadConstraints(mi int, mg *memGen, ev readLits, k int) {
 		vword = make([]sat.Lit, m.DW)
 		for bit := range vword {
 			vword[bit] = u.FreshVar()
-			// Every future read event compares against this symbolic word
-			// through eq. 6, so it must survive inprocessing.
-			u.Freeze(vword[bit])
 			g.sizes.AuxVars++
 			g.addClause(itag, ps.Not(), rdata[bit].Not(), vword[bit])
 			g.addClause(itag, ps.Not(), rdata[bit], vword[bit].Not())
@@ -614,14 +611,10 @@ func (g *Generator) addReadConstraints(mi int, mg *memGen, ev readLits, k int) {
 		}
 	}
 
-	// Record this read event for future eq. 6 pairs. The N literal joins
-	// the cross-depth EMM interface here (re/raddr/rdata are frame values,
-	// already frozen by the unroller; ps may be a bare chain gate when
-	// structural hashing is off, so it is frozen explicitly).
+	// Record this read event for future eq. 6 pairs.
 	rg.re = append(rg.re, re)
 	rg.addr = append(rg.addr, raddr)
 	rg.n = append(rg.n, ps)
-	g.u.Freeze(ps)
 	rg.rd = append(rg.rd, rdata)
 	if arbitrary {
 		rg.v = append(rg.v, vword)
@@ -669,7 +662,6 @@ func (g *Generator) addrEqualCounted(a, b []sat.Lit, tag unroll.Tag, counter *in
 			g.compMemo = make(map[string]sat.Lit)
 		}
 		g.compMemo[key] = e
-		g.u.Freeze(e) // memo entries are served at later depths
 	}
 	return e
 }

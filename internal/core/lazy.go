@@ -79,10 +79,10 @@ func (g *Generator) EnableLazy() {
 // generator, i.e. a window without EMM constraints).
 func (g *Generator) Lazy() bool { return g != nil && g.lazy }
 
-// lazyAddFrame is addFrame under lazy mode: it builds (and thereby
-// freezes) the frame-k memory interface literals so the oracle can decode
-// them from any model, registers the frame's read events as pending, and
-// emits no forwarding constraints at all. A read event that duplicates an
+// lazyAddFrame is addFrame under lazy mode: it builds the frame-k memory
+// interface literals so the oracle can decode them from any model,
+// registers the frame's read events as pending, and emits no forwarding
+// constraints at all. A read event that duplicates an
 // earlier one of the frame (see shareReads) gets RE → RD = RD_twin at once
 // and is not tracked: the oracle validating its twin validates it too.
 func (g *Generator) lazyAddFrame(k int) {
@@ -163,16 +163,10 @@ func (g *Generator) lazyExtendTo(lr *lazyRead, level int) {
 			g.addClause(tag, bigS.Not(), lr.rd[bit], wv.data[bit].Not())
 			g.sizes.ReadDataClauses += 2
 		}
-		// Unlike the eager path, the validity clause and further chain
-		// steps are emitted in later rounds, possibly after inprocessing
-		// ran in between: the match and the suspended chain literal must
-		// survive elimination.
-		u.Freeze(bigS)
 		lr.matches = append(lr.matches, bigS)
 		lr.level++
 		g.sizes.LazyAxioms++
 	}
-	u.Freeze(lr.ps)
 }
 
 // lazyComplete drives lr to its full per-read eager constraint set: every
@@ -191,8 +185,6 @@ func (g *Generator) lazyComplete(lr *lazyRead) {
 	mg := g.mems[lr.mi]
 	if n := mg.lazyLevels(lr); n > 0 {
 		g.lazyExtendTo(lr, n-1)
-	} else {
-		u.Freeze(lr.ps)
 	}
 	tag := g.tagEMM(lr.k, lr.mi, lr.r)
 	itag := g.tagInit(lr.k, lr.mi, lr.r)
@@ -201,7 +193,6 @@ func (g *Generator) lazyComplete(lr *lazyRead) {
 		lr.vword = make([]sat.Lit, mg.m.DW)
 		for bit := range lr.vword {
 			v := u.FreshVar()
-			u.Freeze(v) // future eq. 6 pairs compare against V
 			g.sizes.AuxVars++
 			lr.vword[bit] = v
 			g.addClause(itag, lr.ps.Not(), lr.rd[bit].Not(), v)
@@ -247,8 +238,7 @@ func (g *Generator) lazyPair(mg *memGen, a, b *lazyRead) bool {
 }
 
 // litTrue reads l's value in the solver's current model (Undef counts as
-// false — only unreferenced free variables can be undefined, and every
-// interface literal the oracle decodes is frozen).
+// false — only unreferenced free variables can be undefined).
 func (g *Generator) litTrue(l sat.Lit) bool { return g.u.S.LitValue(l) == sat.True }
 
 // modelVec decodes a literal vector (LSB first) from the current model.

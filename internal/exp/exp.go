@@ -22,7 +22,6 @@ import (
 	"emmver/internal/bmc"
 	"emmver/internal/expmem"
 	"emmver/internal/obs"
-	"emmver/internal/sat"
 )
 
 // Scale selects experiment sizing.
@@ -63,26 +62,19 @@ type Config struct {
 	// registry and per-depth/solve spans flow to its trace sink, letting a
 	// journal reconstruct e.g. Table 2 clause-growth curves. Nil is off.
 	Obs *obs.Observer
-	// Restart selects the solver restart strategy for every verification
-	// run an experiment performs (zero value = solver default, EMA).
-	Restart sat.RestartMode
-	// NoSimplify disables between-depth inprocessing in every run.
-	NoSimplify bool
 	// Passes overrides the static compile-pipeline spec for every run:
 	// "" keeps the default pipeline, "none" disables it. Sub-checks that
 	// pin their own spec to replicate a paper number keep their pin.
 	Passes string
 }
 
-// apply copies the run-wide knobs (timeout, observer, restart strategy,
-// inprocessing, compile-pipeline spec) onto opt. An opt that already pins
+// apply copies the run-wide knobs (timeout, observer, compile-pipeline
+// spec) onto opt. An opt that already pins
 // Passes keeps its pin — Industry II's invariant check relies on that to
 // replicate the unreduced 2-induction depth.
 func (c Config) apply(opt bmc.Options) bmc.Options {
 	opt.Timeout = c.Timeout
 	opt.Obs = c.Obs
-	opt.Restart = c.Restart
-	opt.NoSimplify = c.NoSimplify
 	if opt.Passes == "" {
 		opt.Passes = c.Passes
 	}

@@ -9,23 +9,19 @@ import (
 	"emmver/internal/bmc"
 	"emmver/internal/pass"
 	"emmver/internal/rtl"
-	"emmver/internal/sat"
 )
 
 // GrowthSolveConfig selects the solve-based variant of the growth
 // experiment: the same shared-address memory shape as GrowthConfig, but the
 // formula is actually handed to the solver with a valid property, so the
 // run measures search effort (conflicts, wall-clock) rather than formula
-// size. NoOpt disables strash and comparator memoization — the
-// configuration where depth-local auxiliary gates pile up and between-depth
-// inprocessing has the most to reclaim.
+// size. NoOpt disables strash and comparator memoization, so depth-local
+// auxiliary gates pile up in the formula.
 type GrowthSolveConfig struct {
-	AW, DW     int
-	MaxK       int
-	NoOpt      bool
-	Restart    sat.RestartMode
-	NoSimplify bool
-	Timeout    time.Duration
+	AW, DW  int
+	MaxK    int
+	NoOpt   bool
+	Timeout time.Duration
 	// Decoys salts the design with reduction food for the static compile
 	// pipeline: a Decoys-bit free-running counter outside the property
 	// cone (COI food), an inductively constant flag gating an extra write
@@ -69,8 +65,7 @@ func GrowthSolve(cfg GrowthSolveConfig) GrowthSolveResult {
 	n := GrowthSolveNetlist(cfg)
 
 	opt := bmc.Options{
-		Engine: bmc.EngineBMC2, MaxDepth: cfg.MaxK,
-		Restart: cfg.Restart, NoSimplify: cfg.NoSimplify, Timeout: cfg.Timeout,
+		Engine: bmc.EngineBMC2, MaxDepth: cfg.MaxK, Timeout: cfg.Timeout,
 		DisableStrash: cfg.NoOpt, DisableEMMMemo: cfg.NoOpt, Passes: cfg.Passes,
 	}
 
@@ -185,28 +180,5 @@ func RenderCompileAB(r CompileABResult) string {
 			100*(1-float64(r.On.Stats.Clauses)/float64(r.Off.Stats.Clauses)),
 			r.Off.Kind, r.On.Kind)
 	}
-	return b.String()
-}
-
-// RenderGrowthSolveAB prints the §S2 before/after table: per-depth
-// conflicts and wall-clock with inprocessing off (a) and on (b).
-func RenderGrowthSolveAB(off, on GrowthSolveResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "solve-based growth (shared-address, NoOpt=%v, AW=%d DW=%d): inprocessing off vs on\n",
-		off.Config.NoOpt, off.Config.AW, off.Config.DW)
-	fmt.Fprintf(&b, "| k | conflicts (off) | conflicts (on) | time (off) | time (on) |\n")
-	fmt.Fprintf(&b, "|---|-----------------|----------------|------------|----------|\n")
-	for i := range off.Depths {
-		if i >= len(on.Depths) {
-			break
-		}
-		fmt.Fprintf(&b, "| %d | %d | %d | %s | %s |\n",
-			off.Depths[i].Depth, off.Depths[i].Conflicts, on.Depths[i].Conflicts,
-			off.Depths[i].Elapsed.Round(time.Millisecond),
-			on.Depths[i].Elapsed.Round(time.Millisecond))
-	}
-	fmt.Fprintf(&b, "total: %d vs %d conflicts, %s vs %s\n",
-		off.Conflicts, on.Conflicts,
-		off.Elapsed.Round(time.Millisecond), on.Elapsed.Round(time.Millisecond))
 	return b.String()
 }

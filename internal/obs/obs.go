@@ -34,23 +34,17 @@ const (
 	MBinPropagations = "solver.bin_propagations"
 	MDecisions       = "solver.decisions"
 	MRestarts        = "solver.restarts"
-	MRestartsLuby    = "solver.restarts_luby"
-	MRestartsEMA     = "solver.restarts_ema"
 	MRestartsBlocked = "solver.restarts_blocked"
 	MReduceDBs       = "solver.reducedbs"
 	MLearntsAdded    = "solver.learnts_added"
 	MLearntsDeleted  = "solver.learnts_deleted"
 	MSolverClauses   = "solver.clauses"
 	MSolverVars      = "solver.vars"
-	// Inprocessing (Simplify) and LBD clause management.
-	MLBDSum              = "solver.lbd_sum"
-	MSimplifies          = "solver.simplifies"
-	MSubsumedClauses     = "solver.subsumed_clauses"
-	MStrengthenedClauses = "solver.strengthened_clauses"
-	MEliminatedVars      = "solver.eliminated_vars"
-	MTierCore            = "solver.tier_core"  // gauge: high-water core-tier size
-	MTierMid             = "solver.tier_mid"   // gauge: high-water mid-tier size
-	MTierLocal           = "solver.tier_local" // gauge: high-water local-tier size
+	// LBD clause management.
+	MLBDSum    = "solver.lbd_sum"
+	MTierCore  = "solver.tier_core"  // gauge: high-water core-tier size
+	MTierMid   = "solver.tier_mid"   // gauge: high-water mid-tier size
+	MTierLocal = "solver.tier_local" // gauge: high-water local-tier size
 
 	// Unrollers.
 	MUnrollGates   = "unroll.gates"

@@ -113,25 +113,3 @@ func (o *varOrder) percolateDown(i int) {
 	o.heap[i] = v
 	o.indices[v] = i
 }
-
-// luby computes the i-th element (1-based) of the Luby restart sequence
-// scaled by y: y^luby(i) restart intervals 1,1,2,1,1,2,4,...
-func luby(y float64, i int) float64 {
-	// Find the finite subsequence that contains index i, and the index of
-	// i within that subsequence.
-	size, seq := 1, 0
-	for size < i+1 {
-		seq++
-		size = 2*size + 1
-	}
-	for size-1 != i {
-		size = (size - 1) / 2
-		seq--
-		i = i % size
-	}
-	pow := 1.0
-	for ; seq > 0; seq-- {
-		pow *= y
-	}
-	return pow
-}

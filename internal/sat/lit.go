@@ -1,7 +1,7 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT solver
 // with watched-literal propagation, VSIDS decision heuristics, phase saving,
-// Luby restarts, incremental solving under assumptions, and resolution proof
-// tracing for UNSAT-core extraction.
+// glue-EMA restarts, LBD-tiered learnt clauses, incremental solving under
+// assumptions, and resolution proof tracing for UNSAT-core extraction.
 //
 // The proof-tracing facility is what makes this solver suitable as the back
 // end of proof-based abstraction (PBA): every original clause carries a

@@ -1,42 +1,9 @@
 package sat
 
-import "fmt"
-
-// RestartMode selects the restart strategy used by Solve.
-type RestartMode uint8
-
-// Restart strategies. The zero value is the default.
-const (
-	// RestartEMA is glucose-style adaptive restarting: restart when the
-	// short-horizon average LBD of recent conflicts exceeds the long-run
-	// average by emaMargin, postponing ("blocking") when the trail is much
-	// deeper than usual — a sign the search is closing in on a model.
-	RestartEMA RestartMode = iota
-	// RestartLuby is the classic Luby-sequence schedule (unit 100
-	// conflicts), the solver's pre-inprocessing behavior.
-	RestartLuby
-)
-
-// String names the mode ("ema" or "luby").
-func (m RestartMode) String() string {
-	if m == RestartLuby {
-		return "luby"
-	}
-	return "ema"
-}
-
-// ParseRestartMode parses the CLI spelling of a restart mode.
-func ParseRestartMode(s string) (RestartMode, error) {
-	switch s {
-	case "ema":
-		return RestartEMA, nil
-	case "luby":
-		return RestartLuby, nil
-	}
-	return RestartEMA, fmt.Errorf("sat: unknown restart mode %q (want luby or ema)", s)
-}
-
-// EMA restart tuning.
+// EMA restart tuning. The solver restarts glucose-style: when the
+// short-horizon average LBD of recent conflicts exceeds the long-run average
+// by emaMargin, postponing ("blocking") when the trail is much deeper than
+// usual — a sign the search is closing in on a model.
 const (
 	emaMargin       = 1.25 // restart when recent glue > margin * long-run glue
 	emaBlockFactor  = 1.4  // block when the trail is this much deeper than usual

@@ -57,10 +57,7 @@ type Solver struct {
 	model         []LBool
 	conflictAssum []Lit // failed assumptions from the last Unsat answer
 
-	// Restart selects the restart strategy (default RestartEMA); see
-	// restart.go. May be changed between Solve calls.
-	Restart RestartMode
-	ema     emaState
+	ema emaState // glue-EMA restart state; see restart.go
 
 	// LBD machinery: a per-level stamp array for counting distinct decision
 	// levels in a clause, and live clause counts per learnt tier.
@@ -68,18 +65,6 @@ type Solver struct {
 	lbdGen   uint32
 	nTier    [3]int
 	localMax int // reduceDB fires when the local tier outgrows this
-
-	// Inprocessing state (simplify.go): freeze counts and the eliminated
-	// flag per variable, plus the clauses deleted by variable elimination,
-	// kept for model reconstruction.
-	frozen      []int32
-	elimed      []bool
-	elimClauses [][]Lit // each record: the eliminated variable's literal first
-	simpMark    int     // clauses with cref >= simpMark are new since last Simplify
-	occ         [][]cref
-	abst        []uint64 // per-clause variable signature (subsumption prefilter)
-	litStamp    []uint32
-	litGen      uint32
 
 	// Proof tracing.
 	trace      bool
@@ -109,17 +94,11 @@ type Solver struct {
 	obsBinProps  *obs.Counter
 	obsDecs      *obs.Counter
 	obsRestarts  *obs.Counter
-	obsRestLuby  *obs.Counter
-	obsRestEMA   *obs.Counter
 	obsRestBlock *obs.Counter
 	obsReduces   *obs.Counter
 	obsLAdded    *obs.Counter
 	obsLDeleted  *obs.Counter
 	obsLBDSum    *obs.Counter
-	obsSimp      *obs.Counter
-	obsSubsumed  *obs.Counter
-	obsStrength  *obs.Counter
-	obsElimVars  *obs.Counter
 	obsClauses   *obs.Counter
 	obsVars      *obs.Counter
 	obsTierCore  *obs.Gauge
@@ -142,20 +121,12 @@ type Stats struct {
 	LearntsAdded   int64
 	LearntsDeleted int64
 	MaxVar         int
-	// RestartsLuby and RestartsEMA split Restarts by trigger (Luby budget
-	// vs glue-EMA threshold); RestartsBlocked counts EMA restarts postponed
-	// because the trail was unusually deep.
-	RestartsLuby    int64
-	RestartsEMA     int64
+	// RestartsBlocked counts restarts postponed because the trail was
+	// unusually deep.
 	RestartsBlocked int64
 	// LBDSum is the total glue over all learnt clauses at record time, so
 	// LBDSum/LearntsAdded is the mean learnt LBD.
 	LBDSum int64
-	// Inprocessing tallies (Simplify).
-	Simplifies          int64
-	SubsumedClauses     int64
-	StrengthenedClauses int64
-	EliminatedVars      int64
 }
 
 // New constructs an empty solver.
@@ -222,17 +193,11 @@ func (s *Solver) AttachObs(o *obs.Observer) {
 	s.obsBinProps = reg.Counter(obs.MBinPropagations)
 	s.obsDecs = reg.Counter(obs.MDecisions)
 	s.obsRestarts = reg.Counter(obs.MRestarts)
-	s.obsRestLuby = reg.Counter(obs.MRestartsLuby)
-	s.obsRestEMA = reg.Counter(obs.MRestartsEMA)
 	s.obsRestBlock = reg.Counter(obs.MRestartsBlocked)
 	s.obsReduces = reg.Counter(obs.MReduceDBs)
 	s.obsLAdded = reg.Counter(obs.MLearntsAdded)
 	s.obsLDeleted = reg.Counter(obs.MLearntsDeleted)
 	s.obsLBDSum = reg.Counter(obs.MLBDSum)
-	s.obsSimp = reg.Counter(obs.MSimplifies)
-	s.obsSubsumed = reg.Counter(obs.MSubsumedClauses)
-	s.obsStrength = reg.Counter(obs.MStrengthenedClauses)
-	s.obsElimVars = reg.Counter(obs.MEliminatedVars)
 	s.obsClauses = reg.Counter(obs.MSolverClauses)
 	s.obsVars = reg.Counter(obs.MSolverVars)
 	s.obsTierCore = reg.Gauge(obs.MTierCore)
@@ -253,17 +218,11 @@ func (s *Solver) PublishObs() {
 	s.obsBinProps.Add(cur.BinPropagations - s.obsPub.BinPropagations)
 	s.obsDecs.Add(cur.Decisions - s.obsPub.Decisions)
 	s.obsRestarts.Add(cur.Restarts - s.obsPub.Restarts)
-	s.obsRestLuby.Add(cur.RestartsLuby - s.obsPub.RestartsLuby)
-	s.obsRestEMA.Add(cur.RestartsEMA - s.obsPub.RestartsEMA)
 	s.obsRestBlock.Add(cur.RestartsBlocked - s.obsPub.RestartsBlocked)
 	s.obsReduces.Add(cur.ReduceDBs - s.obsPub.ReduceDBs)
 	s.obsLAdded.Add(cur.LearntsAdded - s.obsPub.LearntsAdded)
 	s.obsLDeleted.Add(cur.LearntsDeleted - s.obsPub.LearntsDeleted)
 	s.obsLBDSum.Add(cur.LBDSum - s.obsPub.LBDSum)
-	s.obsSimp.Add(cur.Simplifies - s.obsPub.Simplifies)
-	s.obsSubsumed.Add(cur.SubsumedClauses - s.obsPub.SubsumedClauses)
-	s.obsStrength.Add(cur.StrengthenedClauses - s.obsPub.StrengthenedClauses)
-	s.obsElimVars.Add(cur.EliminatedVars - s.obsPub.EliminatedVars)
 	// Tier sizes are instantaneous, not cumulative: publish as high-water
 	// gauges so a fleet of solvers reports its largest tiers.
 	s.obsTierCore.Max(int64(s.nTier[tierCore]))
@@ -288,8 +247,6 @@ func (s *Solver) NewVar() Var {
 	s.watches = append(s.watches, nil, nil)
 	s.binWatches = append(s.binWatches, nil, nil)
 	s.seen = append(s.seen, 0)
-	s.frozen = append(s.frozen, 0)
-	s.elimed = append(s.elimed, false)
 	if s.order == nil {
 		s.order = newVarOrder(&s.activity)
 	}
@@ -355,11 +312,6 @@ func (s *Solver) AddClauseTagged(tag int64, lits []Lit) bool {
 	for _, l := range tmp {
 		if int(l.Var()) >= len(s.assigns) {
 			panic("sat: literal references unallocated variable")
-		}
-		if s.elimed[l.Var()] {
-			// The frozen-literal protocol was violated: a variable removed
-			// by Simplify's bounded elimination is being constrained again.
-			panic("sat: clause references eliminated variable (missing Freeze before Simplify)")
 		}
 		if l == prev {
 			continue
@@ -866,7 +818,7 @@ func (s *Solver) reduceDB() {
 func (s *Solver) pickBranchVar() Var {
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assigns[v] == Undef && s.decider[v] && !s.elimed[v] {
+		if s.assigns[v] == Undef && s.decider[v] {
 			return v
 		}
 	}
@@ -882,11 +834,6 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 	s.model = nil
 	s.conflictAssum = nil
 	s.finalChain = nil
-	for _, a := range assumps {
-		if s.elimed[a.Var()] {
-			panic("sat: assumption references eliminated variable (missing Freeze before Simplify)")
-		}
-	}
 	if !s.ok {
 		if s.trace {
 			s.finalChain = s.rootCause
@@ -908,11 +855,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		return Unknown
 	}
 
-	var conflicts int64
-	useLuby := s.Restart == RestartLuby
-	restartN := 0
-	limit := int64(luby(2, restartN) * 100)
-	sinceRestart := int64(0)
+	var conflicts, sinceRestart int64
 
 	for {
 		// Poll the interrupt hook on a bounded stride of search-loop
@@ -948,10 +891,8 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 			// Do not backtrack past the assumptions unless forced to.
 			s.cancelUntil(btLevel)
 			c, lbd := s.recordLearnt(learnt, chain)
-			if !useLuby {
-				if s.ema.update(lbd, trailAtConflict, sinceRestart >= emaMinConflicts) {
-					s.stats.RestartsBlocked++
-				}
+			if s.ema.update(lbd, trailAtConflict, sinceRestart >= emaMinConflicts) {
+				s.stats.RestartsBlocked++
 			}
 			if s.value(learnt[0]) != Undef {
 				panic("sat: asserting literal assigned after backjump")
@@ -966,19 +907,9 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 			continue
 		}
 
-		if useLuby {
-			if sinceRestart >= limit {
-				// Restart, keeping assumptions intact by replaying them below.
-				restartN++
-				s.stats.Restarts++
-				s.stats.RestartsLuby++
-				limit = int64(luby(2, restartN) * 100)
-				sinceRestart = 0
-				s.cancelUntil(0)
-			}
-		} else if sinceRestart >= emaMinConflicts && s.ema.shouldRestart() {
+		if sinceRestart >= emaMinConflicts && s.ema.shouldRestart() {
+			// Restart, keeping assumptions intact by replaying them below.
 			s.stats.Restarts++
-			s.stats.RestartsEMA++
 			s.ema.onRestart()
 			sinceRestart = 0
 			s.cancelUntil(0)
@@ -1013,10 +944,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 
 		v := s.pickBranchVar()
 		if v == VarUndef {
-			// Model found. Extend it over eliminated variables so that
-			// witness decoding can read any CNF variable.
 			s.model = append([]LBool(nil), s.assigns...)
-			s.extendModel()
 			s.cancelUntil(0)
 			return Sat
 		}

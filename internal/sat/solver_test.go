@@ -562,12 +562,21 @@ func TestInterruptPrompt(t *testing.T) {
 	}
 }
 
-func TestLuby(t *testing.T) {
-	want := []float64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(2, i); got != w {
-			t.Fatalf("luby(2,%d)=%v want %v", i, got, w)
-		}
+// TestEMARestarts pins the one restart schedule: glue-EMA restarts fire on
+// a hard UNSAT instance, and the restarts never cost an answer.
+func TestEMARestarts(t *testing.T) {
+	s := New()
+	pigeonhole(s, 8, 7)
+	if got := s.Solve(); got != Unsat {
+		t.Fatalf("PHP(8,7) expected UNSAT, got %v", got)
+	}
+	if st := s.Stats(); st.Restarts == 0 {
+		t.Fatalf("no restarts on PHP(8,7): %+v", st)
+	}
+	s2 := New()
+	pigeonhole(s2, 7, 7)
+	if got := s2.Solve(); got != Sat {
+		t.Fatalf("PHP(7,7) expected SAT, got %v", got)
 	}
 }
 

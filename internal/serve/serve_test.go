@@ -425,6 +425,8 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 	for _, c := range []struct{ body, field string }{
 		{`{"format":"verilog","source":"module m; endmodule","spec":{"share":true}}`, `"share"`},
 		{`{"format":"verilog","source":"module m; endmodule","spec":{"lazy":true}}`, `"lazy"`},
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"restart":"luby"}}`, `"restart"`},
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"no_simplify":true}}`, `"no_simplify"`},
 		{`{"formatt":"verilog","source":"module m; endmodule"}`, `"formatt"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))

@@ -7,17 +7,13 @@ import (
 
 // Capability is one orthogonal engine feature the serving layer relies
 // on. Every engine declares the set it supports in the registry below;
-// warm-start eligibility and the verdict cache's proof index read it.
+// warm-start eligibility reads it.
 type Capability uint32
 
 const (
 	// CapWarm: the engine honors warm-started deepening
 	// (bmc.Options.StartDepth), so a cached NO_CE frontier can resume it.
 	CapWarm Capability = 1 << iota
-	// CapProof: the engine can return PROOF verdicts (termination checks),
-	// so its results feed the engine-independent proof index of the
-	// verdict cache.
-	CapProof
 )
 
 // Has reports whether c includes want.
@@ -36,20 +32,15 @@ func (e EngineInfo) Has(c Capability) bool { return e.Caps.Has(c) }
 
 // engineRegistry is the single source of truth for which engines exist,
 // what each one is, and which capabilities it has. Validate, the
-// -engine usage string, WarmEligible, and the serve-layer proof index all
-// derive from it; adding an engine means adding exactly one row here plus
-// the engine itself in package bmc, under the same name.
+// -engine usage string and WarmEligible derive from it; adding an engine
+// means adding exactly one row here plus the engine itself in package bmc,
+// under the same name.
 var engineRegistry = []EngineInfo{
-	{EngineBMC1, "plain BMC + induction proofs (Fig. 1)",
-		CapWarm | CapProof},
-	{EngineBMC2, "EMM falsification (Fig. 2)",
-		CapWarm},
-	{EngineBMC3, "EMM + induction proofs (Fig. 3)",
-		CapWarm | CapProof},
-	{EnginePBA, "two-phase prove-with-abstraction",
-		CapProof},
-	{EngineKInd, "EMM k-induction: unbounded proofs via strengthened simple-path induction",
-		CapWarm | CapProof},
+	{EngineBMC1, "plain BMC + induction proofs (Fig. 1)", CapWarm},
+	{EngineBMC2, "EMM falsification (Fig. 2)", CapWarm},
+	{EngineBMC3, "EMM + induction proofs (Fig. 3)", CapWarm},
+	{EnginePBA, "two-phase prove-with-abstraction", 0},
+	{EngineKInd, "EMM k-induction: unbounded proofs via strengthened simple-path induction", CapWarm},
 }
 
 // Engines returns the registry rows in canonical order.

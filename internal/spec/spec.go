@@ -4,7 +4,7 @@
 // RegisterFlags), the emmserved job server (requests carry a Spec as plain
 // JSON), and the content-addressed verdict cache (CanonicalKey /
 // FamilyKey). A Spec captures exactly the knobs a remote caller may turn —
-// engine choice, depth, compile passes, restart mode and inprocessing —
+// engine choice, depth, compile passes, timeout and worker count —
 // and converts to bmc.Options with Spec.Options, so there is one schema
 // instead of three ad-hoc configuration surfaces.
 //
@@ -27,7 +27,6 @@ import (
 	"emmver/internal/aig"
 	"emmver/internal/bmc"
 	"emmver/internal/pass"
-	"emmver/internal/sat"
 )
 
 // Version is the current schema version. A Spec with Version 0 (unset) is
@@ -111,9 +110,9 @@ func (d *Duration) Set(s string) error {
 // Fields are split into two groups. The semantic fields (Engine, Depth,
 // Passes) select *what* is verified and participate in CanonicalKey /
 // FamilyKey, the verdict-cache keys. The performance fields (Timeout,
-// Jobs, Restart, NoSimplify) only change how fast the same verdict
-// arrives — the repo's equivalence suites pin verdict parity
-// across all of them — so two requests differing only there are cache-equal.
+// Jobs) only change how fast the same verdict arrives — the repo's
+// equivalence suites pin verdict parity across both — so two requests
+// differing only there are cache-equal.
 type Spec struct {
 	// V is the schema version (0 reads as the current Version).
 	V int `json:"v,omitempty"`
@@ -131,30 +130,25 @@ type Spec struct {
 	// Passes is the static compile pipeline spec ("" = default pipeline,
 	// "none" = off, or an explicit comma-separated pass list).
 	Passes string `json:"passes,omitempty" flag:"passes" usage:"static compile pipeline: comma-separated passes (default pipeline when empty), or none"`
-	// Restart selects the solver restart strategy: "ema" or "luby".
-	Restart string `json:"restart,omitempty" flag:"restart" usage:"solver restart strategy: luby or ema (adaptive)"`
-	// NoSimplify disables between-depth inprocessing.
-	NoSimplify bool `json:"no_simplify,omitempty" flag:"no-simplify" usage:"disable between-depth inprocessing (subsumption + variable elimination)"`
 }
 
 // Default returns the canonical default request: BMC-3 to depth 100 under
-// a five-minute budget, default pipeline, adaptive restarts, all CPUs.
+// a five-minute budget, default pipeline, all CPUs.
 func Default() Spec {
 	return Spec{
 		V:       Version,
 		Engine:  EngineBMC3,
 		Depth:   100,
 		Timeout: Duration(5 * time.Minute),
-		Restart: "ema",
 	}
 }
 
 // Canonical returns s with every defaulted field made explicit and every
 // alias collapsed: the version stamped, the engine lowercased (empty →
 // bmc3), the pass spec resolved ("" → the default pipeline, "off" →
-// "none", whitespace trimmed), the restart mode defaulted, and negative
-// counts clamped to 0. Two specs that mean the same request canonicalize
-// to the same value; CanonicalKey and FamilyKey hash this form.
+// "none", whitespace trimmed), and negative counts clamped to 0. Two
+// specs that mean the same request canonicalize to the same value;
+// CanonicalKey and FamilyKey hash this form.
 func (s Spec) Canonical() Spec {
 	c := s
 	c.V = Version
@@ -163,10 +157,6 @@ func (s Spec) Canonical() Spec {
 		c.Engine = EngineBMC3
 	}
 	c.Passes = canonicalPasses(c.Passes)
-	c.Restart = strings.ToLower(strings.TrimSpace(c.Restart))
-	if c.Restart == "" {
-		c.Restart = "ema"
-	}
 	if c.Depth < 0 {
 		c.Depth = 0
 	}
@@ -205,9 +195,8 @@ func canonicalPasses(spec string) string {
 }
 
 // Validate reports the first problem with s, or nil: a schema version
-// this build does not speak, an unknown engine or restart mode, or an
-// invalid pass spec. Options calls it; the server calls it before
-// accepting a job.
+// this build does not speak, an unknown engine, or an invalid pass spec.
+// Options calls it; the server calls it before accepting a job.
 func (s Spec) Validate() error {
 	if s.V < 0 || s.V > Version {
 		return fmt.Errorf("spec: unsupported schema version %d (this build speaks <= %d)", s.V, Version)
@@ -215,9 +204,6 @@ func (s Spec) Validate() error {
 	c := s.Canonical()
 	if _, ok := LookupEngine(c.Engine); !ok {
 		return fmt.Errorf("spec: unknown engine %q (want %s)", c.Engine, strings.Join(EngineNames(), ", "))
-	}
-	if _, err := sat.ParseRestartMode(c.Restart); err != nil {
-		return err
 	}
 	return pass.ValidSpec(c.Passes)
 }
@@ -234,18 +220,12 @@ func (s Spec) Options() (bmc.Options, error) {
 		return bmc.Options{}, err
 	}
 	c := s.Canonical()
-	restart, err := sat.ParseRestartMode(c.Restart)
-	if err != nil {
-		return bmc.Options{}, err
-	}
 	opt := bmc.Options{
-		Engine:     c.Engine,
-		MaxDepth:   c.Depth,
-		Timeout:    time.Duration(c.Timeout),
-		Jobs:       c.Jobs,
-		Passes:     c.Passes,
-		Restart:    restart,
-		NoSimplify: c.NoSimplify,
+		Engine:   c.Engine,
+		MaxDepth: c.Depth,
+		Timeout:  time.Duration(c.Timeout),
+		Jobs:     c.Jobs,
+		Passes:   c.Passes,
 	}
 	if c.Engine == EnginePBA {
 		opt.Engine, opt.StabilityDepth = EngineBMC3, 10
@@ -258,9 +238,9 @@ func (s Spec) Options() (bmc.Options, error) {
 // FamilyKey over the same compiled netlist are the *same verification
 // problem at different depths*: a cached NO_CE at depth k answers any
 // request up to k outright and warm-starts deeper ones from k+1. The
-// performance fields (Timeout, Jobs, Restart, NoSimplify) are
-// deliberately excluded: the engine equivalence suites pin that they never
-// change verdicts, only wall-clock.
+// performance fields (Timeout, Jobs) are deliberately excluded: the
+// engine equivalence suites pin that they never change verdicts, only
+// wall-clock.
 func (s Spec) FamilyKey() string {
 	return hashKey(s.familyContent())
 }

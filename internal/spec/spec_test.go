@@ -14,7 +14,6 @@ import (
 	"emmver/internal/expmem"
 	"emmver/internal/pass"
 	"emmver/internal/rtl"
-	"emmver/internal/sat"
 )
 
 // Every engine's Spec carries each performance knob straight into the
@@ -27,15 +26,13 @@ func TestOptionsCarriesEveryKnob(t *testing.T) {
 		s.Depth = 42
 		s.Timeout = Duration(90 * time.Second)
 		s.Jobs = 3
-		s.Restart = "luby"
-		s.NoSimplify = true
 		s.Passes = "coi,sweep"
 		opt, err := s.Options()
 		if err != nil {
 			t.Fatalf("%s: Options: %v", info.Name, err)
 		}
 		if opt.MaxDepth != 42 || opt.Timeout != 90*time.Second || opt.Jobs != 3 ||
-			opt.Restart != sat.RestartLuby || !opt.NoSimplify || opt.Passes != "coi,sweep" {
+			opt.Passes != "coi,sweep" {
 			t.Errorf("%s: knobs lost: %+v", info.Name, opt)
 		}
 	}
@@ -108,7 +105,6 @@ func TestRunCtxRefusesBMC1OnMemories(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	for _, s := range []Spec{
 		{Engine: "bdd"},
-		{Restart: "geometric"},
 		{Passes: "coi,nosuchpass"},
 		{V: Version + 1},
 	} {
@@ -126,12 +122,12 @@ func TestValidateRejects(t *testing.T) {
 // same keys.
 func TestCanonicalKeyPermutationInvariant(t *testing.T) {
 	docs := []string{
-		`{"engine":"bmc3","depth":24,"timeout":"5m","restart":"ema","passes":"coi,sweep,ports,dedup"}`,
+		`{"engine":"bmc3","depth":24,"timeout":"5m","passes":"coi,sweep,ports,dedup"}`,
 		`{"passes":" coi , sweep , ports , dedup ","depth":24,"engine":"BMC3"}`,
 		`{"depth":24}`,                          // engine and passes defaulted
 		`{"v":1,"engine":"bmc3","depth":24}`,    // version explicit
 		`{"depth":24,"timeout":"30s","jobs":8}`, // performance knobs differ
-		`{"depth":24,"restart":"luby","no_simplify":true,"jobs":2}`,
+		`{"depth":24,"jobs":2}`,
 	}
 	var want string
 	for i, doc := range docs {
@@ -188,8 +184,6 @@ func TestPerformanceFieldsAreCacheTransparent(t *testing.T) {
 		name string
 		set  func(*Spec)
 	}{
-		{"restart", func(s *Spec) { s.Restart = "luby" }},
-		{"no-simplify", func(s *Spec) { s.NoSimplify = true }},
 		{"jobs", func(s *Spec) { s.Jobs = 2 }},
 		{"timeout", func(s *Spec) { s.Timeout = Duration(90 * time.Second) }},
 	} {
@@ -238,7 +232,6 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	}
 	err := fs.Parse([]string{
 		"-engine", "bmc2", "-depth", "17", "-timeout", "90s",
-		"-restart", "luby", "-no-simplify",
 		"-jobs", "2", "-passes", "coi,dedup",
 	})
 	if err != nil {
@@ -246,7 +239,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	}
 	want := Spec{
 		V: Version, Engine: "bmc2", Depth: 17, Timeout: Duration(90 * time.Second),
-		Jobs: 2, Passes: "coi,dedup", Restart: "luby", NoSimplify: true,
+		Jobs: 2, Passes: "coi,dedup",
 	}
 	if s != want {
 		t.Errorf("parsed spec %+v, want %+v", s, want)
@@ -255,7 +248,7 @@ func TestRegisterFlagsDerivesFromSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.MaxDepth != 17 || opt.Restart != sat.RestartLuby || opt.Engine != bmc.EngineBMC2 {
+	if opt.MaxDepth != 17 || opt.Jobs != 2 || opt.Engine != bmc.EngineBMC2 {
 		t.Errorf("flags did not flow into Options: %+v", opt)
 	}
 }

@@ -40,7 +40,6 @@ func (r *eagerLFP) LoopFreeLit(depth int) sat.Lit {
 			// A single state is trivially loop-free.
 			u.addClause(tag, v)
 			r.lfp = append(r.lfp, v)
-			u.Freeze(v)
 			continue
 		}
 		// v -> lfp[i-1]
@@ -59,7 +58,6 @@ func (r *eagerLFP) LoopFreeLit(depth int) sat.Lit {
 			u.addClause(tag, cl...)
 		}
 		r.lfp = append(r.lfp, v)
-		u.Freeze(v) // assumed (and extended) at every later depth
 	}
 	return r.lfp[depth]
 }

@@ -199,15 +199,6 @@ func (u *Unroller) FreshVar() sat.Lit {
 	return sat.PosLit(u.S.NewVar())
 }
 
-// Freeze marks l's variable as part of the cross-depth interface, exempting
-// it from the solver's inprocessing elimination (sat.Solver.Freeze). The
-// unroller freezes everything it caches for reuse across depths — frame
-// values, structural-hash outputs, loop-free-path and write-activity
-// literals — while purely depth-local auxiliaries (difference-vector and
-// chain gates) stay eliminable. Clients building their own cross-depth
-// signals (the EMM generator) use this same hook.
-func (u *Unroller) Freeze(l sat.Lit) { u.S.Freeze(l.Var()) }
-
 // Lit returns the CNF literal of design literal l at time frame t, building
 // the needed logic on demand.
 func (u *Unroller) Lit(l aig.Lit, t int) sat.Lit {
@@ -239,11 +230,8 @@ func (u *Unroller) nodeLit(id aig.NodeID, t int) sat.Lit {
 	default:
 		panic(fmt.Sprintf("unroll: unknown node kind %v", node.Kind))
 	}
-	// Re-fetch the frame: building fanins may have grown u.frames. The
-	// cached literal may be consulted at any later depth, so it is frozen
-	// against elimination.
+	// Re-fetch the frame: building fanins may have grown u.frames.
 	u.frames[t].vals[id] = v
-	u.Freeze(v)
 	return v
 }
 
@@ -325,7 +313,6 @@ func (u *Unroller) mkAnd(a, b sat.Lit, tag Tag) sat.Lit {
 			u.strash = make(map[[2]sat.Lit]sat.Lit)
 		}
 		u.strash[key] = v
-		u.Freeze(v) // cache entries are served at later depths
 		return v
 	}
 	v := u.FreshVar()
@@ -417,7 +404,6 @@ func (u *Unroller) LoopFreeLit(depth int) sat.Lit {
 		}
 		u.lfp = append(u.lfp, v)
 		u.lfpPaired = append(u.lfpPaired, make([]bool, i))
-		u.Freeze(v) // assumed (and extended) at every later depth
 	}
 	return u.lfp[depth]
 }
@@ -499,7 +485,6 @@ func (u *Unroller) writeAnyLit(t int) sat.Lit {
 			}
 		}
 		u.writeAny = append(u.writeAny, out)
-		u.Freeze(out) // referenced by every later LFP window
 	}
 	return u.writeAny[t]
 }
