@@ -159,8 +159,8 @@ func TestLazyEquivalenceGrowthShape(t *testing.T) {
 
 func TestLazyWitnessMemInit(t *testing.T) {
 	// The lazily-found CE must still pin the arbitrary-init word it read:
-	// MemInit comes from the validated model via the semantic oracle, not
-	// from eager ReadEvents.
+	// the decoder re-derives which reads hit no write from the validated
+	// model's interface trace, as the semantic oracle does.
 	m := rtl.NewModule("winit")
 	mem := m.Memory("mem", 2, 3, aig.MemArbitrary)
 	rd := mem.Read(m.Const(2, 2), aig.True)
@@ -297,9 +297,10 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 	// must agree on the verdict at EVERY depth, not just the final one.
 	// bmc2 runs lazy and, through the eager override, eager; the proof
 	// engines — BMC-3 without PBA, and kind — always run eager, and their
-	// variants must also agree on the proof side. Plain BMC on the
-	// explicit expansion pins bmc2's verdict and depth exactly; see
-	// agreesWithExplicit for the proof engines.
+	// variants must also agree on the proof side. The direct eq. 1
+	// encoding (DisableExclusivity, always eager) joins bmc2 and bmc3.
+	// Plain BMC on the explicit expansion pins bmc2's verdict and depth
+	// exactly; see agreesWithExplicit for the proof engines.
 	const trials, maxDepth = 60, 5
 	type variant struct {
 		name string
@@ -309,17 +310,19 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 		{"shared", func(*Options) {}},
 		{"unshared", func(o *Options) { o.DisableEMMMemo = true }},
 	}
+	direct := variant{"direct", func(o *Options) { o.DisableExclusivity = true }}
 	withEager := []variant{
 		unshared[0], unshared[1],
 		{"eager", func(o *Options) { o.eagerEMM = true }},
 		{"eager-unshared", func(o *Options) { o.eagerEMM, o.DisableEMMMemo = true, true }},
+		direct,
 	}
 	engines := []struct {
 		name     string
 		variants []variant
 	}{
 		{EngineBMC2, withEager},
-		{EngineBMC3, unshared},
+		{EngineBMC3, append(unshared, direct)},
 		{EngineKInd, unshared},
 	}
 	shared := 0

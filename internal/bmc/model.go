@@ -50,8 +50,8 @@ import (
 // are being tracked (phase 2 of the PBA flow runs without opt.pba and
 // keeps full sharing), and so is lazy instantiation: the cores must see
 // the full set of eagerly tagged EMM clauses (§4.3). The eq. 1 ablation
-// (DisableExclusivity) is eager too: the refinement machinery suspends
-// the eq. 4 chains it replaces.
+// (DisableExclusivity) is eager too: it measures the paper's eager
+// encoding without the eq. 4 chains (EXPERIMENTS A2).
 func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *core.Generator) {
 	opt, n := e.opt, e.n
 	s := e.newSolver()
@@ -178,47 +178,17 @@ func (e *engine) extractWitness(depth int) *Witness {
 		}
 	}
 	// Arbitrary-init memory contents: every enabled read that hit no
-	// in-window write pins the initial word at its address.
-	if e.fg.Lazy() {
-		// The lazy generator has no per-frame N literals for pending
-		// reads; the oracle re-derives "hit no in-window write" from the
-		// just-validated model's interface trace instead.
-		w.MemInit = e.fg.LazyMemInit(depth)
-	} else if e.fg != nil {
-		for mi, m := range e.n.Memories {
-			words := make(map[int]uint64)
-			for r := range m.Reads {
-				for _, ev := range e.fg.ReadEvents(mi, r) {
-					// A reused engine may have frames beyond this CE's depth
-					// built; their read events are unconstrained here.
-					if ev.Frame > depth {
-						continue
-					}
-					if e.fs.LitValue(ev.Re) != sat.True || e.fs.LitValue(ev.N) != sat.True {
-						continue
-					}
-					addr := decodeVec(e.fs, ev.Addr)
-					words[int(addr)] = decodeVec(e.fs, ev.RD)
-				}
-			}
-			w.MemInit = append(w.MemInit, words)
-		}
+	// in-window write pins the initial word at its address. Frames beyond
+	// depth (a reused engine may have built them) are unconstrained here
+	// and are skipped.
+	if e.fg != nil {
+		w.MemInit = e.fg.MemInit(depth)
 	} else {
 		for range e.n.Memories {
 			w.MemInit = append(w.MemInit, map[int]uint64{})
 		}
 	}
 	return w
-}
-
-func decodeVec(s *sat.Solver, lits []sat.Lit) uint64 {
-	var out uint64
-	for i, l := range lits {
-		if s.LitValue(l) == sat.True {
-			out |= 1 << uint(i)
-		}
-	}
-	return out
 }
 
 // Witness is a counter-example trace: per-frame input values plus the

@@ -15,6 +15,13 @@
 // modeled precisely with fresh symbolic words plus the consistency
 // constraints of eq. 6 (§4.2), which is what makes the model exact and
 // therefore usable for the UNSAT (proof) side of SAT-based induction.
+//
+// One builder serves two policies. The frame builder registers each
+// frame's read events; extend instantiates a read's forwarding levels,
+// most recent write first, and complete adds its initial-state tail. The
+// default eager policy completes every read at its frame (the
+// EMM_Constraints procedure of Fig. 2); the lazy policy of lazy.go leaves
+// reads pending and extends them on demand.
 package core
 
 import (
@@ -34,7 +41,7 @@ import (
 type Sizes struct {
 	AddrClauses     int // (4m+1)·kW·R per memory at depth k
 	ReadDataClauses int // (2n·kW + 2n + 1)·R per memory at depth k
-	Gates           int // 3·kW·R per memory at depth k
+	Gates           int // 3·kW·R per memory at depth k; 2·kW·R under the direct eq. 1 encoding
 	InitPairs       int // eq. 6 pair constraints
 	InitClauses     int // clauses emitted for eq. 6 pairs
 	AuxVars         int
@@ -49,10 +56,10 @@ type Sizes struct {
 	// word, no eq. 6 pairs. Their 2·DW forwarding clauses are counted in
 	// ReadDataClauses.
 	SharedReads int
-	// Lazy-EMM refinement accounting (EnableLazy runs only; zero in eager
-	// mode). The clause/gate counters above keep tallying what is actually
+	// Lazy-EMM refinement accounting (the lazy policy only; zero for eager
+	// runs). The clause/gate counters above keep tallying what is actually
 	// emitted, so Clauses() reports the reduced on-demand constraint set.
-	LazyReads     int // interface read events tracked by the lazy skeleton
+	LazyReads     int // read events the lazy policy left pending for the oracle
 	LazyAxioms    int // forwarding levels (read × write pairs) instantiated on demand
 	LazyCompleted int // reads driven to their full chain + initial-state tail
 }
@@ -95,13 +102,14 @@ type Generator struct {
 	// can break proofs.
 	eq6Disabled bool
 
-	// noExclusivity replaces the S/PS exclusive valid-read chains of
-	// eq. 4 with a direct clause translation of the forwarding semantics
+	// noExclusivity replaces the S exclusive valid-read signals of eq. 4
+	// with a direct clause translation of the forwarding semantics
 	// (eq. 1/eq. 3): each read-data clause then carries the whole
 	// "no intervening write" disjunction instead of a single chain
-	// literal. Semantically equivalent, but the SAT solver loses the
-	// immediate exclusivity propagation the paper highlights — the
-	// ablation BenchmarkAblationExclusivity measures the difference.
+	// literal (only the PS chain, which yields N, is still built).
+	// Semantically equivalent, but the SAT solver loses the immediate
+	// exclusivity propagation the paper highlights — the ablation
+	// BenchmarkAblationExclusivity measures the difference.
 	noExclusivity bool
 
 	// noCompMemo disables comparator memoization (A/B measurement and
@@ -109,9 +117,9 @@ type Generator struct {
 	// shareReads).
 	noCompMemo bool
 
-	// lazy switches AddUpTo to interface-only skeleton emission; the
-	// forwarding constraints are then instantiated on demand by the
-	// RefineLazy oracle (see lazy.go).
+	// lazy selects the lazy policy: AddUpTo leaves each read event pending
+	// instead of completing it, and the RefineLazy oracle extends it on
+	// demand (see lazy.go).
 	lazy bool
 
 	// compMemo maps a normalized pair of address literal vectors to the E
@@ -142,50 +150,41 @@ type Generator struct {
 }
 
 type memGen struct {
-	m     *aig.Memory
-	reads []*readGen
+	m *aig.Memory
 
-	// Lazy-mode state (EnableLazy): per-frame enabled write interface
-	// literals, the tracked read events, and the eq. 6 pairs already
-	// instantiated (keyed by read id). wpc is the (static) enabled
-	// write-port count, the stride of the level ↔ (frame, port) mapping.
-	lwrites   [][]lazyWrite
-	lazyReads []*lazyRead
-	pairSeen  map[[2]int]bool
-	wpc       int
+	// wports lists the enabled write ports, fixed at frame 0. Their count
+	// is the stride of the level ↔ (frame, port) mapping of writeAt.
+	wports []*aig.WritePort
+
+	// reads lists the memory's read events in creation order (frames
+	// ascending, ports ascending within a frame). A shared read event (see
+	// shareReads) is not listed: its twin stands for it.
+	reads []*readEvent
+
+	// pairSeen marks the eq. 6 pairs the lazy oracle has instantiated,
+	// keyed by read ids.
+	pairSeen map[[2]int]bool
 }
 
-// readGen caches, per processed depth k, the signals needed by later depths
-// for the eq. 6 cross-read consistency constraints.
-type readGen struct {
-	re   []sat.Lit   // RE_{k,r}
-	addr [][]sat.Lit // RA_{k,r}
-	n    []sat.Lit   // N_{k,r} = PS_{0,k,0,r}: read hit no in-window write
-	v    [][]sat.Lit // V_{k,r}: symbolic initial word (arbitrary init only)
-	rd   [][]sat.Lit // RD_{k,r}
-}
-
-// ReadEvent describes one read port at one processed depth, exposing the
-// CNF literals a witness decoder needs: whether the read was enabled and
-// hit no in-window write (N), its address, and its data. A shared event
-// (see shareReads) carries its twin's N literal.
-type ReadEvent struct {
-	Frame int
-	Re    sat.Lit
-	Addr  []sat.Lit
-	N     sat.Lit
-	RD    []sat.Lit
-}
-
-// ReadEvents lists the processed read events of read port r of memory mi.
-// Ports excluded from modeling have no events.
-func (g *Generator) ReadEvents(mi, r int) []ReadEvent {
-	rg := g.mems[mi].reads[r]
-	out := make([]ReadEvent, len(rg.n))
-	for k := range rg.n {
-		out[k] = ReadEvent{Frame: k, Re: rg.re[k], Addr: rg.addr[k], N: rg.n[k], RD: rg.rd[k]}
-	}
-	return out
+// readEvent is one enabled read port at one frame. Levels count its
+// candidate forwarding sources most-recent-first (frames descending, write
+// ports descending within a frame: the priority order of eq. 4's chain);
+// level is the instantiation frontier: levels below it carry their exact
+// constraints, levels at or beyond it none yet.
+type readEvent struct {
+	readLits
+	id, mi, k int
+	// ps is the suspended chain literal: after `level` instantiated levels
+	// it equals RE ∧ ¬s_0 ∧ … ∧ ¬s_{level-1}, and once the read is complete
+	// it is N_{k,r}: the read is enabled and hit no in-window write.
+	ps      sat.Lit
+	level   int
+	matches []sat.Lit // per instantiated level: S (eq. 4 chain) or s (direct eq. 1)
+	// complete marks a read driven to its full chain, initial-state tail
+	// and validity clause; vword is then its symbolic initial word
+	// (arbitrary init only).
+	complete bool
+	vword    []sat.Lit
 }
 
 // NewGenerator builds an EMM generator over u. When forceArbitraryInit is
@@ -196,20 +195,12 @@ func NewGenerator(u *unroll.Unroller, forceArbitraryInit bool) *Generator {
 		if m.Init == aig.MemImage {
 			panic("core: EMM does not support image-initialized memories; use the explicit model")
 		}
-		g.mems = append(g.mems, &memGen{m: m, reads: makeReadGens(len(m.Reads))})
+		g.mems = append(g.mems, &memGen{m: m})
 		g.memEnabled = append(g.memEnabled, true)
 		g.readEnabled = append(g.readEnabled, trueSlice(len(m.Reads)))
 		g.writeEnabled = append(g.writeEnabled, trueSlice(len(m.Writes)))
 	}
 	return g
-}
-
-func makeReadGens(n int) []*readGen {
-	out := make([]*readGen, n)
-	for i := range out {
-		out[i] = &readGen{}
-	}
-	return out
 }
 
 func trueSlice(n int) []bool {
@@ -254,9 +245,6 @@ func (g *Generator) DisableInitConsistency() {
 // without the exclusive valid-read chains (see noExclusivity).
 func (g *Generator) DisableExclusivity() {
 	g.mustBeFresh()
-	if g.lazy {
-		panic("core: lazy EMM requires the exclusivity-chain encoding")
-	}
 	g.noExclusivity = true
 }
 
@@ -353,11 +341,7 @@ func (g *Generator) AddUpTo(k int) {
 			obs.F("depth", g.frames), obs.F("arb_init", g.forceArb),
 			obs.F("lazy", g.lazy))
 		before := g.sizes
-		if g.lazy {
-			g.lazyAddFrame(g.frames)
-		} else {
-			g.addFrame(g.frames)
-		}
+		g.addFrame(g.frames)
 		g.publishObs()
 		sp.End(
 			obs.F("clauses", g.sizes.Clauses()-before.Clauses()),
@@ -369,10 +353,32 @@ func (g *Generator) AddUpTo(k int) {
 	}
 }
 
+// addFrame is the one frame builder. It registers the frame-k read events
+// of every enabled memory, sharing duplicates (see shareReads), and leaves
+// the rest to the policy. The eager policy completes each read at once and
+// emits its eq. 6 pairs against every earlier read event, so the frame's
+// constraints are exactly EMM_Constraints(k) of Fig. 2. The lazy policy
+// leaves the reads pending for RefineLazy, and builds the frame's write
+// interface literals now, because the oracle decodes them from every model.
 func (g *Generator) addFrame(k int) {
+	u := g.u
 	for mi, mg := range g.mems {
 		if !g.memEnabled[mi] {
 			continue
+		}
+		if k == 0 {
+			for w, wp := range mg.m.Writes {
+				if g.writeEnabled[mi][w] {
+					mg.wports = append(mg.wports, wp)
+				}
+			}
+		}
+		if g.lazy {
+			for _, wp := range mg.wports {
+				u.Lit(wp.En, k)
+				u.VecLits(wp.Addr, k)
+				u.VecLits(wp.Data, k)
+			}
 		}
 		share := g.shareReads(mg.m)
 		var frame []readLits
@@ -381,19 +387,17 @@ func (g *Generator) addFrame(k int) {
 				continue
 			}
 			ev := g.readLitsAt(r, rp, k)
-			if q := g.shareRead(&frame, share, mi, k, ev); q != nil {
-				// Record the event with the twin's N literal and no
-				// initial word, so the witness decoder sees one consistent
-				// word and no eq. 6 pair is ever built against it.
-				rg := mg.reads[r]
-				rg.re = append(rg.re, ev.re)
-				rg.addr = append(rg.addr, ev.addr)
-				rg.n = append(rg.n, mg.reads[q.r].n[k])
-				rg.rd = append(rg.rd, ev.rd)
-				rg.v = append(rg.v, nil)
+			if g.shareRead(&frame, share, mi, k, ev) {
 				continue
 			}
-			g.addReadConstraints(mi, mg, ev, k)
+			lr := &readEvent{readLits: ev, id: len(mg.reads), mi: mi, k: k, ps: ev.re}
+			if g.lazy {
+				g.sizes.LazyReads++
+			} else {
+				g.complete(lr)
+				g.addInitPairs(mg, lr)
+			}
+			mg.reads = append(mg.reads, lr)
 		}
 	}
 }
@@ -434,24 +438,23 @@ func (g *Generator) readLitsAt(r int, rp *aig.ReadPort, k int) readLits {
 	return ev
 }
 
-// shareRead is the one twin lookup of the eager and lazy frame builders.
-// With sharing on, it matches ev against the earlier unshared reads of its
-// memory at frame k (*frame). On a match with the same enable and address
-// literals it emits RE → RD = RD_twin and returns the twin; otherwise it
-// adds ev to *frame and returns nil, and the caller encodes ev in full.
-func (g *Generator) shareRead(frame *[]readLits, share bool, mi, k int, ev readLits) *readLits {
+// shareRead is the frame builder's twin lookup. With sharing on, it
+// matches ev against the earlier unshared reads of its memory at frame k
+// (*frame). On a match with the same enable and address literals it emits
+// RE → RD = RD_twin and reports true; otherwise it adds ev to *frame and
+// reports false, and the caller registers ev as a read event.
+func (g *Generator) shareRead(frame *[]readLits, share bool, mi, k int, ev readLits) bool {
 	if !share {
-		return nil
+		return false
 	}
-	for i := range *frame {
-		q := &(*frame)[i]
+	for _, q := range *frame {
 		if q.re == ev.re && slices.Equal(q.addr, ev.addr) {
 			g.emitShared(g.tagEMM(k, mi, ev.r), ev.re, ev.rd, q.rd)
-			return q
+			return true
 		}
 	}
 	*frame = append(*frame, ev)
-	return nil
+	return false
 }
 
 // emitShared emits RE → RD = RD_twin, 2·DW clauses: binary when RE is the
@@ -481,157 +484,125 @@ func (g *Generator) tagInit(k, mi, r int) unroll.Tag {
 	return unroll.MkTag(unroll.TagEMMInit, k, mi<<8|r)
 }
 
-// addReadConstraints emits the forwarding constraints for read port r of
-// memory mi at depth k: address comparisons against every enabled write
-// port at every earlier depth, the exclusivity chain of eq. 4, the read
-// data constraints of eq. 5, and the initial-state handling. ev carries
-// the port's frame-k enable, address and data literals.
-func (g *Generator) addReadConstraints(mi int, mg *memGen, ev readLits, k int) {
+// writeAt maps level t (0 = most recent) of a read at frame k to its write
+// event: frames descending, write ports descending within a frame.
+func (mg *memGen) writeAt(k, t int) (frame int, wp *aig.WritePort) {
+	n := len(mg.wports)
+	return k - 1 - t/n, mg.wports[n-1-t%n]
+}
+
+// levels is the number of forwarding levels read lr can see: one per
+// enabled write port per earlier frame.
+func (mg *memGen) levels(lr *readEvent) int { return lr.k * len(mg.wports) }
+
+// extend instantiates forwarding levels lr.level..level of read lr. Per
+// level it emits the address comparator E, the match gate s = E ∧ WE, the
+// chain step PS' = ¬s ∧ PS, and the read-data clauses against the written
+// word: S → RD = WD with S = s ∧ PS under eq. 4/eq. 5 (the 3kW gates of
+// §4.1), or (RE ∧ s ∧ no more recent s) → RD = WD under the direct eq. 1
+// encoding, with that disjunction inlined per clause (2kW gates). The
+// chain is left suspended at the new frontier, so every instantiated
+// prefix is the exact encoding of its levels. A write event's literals are
+// built by the first level that uses them: address and enable before the
+// comparator, data after the gates.
+func (g *Generator) extend(lr *readEvent, level int) {
 	u := g.u
-	m := mg.m
-	r := ev.r
-	rg := mg.reads[r]
-	tag := g.tagEMM(k, mi, r)
-	re, raddr, rdata := ev.re, ev.addr, ev.rd
-
-	// Per-(depth, write port) match signals s_{i,k,w,r} = E ∧ WE, most
-	// recent writes first (the priority order of eq. 4's chain).
-	type match struct {
-		s  sat.Lit // s (direct mode) or S (chain mode)
-		wd []sat.Lit
-	}
-	var matches []match
-	var rawS []sat.Lit
-	ps := re
-	for i := k - 1; i >= 0; i-- {
-		for w := len(m.Writes) - 1; w >= 0; w-- {
-			if !g.writeEnabled[mi][w] {
-				continue
-			}
-			wp := m.Writes[w]
-			waddr := u.VecLits(wp.Addr, i)
-			we := u.Lit(wp.En, i)
-			e := g.addrEqual(waddr, raddr, tag)
-			s := u.MkAndAux(e, we, tag)
+	mg := g.mems[lr.mi]
+	tag := g.tagEMM(lr.k, lr.mi, lr.r)
+	for ; lr.level <= level; lr.level++ {
+		f, wp := mg.writeAt(lr.k, lr.level)
+		waddr := u.VecLits(wp.Addr, f)
+		we := u.Lit(wp.En, f)
+		s := u.MkAndAux(g.addrEqual(waddr, lr.addr, tag), we, tag)
+		// guard is the clause prefix, with room for the two data literals:
+		// the solver copies a clause's literals, so every clause of the
+		// level reuses it.
+		match := s
+		var guard []sat.Lit
+		if g.noExclusivity {
+			guard = append(make([]sat.Lit, 0, len(lr.matches)+4), lr.re.Not(), s.Not())
+			guard = append(guard, lr.matches...)
+		} else {
+			match = u.MkAndAux(s, lr.ps, tag)
+			guard = append(make([]sat.Lit, 0, 3), match.Not())
 			g.sizes.Gates++
-			if g.noExclusivity {
-				// Direct eq. 1/eq. 3 translation, no chain.
-				rawS = append(rawS, s)
-				matches = append(matches, match{s: s, wd: u.VecLits(wp.Data, i)})
-				continue
-			}
-			// Exclusivity chain (eq. 4): S = s ∧ ps (1 gate),
-			// PS' = ¬s ∧ ps (1 gate): with s, the 3kW gates of §4.1.
-			bigS := u.MkAndAux(s, ps, tag)
-			ps = u.MkAndAux(s.Not(), ps, tag)
-			g.sizes.Gates += 2
-			matches = append(matches, match{s: bigS, wd: u.VecLits(wp.Data, i)})
 		}
-	}
-	if g.noExclusivity {
-		// N_{k,r} = RE ∧ no match (still needed for init handling).
-		for _, s := range rawS {
-			ps = u.MkAndAux(s.Not(), ps, tag)
-		}
-	}
-
-	// Read data forwarding.
-	if g.noExclusivity {
-		// (RE ∧ s_t ∧ ¬s_0 ∧ … ∧ ¬s_{t-1}) → RD = WD_t, with the whole
-		// "no more recent match" disjunction inlined per clause.
-		for t, mt := range matches {
-			base := make([]sat.Lit, 0, t+4)
-			base = append(base, re.Not(), mt.s.Not())
-			for u2 := 0; u2 < t; u2++ {
-				base = append(base, matches[u2].s)
-			}
-			for bit := range rdata {
-				g.addClause(tag, append(append([]sat.Lit(nil), base...), rdata[bit].Not(), mt.wd[bit])...)
-				g.addClause(tag, append(append([]sat.Lit(nil), base...), rdata[bit], mt.wd[bit].Not())...)
-				g.sizes.ReadDataClauses += 2
-			}
-		}
-	} else {
-		// eq. 5: S_{i,k,w,r} → RD_{k,r} = WD_{i,w}.
-		for _, mt := range matches {
-			for bit := range rdata {
-				g.addClause(tag, mt.s.Not(), rdata[bit].Not(), mt.wd[bit])
-				g.addClause(tag, mt.s.Not(), rdata[bit], mt.wd[bit].Not())
-				g.sizes.ReadDataClauses += 2
-			}
-		}
-	}
-
-	// Initial-state read: ps is now PS_{0,k,0,r} = N_{k,r}.
-	itag := g.tagInit(k, mi, r)
-	arbitrary := g.arbitraryInit(m)
-	var vword []sat.Lit
-	if arbitrary {
-		// N → RD = V with a fresh symbolic word V_{k,r} (§4.2).
-		vword = make([]sat.Lit, m.DW)
-		for bit := range vword {
-			vword[bit] = u.FreshVar()
-			g.sizes.AuxVars++
-			g.addClause(itag, ps.Not(), rdata[bit].Not(), vword[bit])
-			g.addClause(itag, ps.Not(), rdata[bit], vword[bit].Not())
+		lr.ps = u.MkAndAux(s.Not(), lr.ps, tag)
+		g.sizes.Gates += 2
+		wd := u.VecLits(wp.Data, f)
+		for bit := range lr.rd {
+			g.addClause(tag, append(guard, lr.rd[bit].Not(), wd[bit])...)
+			g.addClause(tag, append(guard, lr.rd[bit], wd[bit].Not())...)
 			g.sizes.ReadDataClauses += 2
 		}
-	} else {
-		// Zero-initialized memory: N → RD = 0 (n clauses instead of the
-		// paper's 2n for a symbolic initial word).
-		for bit := range rdata {
-			g.addClause(itag, ps.Not(), rdata[bit].Not())
-			g.sizes.ReadDataClauses++
+		lr.matches = append(lr.matches, match)
+		if g.lazy {
+			g.sizes.LazyAxioms++
 		}
-	}
-
-	// Validity of the read (the "(!REk + S-1 + … + Sk-1)" clause of §3).
-	valid := make([]sat.Lit, 0, len(matches)+2)
-	valid = append(valid, re.Not(), ps)
-	for _, mt := range matches {
-		valid = append(valid, mt.s)
-	}
-	g.addClause(tag, valid...)
-	g.sizes.ReadDataClauses++
-
-	// Cross-read consistency for arbitrary initial state (eq. 6): for
-	// every earlier read event (j, q) with a symbolic word, equal
-	// addresses + both unwritten ⇒ equal words.
-	if arbitrary && !g.eq6Disabled {
-		for q, oth := range mg.reads {
-			for j := range oth.n {
-				if q == r && j == k {
-					continue
-				}
-				if oth.v == nil || oth.v[j] == nil {
-					continue
-				}
-				g.addInitPair(itag, raddr, ps, vword, oth.addr[j], oth.n[j], oth.v[j])
-			}
-		}
-	}
-
-	// Record this read event for future eq. 6 pairs.
-	rg.re = append(rg.re, re)
-	rg.addr = append(rg.addr, raddr)
-	rg.n = append(rg.n, ps)
-	rg.rd = append(rg.rd, rdata)
-	if arbitrary {
-		rg.v = append(rg.v, vword)
-	} else {
-		rg.v = append(rg.v, nil)
 	}
 }
 
-// addInitPair emits one eq. 6 constraint:
-// (RA=RA' ∧ N ∧ N') → V = V'.
-func (g *Generator) addInitPair(tag unroll.Tag, ra []sat.Lit, n sat.Lit, v []sat.Lit, ra2 []sat.Lit, n2 sat.Lit, v2 []sat.Lit) {
-	e := g.addrEqualCounted(ra, ra2, tag, &g.sizes.InitClauses)
-	cond := g.u.MkAndAux(e, n, tag)
-	cond = g.u.MkAndAux(cond, n2, tag)
-	for bit := range v {
-		g.addClause(tag, cond.Not(), v[bit].Not(), v2[bit])
-		g.addClause(tag, cond.Not(), v[bit], v2[bit].Not())
+// complete drives lr to its full per-read constraint set: every remaining
+// forwarding level, the initial-state tail (a fresh symbolic word V with
+// N → RD = V for arbitrary init, §4.2; N → RD = 0, n clauses instead of
+// 2n, for zero init), and the read validity clause of §3,
+// (¬RE ∨ N ∨ S_0 ∨ … ∨ S_{kW-1}).
+func (g *Generator) complete(lr *readEvent) {
+	u := g.u
+	mg := g.mems[lr.mi]
+	g.extend(lr, mg.levels(lr)-1)
+	itag := g.tagInit(lr.k, lr.mi, lr.r)
+	if g.arbitraryInit(mg.m) {
+		lr.vword = make([]sat.Lit, mg.m.DW)
+		for bit := range lr.vword {
+			v := u.FreshVar()
+			g.sizes.AuxVars++
+			lr.vword[bit] = v
+			g.addClause(itag, lr.ps.Not(), lr.rd[bit].Not(), v)
+			g.addClause(itag, lr.ps.Not(), lr.rd[bit], v.Not())
+			g.sizes.ReadDataClauses += 2
+		}
+	} else {
+		for bit := range lr.rd {
+			g.addClause(itag, lr.ps.Not(), lr.rd[bit].Not())
+			g.sizes.ReadDataClauses++
+		}
+	}
+	valid := append([]sat.Lit{lr.re.Not(), lr.ps}, lr.matches...)
+	g.addClause(g.tagEMM(lr.k, lr.mi, lr.r), valid...)
+	g.sizes.ReadDataClauses++
+	lr.complete = true
+	if g.lazy {
+		g.sizes.LazyCompleted++
+	}
+}
+
+// addInitPairs emits the eager policy's eq. 6 pairs of the just completed
+// read lr against every earlier read event of its memory, port-major:
+// each port's events in frame order, one port after another.
+func (g *Generator) addInitPairs(mg *memGen, lr *readEvent) {
+	if lr.vword == nil || g.eq6Disabled {
+		return
+	}
+	itag := g.tagInit(lr.k, lr.mi, lr.r)
+	for q := range mg.m.Reads {
+		for _, o := range mg.reads {
+			if o.r == q {
+				g.addInitPair(itag, lr, o)
+			}
+		}
+	}
+}
+
+// addInitPair emits one eq. 6 constraint between two completed
+// arbitrary-init reads: (RA=RA' ∧ N ∧ N') → V = V'.
+func (g *Generator) addInitPair(tag unroll.Tag, a, b *readEvent) {
+	e := g.addrEqualCounted(a.addr, b.addr, tag, &g.sizes.InitClauses)
+	cond := g.u.MkAndAux(e, a.ps, tag)
+	cond = g.u.MkAndAux(cond, b.ps, tag)
+	for bit := range a.vword {
+		g.addClause(tag, cond.Not(), a.vword[bit].Not(), b.vword[bit])
+		g.addClause(tag, cond.Not(), a.vword[bit], b.vword[bit].Not())
 		g.sizes.InitClauses += 2
 	}
 	g.sizes.InitPairs++

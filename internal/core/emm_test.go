@@ -626,39 +626,67 @@ func TestImageInitRejected(t *testing.T) {
 // TestSizesMatchPaperFormulas checks the §4.1 closed forms: at depth k a
 // read port against W write ports costs (4m+1)kW address clauses, 3kW
 // gates, and 2nkW+2n+1 read-data clauses (with a symbolic initial word).
+// A zero-initialized memory costs 2nkW+n+1 read-data clauses and no eq. 6
+// pairs, the direct eq. 1 encoding builds 2kW gates (s and the N chain, no
+// S), and disabling eq. 6 drops the pairs alone.
 func TestSizesMatchPaperFormulas(t *testing.T) {
-	for _, cfg := range []struct{ aw, dw, nw, nr, depth int }{
-		{4, 8, 1, 1, 5},
-		{5, 6, 2, 1, 4},
-		{3, 4, 2, 3, 4},
-		{10, 32, 1, 1, 6},
+	type cfg struct {
+		aw, dw, nw, nr, depth int
+		init                  aig.MemInit
+		direct, noEq6         bool
+	}
+	for _, c := range []cfg{
+		{aw: 4, dw: 8, nw: 1, nr: 1, depth: 5, init: aig.MemArbitrary},
+		{aw: 5, dw: 6, nw: 2, nr: 1, depth: 4, init: aig.MemArbitrary},
+		{aw: 3, dw: 4, nw: 2, nr: 3, depth: 4, init: aig.MemArbitrary},
+		{aw: 10, dw: 32, nw: 1, nr: 1, depth: 6, init: aig.MemArbitrary},
+		{aw: 3, dw: 4, nw: 2, nr: 3, depth: 4, init: aig.MemZero},
+		{aw: 4, dw: 8, nw: 1, nr: 1, depth: 5, init: aig.MemArbitrary, direct: true},
+		{aw: 3, dw: 4, nw: 2, nr: 3, depth: 4, init: aig.MemArbitrary, direct: true},
+		{aw: 3, dw: 4, nw: 2, nr: 3, depth: 4, init: aig.MemArbitrary, noEq6: true},
 	} {
-		h := newMemHarness(t, cfg.aw, cfg.dw, cfg.nw, cfg.nr, aig.MemArbitrary, false)
-		h.g.AddUpTo(cfg.depth)
+		h := newMemHarness(t, c.aw, c.dw, c.nw, c.nr, c.init, false)
+		if c.direct {
+			h.g.DisableExclusivity()
+		}
+		if c.noEq6 {
+			h.g.DisableInitConsistency()
+		}
+		h.g.AddUpTo(c.depth)
 		sz := h.g.Sizes()
-		m64, n64 := cfg.aw, cfg.dw
+		m, n := c.aw, c.dw
 		sumK := 0
-		for k := 0; k <= cfg.depth; k++ {
+		for k := 0; k <= c.depth; k++ {
 			sumK += k
-		}
-		wantAddr := (4*m64 + 1) * sumK * cfg.nw * cfg.nr
-		wantGates := 3 * sumK * cfg.nw * cfg.nr
-		wantRD := (2*n64*sumK*cfg.nw + (2*n64+1)*(cfg.depth+1)) * cfg.nr
-		if sz.AddrClauses != wantAddr {
-			t.Errorf("cfg %+v: addr clauses %d want %d", cfg, sz.AddrClauses, wantAddr)
-		}
-		if sz.Gates != wantGates {
-			t.Errorf("cfg %+v: gates %d want %d", cfg, sz.Gates, wantGates)
-		}
-		if sz.ReadDataClauses != wantRD {
-			t.Errorf("cfg %+v: read-data clauses %d want %d", cfg, sz.ReadDataClauses, wantRD)
 		}
 		// eq. 6 pairs: all unordered pairs of read events across depths
 		// and ports: C((depth+1)·R, 2).
-		ev := (cfg.depth + 1) * cfg.nr
+		ev := (c.depth + 1) * c.nr
+		wantAddr := (4*m + 1) * sumK * c.nw * c.nr
+		wantGates := 3 * sumK * c.nw * c.nr
+		wantRD := (2*n*sumK*c.nw + (2*n+1)*(c.depth+1)) * c.nr
 		wantPairs := ev * (ev - 1) / 2
+		if c.init == aig.MemZero {
+			wantRD = (2*n*sumK*c.nw + (n+1)*(c.depth+1)) * c.nr
+			wantPairs = 0
+		}
+		if c.direct {
+			wantGates = 2 * sumK * c.nw * c.nr
+		}
+		if c.noEq6 {
+			wantPairs = 0
+		}
+		if sz.AddrClauses != wantAddr {
+			t.Errorf("cfg %+v: addr clauses %d want %d", c, sz.AddrClauses, wantAddr)
+		}
+		if sz.Gates != wantGates {
+			t.Errorf("cfg %+v: gates %d want %d", c, sz.Gates, wantGates)
+		}
+		if sz.ReadDataClauses != wantRD {
+			t.Errorf("cfg %+v: read-data clauses %d want %d", c, sz.ReadDataClauses, wantRD)
+		}
 		if sz.InitPairs != wantPairs {
-			t.Errorf("cfg %+v: init pairs %d want %d", cfg, sz.InitPairs, wantPairs)
+			t.Errorf("cfg %+v: init pairs %d want %d", c, sz.InitPairs, wantPairs)
 		}
 		if sz.String() == "" {
 			t.Errorf("empty sizes string")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -12,8 +13,19 @@ import (
 // the EMM constraints and checks every forced read value against a plain
 // Go map playing the role of the memory (the property-based heart of the
 // package: for any access sequence, EMM forwarding must agree with a real
-// memory).
+// memory). It runs under both policies, with the eq. 4 chains and with the
+// direct eq. 1 encoding, solving through the refine loop, and checks the
+// initial words the witness decoder returns against the script.
 func TestRandomTrafficAgainstOracle(t *testing.T) {
+	for _, v := range []struct {
+		name         string
+		lazy, direct bool
+	}{{"eager", false, false}, {"lazy", true, false}, {"eager-direct", false, true}, {"lazy-direct", true, true}} {
+		t.Run(v.name, func(t *testing.T) { randomTrafficAgainstOracle(t, v.lazy, v.direct) })
+	}
+}
+
+func randomTrafficAgainstOracle(t *testing.T, lazy, direct bool) {
 	rng := rand.New(rand.NewSource(20050307))
 	for iter := 0; iter < 60; iter++ {
 		aw := 1 + rng.Intn(3)
@@ -26,6 +38,12 @@ func TestRandomTrafficAgainstOracle(t *testing.T) {
 		}
 		depth := 2 + rng.Intn(5)
 		h := newMemHarness(t, aw, dw, nw, nr, init, false)
+		if lazy {
+			h.g.EnableLazy()
+		}
+		if direct {
+			h.g.DisableExclusivity()
+		}
 		h.g.AddUpTo(depth)
 
 		// Script the traffic.
@@ -60,13 +78,15 @@ func TestRandomTrafficAgainstOracle(t *testing.T) {
 				assumps = append(assumps, h.assumeVec(h.raddr[r], f, ev.addr)...)
 			}
 		}
-		if got := h.s.Solve(assumps...); got != sat.Sat {
+		if got := h.solve(assumps); got != sat.Sat {
 			t.Fatalf("iter %d: scripted traffic must be satisfiable", iter)
 		}
 
-		// Oracle: replay the script on a Go map.
+		// Oracle: replay the script on a Go map. unwritten collects the
+		// initial word each read of a never-written address observed.
 		mem := map[uint64]uint64{}
 		written := map[uint64]bool{}
+		unwritten := map[int]uint64{}
 		initVal := func(a uint64) (uint64, bool) {
 			if v, ok := mem[a]; ok {
 				return v, true
@@ -98,6 +118,9 @@ func TestRandomTrafficAgainstOracle(t *testing.T) {
 					// later reads must agree (eq. 6).
 					mem[ev.addr] = got
 				}
+				if !written[ev.addr] {
+					unwritten[int(ev.addr)] = got
+				}
 			}
 			// Apply this frame's writes (higher port index wins races).
 			for _, ev := range writes {
@@ -108,28 +131,8 @@ func TestRandomTrafficAgainstOracle(t *testing.T) {
 				written[ev.addr] = true
 			}
 		}
-	}
-}
-
-// TestReadEventsShapeProperty checks the §4.2 bookkeeping: after k frames
-// every enabled port has exactly k+1 read events with well-formed fields.
-func TestReadEventsShapeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 20; iter++ {
-		nr := 1 + rng.Intn(3)
-		depth := rng.Intn(6)
-		h := newMemHarness(t, 2, 2, 1, nr, aig.MemArbitrary, false)
-		h.g.AddUpTo(depth)
-		for r := 0; r < nr; r++ {
-			evs := h.g.ReadEvents(0, r)
-			if len(evs) != depth+1 {
-				t.Fatalf("port %d: %d events, want %d", r, len(evs), depth+1)
-			}
-			for k, ev := range evs {
-				if ev.Frame != k || len(ev.Addr) != 2 || len(ev.RD) != 2 {
-					t.Fatalf("malformed event %+v", ev)
-				}
-			}
+		if dec := h.g.MemInit(depth)[0]; !maps.Equal(dec, unwritten) {
+			t.Fatalf("iter %d: decoded initial words %v, script observed %v", iter, dec, unwritten)
 		}
 	}
 }
