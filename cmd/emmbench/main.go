@@ -6,6 +6,10 @@
 //	emmbench                      # writes BENCH_solver.json
 //	emmbench -o results.json      # alternate output path
 //	emmbench -benchtime 5         # minimum seconds per benchmark
+//
+// A benchmark longer than -benchtime runs once (testing.Benchmark stops at
+// N=1), so such a row is run three times: ns_per_op is the median run and
+// ns_min/ns_max bound the spread.
 package main
 
 import (
@@ -14,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,8 +33,15 @@ type entry struct {
 	Name       string             `json:"name"`
 	Iterations int                `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
+	Runs       int                `json:"runs,omitempty"`
+	NsMin      float64            `json:"ns_min,omitempty"`
+	NsMax      float64            `json:"ns_max,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
+
+// singleSampleRuns is how often a row that testing.Benchmark measured
+// with one iteration is run.
+const singleSampleRuns = 3
 
 type report struct {
 	Date       string  `json:"date"`
@@ -72,9 +84,20 @@ func main() {
 		{"CompilePipeline/On", func() entry { return benchCompileSolve("") }},
 	} {
 		e := b.run()
+		if e.Iterations == 1 {
+			ns := []float64{e.NsPerOp}
+			for len(ns) < singleSampleRuns {
+				ns = append(ns, b.run().NsPerOp)
+			}
+			slices.Sort(ns)
+			e.Runs, e.NsMin, e.NsPerOp, e.NsMax = len(ns), ns[0], ns[len(ns)/2], ns[len(ns)-1]
+		}
 		e.Name = b.name
 		rep.Benchmarks = append(rep.Benchmarks, e)
 		fmt.Printf("%-22s %12.0f ns/op  %v\n", e.Name, e.NsPerOp, e.Metrics)
+		if e.Runs > 0 {
+			fmt.Printf("%-22s %d runs: min %.0f, max %.0f ns/op\n", "", e.Runs, e.NsMin, e.NsMax)
+		}
 	}
 
 	// The headline number: CNF reduction from strash + comparator

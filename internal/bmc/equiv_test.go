@@ -1,12 +1,14 @@
 package bmc
 
 import (
+	"os"
 	"testing"
 
 	"emmver/internal/aig"
 	"emmver/internal/designs"
 	"emmver/internal/expmem"
 	"emmver/internal/rtl"
+	"emmver/internal/verilog"
 )
 
 // The strash/memoization equivalence suite: on the Table 1 design
@@ -136,5 +138,32 @@ func TestStrashEquivalenceSharedReads(t *testing.T) {
 			t.Errorf("growth-shared/%s: shared reads %d optimized, %d unoptimized; want sharing %v, then none",
 				tc.name, on.Stats.EMM.SharedReads, off.Stats.EMM.SharedReads, tc.shared)
 		}
+	}
+}
+
+// TestPlantedBugSharesReads runs the planted-bug shape (serve/testdata/
+// planted.v): read 1's address is ite(cnt == 12, a ^ 8'h5a, a) with a
+// reset counter. The counter folds to a constant at every frame of the
+// initialized window, so read 1 duplicates read 0 at every frame but 12
+// and the generator shares those twelve reads; the CE stays at depth 12
+// and replays.
+func TestPlantedBugSharesReads(t *testing.T) {
+	src, err := os.ReadFile("../serve/testdata/planted.v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := verilog.ElaborateString(string(src), "planted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Check(n, 0, Options{Engine: EngineBMC2, MaxDepth: 14, ValidateWitness: true})
+	if r.Kind != KindCE || r.Depth != 12 {
+		t.Fatalf("planted bug: got %v, want CE at depth 12", r)
+	}
+	if got := r.Stats.EMM.SharedReads; got != 12 {
+		t.Errorf("planted bug: %d shared reads, want 12 (frames 0-11)", got)
+	}
+	if err := r.Witness.Replay(n, 0); err != nil {
+		t.Errorf("planted bug witness does not replay: %v", err)
 	}
 }

@@ -214,23 +214,34 @@ func TestLazyWitnessReplayThroughMapping(t *testing.T) {
 
 // randMemDesign builds a small random multi-port memory design: 1-2 write
 // ports and three reads wired from a mix of inputs, counter slices, and
-// constants, under one of six property shapes. Read port 2 duplicates
+// constants, under one of seven property shapes. Read port 2 duplicates
 // read port 0 (same enable and address: EMM shares its event) or nearly
 // duplicates it (one address bit, or the enable, differs). Every property
 // observes a read's data only while that read's enable is high: EMM leaves
 // a disabled read's data free (§2.3), while the simulator and the explicit
-// expansion read the array whatever the enable (see DESIGN §5). Seeded, so
-// every trial is reproducible from its index.
-func randMemDesign(rng *rand.Rand) *rtl.Module {
+// expansion read the array whatever the enable (see DESIGN §5). The
+// counter is a reset register in half of the designs and InitX in the
+// other half (symbolic reports which): a reset counter folds to a constant
+// at every frame of an initialized window, so everything drawn from it is
+// a constant there, while an InitX counter keeps those comparators
+// symbolic. Seeded, so every trial is reproducible from its index.
+func randMemDesign(rng *rand.Rand) (m *rtl.Module, symbolic bool) {
 	const aw, dw = 2, 3
-	m := rtl.NewModule("fuzz")
+	m = rtl.NewModule("fuzz")
 	init := aig.MemZero
 	if rng.Intn(2) == 1 {
 		init = aig.MemArbitrary
 	}
 	mem := m.Memory("mem", aw, dw, init)
-	cnt := m.Register("cnt", aw, 0)
+	symbolic = rng.Intn(2) == 1
+	var cnt *rtl.Reg
+	if symbolic {
+		cnt = m.RegisterX("cnt", aw)
+	} else {
+		cnt = m.Register("cnt", aw, 0)
+	}
 	cnt.SetNext(m.Inc(cnt.Q))
+	regs := []*rtl.Reg{cnt}
 	pick := func(name string, w int) rtl.Vec {
 		switch rng.Intn(3) {
 		case 0:
@@ -244,12 +255,27 @@ func randMemDesign(rng *rand.Rand) *rtl.Module {
 			return m.Const(w, uint64(rng.Intn(1<<w)))
 		}
 	}
+	const overwrite = 6 // the property shape that needs two writes to one address
+	shape := rng.Intn(7)
+	var wa0, wd0 rtl.Vec
+	var we0 aig.Lit
 	for i := 0; i < 1+rng.Intn(2); i++ {
 		we := aig.True
 		if rng.Intn(2) == 0 {
 			we = m.InputBit(fmt.Sprintf("we%d", i))
 		}
-		mem.Write(pick(fmt.Sprintf("wa%d", i), aw), pick(fmt.Sprintf("wd%d", i), dw), we)
+		var wa, wd rtl.Vec
+		if i == 0 && shape == overwrite {
+			// Free address and data, so that two writes can hit one
+			// address with different words.
+			wa, wd = m.Input("wa0", aw), m.Input("wd0", dw)
+		} else {
+			wa, wd = pick(fmt.Sprintf("wa%d", i), aw), pick(fmt.Sprintf("wd%d", i), dw)
+		}
+		if i == 0 {
+			wa0, wd0, we0 = wa, wd, we
+		}
+		mem.Write(wa, wd, we)
 	}
 	twin := rng.Intn(4)
 	// A constant enable with a constant address gives equal literals at
@@ -270,8 +296,7 @@ func randMemDesign(rng *rand.Rand) *rtl.Module {
 		re2 = m.InputBit("re2")
 	}
 	rd0, rd1, rd2 := mem.Read(ra0, re), mem.Read(ra1, re), mem.Read(ra2, re2)
-	m.Done(cnt)
-	switch rng.Intn(6) {
+	switch shape {
 	case 0:
 		m.AssertAlways("agree", m.N.Implies(m.N.And(re, m.Eq(ra0, ra1)), m.Eq(rd0, rd1)))
 	case 1:
@@ -284,10 +309,30 @@ func randMemDesign(rng *rand.Rand) *rtl.Module {
 			m.N.Implies(m.N.And(re, re2), m.Eq(rd0, rd2))))
 	case 4:
 		m.AssertAlways("same2", m.N.Implies(m.N.And(re, re2), m.Eq(rd0, rd2)))
-	default:
+	case 5:
 		m.AssertAlways("ne2", m.N.Implies(m.N.And(re, re2), m.Ne(rd2, rd1)))
+	case overwrite:
+		// (v1, a1, d1) and (v2, a2, d2) record write port 0's two most
+		// recent writes. The property claims that a read of an address
+		// written twice still returns the older word d2: it fails as
+		// soon as the two writes carry different words, a CE that an
+		// eq. 1 encoding without its "no more recent match" guard loses
+		// (it forces the read to equal both words).
+		v1, v2 := m.Register("v1", 1, 0), m.Register("v2", 1, 0)
+		a1, a2 := m.Register("a1", aw, 0), m.Register("a2", aw, 0)
+		d1, d2 := m.Register("d1", dw, 0), m.Register("d2", dw, 0)
+		v1.Update(we0, rtl.Vec{aig.True})
+		v2.Update(we0, v1.Q)
+		a1.Update(we0, wa0)
+		a2.Update(we0, a1.Q)
+		d1.Update(we0, wd0)
+		d2.Update(we0, d1.Q)
+		regs = append(regs, v1, v2, a1, a2, d1, d2)
+		hit := m.N.Ands(re, v2.Q[0], m.Eq(a1.Q, a2.Q), m.Eq(ra0, a1.Q))
+		m.AssertAlways("keeps-old", m.N.Implies(hit, m.Eq(rd0, d2.Q)))
 	}
-	return m
+	m.Done(regs...)
+	return m, symbolic
 }
 
 func TestLazyDifferentialFuzz(t *testing.T) {
@@ -325,10 +370,13 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 		{EngineBMC3, append(unshared, direct)},
 		{EngineKInd, unshared},
 	}
-	shared := 0
+	shared, symbolic := 0, 0
 	for seed := 0; seed < trials; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		m := randMemDesign(rng)
+		m, sym := randMemDesign(rng)
+		if sym {
+			symbolic++
+		}
 		exp, _, err := expmem.Expand(m.N)
 		if err != nil {
 			t.Fatalf("seed %d: expand: %v", seed, err)
@@ -369,8 +417,12 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d trials with a reset counter (folded in initialized windows), %d with an InitX counter", trials-symbolic, symbolic)
 	if shared == 0 {
 		t.Fatalf("no trial shared a read event: the generator no longer reaches the sharing path")
+	}
+	if symbolic == 0 || symbolic == trials {
+		t.Fatalf("every trial drew the same counter kind")
 	}
 }
 

@@ -50,9 +50,12 @@ type Unroller struct {
 	Abstracted map[aig.NodeID]bool
 
 	// FoldInits folds latch reset values into structural constants at
-	// frame 0. This shrinks the formula but erases the initial-value
-	// clauses from UNSAT cores, so it must stay false when the run feeds
-	// proof-based abstraction.
+	// frame 0, and a latch whose next-state literal is a constant into
+	// that constant at the next frame, so a reset counter stays a
+	// constant through the whole initialized window. This shrinks the
+	// formula but erases the initial-value and latch-next clauses from
+	// UNSAT cores, so it must stay false when the run feeds proof-based
+	// abstraction.
 	FoldInits bool
 
 	// MemAwareLFP strengthens the loop-free-path constraint for designs
@@ -262,6 +265,11 @@ func (u *Unroller) latchLit(id aig.NodeID, t int) sat.Lit {
 		return v
 	}
 	next := u.Lit(l.Next, t-1)
+	if u.FoldInits && u.IsConst(next) {
+		// A constant next state stays a constant, so a reset counter folds
+		// through the whole initialized window.
+		return next
+	}
 	// A dedicated latch interface variable, tied to the next-state value
 	// through clauses tagged with the latch index — these tags are what
 	// latch-based proof abstraction harvests from UNSAT cores.

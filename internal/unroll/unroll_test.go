@@ -407,3 +407,100 @@ func TestShiftPhasesSignsAndSkips(t *testing.T) {
 	expect("depth bound", 2, opp, frame2)
 	expect("depth bound", 1, opp, was(0, opp))
 }
+
+// TestConstantNextStateFolds pins the fold of constant next-state latches:
+// in an initialized window with FoldInits a reset counter is a structural
+// constant at every frame, while the PBA path (FoldInits off), InitX
+// latches and input-driven latches keep interface variables.
+func TestConstantNextStateFolds(t *testing.T) {
+	const w, depth = 3, 10
+	build := func() (*rtl.Module, *rtl.Reg, *rtl.Reg, *rtl.Reg) {
+		m := rtl.NewModule("fold")
+		cnt := m.Register("cnt", w, 0)
+		cnt.Update(aig.True, m.Inc(cnt.Q))
+		xcnt := m.RegisterX("xcnt", w)
+		xcnt.Update(aig.True, m.Inc(xcnt.Q))
+		d := m.Register("d", 1, 0)
+		d.Update(aig.True, m.Input("in", 1))
+		m.Done(cnt, xcnt, d)
+		m.N.AddProperty("cnt-not-depth", m.EqConst(cnt.Q, depth%(1<<w)).Not())
+		return m, cnt, xcnt, d
+	}
+	constVal := func(u *Unroller, v []aig.Lit, f int) (uint64, bool) {
+		var out uint64
+		for i, l := range u.VecLits(v, f) {
+			if !u.IsConst(l) {
+				return 0, false
+			}
+			if l == u.TrueLit() {
+				out |= 1 << uint(i)
+			}
+		}
+		return out, true
+	}
+
+	t.Run("folded", func(t *testing.T) {
+		m, cnt, xcnt, d := build()
+		s := sat.New()
+		u := New(m.N, s, Initialized)
+		u.FoldInits = true
+		for f := 0; f <= depth; f++ {
+			got, ok := constVal(u, cnt.Q, f)
+			if !ok || got != uint64(f)%(1<<w) {
+				t.Fatalf("frame %d: counter const=%v value %d, want constant %d", f, ok, got, f%(1<<w))
+			}
+			if _, ok := constVal(u, xcnt.Q, f); ok {
+				t.Fatalf("frame %d: InitX counter folded", f)
+			}
+			if _, ok := constVal(u, d.Q, f); ok != (f == 0) {
+				t.Fatalf("frame %d: input-driven latch const=%v, want %v", f, ok, f == 0)
+			}
+		}
+	})
+
+	t.Run("pba-keeps-latch-next", func(t *testing.T) {
+		m, cnt, _, _ := build()
+		s := sat.New()
+		s.EnableProofTracing()
+		u := New(m.N, s, Initialized)
+		for f := 1; f <= depth; f++ {
+			if _, ok := constVal(u, cnt.Q, f); ok {
+				t.Fatalf("frame %d: counter folded with FoldInits off", f)
+			}
+		}
+		// The counter holds depth mod 8 at frame depth; the core of that
+		// must name the latch interface clauses of the last frame.
+		if got := s.Solve(u.PropertyLit(0, depth)); got != sat.Unsat {
+			t.Fatalf("counter must equal %d at frame %d, got %v", depth%(1<<w), depth, got)
+		}
+		saw := false
+		for _, raw := range s.Core() {
+			if tg := Tag(raw); tg.Kind() == TagLatchNext && tg.Frame() == depth {
+				saw = true
+			}
+		}
+		if !saw {
+			t.Fatalf("core lacks TagLatchNext clauses at frame %d", depth)
+		}
+	})
+
+	t.Run("lfp-and-phases", func(t *testing.T) {
+		m, _, _, _ := build()
+		s := sat.New()
+		u := New(m.N, s, Initialized)
+		u.FoldInits = true
+		// The counter is a constant of period 8 and xcnt follows it, so
+		// the only freedom is d: frames 0, 8 and 16 share a counter value
+		// and d (0 at frame 0) cannot take three distinct values.
+		for d := 0; d <= 16; d++ {
+			want := sat.Sat
+			if d == 16 {
+				want = sat.Unsat
+			}
+			if got, _ := solveLoopFree(u, d); got != want {
+				t.Fatalf("depth %d: LFP %v, want %v", d, got, want)
+			}
+			u.ShiftPhases(d)
+		}
+	})
+}
