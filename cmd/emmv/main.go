@@ -11,16 +11,15 @@
 //	emmv -design filter -prop 3 -engine bmc2 -vcd bug.vcd  # dump the counter-example
 //	emmv -design lookup -prop 1 -engine bdd -explicit      # BDD reachability
 //	emmv -engine pba design.v                    # prove with abstraction
-//	emmv -engine kind design.v                   # unbounded proof by k-induction
 //	emmv -explicit design.v                      # Explicit Modeling baseline
 //	emmv -design quicksort -export q.btor2       # write the model and exit
 //	emmv -remote unix:/tmp/emmserved.sock d.v    # solve on an emmserved server
 //
 // Engines: bmc1 (plain + proofs; needs -explicit on a design with
-// memories), bmc2 (EMM falsification), bmc3 (EMM + proofs), kind
-// (k-induction with write-free-init retention), pba (two-phase
-// prove-with-abstraction), and bdd (BDD-based reachability; needs
-// -explicit). -explicit first expands every memory into latches (the
+// memories), bmc2 (EMM falsification), bmc3 (EMM + proofs; a memory with
+// no write port keeps its declared contents in the induction step), pba
+// (two-phase prove-with-abstraction), and bdd (BDD-based reachability;
+// needs -explicit). -explicit first expands every memory into latches (the
 // paper's Explicit Modeling baseline).
 //
 // Exit status: 0 when every property is PROOF or NO_CE, 1 when any property
@@ -155,7 +154,6 @@ func main() {
 		}
 		os.Exit(exitCode(ce, abnormal))
 	}
-	must(req.CheckModel(n))
 
 	results := make([]*bmc.Result, len(sel))
 	notes := make([]string, len(sel))
@@ -164,7 +162,8 @@ func main() {
 	observer, obsStop := obsFlags.Setup()
 	if *remote != "" {
 		// Client mode: the server parses, keys, caches, and solves; this
-		// process only renders verdicts. One job per property.
+		// process only renders verdicts. One job per property. The server
+		// also refuses bmc1 on memories, unless a cached proof answers.
 		cl := serve.NewClient(*remote)
 		for i, pi := range sel {
 			js, err := cl.Submit(serve.Request{
@@ -183,6 +182,7 @@ func main() {
 			}
 		}
 	} else {
+		must(req.CheckModel(n))
 		opt, err := engFlags.Options()
 		must(err)
 		// Expanded memories are latches now (an EMM engine on them is

@@ -68,13 +68,15 @@ func TestExitCodes(t *testing.T) {
 		want int
 		out  string // a substring the output must contain ("" = any)
 	}{
-		{"verilog-proof", []string{"-engine", "kind", wedge}, 0, "[rom_reads_zero] PROOF depth=1"},
-		{"btor2-proof", []string{"-engine", "kind", btor}, 0, "PROOF depth=0"},
+		{"verilog-proof", []string{"-engine", "bmc3", wedge}, 0, "[rom_reads_zero] PROOF depth=1"},
+		{"btor2-proof", []string{"-engine", "bmc3", btor}, 0, "PROOF depth=0"},
 		{"aiger-ce", []string{"-engine", "bmc2", "-depth", "12", aag}, 1, "NO_CE depth=12"},
 		{"design-ce", []string{"-design", "filter", "-prop", "3", "-engine", "bmc2"}, 1, "[out-ne-3] CE depth=9"},
 		{"design-timeout", []string{"-design", "quicksort", "-prop", "p1", "-timeout", "1ns"}, 2, "TIMEOUT depth=0"},
 		{"missing-file", []string{filepath.Join(dir, "missing.v")}, 2, "no such file"},
 		{"unknown-engine", []string{"-engine", "nope", wedge}, 2, "unknown engine"},
+		// The k-induction engine is retired, not an alias of bmc3.
+		{"kind-retired", []string{"-engine", "kind", wedge}, 2, `unknown engine "kind"`},
 		// bmc1 leaves memory reads free: refused before solving, pointing
 		// to the explicit model, instead of a witness-replay panic.
 		{"bmc1-memories", []string{"-design", "lookup", "-prop", "0", "-engine", "bmc1", "-depth", "20"}, 2, "expand them first (emmv -explicit)"},

@@ -32,7 +32,7 @@
 //	internal/core    the EMM constraint generation (the paper's §3–§4)
 //	internal/expmem  the Explicit Modeling baseline
 //	internal/pass    the static compile pipeline (COI, sweep, ports, dedup)
-//	internal/bmc     the bmc1 / bmc2 / bmc3 / kind engines and the PBA flow
+//	internal/bmc     the bmc1 / bmc2 / bmc3 engines and the PBA flow
 //	internal/pba     latch-reason tracking and model reduction
 //	internal/bdd     a BDD-based model checker for comparison
 //	internal/sim     concrete-memory simulation and witness replay
@@ -178,13 +178,10 @@ const (
 	// EngineBMC2 is EMM falsification (Fig. 2).
 	EngineBMC2 = bmc.EngineBMC2
 	// EngineBMC3 is EMM with induction proofs (Fig. 3); ProveWithAbstraction
-	// adds the proof-based abstraction.
+	// adds the proof-based abstraction. A memory with no write port keeps
+	// its declared contents in the induction step, so a read-only table
+	// needs no invariant to be proved.
 	EngineBMC3 = bmc.EngineBMC3
-	// EngineKInd is k-induction over EMM: base case, recurrence-diameter
-	// check, and an induction step strengthened by write-free-init
-	// retention — the unbounded-proof engine for properties plain induction
-	// loses to an adversarial initial memory state.
-	EngineKInd = bmc.EngineKInd
 )
 
 // Verify model-checks one safety property of a design.

@@ -9,11 +9,11 @@
 //     expmem.
 //   - bmc2, BMC-2 (Fig. 2): BMC with EMM constraints, falsification only.
 //   - bmc3, BMC-3 (Fig. 3): BMC with EMM constraints and termination
-//     proofs, using the precise arbitrary-initial-state modeling of §4.2.
-//   - kind (k-induction): BMC-3's checks reordered into temporal
-//     induction, with the induction step strengthened by write-free-init
-//     retention — the first engine able to prove properties whose
-//     invariant depends on declared memory contents (engine_kind.go).
+//     proofs, using the precise arbitrary-initial-state modeling of §4.2
+//     for every written memory. A memory with no write port never
+//     changes, so the backward window keeps its declared contents: that
+//     lets the induction step prove properties that depend on them, such
+//     as a zero-initialized ROM that is only read.
 //
 // Three flows run an engine more than once: ProveWithPBA (§4.3 proof-based
 // abstraction, the rest of Fig. 3), CEGAR (the refinement loop the paper
@@ -26,7 +26,7 @@
 // incremental solvers' lifecycles — construction, interrupts,
 // statistics; the Strategy (strategy.go) is the per-depth
 // decision procedure. All engines share the Model and Session and differ
-// only in their Strategy and the Model strengthenings their name selects.
+// only in their Strategy and the constraints their name selects.
 package bmc
 
 import (
@@ -58,23 +58,17 @@ const (
 	// EngineBMC3 is BMC with EMM constraints and termination checks
 	// (Fig. 3).
 	EngineBMC3 = "bmc3"
-	// EngineKInd is EMM k-induction: bmc3's checks reordered into temporal
-	// induction, with the induction step strengthened by write-free-init
-	// retention (engine_kind.go).
-	EngineKInd = "kind"
 )
 
 // engineMode is what an engine name selects: EMM constraints on the memory
-// interface, the forward/backward termination checks, and k-induction's
-// check order.
-type engineMode struct{ emm, proofs, kind bool }
+// interface and the forward/backward termination checks.
+type engineMode struct{ emm, proofs bool }
 
 var engineModes = map[string]engineMode{
 	"":         {},
 	EngineBMC1: {proofs: true},
 	EngineBMC2: {emm: true},
 	EngineBMC3: {emm: true, proofs: true},
-	EngineKInd: {emm: true, proofs: true, kind: true},
 }
 
 // modeOf resolves an engine name. An unknown name is a caller bug (the
@@ -89,8 +83,8 @@ func modeOf(engine string) engineMode {
 
 // withProofs names the engine with engine's memory model and the
 // termination checks on or off: bmc1 and plain BMC swap, as do bmc3 and
-// bmc2; kind without termination checks is bmc2. The multi-run flows
-// (ProveWithPBA, CEGAR) use it to derive their phases from one base engine.
+// bmc2. The multi-run flows (ProveWithPBA, CEGAR) use it to derive their
+// phases from one base engine.
 func withProofs(engine string, on bool) string {
 	m := modeOf(engine)
 	switch {
@@ -112,8 +106,8 @@ type Options struct {
 	// constraints, so memory read data stays entirely unconstrained — the
 	// "abstract out the memory completely" configuration of the Industry
 	// II case study — and no termination checks), and EngineBMC1,
-	// EngineBMC2, EngineBMC3 and EngineKInd are the named engines. An
-	// unknown name panics.
+	// EngineBMC2 and EngineBMC3 are the named engines. An unknown name
+	// panics.
 	Engine string
 	// MaxDepth is the bound n of Figs. 1–3.
 	MaxDepth int

@@ -542,16 +542,8 @@ func TestLatchFreeMemoryLFP(t *testing.T) {
 	if len(m.N.Latches) != 0 {
 		t.Fatalf("design must be latch-free")
 	}
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"bmc3", Options{Engine: EngineBMC3, MaxDepth: 4}},
-		{"kind", Options{Engine: EngineKInd, MaxDepth: 4}},
-	} {
-		if r := Check(m.N, 0, tc.opt); r.Kind != KindCE || r.Depth != 1 {
-			t.Errorf("%s: got %v (%s), want CE at depth 1", tc.name, r, r.ProofSide)
-		}
+	if r := Check(m.N, 0, Options{Engine: EngineBMC3, MaxDepth: 4}); r.Kind != KindCE || r.Depth != 1 {
+		t.Errorf("got %v (%s), want CE at depth 1", r, r.ProofSide)
 	}
 }
 

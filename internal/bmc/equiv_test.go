@@ -128,7 +128,6 @@ func TestStrashEquivalenceSharedReads(t *testing.T) {
 		{"bmc2", Options{Engine: EngineBMC2, MaxDepth: 8}, true},
 		{"bmc3", Options{Engine: EngineBMC3, MaxDepth: 8}, true},
 		{"bmc3-traced", Options{Engine: EngineBMC3, MaxDepth: 8, pba: true}, false},
-		{"kind", Options{Engine: EngineKInd, MaxDepth: 8}, true},
 	} {
 		tc.opt.ValidateWitness = true
 		on, off := assertEquiv(t, "growth-shared/"+tc.name, func(opt Options) *Result {

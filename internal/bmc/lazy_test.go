@@ -56,8 +56,8 @@ func assertLazyEquiv(t *testing.T, name string, run func(opt Options) *Result, o
 }
 
 // TestEngineChoosesEMMEncoding pins the encoding rule of newWindow: a run
-// without termination checks is lazy; bmc3, kind, both PBA phases and
-// the eq. 1 ablation are eager.
+// without termination checks is lazy; bmc3, both PBA phases and the eq. 1
+// ablation are eager.
 func TestEngineChoosesEMMEncoding(t *testing.T) {
 	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
 	n := q.Netlist()
@@ -74,7 +74,6 @@ func TestEngineChoosesEMMEncoding(t *testing.T) {
 	}{
 		{"bmc2", Check(n, q.P2Index, Options{Engine: EngineBMC2, MaxDepth: 14}), true},
 		{"bmc3", Check(n, q.P1Index, Options{Engine: EngineBMC3, MaxDepth: 8}), false},
-		{"kind", Check(n, q.P1Index, Options{Engine: EngineKInd, MaxDepth: 8}), false},
 		{"pba-abstract", pba.Phase1, false},
 		{"pba-prove", pba.Proof, false},
 		{"eq1-ablation", Check(n, q.P1Index, ablation), false},
@@ -341,7 +340,7 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 	// without it (DisableEMMMemo), and the explicit-expansion baseline
 	// must agree on the verdict at EVERY depth, not just the final one.
 	// bmc2 runs lazy and, through the eager override, eager; the proof
-	// engines — BMC-3 without PBA, and kind — always run eager, and their
+	// engine — BMC-3 without PBA — always runs eager, and its
 	// variants must also agree on the proof side. The direct eq. 1
 	// encoding (DisableExclusivity, always eager) joins bmc2 and bmc3.
 	// Plain BMC on the explicit expansion pins bmc2's verdict and depth
@@ -368,7 +367,6 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 	}{
 		{EngineBMC2, withEager},
 		{EngineBMC3, append(unshared, direct)},
-		{EngineKInd, unshared},
 	}
 	shared, symbolic := 0, 0
 	for seed := 0; seed < trials; seed++ {

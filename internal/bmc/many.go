@@ -44,8 +44,7 @@ func (m *ManyResult) Counts() map[Kind]int {
 // counter-example check; an engine with termination checks also runs the
 // property-independent forward termination check once per depth (UNSAT
 // proves every open property at once) and a per-property backward
-// induction check. Under kind the same checks run base case first
-// (kindStrategy).
+// induction check.
 //
 // The groups cooperate through the forward-termination oracle: the forward
 // check is property-independent and its UNSAT answer is upward-closed in
@@ -71,7 +70,6 @@ func CheckManyParallel(n *aig.Netlist, props []int, opt Options, jobs int) *Many
 // ends its group, and every property still open reports KindTimeout there.
 func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt Options, jobs int) *ManyResult {
 	start := time.Now()
-	mode := modeOf(opt.Engine)
 	out := &ManyResult{Results: make([]*Result, len(props))}
 	if len(props) == 0 {
 		return out
@@ -81,10 +79,10 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	c := compileModel(n, props, &opt)
 	n, props = c.n, c.props
 	jobs = par.Jobs(jobs)
-	if len(props) == 1 && jobs > 1 && mode.proofs && !mode.kind {
+	if len(props) == 1 && jobs > 1 && modeOf(opt.Engine).proofs {
 		// A single property leaves the pool idle; race the forward and
 		// backward termination checks in separate lanes instead (only
-		// meaningful with proofs; k-induction fixes its own check order).
+		// meaningful with proofs).
 		opt.portfolio = true
 		r := checkCompiled(ctx, n, props[0], opt)
 		out.Results[0], out.Stats, out.DepthStats = r, r.Stats, r.DepthStats
@@ -115,12 +113,7 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 		gopt.Obs = opt.Obs.With(obs.F("worker", w))
 		e := newEngine(ctx, n, gprops[0], gopt)
 		d := newDriver(e, gprops, 0)
-		bmc := bmcStrategy{e: e, d: d, fwd: &fwdUnsat}
-		var strat Strategy = &bmc
-		if mode.kind {
-			strat = &kindStrategy{bmc}
-		}
-		d.run(ctx, strat)
+		d.run(ctx, &bmcStrategy{e: e, d: d, fwd: &fwdUnsat})
 		for j, r := range d.res {
 			out.Results[g+j*groups] = r
 		}

@@ -25,10 +25,10 @@ import (
 // EMM generator. Initialized windows host the forward termination check and
 // the counter-example checks; the Free window hosts the backward
 // (induction-step) check and starts in an arbitrary state, so its
-// generator treats every memory as arbitrary-initialized (§4.2) — except,
-// under kind, memories with no write ports: a memory nothing ever
-// writes keeps its declared contents in every reachable state, so the
-// induction step may assume them.
+// generator treats every memory as arbitrary-initialized (§4.2) — except
+// memories with no write ports: a memory nothing ever writes keeps its
+// declared contents in every reachable state, so the induction step may
+// assume them (core.Generator.arbitraryInit).
 //
 // The engine picks the EMM encoding itself. A run without termination
 // checks (bmc2, also under CheckManyParallel; CEGAR's concrete checks)
@@ -36,7 +36,7 @@ import (
 // (core.Generator.EnableLazy, refined in refineSolve): its only query is
 // the counter-example check, which the relaxation answers with a fraction
 // of the eager clauses. Runs with
-// termination checks (bmc3, kind, PBA phase 2) stay eager: made lazy,
+// termination checks (bmc3, PBA phase 2) stay eager: made lazy,
 // they measured slower on prove-qsort (EXPERIMENTS §S10), whose forward
 // and backward queries answer SAT at almost every depth and so pay a
 // model validation, often a refinement round, per answer.
@@ -74,9 +74,6 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 	arb := mode == unroll.Free
 	g := core.NewGenerator(u, arb)
 	g.AttachObs(opt.Obs)
-	if arb && e.mode.kind {
-		g.RetainWriteFreeInit()
-	}
 	if opt.DisableEMMMemo || opt.pba {
 		g.DisableComparatorMemo()
 	}

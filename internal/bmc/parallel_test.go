@@ -196,33 +196,26 @@ func TestStatsAdd(t *testing.T) {
 // property and the solver calls the run spent.
 type entryRun func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int)
 
-// entryPoints lists every public entry point of the package: Check (also
-// routed to k-induction), CheckManyParallel with one property group and
-// with two (also under k-induction), and CheckManyParallel given one
-// property at a time (two workers race its termination lanes).
+// entryPoints lists every public entry point of the package: Check,
+// CheckManyParallel with one property group and with two, and
+// CheckManyParallel given one property at a time (two workers race its
+// termination lanes).
 func entryPoints() []struct {
 	name string
 	run  entryRun
 } {
-	check := func(tune func(*Options)) entryRun {
-		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
-			tune(&opt)
-			var out []*Result
-			calls := 0
-			for _, p := range props {
-				r := CheckCtx(ctx, n, p, opt)
-				out = append(out, r)
-				calls += r.Stats.SolveCalls
-			}
-			return out, calls
+	check := func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
+		var out []*Result
+		calls := 0
+		for _, p := range props {
+			r := CheckCtx(ctx, n, p, opt)
+			out = append(out, r)
+			calls += r.Stats.SolveCalls
 		}
+		return out, calls
 	}
-	kind := func(o *Options) { o.Engine = EngineKInd }
-	many := func(jobs int, tune ...func(*Options)) entryRun {
+	many := func(jobs int) entryRun {
 		return func(ctx context.Context, n *aig.Netlist, props []int, opt Options) ([]*Result, int) {
-			for _, f := range tune {
-				f(&opt)
-			}
 			mr := CheckManyParallelCtx(ctx, n, props, opt, jobs)
 			return mr.Results, mr.Stats.SolveCalls
 		}
@@ -241,47 +234,10 @@ func entryPoints() []struct {
 		name string
 		run  entryRun
 	}{
-		{"Check", check(func(*Options) {})},
+		{"Check", check},
 		{"CheckManyParallel/1", many(1)},
 		{"CheckManyParallel/2", many(2)},
 		{"CheckManyParallel/2/one-prop", lanes},
-		{"kind", check(kind)},
-		{"kind/CheckManyParallel/1", many(1, kind)},
-		{"kind/CheckManyParallel/2", many(2, kind)},
-	}
-}
-
-// TestPoolRunsKInduction: under kind CheckManyParallel runs a single
-// property with the k-induction strategy, exactly as Check does — same
-// verdict, depth and proof side, and the same solver calls for a single
-// property. BMC-3's check order (forward, backward, then the
-// counter-example query) would spend a different number of calls.
-func TestPoolRunsKInduction(t *testing.T) {
-	qs := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
-	counter, _ := manyCounter()
-	for _, tc := range []struct {
-		name string
-		n    *aig.Netlist
-		prop int
-	}{
-		{"quicksort-p2", qs.Netlist(), qs.P2Index},
-		{"counter-ce", counter.N, 3},
-		{"counter-proof", counter.N, 8},
-	} {
-		opt := Options{Engine: EngineKInd, MaxDepth: 14}
-		want := Check(tc.n, tc.prop, opt)
-		for _, jobs := range []int{1, 2} {
-			mr := CheckManyParallel(tc.n, []int{tc.prop}, opt, jobs)
-			r := mr.Results[0]
-			if r.Kind != want.Kind || r.Depth != want.Depth || r.ProofSide != want.ProofSide {
-				t.Errorf("%s jobs=%d: pool %v (%s), Check %v (%s)",
-					tc.name, jobs, r, r.ProofSide, want, want.ProofSide)
-			}
-			if mr.Stats.SolveCalls != want.Stats.SolveCalls {
-				t.Errorf("%s jobs=%d: pool made %d solver calls, Check %d",
-					tc.name, jobs, mr.Stats.SolveCalls, want.Stats.SolveCalls)
-			}
-		}
 	}
 }
 
@@ -374,10 +330,12 @@ func TestDepthStatsAtAnyJobs(t *testing.T) {
 	}
 }
 
-// TestManyKInductionMatchesCheck: one property group under kind runs
-// k-induction over all of its properties (each open property's base case,
-// one forward check, each open property's induction step) and reaches the
-// verdict Check reaches on each property alone.
+// TestManyKInductionMatchesCheck: one property group under bmc3 runs its
+// k-induction (one forward check, then each open property's induction step
+// and counter-example check) over all of its properties and reaches the
+// verdict Check reaches on each property alone — on lookup too, whose
+// shared compile prunes the dead write port, so the group's induction
+// steps retain the memory's zero contents as a lone property's do.
 func TestManyKInductionMatchesCheck(t *testing.T) {
 	qs := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 3, DataW: 4, StackAW: 3})
 	l := designs.NewLookup(designs.LookupConfig{AW: 3, DW: 4, NumProps: 3, Latency: 2})
@@ -391,7 +349,7 @@ func TestManyKInductionMatchesCheck(t *testing.T) {
 		{"lookup", l.Netlist(), append([]int{l.InvariantIndex}, l.ReachIndices...)},
 		{"counter", counter.N, cprops},
 	} {
-		opt := Options{Engine: EngineKInd, MaxDepth: 14}
+		opt := Options{Engine: EngineBMC3, MaxDepth: 14}
 		opt.ValidateWitness = true
 		mr := CheckManyParallel(tc.n, tc.props, opt, 1)
 		for pi, p := range tc.props {

@@ -110,8 +110,6 @@ func (d *driver) finish(r *Result) *Result {
 func (e *engine) strategyFor(d *driver) Strategy {
 	bmc := bmcStrategy{e: e, d: d}
 	switch {
-	case e.mode.kind:
-		return &kindStrategy{bmc}
 	case e.mode.proofs && e.opt.portfolio:
 		return &portfolioStrategy{e}
 	case e.opt.pba:
@@ -122,10 +120,10 @@ func (e *engine) strategyFor(d *driver) Strategy {
 }
 
 // bmcStrategy is the paper's per-depth flow, shared by BMC-1, BMC-2, BMC-3,
-// PBA phase 1 and each property group of CheckManyParallel outside
-// kind: forward termination once per depth (property-independent,
-// so UNSAT proves every open property), then for each open property
-// backward termination and the counter-example query.
+// PBA phase 1 and each property group of CheckManyParallel: forward
+// termination once per depth (property-independent, so UNSAT proves every
+// open property), then for each open property backward termination and
+// the counter-example query.
 type bmcStrategy struct {
 	e   *engine
 	d   *driver

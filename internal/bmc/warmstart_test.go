@@ -135,12 +135,13 @@ func TestWarmStartNoCEAndProofParity(t *testing.T) {
 	}
 }
 
-// k-induction under warm start, falsifiable side: StartDepth defers the
-// base case, which must still land on the cold run's counter-example with
-// a replaying witness (the proof side is covered by TestKIndWarmStart).
+// BMC-3 under warm start, falsifiable side: StartDepth defers the
+// counter-example check (the base case of its k-induction), which must
+// still land on the cold run's counter-example with a replaying witness
+// (the proof side is covered by TestKIndWarmStart).
 func TestWarmStartKIndBaseCase(t *testing.T) {
 	n := memCENetlist()
-	opt := Options{Engine: EngineKInd, MaxDepth: 10}
+	opt := Options{Engine: EngineBMC3, MaxDepth: 10}
 	opt.ValidateWitness = true
 	checkWarmParity(t, n, opt, 3, false)
 	checkWarmParity(t, n, opt, 5, false)

@@ -80,17 +80,14 @@ func (s Sizes) String() string {
 type Generator struct {
 	u *unroll.Unroller
 
-	// ForceArbitraryInit treats every memory as arbitrary-initialized,
-	// regardless of its declared init. Required when the underlying
-	// unrolling window does not start at the design's initial state (the
-	// backward/induction-step checks): reads of locations not written
-	// inside the window must then be arbitrary-but-consistent rather than
-	// the declared reset contents.
+	// ForceArbitraryInit treats every written memory as
+	// arbitrary-initialized, regardless of its declared init. Required when
+	// the underlying unrolling window does not start at the design's
+	// initial state (the backward/induction-step checks): reads of
+	// locations not written inside the window must then be
+	// arbitrary-but-consistent rather than the declared reset contents.
+	// A memory with no write port keeps its declared init (arbitraryInit).
 	forceArb bool
-
-	// retainWriteFreeInit keeps the declared initial contents of memories
-	// with no write ports even under forceArb (see RetainWriteFreeInit).
-	retainWriteFreeInit bool
 
 	memEnabled   []bool
 	readEnabled  [][]bool
@@ -188,7 +185,8 @@ type readEvent struct {
 }
 
 // NewGenerator builds an EMM generator over u. When forceArbitraryInit is
-// set, declared zero-initialization is ignored (see ForceArbitraryInit).
+// set, declared zero-initialization of written memories is ignored (see
+// ForceArbitraryInit).
 func NewGenerator(u *unroll.Unroller, forceArbitraryInit bool) *Generator {
 	g := &Generator{u: u, forceArb: forceArbitraryInit}
 	for _, m := range u.N.Memories {
@@ -262,28 +260,16 @@ func (g *Generator) DisableComparatorMemo() {
 	g.noCompMemo = true
 }
 
-// RetainWriteFreeInit keeps the declared initial contents of write-free
-// memories under ForceArbitraryInit: a memory with zero write ports never
-// changes, so "its contents equal the declared init" is an invariant of
-// every reachable state, and an induction-step window (which otherwise must
-// treat all memories as arbitrary per §4.2) may soundly assume it. This is
-// the k-induction engine's strengthening: it turns ROM-like lookup designs
-// — unprovable under fully arbitrary backward windows at any bound — into
-// depth-0 induction proofs. Memories declared MemArbitrary keep their
-// fresh-variable modeling; only a declared (zero) init is retained, and
-// only when the compiled netlist carries no write port for the memory.
-func (g *Generator) RetainWriteFreeInit() {
-	g.mustBeFresh()
-	g.retainWriteFreeInit = true
-}
-
 // arbitraryInit reports whether reads of m that hit no in-window write
 // observe a symbolic word (§4.2) rather than the declared zero init: the
-// memory is declared arbitrary, or the window is forced arbitrary and
-// retention does not apply to m.
+// memory is declared arbitrary, or the window is forced arbitrary and m
+// has a write port. A memory with no write port never changes, so its
+// declared contents hold in every reachable state and a window that does
+// not start at the initial state may still assume them. Ports are counted
+// on the netlist, so a write port an abstraction disables
+// (SetWritePortEnabled) still keeps its memory arbitrary.
 func (g *Generator) arbitraryInit(m *aig.Memory) bool {
-	retained := g.retainWriteFreeInit && len(m.Writes) == 0
-	return (g.forceArb && !retained) || m.Init == aig.MemArbitrary
+	return (g.forceArb && len(m.Writes) > 0) || m.Init == aig.MemArbitrary
 }
 
 func (g *Generator) mustBeFresh() {

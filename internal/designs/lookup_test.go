@@ -120,11 +120,20 @@ func TestLookupEMMAloneCannotProve(t *testing.T) {
 	// starts in an arbitrary state where unwritten reads are arbitrary,
 	// and the input-driven pipelines give the design an astronomically
 	// large forward diameter. The flow that works is the invariant +
-	// RD=0 abstraction (see TestLookupRDZeroAbstractionProvesAll).
+	// RD=0 abstraction (see TestLookupRDZeroAbstractionProvesAll). This is
+	// the literal Fig. 3 check, so it runs without the compile pipeline:
+	// the ports pass would prune the lookup's dead write port, leaving a
+	// write-free memory whose zero contents the induction step keeps, and
+	// BMC-3 then proves the property at depth 1.
 	l := NewLookup(tinyLookup())
-	r := bmc.Check(l.Netlist(), l.ReachIndices[0], bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 40})
+	opt := bmc.Options{Engine: bmc.EngineBMC3, MaxDepth: 40, Passes: "none"}
+	r := bmc.Check(l.Netlist(), l.ReachIndices[0], opt)
 	if r.Kind != bmc.KindNoCE {
 		t.Fatalf("expected NO_CE at the bound, got %v", r)
+	}
+	opt.Passes = ""
+	if r := bmc.Check(l.Netlist(), l.ReachIndices[0], opt); r.Kind != bmc.KindProof || r.Depth != 1 {
+		t.Fatalf("with the compile pipeline: %v, want PROOF depth=1", r)
 	}
 }
 

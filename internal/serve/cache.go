@@ -68,8 +68,8 @@ type Cache struct {
 	// a truth about the problem (netlist + passes), not about the engine
 	// that found it, so it is stored a second time under the engine-free
 	// ProblemID and answers submissions from *any* engine at any depth —
-	// a k-induction proof short-circuits every later BMC-3 or BMC-1
-	// request on the same design. CE and NO_CE entries stay per-family:
+	// a BMC-3 proof short-circuits every later BMC-1 request on the same
+	// design. CE and NO_CE entries stay per-family:
 	// a frontier is only meaningful to the engine flow that produced it.
 	proofs map[string]*proofEntry
 	cap    int

@@ -198,11 +198,11 @@ func TestCEDepthSemantics(t *testing.T) {
 	}
 }
 
-// wedgeBTOR2 serializes the k-induction wedge: a zero-init ROM read at an
-// address taken from the counter's top bits, with the property that
-// enabled reads return zero. BMC-3 cannot bound it (the counter pushes the
-// recurrence diameter to 2^12), kind proves it at depth 0 via retained
-// write-free init.
+// wedgeBTOR2 serializes the wedge: a zero-init ROM read at an address
+// taken from the counter's top bits, with the property that enabled reads
+// return zero. The forward check cannot bound it (the counter pushes the
+// recurrence diameter to 2^12); BMC-3's induction step proves it at depth
+// 0, because a memory with no write port keeps its declared contents.
 func wedgeBTOR2(t *testing.T) string {
 	t.Helper()
 	m := rtl.NewModule("wedge")
@@ -221,10 +221,10 @@ func wedgeBTOR2(t *testing.T) string {
 	return buf.String()
 }
 
-// A PROOF is engine-independent: once kind proves the wedge unboundedly,
-// the cached proof answers later submissions from *any* engine at *any*
-// depth — even engines that could never have produced it — while the
-// per-engine families stay separate.
+// A PROOF is engine-independent: once bmc3 proves the wedge unboundedly,
+// the cached proof answers later submissions from any proving engine at
+// any depth — even bmc1, which could never have produced it on a design
+// with memories — while the per-engine families stay separate.
 func TestProofServedAcrossEngines(t *testing.T) {
 	s, c := testServer(t)
 	src := wedgeBTOR2(t)
@@ -232,52 +232,52 @@ func TestProofServedAcrossEngines(t *testing.T) {
 		return Request{Format: "btor2", Source: src, Prop: 0,
 			Spec: spec.Spec{Engine: engine, Depth: depth}}
 	}
-	proof := submitWait(t, c, req(spec.EngineKInd, 10))
+	proof := submitWait(t, c, req(spec.EngineBMC3, 10))
 	if proof.Cached || proof.Verdict.Kind != "PROOF" || proof.Verdict.Depth != 0 {
-		t.Fatalf("kind on the wedge: cached=%v %+v, want fresh PROOF depth=0", proof.Cached, proof.Verdict)
+		t.Fatalf("bmc3 on the wedge: cached=%v %+v, want fresh PROOF depth=0", proof.Cached, proof.Verdict)
 	}
-	for _, engine := range []string{spec.EngineBMC3, spec.EngineBMC1, spec.EngineKInd} {
+	for _, engine := range []string{spec.EngineBMC3, spec.EngineBMC1} {
 		got := submitWait(t, c, req(engine, 25))
 		if !got.Cached || got.Verdict.Kind != "PROOF" {
-			t.Fatalf("%s after kind proof: cached=%v %+v, want cached PROOF", engine, got.Cached, got.Verdict)
+			t.Fatalf("%s after the bmc3 proof: cached=%v %+v, want cached PROOF", engine, got.Cached, got.Verdict)
 		}
-		if engine != spec.EngineKInd && got.Family == proof.Family {
-			t.Fatalf("%s shares kind's family — proof transfer must cross families, not blur them", engine)
+		if engine != spec.EngineBMC3 && got.Family == proof.Family {
+			t.Fatalf("%s shares bmc3's family — proof transfer must cross families, not blur them", engine)
 		}
 	}
-	if st := s.CacheStats(); st.Hits < 3 {
+	if st := s.CacheStats(); st.Hits < 2 {
 		t.Fatalf("proof serves not accounted as hits: %+v", st)
 	}
 }
 
-// A cached NO_CE frontier warm-starts a deeper kind request's base case,
-// same as the plain BMC engines: kind declares CapWarm and its checks are
-// monotone in k.
+// A cached NO_CE frontier warm-starts a deeper bmc3 request: its
+// termination checks are monotone in k and its counter-example check (the
+// base case of its k-induction) resumes at the frontier.
 func TestKIndDeepeningWarmStarts(t *testing.T) {
 	_, c := testServer(t)
-	// The counter design's CE sits at depth 9 and neither induction check
-	// closes (an arbitrary state can hold cnt=9), so below depth 9 kind
+	// The counter design's CE sits at depth 9 and neither termination check
+	// closes (an arbitrary state can hold cnt=8), so below depth 9 bmc3
 	// honestly reports a NO_CE frontier.
 	req := func(depth int) Request {
 		return Request{Format: "verilog", Source: counterSrc, Prop: 0,
-			Spec: spec.Spec{Engine: spec.EngineKInd, Depth: depth}}
+			Spec: spec.Spec{Engine: spec.EngineBMC3, Depth: depth}}
 	}
 	shallow := submitWait(t, c, req(5))
 	if shallow.Verdict.Kind != "NO_CE" || shallow.Verdict.Depth != 5 {
-		t.Fatalf("shallow kind run: %+v", shallow.Verdict)
+		t.Fatalf("shallow bmc3 run: %+v", shallow.Verdict)
 	}
 	deep := submitWait(t, c, req(8))
 	if deep.Cached || deep.WarmStart != 6 {
-		t.Fatalf("deep kind run: cached=%v warm=%d, want fresh run warm-started at 6", deep.Cached, deep.WarmStart)
+		t.Fatalf("deep bmc3 run: cached=%v warm=%d, want fresh run warm-started at 6", deep.Cached, deep.WarmStart)
 	}
 	if deep.Verdict.Kind != "NO_CE" || deep.Verdict.Depth != 8 {
-		t.Fatalf("deep kind verdict: %+v", deep.Verdict)
+		t.Fatalf("deep bmc3 verdict: %+v", deep.Verdict)
 	}
-	// Deepening past the frontier into the violation: the warm-started base
-	// case finds the depth-9 counter-example.
+	// Deepening past the frontier into the violation: the warm-started
+	// counter-example check finds the depth-9 counter-example.
 	ce := submitWait(t, c, req(12))
 	if ce.Cached || ce.WarmStart != 9 || ce.Verdict.Kind != "CE" || ce.Verdict.Depth != 9 {
-		t.Fatalf("kind past the frontier: cached=%v warm=%d %+v, want CE depth=9 from warm start 9",
+		t.Fatalf("bmc3 past the frontier: cached=%v warm=%d %+v, want CE depth=9 from warm start 9",
 			ce.Cached, ce.WarmStart, ce.Verdict)
 	}
 }
@@ -330,8 +330,14 @@ func TestEventsStream(t *testing.T) {
 	if err := c.Events(st.ID, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "serve.job") {
-		t.Fatalf("event stream missing the job span:\n%s", buf.String())
+	// The submit-time parse and compile come first, then the worker's job.
+	events, last := buf.String(), -1
+	for _, span := range []string{`"frontend.parse"`, `"pass.compile"`, `"serve.job"`} {
+		at := strings.Index(events, span)
+		if at <= last {
+			t.Fatalf("event stream missing %s after the spans before it:\n%s", span, events)
+		}
+		last = at
 	}
 }
 
@@ -416,18 +422,20 @@ func TestEnginePanicFailsOnlyItsJob(t *testing.T) {
 // A submission carrying a field this build does not know is rejected with
 // 400 naming the field — whether it is a retired engine knob inside the
 // spec or a misspelled top-level field — instead of running with the
-// setting silently dropped.
+// setting silently dropped. A retired engine name gets 400 naming it.
 func TestSubmitRejectsUnknownFields(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Shutdown)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	for _, c := range []struct{ body, field string }{
-		{`{"format":"verilog","source":"module m; endmodule","spec":{"share":true}}`, `"share"`},
-		{`{"format":"verilog","source":"module m; endmodule","spec":{"lazy":true}}`, `"lazy"`},
-		{`{"format":"verilog","source":"module m; endmodule","spec":{"restart":"luby"}}`, `"restart"`},
-		{`{"format":"verilog","source":"module m; endmodule","spec":{"no_simplify":true}}`, `"no_simplify"`},
-		{`{"formatt":"verilog","source":"module m; endmodule"}`, `"formatt"`},
+	for _, c := range []struct{ body, want string }{
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"share":true}}`, `unknown field "share"`},
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"lazy":true}}`, `unknown field "lazy"`},
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"restart":"luby"}}`, `unknown field "restart"`},
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"no_simplify":true}}`, `unknown field "no_simplify"`},
+		{`{"formatt":"verilog","source":"module m; endmodule"}`, `unknown field "formatt"`},
+		// The retired k-induction engine is an unknown engine, not an alias.
+		{`{"format":"verilog","source":"module m; endmodule","spec":{"engine":"kind"}}`, `unknown engine "kind"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -435,8 +443,8 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field "+c.field) {
-			t.Errorf("%s: status %d, body %q; want 400 naming %s", c.body, resp.StatusCode, msg, c.field)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
+			t.Errorf("%s: status %d, body %q; want 400 saying %s", c.body, resp.StatusCode, msg, c.want)
 		}
 	}
 }

@@ -80,6 +80,7 @@ type job struct {
 	key       string
 	sourceKey string
 	log       *eventLog
+	obs       *obs.Observer // writes the job's journal into log; nil once finished
 	done      chan struct{}
 
 	mu        sync.Mutex
@@ -245,7 +246,14 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	// The job's journal opens before the parse, so it also explains the
+	// submit-time parse and compile. A submission that fails, or attaches
+	// to an in-flight duplicate, drops it.
+	events := newEventLog()
+	ob := newJobObserver(events)
+	sp := ob.Span("frontend.parse", obs.F("format", req.Format), obs.F("bytes", len(raw)))
 	n, err := ParseNetlist(req.Format, raw, req.Top, req.Params)
+	sp.End()
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("parse %s: %w", req.Format, err)
 	}
@@ -257,7 +265,7 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	// The compile pipeline is deterministic, so hashing its output here
 	// and letting the engine recompile identically later keeps the key
 	// honest without threading compiled state through the queue.
-	compiled, err := pass.Compile(n, []int{req.Prop}, pass.Options{Spec: canon.Passes})
+	compiled, err := pass.Compile(n, []int{req.Prop}, pass.Options{Spec: canon.Passes, Obs: ob})
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -292,7 +300,8 @@ func (s *Server) submit(req Request) (*job, int, error) {
 		problemID: probID,
 		key:       key,
 		sourceKey: srcKey,
-		log:       newEventLog(),
+		log:       events,
+		obs:       ob,
 		done:      make(chan struct{}),
 		state:     "queued",
 	}
@@ -408,12 +417,11 @@ func (s *Server) run(slot int, j *job) {
 			warmFrom = hit.WarmFrom
 		}
 	}
-	ob := newJobObserver(j.log)
-	sp := ob.Span("serve.job",
+	sp := j.obs.Span("serve.job",
 		obs.F("job", j.id), obs.F("worker", slot),
 		obs.F("engine", j.req.Spec.Canonical().Engine),
 		obs.F("depth", j.depth), obs.F("warm_from", warmFrom))
-	res, err := s.solve(j, warmFrom, ob)
+	res, err := s.solve(j, warmFrom)
 	sp.End()
 	j.log.CloseLog()
 	if err != nil {
@@ -430,7 +438,7 @@ func (s *Server) run(slot int, j *job) {
 // exactness panics the lazy EMM refinement raises on purpose — becomes
 // this job's error, stack included, so the worker and every queued job
 // survive it.
-func (s *Server) solve(j *job, warmFrom int, ob *obs.Observer) (res *bmc.Result, err error) {
+func (s *Server) solve(j *job, warmFrom int) (res *bmc.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -438,7 +446,7 @@ func (s *Server) solve(j *job, warmFrom int, ob *obs.Observer) (res *bmc.Result,
 		}
 	}()
 	return s.runEngine(j.req.Spec, s.ctx, j.netlist, j.req.Prop, warmFrom, func(o *bmc.Options) {
-		o.Obs = ob
+		o.Obs = j.obs
 		o.ValidateWitness = true
 	})
 }
@@ -458,6 +466,9 @@ func (j *job) finish(v *Verdict, cached bool, warm int, errMsg string) {
 	j.verdict = v
 	j.cached = cached
 	j.warmStart = warm
+	// The journal is complete: drop its encoder and buffer, which the
+	// server would otherwise keep for as long as it keeps the job.
+	j.obs = nil
 	if errMsg != "" {
 		j.state = "failed"
 		j.err = errMsg

@@ -1,12 +1,12 @@
-// The k-induction wedge: a zero-initialized ROM (no write port) whose
-// read address comes from the TOP bits of a free-running counter, with
-// the property that the registered read data stays zero. The counter
-// keeps the recurrence diameter at 2^12, far past any bounded run, and
-// arbitrary-initial-state modeling keeps the plain induction step SAT —
-// so BMC-3 exhausts its bound undecided. k-induction's write-free-init
-// retention ("a memory nobody writes keeps its declared contents") closes
-// the induction step immediately. The CI kind smoke requires PROOF here
-// and NO_CE from bmc3 at the same bound.
+// The wedge: a zero-initialized ROM (no write port) whose read address
+// comes from the TOP bits of a free-running counter, with the property
+// that the registered read data stays zero. The counter keeps the
+// recurrence diameter at 2^12, far past any bounded run, so the forward
+// termination check never closes, and fully arbitrary initial memory
+// contents (§4.2) would keep the induction step SAT at every depth too.
+// BMC-3 keeps the declared contents of a memory nobody writes, so its
+// induction step closes at depth 1 (the read is registered). CI requires
+// PROOF here.
 module wedge(input clk);
   (* init = "zero" *) reg [3:0] rom [15:0];
   reg [11:0] cnt;

@@ -5,42 +5,26 @@ import (
 	"strings"
 )
 
-// Capability is one orthogonal engine feature the serving layer relies
-// on. Every engine declares the set it supports in the registry below;
-// warm-start eligibility reads it.
-type Capability uint32
-
-const (
-	// CapWarm: the engine honors warm-started deepening
-	// (bmc.Options.StartDepth), so a cached NO_CE frontier can resume it.
-	CapWarm Capability = 1 << iota
-)
-
-// Has reports whether c includes want.
-func (c Capability) Has(want Capability) bool { return c&want == want }
-
 // EngineInfo is one registry entry: the engine's canonical name, the short
-// summary rendered into the -engine usage string, and its capability set.
+// summary rendered into the -engine usage string, and whether the engine
+// honors warm-started deepening (bmc.Options.StartDepth), so that a cached
+// NO_CE frontier can resume it.
 type EngineInfo struct {
 	Name    string
 	Summary string
-	Caps    Capability
+	Warm    bool
 }
 
-// Has reports whether the engine supports the capability.
-func (e EngineInfo) Has(c Capability) bool { return e.Caps.Has(c) }
-
 // engineRegistry is the single source of truth for which engines exist,
-// what each one is, and which capabilities it has. Validate, the
+// what each one is, and which of them warm-start. Validate, the
 // -engine usage string and WarmEligible derive from it; adding an engine
 // means adding exactly one row here plus the engine itself in package bmc,
 // under the same name.
 var engineRegistry = []EngineInfo{
-	{EngineBMC1, "plain BMC + induction proofs (Fig. 1)", CapWarm},
-	{EngineBMC2, "EMM falsification (Fig. 2)", CapWarm},
-	{EngineBMC3, "EMM + induction proofs (Fig. 3)", CapWarm},
-	{EnginePBA, "two-phase prove-with-abstraction", 0},
-	{EngineKInd, "EMM k-induction: unbounded proofs via strengthened simple-path induction", CapWarm},
+	{EngineBMC1, "plain BMC + induction proofs (Fig. 1)", true},
+	{EngineBMC2, "EMM falsification (Fig. 2)", true},
+	{EngineBMC3, "EMM + induction proofs (Fig. 3)", true},
+	{EnginePBA, "two-phase prove-with-abstraction", false},
 }
 
 // Engines returns the registry rows in canonical order.

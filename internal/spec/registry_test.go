@@ -51,14 +51,14 @@ func TestEngineUsageDerivedFromRegistry(t *testing.T) {
 	}
 }
 
-// Every engine must declare a coherent capability set: warm-start
-// eligibility and the proof index both read the registry, so the bits new
-// rows declare are load-bearing.
+// Warm-start eligibility reads the registry's Warm column: every engine but
+// pba honors a warm-start frontier.
 func TestRegistryCoherence(t *testing.T) {
 	for _, info := range Engines() {
 		s := Spec{Engine: info.Name}
-		if got := s.WarmEligible(); got != info.Has(CapWarm) {
-			t.Errorf("%s: WarmEligible=%v, registry CapWarm=%v", info.Name, got, info.Has(CapWarm))
+		want := info.Name != EnginePBA
+		if got := s.WarmEligible(); got != want || info.Warm != want {
+			t.Errorf("%s: WarmEligible=%v, registry Warm=%v, want %v", info.Name, got, info.Warm, want)
 		}
 	}
 }

@@ -34,18 +34,16 @@ import (
 const Version = 1
 
 // Engine names. All but pba are bmc's engine names (bmc.Options.Engine);
-// PBA is the two-phase prove-with-abstraction flow over bmc3, and KInd is
-// EMM k-induction (the bmc3 termination machinery with a strengthened
-// induction hypothesis — unbounded proofs). The registry in registry.go
-// describes each engine and its capability set. The engine also fixes the
-// EMM encoding: bmc2 instantiates read-over-write axioms on demand, the
-// proof engines use the eager encoding (see bmc's newWindow).
+// PBA is the two-phase prove-with-abstraction flow over bmc3. The registry
+// in registry.go describes each engine and whether it warm-starts. The
+// engine also fixes the EMM encoding: bmc2 instantiates read-over-write
+// axioms on demand, the proof engines use the eager encoding (see bmc's
+// newWindow).
 const (
 	EngineBMC1 = bmc.EngineBMC1
 	EngineBMC2 = bmc.EngineBMC2
 	EngineBMC3 = bmc.EngineBMC3
 	EnginePBA  = "pba"
-	EngineKInd = bmc.EngineKInd
 )
 
 // ErrBMC1Memories refuses bmc1 on a design with memories: bmc1 leaves
@@ -264,7 +262,7 @@ func (s Spec) familyContent() string {
 // same compiled netlist ask about the *same property of the same model*,
 // just with different engines or bounds. The verdict cache uses it for the
 // one verdict kind that transfers across both dimensions: a PROOF states
-// the property holds at every depth, so a k-induction proof answers later
+// the property holds at every depth, so a bmc3 proof answers later
 // bmc1/bmc3 requests at any bound. CE and NO_CE verdicts stay on
 // FamilyKey — an engine without termination checks legitimately reports
 // NO_CE where a proving engine reports PROOF, and the cache must not blur
@@ -280,12 +278,12 @@ func hashKey(content string) string {
 }
 
 // WarmEligible reports whether the engine behind s supports warm-started
-// runs (bmc.Options.StartDepth, registry capability CapWarm): the
-// single-engine BMC flows and k-induction do; the two-phase PBA flow
-// re-derives its abstraction from depth 0 and does not.
+// runs (bmc.Options.StartDepth, the registry's Warm column): the
+// single-engine BMC flows do; the two-phase PBA flow re-derives its
+// abstraction from depth 0 and does not.
 func (s Spec) WarmEligible() bool {
 	info, ok := LookupEngine(s.Canonical().Engine)
-	return ok && info.Has(CapWarm)
+	return ok && info.Warm
 }
 
 // CheckModel reports whether the engine behind s can check n: it returns
