@@ -39,6 +39,7 @@ import (
 	"emmver/internal/aig"
 	"emmver/internal/core"
 	"emmver/internal/obs"
+	"emmver/internal/pass"
 	"emmver/internal/pba"
 	"emmver/internal/sat"
 	"emmver/internal/unroll"
@@ -592,7 +593,20 @@ func Check(n *aig.Netlist, prop int, opt Options) *Result {
 // pipeline selected by Options.Passes and then translates the result back
 // to n's coordinates.
 func CheckCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Result {
-	c := compileModel(n, []int{prop}, &opt)
+	return CheckCompiledCtx(ctx, n, prop, compileSpec(n, []int{prop}, opt), opt)
+}
+
+// CheckCompiledCtx is CheckCtx on a model the caller has already compiled:
+// cm must be the output of pass.Compile(n, []int{prop}, ...) under
+// opt.Passes, the compile CheckCtx would run itself. The job server
+// compiles every submission once to key its verdict cache and hands that
+// compile to the engine here. Results are in n's coordinates, and with
+// ValidateWitness a counter-example is replayed on n as well as on cm.N.
+func CheckCompiledCtx(ctx context.Context, n *aig.Netlist, prop int, cm *pass.Compiled, opt Options) *Result {
+	if len(cm.Props) != 1 {
+		panic(fmt.Sprintf("bmc: CheckCompiledCtx needs a model compiled for one property, got %d", len(cm.Props)))
+	}
+	c := modelOf(n, []int{prop}, cm, &opt)
 	return c.finish(checkCompiled(ctx, c.n, c.props[0], opt), prop, opt)
 }
 

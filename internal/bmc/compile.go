@@ -11,7 +11,8 @@ import (
 // compiled carries the output of the static pass pipeline together with
 // everything needed to translate engine results back to the source
 // netlist's coordinates. The public entry points (CheckCtx,
-// CheckManyParallelCtx) compile first, run the engines on the reduced
+// CheckManyParallelCtx) compile first (CheckCompiledCtx takes the
+// caller's compile), run the engines on the reduced
 // netlist, and back-map before returning, so callers only ever see source
 // property indices, source node ids in witnesses, and source latch indices
 // in PBA trackers.
@@ -29,10 +30,21 @@ type compiled struct {
 // specs before any engine runs — so it panics rather than growing an error
 // return on every Check signature.
 func compileModel(n *aig.Netlist, props []int, opt *Options) compiled {
+	return modelOf(n, props, compileSpec(n, props, *opt), opt)
+}
+
+// compileSpec runs the pipeline opt.Passes selects over n for props.
+func compileSpec(n *aig.Netlist, props []int, opt Options) *pass.Compiled {
 	res, err := pass.Compile(n, props, pass.Options{Spec: opt.Passes, Obs: opt.Obs})
 	if err != nil {
 		panic("bmc: " + err.Error())
 	}
+	return res
+}
+
+// modelOf wraps res, the pipeline's output for props of n, and rewrites
+// opt.Abs into its coordinates like compileModel.
+func modelOf(n *aig.Netlist, props []int, res *pass.Compiled, opt *Options) compiled {
 	c := compiled{n: res.N, props: res.Props, mp: res.Map, src: n, srcProps: props}
 	if opt.Abs != nil && !res.Map.IsIdentity() {
 		opt.Abs = mapAbsToCompiled(opt.Abs, res.N, res.Map)

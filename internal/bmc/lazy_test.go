@@ -211,8 +211,8 @@ func TestLazyWitnessReplayThroughMapping(t *testing.T) {
 	}
 }
 
-// randMemDesign builds a small random multi-port memory design: 1-2 write
-// ports and three reads wired from a mix of inputs, counter slices, and
+// randMemDesign builds a small random multi-port memory design: 0-2 write
+// ports (writes reports how many) and three reads wired from a mix of inputs, counter slices, and
 // constants, under one of seven property shapes. Read port 2 duplicates
 // read port 0 (same enable and address: EMM shares its event) or nearly
 // duplicates it (one address bit, or the enable, differs). Every property
@@ -223,8 +223,10 @@ func TestLazyWitnessReplayThroughMapping(t *testing.T) {
 // other half (symbolic reports which): a reset counter folds to a constant
 // at every frame of an initialized window, so everything drawn from it is
 // a constant there, while an InitX counter keeps those comparators
-// symbolic. Seeded, so every trial is reproducible from its index.
-func randMemDesign(rng *rand.Rand) (m *rtl.Module, symbolic bool) {
+// symbolic. A design without write ports is a ROM: with a zero init,
+// BMC-3 keeps its contents in the induction step (write-free-init
+// retention). Seeded, so every trial is reproducible from its index.
+func randMemDesign(rng *rand.Rand) (m *rtl.Module, symbolic bool, writes int) {
 	const aw, dw = 2, 3
 	m = rtl.NewModule("fuzz")
 	init := aig.MemZero
@@ -255,10 +257,14 @@ func randMemDesign(rng *rand.Rand) (m *rtl.Module, symbolic bool) {
 		}
 	}
 	const overwrite = 6 // the property shape that needs two writes to one address
+	writes = rng.Intn(3)
 	shape := rng.Intn(7)
+	if writes == 0 {
+		shape = rng.Intn(overwrite)
+	}
 	var wa0, wd0 rtl.Vec
 	var we0 aig.Lit
-	for i := 0; i < 1+rng.Intn(2); i++ {
+	for i := 0; i < writes; i++ {
 		we := aig.True
 		if rng.Intn(2) == 0 {
 			we = m.InputBit(fmt.Sprintf("we%d", i))
@@ -331,7 +337,7 @@ func randMemDesign(rng *rand.Rand) (m *rtl.Module, symbolic bool) {
 		m.AssertAlways("keeps-old", m.N.Implies(hit, m.Eq(rd0, d2.Q)))
 	}
 	m.Done(regs...)
-	return m, symbolic
+	return m, symbolic, writes
 }
 
 func TestLazyDifferentialFuzz(t *testing.T) {
@@ -369,12 +375,16 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 		{EngineBMC3, append(unshared, direct)},
 	}
 	shared, symbolic := 0, 0
+	var byWrites [3]int
+	romProofs := 0 // bmc3 proofs on write-free zero-init designs
 	for seed := 0; seed < trials; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		m, sym := randMemDesign(rng)
+		m, sym, writes := randMemDesign(rng)
 		if sym {
 			symbolic++
 		}
+		byWrites[writes]++
+		rom := writes == 0 && m.N.Memories[0].Init == aig.MemZero
 		exp, _, err := expmem.Expand(m.N)
 		if err != nil {
 			t.Fatalf("seed %d: expand: %v", seed, err)
@@ -402,6 +412,9 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 					if !agreesWithExplicit(eng.name, r, expl, d) {
 						t.Fatalf("seed %d depth %d %s/%s: EMM %v vs explicit %v", seed, d, eng.name, v.name, r, expl)
 					}
+					if rom && eng.name == EngineBMC3 && r.Kind == KindProof {
+						romProofs++
+					}
 					if r.Kind == KindProof && explMax.Kind == KindCE {
 						t.Fatalf("seed %d depth %d %s/%s: PROOF, but the explicit model has %v", seed, d, eng.name, v.name, explMax)
 					}
@@ -416,11 +429,16 @@ func TestLazyDifferentialFuzz(t *testing.T) {
 		}
 	}
 	t.Logf("%d trials with a reset counter (folded in initialized windows), %d with an InitX counter", trials-symbolic, symbolic)
+	t.Logf("%d/%d/%d trials with 0/1/2 write ports; %d bmc3 proofs on write-free zero-init memories",
+		byWrites[0], byWrites[1], byWrites[2], romProofs)
 	if shared == 0 {
 		t.Fatalf("no trial shared a read event: the generator no longer reaches the sharing path")
 	}
 	if symbolic == 0 || symbolic == trials {
 		t.Fatalf("every trial drew the same counter kind")
+	}
+	if romProofs == 0 {
+		t.Fatalf("no bmc3 proof on a write-free zero-init memory: the generator no longer reaches write-free-init retention")
 	}
 }
 

@@ -20,18 +20,32 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"sort"
 
 	"emmver/internal/aig"
 )
 
-// SourceKey identifies the submission as written: the format, elaboration
-// parameters, property index, and the raw source bytes. Witnesses are
-// expressed in the source netlist's node coordinates, so a cached witness
-// is only returned to requests with a matching SourceKey; the verdict
-// itself flows on the structural keys below.
-func SourceKey(format, top string, prop int, src []byte) string {
+// SourceKey identifies the submission as written: the format, the Verilog
+// top module and elaboration parameters, the property index, and the raw
+// source bytes. Witnesses are expressed in the source netlist's node
+// coordinates, so a cached witness is only returned to requests with a
+// matching SourceKey; the verdict itself flows on the structural keys
+// below. The same bytes elaborated with other parameters are another
+// netlist, so the parameters are hashed too, in sorted name order.
+func SourceKey(format, top string, params map[string]uint64, prop int, src []byte) string {
 	h := sha256.New()
-	h.Write([]byte("emmver-source-v1|" + format + "|" + top + "|"))
+	h.Write([]byte("emmver-source-v2|" + format + "|" + top + "|"))
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	writeInt(h, len(names))
+	for _, name := range names {
+		writeInt(h, len(name))
+		h.Write([]byte(name))
+		writeInt(h, int(params[name]))
+	}
 	writeInt(h, prop)
 	h.Write(src)
 	return hex.EncodeToString(h.Sum(nil))

@@ -388,11 +388,11 @@ func TestNetlistKeyCanonicalization(t *testing.T) {
 func TestEnginePanicFailsOnlyItsJob(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Shutdown)
-	s.runEngine = func(sp spec.Spec, ctx context.Context, n *aig.Netlist, prop, start int, extend func(*bmc.Options)) (*bmc.Result, error) {
+	s.runEngine = func(sp spec.Spec, ctx context.Context, n *aig.Netlist, cm *pass.Compiled, prop, start int, extend func(*bmc.Options)) (*bmc.Result, error) {
 		if sp.Depth == 7 {
 			panic("core: lazy model violates an instantiated forwarding axiom")
 		}
-		return sp.RunCtx(ctx, n, prop, start, extend)
+		return sp.RunCompiledCtx(ctx, n, cm, prop, start, extend)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -446,5 +446,145 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
 			t.Errorf("%s: status %d, body %q; want 400 saying %s", c.body, resp.StatusCode, msg, c.want)
 		}
+	}
+}
+
+// startsOf counts the spans named name that a job's journal opens.
+func startsOf(t *testing.T, c *Client, id, name string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Events(id, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(buf.String(), `"ev":"start","name":"`+name+`"`)
+}
+
+// A served job compiles its netlist once, at submit: the worker's engine
+// starts from that compile, so the journal of a cold and of a warm-started
+// job each hold exactly one pass.compile span.
+func TestServedJobCompilesOnce(t *testing.T) {
+	_, c := testServer(t)
+	cold := submitWait(t, c, growthReq(t, 6, 0))
+	warm := submitWait(t, c, growthReq(t, 9, 0))
+	if cold.Cached || warm.Cached || warm.WarmStart != 7 {
+		t.Fatalf("want a cold then a warm-started run: cold %+v, warm %+v", cold, warm)
+	}
+	ce := submitWait(t, c, Request{Format: "verilog", Source: counterSrc, Prop: 0,
+		Spec: spec.Spec{Engine: spec.EngineBMC3, Depth: 12}})
+	if ce.Verdict.Kind != "CE" || ce.Verdict.Witness == nil {
+		t.Fatalf("counter: %+v", ce.Verdict)
+	}
+	for _, st := range []*JobStatus{cold, warm, ce} {
+		if got := startsOf(t, c, st.ID, "pass.compile"); got != 1 {
+			t.Errorf("job %s journal holds %d pass.compile spans, want 1", st.ID, got)
+		}
+	}
+}
+
+// A finished job — answered from the cache, solved, or failed — keeps no
+// source text, netlist or compiled model: only its verdict, keys and
+// journal, which status and /events still serve.
+func TestFinishedJobsReleaseTheirNetlists(t *testing.T) {
+	s, c := testServer(t)
+	solved := submitWait(t, c, growthReq(t, 6, 0))
+	hit := submitWait(t, c, growthReq(t, 6, 0))
+	failed, err := c.Submit(Request{Format: "btor2", Source: wedgeBTOR2(t), Prop: 0,
+		Spec: spec.Spec{Engine: spec.EngineBMC1, Depth: 5}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solved.Cached || !hit.Cached || failed.State != "failed" {
+		t.Fatalf("want solved, cached and failed jobs: %+v / %+v / %+v", solved, hit, failed)
+	}
+	for _, st := range []*JobStatus{solved, hit, failed} {
+		s.mu.Lock()
+		j := s.jobs[st.ID]
+		s.mu.Unlock()
+		j.mu.Lock()
+		kept := j.netlist != nil || j.compiled != nil || j.req.Source != "" || j.req.SourceB64 != ""
+		j.mu.Unlock()
+		if kept {
+			t.Errorf("finished job %s (%s, cached=%v) still holds its source, netlist or compile",
+				st.ID, st.State, st.Cached)
+		}
+		again, err := c.Job(st.ID, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.State != st.State || again.Key != st.Key || (st.Verdict != nil && again.Verdict.Kind != st.Verdict.Kind) {
+			t.Errorf("job %s status changed after release: %+v, was %+v", st.ID, again, st)
+		}
+		if startsOf(t, c, st.ID, "frontend.parse") != 1 {
+			t.Errorf("job %s lost its journal", st.ID)
+		}
+	}
+}
+
+// A served pba job still runs the two-phase flow, which compiles inside
+// each phase: the counter's depth-9 counter-example is found in phase 1
+// and its witness replays on the source netlist.
+func TestServedPBA(t *testing.T) {
+	_, c := testServer(t)
+	st := submitWait(t, c, Request{Format: "verilog", Source: counterSrc, Prop: 0,
+		Spec: spec.Spec{Engine: spec.EnginePBA, Depth: 15}})
+	if st.Verdict.Kind != "CE" || st.Verdict.Depth != 9 || st.Verdict.Witness == nil {
+		t.Fatalf("pba on the counter: %+v", st.Verdict)
+	}
+	if got := startsOf(t, c, st.ID, "pba.phase"); got != 1 {
+		t.Errorf("pba journal holds %d phases, want 1 (the counter-example ends phase 1)", got)
+	}
+	n, err := ParseNetlist("verilog", []byte(counterSrc), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Verdict.Witness.Replay(n, 0); err != nil {
+		t.Fatalf("served pba witness does not replay on the source: %v", err)
+	}
+}
+
+// paramCounterSrc is counterSrc with a parameterized register outside the
+// property's cone. W also widens an input declared before en and rst, so
+// two elaborations compile to the same cone but number their source
+// inputs differently.
+const paramCounterSrc = `
+module counter #(parameter W = 2) (input clk, input [W-1:0] x, input en, input rst);
+  reg [3:0] cnt;
+  reg [W-1:0] junk;
+  always @(posedge clk) begin
+    junk <= junk + x;
+    if (rst) cnt <= 4'd0;
+    else if (en) cnt <= cnt + 4'd1;
+  end
+  assert(cnt != 4'd9, "never9");
+endmodule`
+
+// The same bytes elaborated with other parameters are another source
+// netlist: the verdict transfers through the structural family, but a
+// witness in the first elaboration's node coordinates must not be served
+// to the second.
+func TestParamsSeparateSourceKeys(t *testing.T) {
+	_, c := testServer(t)
+	req := func(w uint64) Request {
+		return Request{Format: "verilog", Source: paramCounterSrc, Prop: 0,
+			Params: map[string]uint64{"W": w}, Spec: spec.Spec{Engine: spec.EngineBMC3, Depth: 15}}
+	}
+	first := submitWait(t, c, req(2))
+	if first.Verdict.Kind != "CE" || first.Verdict.Depth != 9 || first.Verdict.Witness == nil {
+		t.Fatalf("W=2: %+v", first.Verdict)
+	}
+	second := submitWait(t, c, req(3))
+	if second.Family != first.Family || !second.Cached || second.Verdict.Kind != "CE" {
+		t.Fatalf("W=3 must hit W=2's family: cached=%v %+v", second.Cached, second.Verdict)
+	}
+	if second.Verdict.Witness != nil {
+		n, err := ParseNetlist("verilog", []byte(paramCounterSrc), "", map[string]uint64{"W": 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("W=2's witness was served to W=3 (replay on W=3: %v)", second.Verdict.Witness.Replay(n, 0))
+	}
+	if SourceKey("verilog", "", map[string]uint64{"A": 1, "B": 2}, 0, nil) !=
+		SourceKey("verilog", "", map[string]uint64{"B": 2, "A": 1}, 0, nil) {
+		t.Error("SourceKey depends on the params map's iteration order")
 	}
 }

@@ -70,10 +70,15 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// A job holds its request's source, parsed netlist and compiled model only
+// while it is queued or running; finish releases them, so a finished job
+// keeps just what status and /events serve: the verdict, the keys and the
+// journal bytes.
 type job struct {
 	id        string
 	req       Request
 	netlist   *aig.Netlist
+	compiled  *pass.Compiled // netlist compiled for req.Prop under req.Spec's passes
 	depth     int
 	familyID  string
 	problemID string
@@ -102,9 +107,9 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// runEngine runs one job's engine. It is spec.Spec.RunCtx; tests
-	// replace it to inject engine faults.
-	runEngine func(spec.Spec, context.Context, *aig.Netlist, int, int, func(*bmc.Options)) (*bmc.Result, error)
+	// runEngine runs one job's engine from its submit-time compile. It is
+	// spec.Spec.RunCompiledCtx; tests replace it to inject engine faults.
+	runEngine func(spec.Spec, context.Context, *aig.Netlist, *pass.Compiled, int, int, func(*bmc.Options)) (*bmc.Result, error)
 	panics    atomic.Int64 // engine panics recovered into failed jobs
 
 	mu     sync.Mutex
@@ -129,7 +134,7 @@ func New(cfg Config) *Server {
 		queue:     make(chan *job, cfg.QueueDepth),
 		ctx:       ctx,
 		cancel:    cancel,
-		runEngine: spec.Spec.RunCtx,
+		runEngine: spec.Spec.RunCompiledCtx,
 		jobs:      make(map[string]*job),
 		byKey:     make(map[string]*job),
 	}
@@ -262,9 +267,8 @@ func (s *Server) submit(req Request) (*job, int, error) {
 			fmt.Errorf("property %d out of range (design has %d)", req.Prop, len(n.Props))
 	}
 	canon := req.Spec.Canonical()
-	// The compile pipeline is deterministic, so hashing its output here
-	// and letting the engine recompile identically later keeps the key
-	// honest without threading compiled state through the queue.
+	// The key hashes the compiled netlist, and the job hands this same
+	// compile to the engine, so a served job compiles exactly once.
 	compiled, err := pass.Compile(n, []int{req.Prop}, pass.Options{Spec: canon.Passes, Obs: ob})
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -272,7 +276,7 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	netKey := NetlistKey(compiled.N, compiled.Props)
 	famID := FamilyID(netKey, req.Spec)
 	probID := ProblemID(netKey, req.Spec)
-	srcKey := SourceKey(req.Format, req.Top, req.Prop, raw)
+	srcKey := SourceKey(req.Format, req.Top, req.Params, req.Prop, raw)
 	key := famID + fmt.Sprintf(":d%d", canon.Depth)
 
 	s.mu.Lock()
@@ -295,6 +299,7 @@ func (s *Server) submit(req Request) (*job, int, error) {
 		id:        fmt.Sprintf("j%d", s.seq),
 		req:       req,
 		netlist:   n,
+		compiled:  compiled,
 		depth:     canon.Depth,
 		familyID:  famID,
 		problemID: probID,
@@ -445,7 +450,7 @@ func (s *Server) solve(j *job, warmFrom int) (res *bmc.Result, err error) {
 			res, err = nil, fmt.Errorf("engine panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return s.runEngine(j.req.Spec, s.ctx, j.netlist, j.req.Prop, warmFrom, func(o *bmc.Options) {
+	return s.runEngine(j.req.Spec, s.ctx, j.netlist, j.compiled, j.req.Prop, warmFrom, func(o *bmc.Options) {
 		o.Obs = j.obs
 		o.ValidateWitness = true
 	})
@@ -466,9 +471,13 @@ func (j *job) finish(v *Verdict, cached bool, warm int, errMsg string) {
 	j.verdict = v
 	j.cached = cached
 	j.warmStart = warm
-	// The journal is complete: drop its encoder and buffer, which the
-	// server would otherwise keep for as long as it keeps the job.
+	// The journal is complete: drop its encoder and buffer, and what only
+	// the run needed — the source text, the netlist and its compile —
+	// which the server would otherwise keep for as long as it keeps the
+	// job.
 	j.obs = nil
+	j.req.Source, j.req.SourceB64 = "", ""
+	j.netlist, j.compiled = nil, nil
 	if errMsg != "" {
 		j.state = "failed"
 		j.err = errMsg

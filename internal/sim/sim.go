@@ -18,15 +18,23 @@ import (
 	"emmver/internal/aig"
 )
 
-// Simulator holds the mutable state of one simulation run.
+// Simulator holds the mutable state of one simulation run. Node values
+// are node-indexed: a combinational value is current when its stamp
+// equals the cycle's epoch, so starting a cycle clears every memoized
+// value by bumping one counter.
 type Simulator struct {
 	n       *aig.Netlist
-	latches map[aig.NodeID]bool
+	latches []bool        // by node id; meaningful for latch nodes
+	readRef []aig.ReadRef // by node id: the port of each read-data node
 	mems    []memState
 
 	// per-cycle scratch
-	vals   map[aig.NodeID]bool
+	vals   []bool
+	stamp  []uint32
+	epoch  uint32
 	inputs map[aig.NodeID]bool
+	next   []bool         // next-state values, in n.Latches order
+	writes []pendingWrite // enabled writes, in memory and port order
 
 	cycle int
 }
@@ -36,14 +44,26 @@ type memState struct {
 	words []uint64
 }
 
+type pendingWrite struct {
+	mi   int
+	addr uint64
+	data uint64
+}
+
 // New builds a simulator with latches at their reset values (InitX latches
 // start at 0 unless overridden with SetLatch), zero/image memories at their
 // declared contents, and arbitrary-init memories at 0 unless overridden
-// with SetMemWord.
+// with SetMemWord. The simulator is sized to n's nodes at New, so n must
+// be complete by then.
 func New(n *aig.Netlist) *Simulator {
+	nn := n.NumNodes()
 	s := &Simulator{
 		n:       n,
-		latches: make(map[aig.NodeID]bool),
+		latches: make([]bool, nn),
+		readRef: n.ReadRefs(),
+		vals:    make([]bool, nn),
+		stamp:   make([]uint32, nn),
+		epoch:   1,
 	}
 	for _, l := range n.Latches {
 		s.latches[l.Node] = l.Init == aig.Init1
@@ -90,8 +110,8 @@ func (s *Simulator) Eval(l aig.Lit) bool {
 }
 
 func (s *Simulator) evalNode(id aig.NodeID) bool {
-	if v, ok := s.vals[id]; ok {
-		return v
+	if s.stamp[id] == s.epoch {
+		return s.vals[id]
 	}
 	node := s.n.NodeAt(id)
 	var v bool
@@ -109,22 +129,19 @@ func (s *Simulator) evalNode(id aig.NodeID) bool {
 	default:
 		panic(fmt.Sprintf("sim: unknown node kind %v", node.Kind))
 	}
-	s.vals[id] = v
+	s.vals[id], s.stamp[id] = v, s.epoch
 	return v
 }
 
+// evalMemRead returns read-data bit id: bit of mem[addr] at the port's
+// current address, whatever the port's enable.
 func (s *Simulator) evalMemRead(id aig.NodeID) bool {
-	for mi := range s.mems {
-		ms := &s.mems[mi]
-		for _, rp := range ms.mem.Reads {
-			for bit, dn := range rp.Data {
-				if dn != id {
-					continue
-				}
-				addr := s.evalVec(rp.Addr)
-				word := ms.words[addr]
-				return word>>uint(bit)&1 == 1
-			}
+	ref := s.readRef[id]
+	ms := &s.mems[ref.Mem]
+	rp := ms.mem.Reads[ref.Port]
+	for bit, dn := range rp.Data {
+		if dn == id {
+			return ms.words[s.evalVec(rp.Addr)]>>uint(bit)&1 == 1
 		}
 	}
 	panic("sim: memread node not found in any port")
@@ -147,8 +164,12 @@ func (s *Simulator) EvalVec(v []aig.Lit) uint64 { return s.evalVec(v) }
 // advancing the clock, so Eval can inspect combinational functions of the
 // current state and inputs.
 func (s *Simulator) Begin(inputs map[aig.NodeID]bool) {
-	s.vals = make(map[aig.NodeID]bool, s.n.NumNodes())
 	s.inputs = inputs
+	s.epoch++
+	if s.epoch == 0 { // wrapped: no stamp may look current
+		clear(s.stamp)
+		s.epoch = 1
+	}
 }
 
 // StepResult reports per-cycle observations.
@@ -161,8 +182,7 @@ type StepResult struct {
 // (missing inputs default to false). It evaluates all properties and
 // constraints, applies memory writes, and updates latches.
 func (s *Simulator) Step(inputs map[aig.NodeID]bool) StepResult {
-	s.vals = make(map[aig.NodeID]bool, s.n.NumNodes())
-	s.inputs = inputs
+	s.Begin(inputs)
 
 	var res StepResult
 	for _, p := range s.n.Props {
@@ -176,20 +196,15 @@ func (s *Simulator) Step(inputs map[aig.NodeID]bool) StepResult {
 	}
 
 	// Evaluate next-state and write effects before committing anything.
-	nextLatch := make(map[aig.NodeID]bool, len(s.n.Latches))
+	s.next = s.next[:0]
 	for _, l := range s.n.Latches {
-		nextLatch[l.Node] = s.Eval(l.Next)
+		s.next = append(s.next, s.Eval(l.Next))
 	}
-	type pendingWrite struct {
-		mi   int
-		addr uint64
-		data uint64
-	}
-	var writes []pendingWrite
+	s.writes = s.writes[:0]
 	for mi := range s.mems {
 		for _, wp := range s.mems[mi].mem.Writes {
 			if s.Eval(wp.En) {
-				writes = append(writes, pendingWrite{
+				s.writes = append(s.writes, pendingWrite{
 					mi:   mi,
 					addr: s.evalVec(wp.Addr),
 					data: s.evalVec(wp.Data),
@@ -199,10 +214,10 @@ func (s *Simulator) Step(inputs map[aig.NodeID]bool) StepResult {
 	}
 
 	// Commit.
-	for id, v := range nextLatch {
-		s.latches[id] = v
+	for i, l := range s.n.Latches {
+		s.latches[l.Node] = s.next[i]
 	}
-	for _, w := range writes {
+	for _, w := range s.writes {
 		s.mems[w.mi].words[w.addr] = w.data
 	}
 	s.cycle++

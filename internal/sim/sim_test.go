@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"emmver/internal/aig"
@@ -165,5 +167,158 @@ func TestWriteRaceLastPortWins(t *testing.T) {
 	s.Step(nil)
 	if got := s.MemWord(0, 0); got != 9 {
 		t.Fatalf("race: got %d want 9 (higher port wins)", got)
+	}
+}
+
+// randNetlist builds a seeded random netlist: inputs, latches of every
+// reset kind, one or two memories of every init kind with 1-3 read and 0-2
+// write ports, AND logic over all of it, properties and constraints. Each
+// read port's address and enable are drawn from the logic built before its
+// data nodes exist, so the netlist has no combinational cycle.
+func randNetlist(rng *rand.Rand) *aig.Netlist {
+	n := aig.New("rand")
+	pool := []aig.Lit{aig.True}
+	pick := func() aig.Lit { return pool[rng.Intn(len(pool))].XorInv(rng.Intn(2) == 1) }
+	pickVec := func(w int) []aig.Lit {
+		v := make([]aig.Lit, w)
+		for i := range v {
+			v[i] = pick()
+		}
+		return v
+	}
+	gates := func(k int) {
+		for i := 0; i < k; i++ {
+			pool = append(pool, n.And(pick(), pick()))
+		}
+	}
+	for i := 0; i < 2+rng.Intn(4); i++ {
+		pool = append(pool, n.NewInput(fmt.Sprintf("i%d", i)))
+	}
+	var latches []aig.Lit
+	for i := 0; i < 1+rng.Intn(5); i++ {
+		l := n.NewLatch(fmt.Sprintf("l%d", i), []aig.Init{aig.Init0, aig.Init1, aig.InitX}[rng.Intn(3)])
+		latches = append(latches, l)
+		pool = append(pool, l)
+	}
+	gates(3 + rng.Intn(5))
+	var mems []*aig.Memory
+	for mi := 0; mi < 1+rng.Intn(2); mi++ {
+		aw, dw := 1+rng.Intn(3), 1+rng.Intn(4)
+		m := n.NewMemory(fmt.Sprintf("m%d", mi), aw, dw, []aig.MemInit{aig.MemZero, aig.MemArbitrary, aig.MemImage}[rng.Intn(3)])
+		if m.Init == aig.MemImage {
+			for a := 0; a < m.Words(); a++ {
+				m.Image = append(m.Image, uint64(rng.Intn(1<<dw)))
+			}
+		}
+		mems = append(mems, m)
+		for r := 0; r < 1+rng.Intn(3); r++ {
+			addr, en := pickVec(aw), pick()
+			rp := n.NewReadPort(m)
+			n.SetReadAddr(m, rp, addr, en)
+			pool = append(pool, rp.DataLits()...)
+			gates(1 + rng.Intn(4))
+		}
+	}
+	gates(5 + rng.Intn(10))
+	for _, m := range mems {
+		for w := 0; w < rng.Intn(3); w++ {
+			n.NewWritePort(m, pickVec(m.AW), pickVec(m.DW), pick())
+		}
+	}
+	for _, l := range latches {
+		n.SetNext(l, pick())
+	}
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		n.AddProperty(fmt.Sprintf("p%d", i), pick())
+	}
+	for i := 0; i < rng.Intn(3); i++ {
+		n.AddConstraint(pick())
+	}
+	return n
+}
+
+// The dense Simulator against the map-based reference it replaced: from
+// the same overridden initial state, under the same partial input maps,
+// every node's value after Begin and after Step, every StepResult, every
+// latch and every memory word must agree at every cycle.
+func TestSimulatorMatchesReference(t *testing.T) {
+	const trials, cycles = 300, 12
+	readsDisabled := 0
+	for seed := 0; seed < trials; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n := randNetlist(rng)
+		s, ref := New(n), newRef(n)
+		if rng.Intn(4) == 0 {
+			st := rng.Int63()
+			s.RandomizeState(rand.New(rand.NewSource(st)))
+			ref.RandomizeState(rand.New(rand.NewSource(st)))
+		}
+		for _, l := range n.Latches {
+			if l.Init == aig.InitX && rng.Intn(2) == 0 {
+				v := rng.Intn(2) == 1
+				s.SetLatch(l.Node, v)
+				ref.SetLatch(l.Node, v)
+			}
+		}
+		for mi, m := range n.Memories {
+			if m.Init == aig.MemArbitrary {
+				for a := 0; a < m.Words(); a++ {
+					w := uint64(rng.Intn(1 << m.DW))
+					s.SetMemWord(mi, a, w)
+					ref.SetMemWord(mi, a, w)
+				}
+			}
+		}
+		all := func(when string, c int) {
+			for id := 0; id < n.NumNodes(); id++ {
+				l := aig.MkLit(aig.NodeID(id), false)
+				if got, want := s.Eval(l), ref.Eval(l); got != want {
+					t.Fatalf("seed %d cycle %d %s: node %d = %v, reference %v", seed, c, when, id, got, want)
+				}
+			}
+		}
+		for c := 0; c < cycles; c++ {
+			in := map[aig.NodeID]bool{}
+			for _, id := range n.Inputs {
+				if rng.Intn(3) > 0 { // the rest default to false
+					in[id] = rng.Intn(2) == 1
+				}
+			}
+			if rng.Intn(2) == 0 {
+				s.Begin(in)
+				ref.Begin(in)
+				all("after Begin", c)
+				for _, m := range n.Memories {
+					for _, rp := range m.Reads {
+						if !s.Eval(rp.En) {
+							readsDisabled++
+						}
+					}
+				}
+			}
+			got, want := s.Step(in), ref.Step(in)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d cycle %d: Step %+v, reference %+v", seed, c, got, want)
+			}
+			all("after Step", c)
+			if s.Cycle() != ref.Cycle() {
+				t.Fatalf("seed %d: cycle %d, reference %d", seed, s.Cycle(), ref.Cycle())
+			}
+			for _, l := range n.Latches {
+				if s.LatchValue(l.Node) != ref.LatchValue(l.Node) {
+					t.Fatalf("seed %d cycle %d: latch %d = %v, reference %v", seed, c, l.Node, s.LatchValue(l.Node), ref.LatchValue(l.Node))
+				}
+			}
+			for mi, m := range n.Memories {
+				for a := 0; a < m.Words(); a++ {
+					if s.MemWord(mi, a) != ref.MemWord(mi, a) {
+						t.Fatalf("seed %d cycle %d: mem %d[%d] = %d, reference %d", seed, c, mi, a, s.MemWord(mi, a), ref.MemWord(mi, a))
+					}
+				}
+			}
+		}
+	}
+	if readsDisabled == 0 {
+		t.Fatal("no read port was ever disabled: the generator no longer checks reads under a low enable")
 	}
 }

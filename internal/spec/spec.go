@@ -304,6 +304,23 @@ func (s Spec) CheckModel(n *aig.Netlist) error {
 // phase-1 result — the same collapse emmv renders for -engine pba. A
 // model the engine cannot check (CheckModel) is refused before solving.
 func (s Spec) RunCtx(ctx context.Context, n *aig.Netlist, prop int, startDepth int, extend func(*bmc.Options)) (*bmc.Result, error) {
+	return s.run(ctx, n, prop, startDepth, extend, func(opt bmc.Options) *bmc.Result {
+		return bmc.CheckCtx(ctx, n, prop, opt)
+	})
+}
+
+// RunCompiledCtx is RunCtx on a model already compiled for prop under the
+// spec's pipeline (pass.Compile of n with Canonical().Passes): the BMC
+// engines start from c through bmc.CheckCompiledCtx instead of compiling
+// again. The PBA flow compiles inside each of its phases and ignores c.
+func (s Spec) RunCompiledCtx(ctx context.Context, n *aig.Netlist, c *pass.Compiled, prop int, startDepth int, extend func(*bmc.Options)) (*bmc.Result, error) {
+	return s.run(ctx, n, prop, startDepth, extend, func(opt bmc.Options) *bmc.Result {
+		return bmc.CheckCompiledCtx(ctx, n, prop, c, opt)
+	})
+}
+
+// run is RunCtx with the single-engine check supplied by the caller.
+func (s Spec) run(ctx context.Context, n *aig.Netlist, prop int, startDepth int, extend func(*bmc.Options), check func(bmc.Options) *bmc.Result) (*bmc.Result, error) {
 	opt, err := s.Options()
 	if err != nil {
 		return nil, err
@@ -324,5 +341,5 @@ func (s Spec) RunCtx(ctx context.Context, n *aig.Netlist, prop int, startDepth i
 	if startDepth > 0 && s.WarmEligible() {
 		opt.StartDepth = startDepth
 	}
-	return bmc.CheckCtx(ctx, n, prop, opt), nil
+	return check(opt), nil
 }
