@@ -425,11 +425,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		})
 	}
 	run("off", func() bmc.Options { return base })
-	run("metrics", func() bmc.Options {
-		opt := base
-		opt.Obs = NewObserver(NewRegistry(), nil)
-		return opt
-	})
+	run("metrics", func() bmc.Options { return Observe(base, nil) })
 	run("traced", func() bmc.Options {
 		return Observe(base, NewJSONLTrace(&bytes.Buffer{}))
 	})

@@ -41,7 +41,7 @@ func main() {
 	observer, obsStop := obsFlags.Setup()
 	defer obsStop()
 
-	network, addr := cliobs.ParseNetAddr(*listen)
+	network, addr := serve.ParseNetAddr(*listen)
 	if network == "unix" {
 		// A stale socket from a previous run refuses the bind; clear it.
 		os.Remove(addr)

@@ -35,12 +35,12 @@ func main() {
 	// Each experiment fixes its own engines and depths, so those schema
 	// flags stay unregistered; -timeout and -jobs come from the schema with
 	// this tool's tighter budget as the default.
-	def := spec.Default()
-	def.Timeout = spec.Duration(2 * time.Minute)
-	engFlags := cliobs.RegisterEngineFor(def, "engine", "depth")
+	req := spec.Default()
+	req.Timeout = spec.Duration(2 * time.Minute)
+	spec.RegisterFlags(flag.CommandLine, &req, "engine", "depth")
 	obsFlags := cliobs.Register()
 	flag.Parse()
-	opt, err := engFlags.Options()
+	opt, err := req.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -50,6 +50,7 @@ import (
 	"emmver/internal/exp"
 	"emmver/internal/expmem"
 	"emmver/internal/par"
+	"emmver/internal/pass"
 	"emmver/internal/serve"
 	"emmver/internal/spec"
 	"emmver/internal/vcd"
@@ -87,10 +88,14 @@ func main() {
 	export := flag.String("export", "", "write the model (after -explicit) to this .btor2/.btor/.aag/.aig file and exit")
 	stats := flag.Bool("stats", false, "print solver, EMM and per-depth stats")
 	verbose := flag.Bool("v", false, "log per-depth progress")
-	engFlags := cliobs.RegisterEngine()
+	req := spec.Default()
+	spec.RegisterFlags(flag.CommandLine, &req)
+	// BDD reachability sits outside the request schema, so the engine
+	// registry does not list it; emmv dispatches it itself.
+	flag.Lookup("engine").Usage += ", bdd (BDD-based reachability; needs -explicit, not -remote)"
 	obsFlags := cliobs.Register()
 	flag.Parse()
-	if *remote != "" && (*design != "" || *explicit || engFlags.Spec.Canonical().Engine == "bdd") {
+	if *remote != "" && (*design != "" || *explicit || req.Canonical().Engine == "bdd") {
 		must(errors.New("-remote submits a design file to the server's engines; it excludes -design, -explicit and -engine bdd"))
 	}
 
@@ -136,7 +141,6 @@ func main() {
 		return
 	}
 
-	req := engFlags.Spec
 	engine := req.Canonical().Engine
 	if engine == "bdd" {
 		// BDD reachability sits outside the request schema (no depth, no
@@ -183,7 +187,7 @@ func main() {
 		}
 	} else {
 		must(req.CheckModel(n))
-		opt, err := engFlags.Options()
+		opt, err := req.Options()
 		must(err)
 		// Expanded memories are latches now (an EMM engine on them is
 		// plain BMC); skip the replay against the memory model.
@@ -191,7 +195,7 @@ func main() {
 		if *verbose {
 			opt.Log = os.Stderr
 		}
-		if s := cliobs.DescribeCompile(n, sel, opt.Passes); s != "" {
+		if s := describeCompile(n, sel, opt.Passes); s != "" {
 			fmt.Printf("compile: %s\n", s)
 		}
 		opt.Obs = observer
@@ -252,6 +256,19 @@ func main() {
 	}
 	obsStop()
 	os.Exit(exitCode(ce, abnormal))
+}
+
+// describeCompile runs the static pipeline once over n for the given
+// property set and returns a one-line reduction summary, or "" when the
+// pipeline is disabled, invalid, or removes nothing. The engines re-run the
+// pipeline internally; this only reports what it will do before the (much
+// longer) solve starts.
+func describeCompile(n *aig.Netlist, props []int, passes string) string {
+	c, err := pass.Compile(n, props, pass.Options{Spec: passes})
+	if err != nil {
+		return ""
+	}
+	return c.Summary()
 }
 
 // exitCode is the one exit-status contract: 1 when any property has a

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"emmver/internal/spec"
 )
 
 // runMainEnv makes a re-executed test binary run main instead of the tests,
@@ -138,5 +140,21 @@ func TestStatsKeepsVerdicts(t *testing.T) {
 	}
 	if !strings.Contains(stats, "\ndepth   0: ") || strings.Contains(plain, "\ndepth   0: ") {
 		t.Errorf("the per-depth table must appear exactly with -stats:\n%s", stats)
+	}
+}
+
+// TestEngineUsageNamesEveryEngine: the -engine help text lists every engine
+// emmv runs, the request schema's registered engines and emmv's own bdd.
+func TestEngineUsageNamesEveryEngine(t *testing.T) {
+	code, out := emmv(t, "-h")
+	_, after, ok := strings.Cut(out, "\n  -engine string\n")
+	if code != 0 || !ok {
+		t.Fatalf("emmv -h: exit %d, no -engine flag\n%s", code, out)
+	}
+	usage, _, _ := strings.Cut(after, "\n")
+	for _, name := range append(spec.EngineNames(), "bdd") {
+		if !strings.Contains(usage, name+" (") {
+			t.Errorf("-engine usage does not name %s: %s", name, usage)
+		}
 	}
 }

@@ -48,13 +48,10 @@ import (
 
 	"emmver/internal/aig"
 	"emmver/internal/bmc"
-	"emmver/internal/btor2"
 	"emmver/internal/expmem"
 	"emmver/internal/obs"
-	"emmver/internal/pass"
 	"emmver/internal/rtl"
 	"emmver/internal/sim"
-	"emmver/internal/spec"
 	"emmver/internal/verilog"
 )
 
@@ -100,15 +97,10 @@ const (
 // NewDesign starts a new word-level design.
 func NewDesign(name string) *Design { return rtl.NewModule(name) }
 
-// MkBit builds the plain (non-complemented) signal of a netlist node.
-func MkBit(n aig.NodeID) Bit { return aig.MkLit(n, false) }
-
 // Verification aliases.
 type (
 	// Options configures a verification run; Options.Engine names the
-	// algorithm (see EngineBMC1 and its siblings). For a serializable,
-	// cache-keyable description of a run, use Spec (Spec.Options converts
-	// it).
+	// algorithm (see EngineBMC1 and its siblings).
 	Options = bmc.Options
 	// Result is a verification outcome.
 	Result = bmc.Result
@@ -135,13 +127,6 @@ type (
 	// JSONLTrace is the journaling TraceSink included with the package.
 	JSONLTrace = obs.JSONL
 )
-
-// NewRegistry builds an empty metrics registry.
-func NewRegistry() *Registry { return obs.NewRegistry() }
-
-// NewObserver couples a registry (nil: tracing only) with a trace sink
-// (nil: metrics only).
-func NewObserver(reg *Registry, sink TraceSink) *Observer { return obs.New(reg, sink) }
 
 // NewJSONLTrace builds a buffered JSON-lines trace journal over w (one
 // flat object per event, jq-friendly). Call Close (or Flush) when the run
@@ -196,32 +181,6 @@ func VerifyCtx(ctx context.Context, n *Netlist, prop int, opt Options) *Result {
 	return bmc.CheckCtx(ctx, n, prop, opt)
 }
 
-// Spec is the serializable request schema: a plain JSON-marshalable
-// description of a verification run (engine, depth, passes, performance
-// knobs) with a canonical form and stable cache keys. It is the wire
-// format of the emmserved job server and the single source of truth for
-// the CLI engine flags.
-type Spec = spec.Spec
-
-// DefaultSpec is the schema's default request: BMC-3 at the default
-// depth with the full compile pipeline.
-func DefaultSpec() Spec { return spec.Default() }
-
-// VerifySpec model-checks one safety property as described by a request
-// spec — Verify with the configuration coming from the serializable
-// schema instead of an Options struct. Invalid specs report an error
-// instead of panicking.
-func VerifySpec(n *Netlist, prop int, s Spec) (*Result, error) {
-	return VerifySpecCtx(context.Background(), n, prop, s)
-}
-
-// VerifySpecCtx is VerifySpec under a cancellation context; see
-// VerifyCtx. The run starts at depth 0; servers resuming from a cached
-// NO_CE frontier use spec.Spec.RunCtx directly.
-func VerifySpecCtx(ctx context.Context, n *Netlist, prop int, s Spec) (*Result, error) {
-	return s.RunCtx(ctx, n, prop, 0, nil)
-}
-
 // VerifyAll model-checks many properties of one design. The properties
 // are split into Options.Jobs groups (0 selects NumCPU), each running over
 // one shared incremental unrolling, and the groups share a
@@ -244,42 +203,6 @@ func ProveWithAbstraction(n *Netlist, prop int, opt Options) *PBAResult {
 	return bmc.ProveWithPBA(n, prop, opt)
 }
 
-// ProveWithAbstractionCtx is ProveWithAbstraction under a cancellation
-// context spanning both phases; see VerifyCtx.
-func ProveWithAbstractionCtx(ctx context.Context, n *Netlist, prop int, opt Options) *PBAResult {
-	return bmc.ProveWithPBACtx(ctx, n, prop, opt)
-}
-
-// Compile-pipeline aliases: the static netlist-to-netlist passes every
-// engine runs before unrolling. Options.Passes selects
-// them per verification run; Compile runs the pipeline standalone.
-type (
-	// CompileOptions configures a standalone Compile run (pass spec +
-	// observer).
-	CompileOptions = pass.Options
-	// CompiledModel is the reduced netlist, the renumbered property
-	// indices, and the mapping back to source coordinates.
-	CompiledModel = pass.Compiled
-	// PassMapping translates compiled latch/memory/port coordinates back
-	// to the source netlist. The engines use it internally to back-map
-	// witnesses and PBA latch reasons; it is exposed for tools that
-	// consume CompiledModel directly.
-	PassMapping = pass.Mapping
-)
-
-// PassNames lists the available compile passes in default-pipeline order.
-func PassNames() []string { return pass.Names() }
-
-// Compile runs the static compile pipeline (cone-of-influence reduction,
-// inductive constant sweep, memory-port pruning, structural dedup — the
-// spec in opt.Spec, default all four) over n for the given property
-// indices. Every Verify/VerifyAll run does this automatically under
-// Options.Passes; call Compile directly to inspect the reduction or hand
-// the reduced model to other tools.
-func Compile(n *Netlist, props []int, opt CompileOptions) (*CompiledModel, error) {
-	return pass.Compile(n, props, opt)
-}
-
 // ExpandMemories builds the Explicit Modeling baseline: every memory
 // becomes 2^AW × DW latches. It reports an error for inputs explicit
 // modeling cannot represent — combinational cycles through memory ports,
@@ -300,11 +223,3 @@ func NewSimulator(n *Netlist) *sim.Simulator { return sim.New(n) }
 func CompileVerilog(src, top string) (*Netlist, error) {
 	return verilog.ElaborateString(src, top)
 }
-
-// ReadBTOR2 parses a BTOR2 word-level model; array states become embedded
-// memory modules verified through EMM.
-func ReadBTOR2(r io.Reader) (*Netlist, error) { return btor2.Read(r) }
-
-// WriteBTOR2 serializes a design as BTOR2, keeping memories word-level
-// (array states with read nodes and write-chain next functions).
-func WriteBTOR2(w io.Writer, n *Netlist) error { return btor2.Write(w, n) }

@@ -488,13 +488,6 @@ func (n *Netlist) MemoryControlLatches(m *Memory) map[NodeID]bool {
 	return n.SupportLatches(roots...)
 }
 
-// PortControlLatches returns the latch support of one read or write port's
-// interface signals.
-func (n *Netlist) PortControlLatches(addr []Lit, en Lit, data []Lit) map[NodeID]bool {
-	roots := append(append([]Lit{en}, addr...), data...)
-	return n.SupportLatches(roots...)
-}
-
 // Stats summarizes the netlist, mirroring how the paper reports design
 // sizes ("X latches, Y inputs, ~Z 2-input gates").
 type Stats struct {

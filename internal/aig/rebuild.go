@@ -33,7 +33,7 @@ type RebuildSpec struct {
 }
 
 // RebuildMap records how a rebuilt netlist's elements relate to the source
-// netlist, in both directions. Index slices use -1 for "dropped".
+// netlist: node ids from source to rebuilt, indices from rebuilt to source.
 type RebuildMap struct {
 	// Input/Latch map source input/latch node ids to rebuilt node ids
 	// (absent = dropped or substituted by a constant).
@@ -42,21 +42,14 @@ type RebuildMap struct {
 
 	// LatchIndex maps rebuilt latch index -> source latch index.
 	LatchIndex []int
-	// LatchOf maps source latch index -> rebuilt latch index or -1.
-	LatchOf []int
 
-	// Mem maps rebuilt memory index -> source memory index; MemOf is the
-	// inverse (source -> rebuilt or -1).
-	Mem   []int
-	MemOf []int
+	// Mem maps rebuilt memory index -> source memory index.
+	Mem []int
 
 	// Read[mi][ri] maps (rebuilt memory, rebuilt read port) -> source
-	// read-port index; ReadOf[smi][sri] is the inverse (-1 = dropped).
-	// Write/WriteOf are the same for write ports.
-	Read    [][]int
-	ReadOf  [][]int
-	Write   [][]int
-	WriteOf [][]int
+	// read-port index. Write is the same for write ports.
+	Read  [][]int
+	Write [][]int
 
 	// Prop maps rebuilt property index -> source property index.
 	Prop []int
@@ -66,7 +59,7 @@ type RebuildMap struct {
 // spec selects and re-deriving every gate through And() (so the result is
 // structurally hashed and constant-folded even for an identity spec). All
 // environment constraints are always preserved. The returned map relates
-// the two netlists in both directions.
+// the rebuilt netlist's elements to the source's.
 //
 // Reachability is the caller's contract: every literal feeding a kept
 // latch next, kept port net, selected property, or constraint must bottom
@@ -100,12 +93,8 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 
 	out := New(name)
 	rm := &RebuildMap{
-		Input:   make(map[NodeID]NodeID),
-		Latch:   make(map[NodeID]NodeID),
-		LatchOf: make([]int, len(n.Latches)),
-		MemOf:   make([]int, len(n.Memories)),
-		ReadOf:  make([][]int, len(n.Memories)),
-		WriteOf: make([][]int, len(n.Memories)),
+		Input: make(map[NodeID]NodeID),
+		Latch: make(map[NodeID]NodeID),
 	}
 	// newLit maps a source node id to its rebuilt literal; noLit marks a
 	// node not (yet) copied.
@@ -127,29 +116,21 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		rm.Input[id] = l.Node()
 	}
 	for i, l := range n.Latches {
-		rm.LatchOf[i] = -1
 		if _, sub := sp.LatchConst[l.Node]; sub || !keepLatch(i) {
 			continue
 		}
 		nl := out.NewLatch(l.Name, l.Init)
 		newLit[l.Node] = nl
 		rm.Latch[l.Node] = nl.Node()
-		rm.LatchOf[i] = len(rm.LatchIndex)
 		rm.LatchIndex = append(rm.LatchIndex, i)
 	}
 
-	newMems := make([]*Memory, len(n.Memories))
 	for mi, m := range n.Memories {
-		rm.MemOf[mi] = -1
-		rm.ReadOf[mi] = constSlice(len(m.Reads), -1)
-		rm.WriteOf[mi] = constSlice(len(m.Writes), -1)
 		if !keepMem(mi) {
 			continue
 		}
 		nm := out.NewMemory(m.Name, m.AW, m.DW, m.Init)
 		nm.Image = m.Image
-		newMems[mi] = nm
-		rm.MemOf[mi] = len(rm.Mem)
 		rm.Mem = append(rm.Mem, mi)
 		var reads []int
 		for ri, rp := range m.Reads {
@@ -160,7 +141,6 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 			for b, dn := range rp.Data {
 				newLit[dn] = MkLit(nrp.Data[b], false)
 			}
-			rm.ReadOf[mi][ri] = len(reads)
 			reads = append(reads, ri)
 		}
 		rm.Read = append(rm.Read, reads)
@@ -181,17 +161,13 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		return v.XorInv(l.Inverted())
 	}
 
-	for i, l := range n.Latches {
-		if rm.LatchOf[i] >= 0 {
-			out.SetNext(newLit[l.Node], copyLit(l.Next))
-		}
+	for _, si := range rm.LatchIndex {
+		l := n.Latches[si]
+		out.SetNext(newLit[l.Node], copyLit(l.Next))
 	}
-	for mi, m := range n.Memories {
-		nm := newMems[mi]
-		if nm == nil {
-			continue
-		}
-		for nri, ri := range rm.Read[rm.MemOf[mi]] {
+	for cmi, mi := range rm.Mem {
+		m, nm := n.Memories[mi], out.Memories[cmi]
+		for nri, ri := range rm.Read[cmi] {
 			rp := m.Reads[ri]
 			addr := make([]Lit, len(rp.Addr))
 			for i, a := range rp.Addr {
@@ -213,7 +189,6 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 				data[i] = copyLit(d)
 			}
 			out.NewWritePort(nm, addr, data, copyLit(wp.En))
-			rm.WriteOf[mi][wi] = len(writes)
 			writes = append(writes, wi)
 		}
 		rm.Write = append(rm.Write, writes)
@@ -239,11 +214,3 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 
 // noLit marks an absent entry in a node-indexed literal slice.
 const noLit Lit = -1
-
-func constSlice(n, v int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}

@@ -116,10 +116,6 @@ type Options struct {
 	// set must stay unchanged before the abstraction is considered stable
 	// (0 selects the paper's 10, as in Table 2).
 	StabilityDepth int
-	// Abs runs the check on a reduced model: latches in Abs.FreeLatches
-	// become pseudo-primary inputs and disabled memories/ports get no EMM
-	// constraints (§4.3).
-	Abs *pba.Abstraction
 	// Timeout bounds the wall-clock time of the whole run (0 = none).
 	Timeout time.Duration
 	// ValidateWitness replays counter-examples on the concrete-memory
@@ -128,9 +124,6 @@ type Options struct {
 	// bmc1 leave memory reads free, so on a design with memories their
 	// counter-examples may not replay.
 	ValidateWitness bool
-	// DisableEq6 drops the arbitrary-initial-state consistency
-	// constraints (§4.2, eq. 6), demonstrating why proofs need them.
-	DisableEq6 bool
 	// DisableExclusivity switches EMM to the direct eq. 1 encoding
 	// without the exclusive valid-read chains — the ablation for the
 	// paper's claim that the chains speed up the SAT solver.
@@ -141,13 +134,6 @@ type Options struct {
 	// by default.
 	DisableStrash  bool
 	DisableEMMMemo bool
-	// PureLatchLFP uses the paper's literal loop-free-path constraint
-	// (latch states pairwise distinct). The default strengthens state
-	// equality with "and no write fired in between", which keeps the
-	// forward-termination proof sound when memory contents evolve; see
-	// EXPERIMENTS.md for a design where the literal check claims a bogus
-	// proof.
-	PureLatchLFP bool
 	// Log, when non-nil, receives per-depth progress lines.
 	Log io.Writer
 	// Obs attaches the observability layer: every engine the run creates
@@ -218,6 +204,22 @@ type Options struct {
 	// EMM encoding: the reference side of the package's lazy-vs-eager
 	// differential tests.
 	eagerEMM bool
+	// abs runs the check on a reduced model: latches in abs.FreeLatches
+	// become pseudo-primary inputs and disabled memories/ports get no EMM
+	// constraints (§4.3). ProveWithPBA's phase 2 and CEGAR's abstract
+	// checks set it.
+	abs *pba.Abstraction
+	// disableEq6 drops the arbitrary-initial-state consistency
+	// constraints (§4.2, eq. 6), demonstrating why proofs need them
+	// (TestArbitraryInitProofNeedsEq6).
+	disableEq6 bool
+	// pureLatchLFP uses the paper's literal loop-free-path constraint
+	// (latch states pairwise distinct). The default strengthens state
+	// equality with "and no write fired in between", which keeps the
+	// forward-termination proof sound when memory contents evolve;
+	// TestPureLatchLFPIsUnsound shows a design where the literal check
+	// claims a bogus proof.
+	pureLatchLFP bool
 }
 
 // Kind classifies a Result.
@@ -572,7 +574,7 @@ func (e *engine) refineSolve(sp obs.Span, w window, lfp int, assumps ...sat.Lit)
 // validateWitness replays w on the concrete-memory simulator when the run
 // is configured to and fails loudly on divergence.
 func (e *engine) validateWitness(w *Witness, prop int) {
-	if e.opt.ValidateWitness && e.opt.Abs == nil {
+	if e.opt.ValidateWitness && e.opt.abs == nil {
 		if err := w.Replay(e.n, prop); err != nil {
 			panic(fmt.Sprintf("bmc: witness replay failed: %v", err))
 		}

@@ -287,7 +287,7 @@ func TestArbitraryInitProofNeedsEq6(t *testing.T) {
 		t.Fatalf("with eq6: expected proof, got %v", with)
 	}
 	opt := Options{Engine: EngineBMC3, MaxDepth: 10}
-	opt.DisableEq6 = true
+	opt.disableEq6 = true
 	without := Check(m.N, 0, opt)
 	if without.Kind != KindCE {
 		t.Fatalf("without eq6: expected spurious CE, got %v", without)
@@ -518,7 +518,7 @@ func TestPureLatchLFPIsUnsound(t *testing.T) {
 	}
 	// Paper-literal LFP: bogus forward proof before the CE depth.
 	lit := Options{Engine: EngineBMC3, MaxDepth: 6}
-	lit.PureLatchLFP = true
+	lit.pureLatchLFP = true
 	if r := Check(build().N, 0, lit); r.Kind != KindProof {
 		t.Fatalf("expected the literal LFP to (unsoundly) prove, got %v", r)
 	}

@@ -67,7 +67,7 @@ func CEGAR(n *aig.Netlist, prop int, opt Options, maxRounds int) *CEGARResult {
 		res.KeptLatches = abs.KeptLatches
 
 		aOpt := opt
-		aOpt.Abs = abs
+		aOpt.abs = abs
 		aOpt.Engine = withProofs(opt.Engine, true)
 		aOpt.ValidateWitness = false
 		r := Check(n, prop, aOpt)
@@ -82,7 +82,7 @@ func CEGAR(n *aig.Netlist, prop int, opt Options, maxRounds int) *CEGARResult {
 		// Concretization check at the abstract CE's depth, with proof
 		// tracing so a refutation tells us what to refine with.
 		cOpt := opt
-		cOpt.Abs = nil
+		cOpt.abs = nil
 		cOpt.Engine = withProofs(opt.Engine, false)
 		cOpt.pba = true
 		cOpt.MaxDepth = r.Depth

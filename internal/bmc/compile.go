@@ -25,7 +25,7 @@ type compiled struct {
 }
 
 // compileModel runs the pipeline selected by opt.Passes. It also rewrites
-// opt.Abs into compiled coordinates in place (the caller passes its own
+// opt.abs into compiled coordinates in place (the caller passes its own
 // Options copy). An invalid spec is a programmer error — the CLIs validate
 // specs before any engine runs — so it panics rather than growing an error
 // return on every Check signature.
@@ -43,11 +43,11 @@ func compileSpec(n *aig.Netlist, props []int, opt Options) *pass.Compiled {
 }
 
 // modelOf wraps res, the pipeline's output for props of n, and rewrites
-// opt.Abs into its coordinates like compileModel.
+// opt.abs into its coordinates like compileModel.
 func modelOf(n *aig.Netlist, props []int, res *pass.Compiled, opt *Options) compiled {
 	c := compiled{n: res.N, props: res.Props, mp: res.Map, src: n, srcProps: props}
-	if opt.Abs != nil && !res.Map.IsIdentity() {
-		opt.Abs = mapAbsToCompiled(opt.Abs, res.N, res.Map)
+	if opt.abs != nil && !res.Map.IsIdentity() {
+		opt.abs = mapAbsToCompiled(opt.abs, res.N, res.Map)
 	}
 	return c
 }
@@ -63,7 +63,7 @@ func (c compiled) finish(r *Result, srcProp int, opt Options) *Result {
 		// The engine already replayed the compiled-coordinate witness; a
 		// second replay on the source netlist validates the back-mapping
 		// itself.
-		if opt.ValidateWitness && opt.Abs == nil {
+		if opt.ValidateWitness && opt.abs == nil {
 			if err := r.Witness.Replay(c.src, srcProp); err != nil {
 				panic(fmt.Sprintf("bmc: back-mapped witness replay failed: %v", err))
 			}

@@ -61,10 +61,10 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 	u := unroll.New(n, s, mode)
 	u.NoStrash = opt.DisableStrash || opt.pba
 	u.FoldInits = !opt.pba
-	u.MemAwareLFP = len(n.Memories) > 0 && !opt.PureLatchLFP
+	u.MemAwareLFP = len(n.Memories) > 0 && !opt.pureLatchLFP
 	u.AttachObs(opt.Obs)
-	if opt.Abs != nil {
-		for id := range opt.Abs.FreeLatches {
+	if opt.abs != nil {
+		for id := range opt.abs.FreeLatches {
 			u.Abstracted[id] = true
 		}
 	}
@@ -77,7 +77,7 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 	if opt.DisableEMMMemo || opt.pba {
 		g.DisableComparatorMemo()
 	}
-	if opt.DisableEq6 {
+	if opt.disableEq6 {
 		g.DisableInitConsistency()
 	}
 	if opt.DisableExclusivity {
@@ -90,15 +90,15 @@ func (e *engine) newWindow(mode unroll.Mode) (*sat.Solver, *unroll.Unroller, *co
 }
 
 func (e *engine) applyMemAbstraction(g *core.Generator) {
-	if e.opt.Abs == nil {
+	if e.opt.abs == nil {
 		return
 	}
-	for mi := range e.opt.Abs.MemEnabled {
-		g.SetMemoryEnabled(mi, e.opt.Abs.MemEnabled[mi])
-		for r, on := range e.opt.Abs.ReadEnabled[mi] {
+	for mi := range e.opt.abs.MemEnabled {
+		g.SetMemoryEnabled(mi, e.opt.abs.MemEnabled[mi])
+		for r, on := range e.opt.abs.ReadEnabled[mi] {
 			g.SetReadPortEnabled(mi, r, on)
 		}
-		for w, on := range e.opt.Abs.WriteEnabled[mi] {
+		for w, on := range e.opt.abs.WriteEnabled[mi] {
 			g.SetWritePortEnabled(mi, w, on)
 		}
 	}

@@ -72,7 +72,7 @@ func ProveWithPBACtx(ctx context.Context, n *aig.Netlist, prop int, opt Options)
 
 	p2opt := opt
 	p2opt.Engine = withProofs(opt.Engine, true)
-	p2opt.Abs = res.Abs
+	p2opt.abs = res.Abs
 	p2opt.ValidateWitness = false // abstract-model traces may be spurious
 	if opt.Timeout > 0 {
 		// Give phase 2 whatever budget remains.

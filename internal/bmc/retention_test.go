@@ -175,7 +175,7 @@ func TestRetentionCountsDisabledWritePorts(t *testing.T) {
 		ReadEnabled:  [][]bool{{true}},
 		WriteEnabled: [][]bool{{false}},
 	}
-	r := Check(writableWedgeNetlist(), 0, Options{Engine: EngineBMC3, MaxDepth: 5, Abs: abs})
+	r := Check(writableWedgeNetlist(), 0, Options{Engine: EngineBMC3, MaxDepth: 5, abs: abs})
 	if r.Kind != KindNoCE || r.Depth != 5 {
 		t.Fatalf("bmc3 with the write port disabled: %v (side %s), want NO_CE depth=5", r, r.ProofSide)
 	}

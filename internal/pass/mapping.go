@@ -10,27 +10,27 @@ package pass
 import "emmver/internal/aig"
 
 // Mapping relates a compiled netlist to the source netlist it was derived
-// from, in both directions. A Mapping from Identity() (or a nil *Mapping)
-// is the identity relation; Then composes two mappings across a pipeline.
+// from. Every table points back to source coordinates, except the latch
+// node table, which CompiledLatch reads to carry PBA abstractions forward.
+// A Mapping from Identity() (or a nil *Mapping) is the identity relation;
+// Then composes two mappings across a pipeline.
 type Mapping struct {
 	identity bool
 
-	// source node id -> compiled node id, and the inverse.
-	inTo, inFrom map[aig.NodeID]aig.NodeID
+	// compiled input node id -> source node id.
+	inFrom map[aig.NodeID]aig.NodeID
+	// source latch node id -> compiled node id, and the inverse.
 	laTo, laFrom map[aig.NodeID]aig.NodeID
 
-	// laIdxFrom[ci] = source latch index of compiled latch ci;
-	// laIdxTo[si] = compiled latch index of source latch si, or -1.
-	laIdxFrom, laIdxTo []int
+	// laIdxFrom[ci] = source latch index of compiled latch ci.
+	laIdxFrom []int
 
-	// memFrom[cmi] = source memory index; memTo[smi] = compiled or -1.
-	memFrom, memTo []int
+	// memFrom[cmi] = source memory index.
+	memFrom []int
 
 	// readFrom[cmi][cri] = source read-port index (within the source
-	// memory memFrom[cmi]); readTo[smi][sri] = compiled or -1. Write
-	// ports are analogous.
-	readFrom, readTo   [][]int
-	writeFrom, writeTo [][]int
+	// memory memFrom[cmi]). Write ports are analogous.
+	readFrom, writeFrom [][]int
 }
 
 // Identity returns the identity mapping (compiled netlist == source).
@@ -44,18 +44,13 @@ func (m *Mapping) IsIdentity() bool { return m == nil || m.identity }
 // Mapping.
 func fromRebuild(rm *aig.RebuildMap) *Mapping {
 	m := &Mapping{
-		inTo:      rm.Input,
-		laTo:      rm.Latch,
 		inFrom:    make(map[aig.NodeID]aig.NodeID, len(rm.Input)),
+		laTo:      rm.Latch,
 		laFrom:    make(map[aig.NodeID]aig.NodeID, len(rm.Latch)),
 		laIdxFrom: rm.LatchIndex,
-		laIdxTo:   rm.LatchOf,
 		memFrom:   rm.Mem,
-		memTo:     rm.MemOf,
 		readFrom:  rm.Read,
-		readTo:    rm.ReadOf,
 		writeFrom: rm.Write,
-		writeTo:   rm.WriteOf,
 	}
 	for s, c := range rm.Input {
 		m.inFrom[c] = s
@@ -76,14 +71,12 @@ func (m *Mapping) Then(next *Mapping) *Mapping {
 		return m
 	}
 	out := &Mapping{
-		inTo:   make(map[aig.NodeID]aig.NodeID),
-		inFrom: make(map[aig.NodeID]aig.NodeID),
+		inFrom: make(map[aig.NodeID]aig.NodeID, len(next.inFrom)),
 		laTo:   make(map[aig.NodeID]aig.NodeID),
 		laFrom: make(map[aig.NodeID]aig.NodeID),
 	}
-	for s, mid := range m.inTo {
-		if c, ok := next.inTo[mid]; ok {
-			out.inTo[s] = c
+	for c, mid := range next.inFrom {
+		if s, ok := m.inFrom[mid]; ok {
 			out.inFrom[c] = s
 		}
 	}
@@ -97,13 +90,6 @@ func (m *Mapping) Then(next *Mapping) *Mapping {
 	for ci, midI := range next.laIdxFrom {
 		out.laIdxFrom[ci] = m.laIdxFrom[midI]
 	}
-	out.laIdxTo = make([]int, len(m.laIdxTo))
-	for si, midI := range m.laIdxTo {
-		out.laIdxTo[si] = -1
-		if midI >= 0 {
-			out.laIdxTo[si] = next.laIdxTo[midI]
-		}
-	}
 	out.memFrom = make([]int, len(next.memFrom))
 	out.readFrom = make([][]int, len(next.memFrom))
 	out.writeFrom = make([][]int, len(next.memFrom))
@@ -111,32 +97,6 @@ func (m *Mapping) Then(next *Mapping) *Mapping {
 		out.memFrom[cmi] = m.memFrom[midMi]
 		out.readFrom[cmi] = composePorts(m.readFrom[midMi], next.readFrom[cmi])
 		out.writeFrom[cmi] = composePorts(m.writeFrom[midMi], next.writeFrom[cmi])
-	}
-	out.memTo = make([]int, len(m.memTo))
-	out.readTo = make([][]int, len(m.memTo))
-	out.writeTo = make([][]int, len(m.memTo))
-	for smi, midMi := range m.memTo {
-		out.memTo[smi] = -1
-		out.readTo[smi] = constSlice(len(m.readTo[smi]), -1)
-		out.writeTo[smi] = constSlice(len(m.writeTo[smi]), -1)
-		if midMi < 0 {
-			continue
-		}
-		cmi := next.memTo[midMi]
-		out.memTo[smi] = cmi
-		if cmi < 0 {
-			continue
-		}
-		for sri, midRi := range m.readTo[smi] {
-			if midRi >= 0 {
-				out.readTo[smi][sri] = next.readTo[midMi][midRi]
-			}
-		}
-		for swi, midWi := range m.writeTo[smi] {
-			if midWi >= 0 {
-				out.writeTo[smi][swi] = next.writeTo[midMi][midWi]
-			}
-		}
 	}
 	return out
 }
@@ -149,14 +109,6 @@ func composePorts(from1, from2 []int) []int {
 		out[ci] = from1[midI]
 	}
 	return out
-}
-
-func constSlice(n, v int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
 }
 
 // SourceInput translates a compiled primary-input node id back to the
@@ -222,40 +174,4 @@ func (m *Mapping) CompiledLatch(id aig.NodeID) (aig.NodeID, bool) {
 	}
 	c, ok := m.laTo[id]
 	return c, ok
-}
-
-// CompiledMem translates a source memory index to the compiled index, or
-// -1 when the memory was pruned.
-func (m *Mapping) CompiledMem(mi int) int {
-	if m.IsIdentity() {
-		return mi
-	}
-	if mi >= len(m.memTo) {
-		return -1
-	}
-	return m.memTo[mi]
-}
-
-// CompiledRead translates (source memory, source read port) to the
-// compiled read-port index, or -1 when pruned.
-func (m *Mapping) CompiledRead(mi, ri int) int {
-	if m.IsIdentity() {
-		return ri
-	}
-	if mi >= len(m.readTo) || ri >= len(m.readTo[mi]) {
-		return -1
-	}
-	return m.readTo[mi][ri]
-}
-
-// CompiledWrite translates (source memory, source write port) to the
-// compiled write-port index, or -1 when pruned.
-func (m *Mapping) CompiledWrite(mi, wi int) int {
-	if m.IsIdentity() {
-		return wi
-	}
-	if mi >= len(m.writeTo) || wi >= len(m.writeTo[mi]) {
-		return -1
-	}
-	return m.writeTo[mi][wi]
 }

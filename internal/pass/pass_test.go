@@ -162,8 +162,11 @@ func TestMappingComposesAcrossPipeline(t *testing.T) {
 		}
 		_ = si
 	}
-	if c.Map.CompiledMem(1) != -1 {
-		t.Errorf("dead memB must map to -1, got %d", c.Map.CompiledMem(1))
+	// The dead memB is gone: the one compiled memory is the source memA.
+	if len(c.N.Memories) != 1 {
+		t.Errorf("want only memA compiled, got %d memories", len(c.N.Memories))
+	} else if si := c.Map.SourceMem(0); si != 0 {
+		t.Errorf("the compiled memory must be memA (source 0), got source %d", si)
 	}
 }
 

@@ -139,12 +139,6 @@ func New() *Solver {
 	}
 }
 
-// TierSizes returns the live learnt-clause counts per tier (core glue
-// clauses, mid-tier, local churn pool).
-func (s *Solver) TierSizes() (core, mid, local int) {
-	return s.nTier[tierCore], s.nTier[tierMid], s.nTier[tierLocal]
-}
-
 // EnableProofTracing turns on resolution-chain recording. It must be called
 // before any clause is added.
 func (s *Solver) EnableProofTracing() {
@@ -153,9 +147,6 @@ func (s *Solver) EnableProofTracing() {
 	}
 	s.trace = true
 }
-
-// Tracing reports whether proof tracing is enabled.
-func (s *Solver) Tracing() bool { return s.trace }
 
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.assigns) }
@@ -168,9 +159,6 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 func (s *Solver) ClauseAt(i int) []Lit {
 	return append([]Lit(nil), s.db.lits(s.clauses[i])...)
 }
-
-// NumLearnts returns the number of learnt clauses currently attached.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
 // Stats returns cumulative statistics.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -1008,6 +996,3 @@ func (s *Solver) analyzeFinalLit(a Lit, r cref) {
 	}
 	s.finalChain = chain
 }
-
-// Okay reports whether the clause database is still (possibly) satisfiable.
-func (s *Solver) Okay() bool { return s.ok }

@@ -23,7 +23,7 @@ type Client struct {
 // NewClient returns a client for the server at addr. No connection is
 // made until the first request.
 func NewClient(addr string) *Client {
-	network, target := splitNetAddr(addr)
+	network, target := ParseNetAddr(addr)
 	hc := &http.Client{}
 	base := "http://" + target
 	if network == "unix" {
@@ -39,7 +39,12 @@ func NewClient(addr string) *Client {
 	return &Client{base: base, hc: hc}
 }
 
-func splitNetAddr(s string) (network, addr string) {
+// ParseNetAddr splits a server address into the (network, address) pair
+// net.Listen/net.Dial expect: an explicit "unix:" or "tcp:" prefix wins, a
+// value containing a path separator is a unix socket, anything else is a
+// TCP host:port. The client dials and cmd/emmserved listens through it, so
+// both sides read an address the same way.
+func ParseNetAddr(s string) (network, addr string) {
 	switch {
 	case strings.HasPrefix(s, "unix:"):
 		return "unix", s[len("unix:"):]

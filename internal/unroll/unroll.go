@@ -497,10 +497,6 @@ func (u *Unroller) writeAnyLit(t int) sat.Lit {
 	return u.writeAny[t]
 }
 
-// WriteActivity returns a literal that holds when any memory write port is
-// enabled at frame t (False for memory-free designs).
-func (u *Unroller) WriteActivity(t int) sat.Lit { return u.writeAnyLit(t) }
-
 // neqVector builds d with d -> (xs != ys), one implication direction only.
 func (u *Unroller) neqVector(xs, ys []sat.Lit, tag Tag) sat.Lit {
 	if len(xs) != len(ys) {
