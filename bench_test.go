@@ -29,6 +29,7 @@ import (
 	"emmver/internal/pass"
 	"emmver/internal/rtl"
 	"emmver/internal/sat"
+	"emmver/internal/serve"
 	"emmver/internal/unroll"
 	"emmver/internal/verilog"
 )
@@ -482,10 +483,32 @@ func BenchmarkGrowthSolve(b *testing.B) {
 // its effect on the decoy-salted growth design: /static times the four
 // netlist passes alone; /solve-off and /solve-on run the depth-12 BMC-2
 // check with the pipeline disabled and enabled, reporting cumulative CNF
-// clauses so the benchmark trajectory captures the reduction.
+// clauses so the benchmark trajectory captures the reduction. /hit is the
+// job server's cache-hit path on internal/serve/testdata/gated.v, a
+// 16-stage multiply chain behind a constant register: parse, compile and
+// key the compiled netlist.
 func BenchmarkCompilePipeline(b *testing.B) {
 	cfg := exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true, Decoys: 8}
+	b.Run("hit", func(b *testing.B) {
+		src, err := os.ReadFile("internal/serve/testdata/gated.v")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n, err := serve.ParseNetlist("verilog", src, "", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := pass.Compile(n, []int{0}, pass.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			serve.NetlistKey(c.N, c.Props)
+		}
+	})
 	b.Run("static", func(b *testing.B) {
+		b.ReportAllocs()
 		n := exp.GrowthSolveNetlist(cfg)
 		var after pass.Counts
 		b.ResetTimer()
@@ -503,6 +526,7 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	})
 	solve := func(name, spec string) {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var clauses int
 			for i := 0; i < b.N; i++ {
 				c := cfg

@@ -243,6 +243,16 @@ func New(name string) *Netlist {
 	return n
 }
 
+// reserve presizes n to hold nodes nodes, ands of them AND gates, so that
+// building it up to that size grows neither the node slice nor the
+// structural hash.
+func (n *Netlist) reserve(nodes, ands int) {
+	if cap(n.nodes) < nodes {
+		n.nodes = append(make([]Node, 0, nodes), n.nodes...)
+	}
+	n.strash.reserve(n.nodes, ands)
+}
+
 // NumNodes returns the number of nodes including the constant.
 func (n *Netlist) NumNodes() int { return len(n.nodes) }
 

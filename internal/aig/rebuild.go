@@ -10,11 +10,12 @@ type RebuildSpec struct {
 	KeepInput func(id NodeID) bool
 	KeepLatch func(i int) bool
 
-	// LatchConst substitutes a latch (by its node id) with a constant
-	// literal instead of declaring it. It overrides KeepLatch: a latch in
-	// LatchConst is never declared. The caller is responsible for the
-	// substitution being sound (e.g. proved inductively constant).
-	LatchConst map[NodeID]Lit
+	// Const substitutes a node (a latch or a gate, by its node id) with a
+	// constant literal: the rebuild never copies it or its fanin cone. It
+	// overrides KeepLatch: a latch in Const is never declared. The caller
+	// is responsible for the substitution being sound (e.g. proved
+	// inductively constant).
+	Const map[NodeID]Lit
 
 	// KeepMem/KeepRead/KeepWrite decide per memory index, and per
 	// (memory, port) index pair, which memory modules and ports survive.
@@ -59,7 +60,9 @@ type RebuildMap struct {
 // spec selects and re-deriving every gate through And() (so the result is
 // structurally hashed and constant-folded even for an identity spec). All
 // environment constraints are always preserved. The returned map relates
-// the rebuilt netlist's elements to the source's.
+// the rebuilt netlist's elements to the source's. Rebuild finds the gates
+// it copies before copying them and sizes the rebuilt netlist's node
+// slice and structural hash for them, so each is allocated once.
 //
 // Reachability is the caller's contract: every literal feeding a kept
 // latch next, kept port net, selected property, or constraint must bottom
@@ -93,8 +96,8 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 
 	out := New(name)
 	rm := &RebuildMap{
-		Input: make(map[NodeID]NodeID),
-		Latch: make(map[NodeID]NodeID),
+		Input: make(map[NodeID]NodeID, len(n.Inputs)),
+		Latch: make(map[NodeID]NodeID, len(n.Latches)),
 	}
 	// newLit maps a source node id to its rebuilt literal; noLit marks a
 	// node not (yet) copied.
@@ -103,7 +106,7 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		newLit[i] = noLit
 	}
 	newLit[0] = False
-	for id, l := range sp.LatchConst {
+	for id, l := range sp.Const {
 		newLit[id] = l
 	}
 
@@ -116,7 +119,7 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		rm.Input[id] = l.Node()
 	}
 	for i, l := range n.Latches {
-		if _, sub := sp.LatchConst[l.Node]; sub || !keepLatch(i) {
+		if _, sub := sp.Const[l.Node]; sub || !keepLatch(i) {
 			continue
 		}
 		nl := out.NewLatch(l.Name, l.Init)
@@ -146,19 +149,50 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		rm.Read = append(rm.Read, reads)
 	}
 
-	var copyLit func(l Lit) Lit
-	copyLit = func(l Lit) Lit {
-		id := l.Node()
-		if v := newLit[id]; v != noLit {
-			return v.XorInv(l.Inverted())
+	props := sp.Props
+	if props == nil {
+		props = make([]int, len(n.Props))
+		for i := range props {
+			props[i] = i
 		}
-		node := n.nodes[id]
-		if node.Kind != KAnd {
+	}
+
+	// Copy every gate the kept roots reach, in the order a depth-first
+	// copy creates them, into a netlist sized for them up front.
+	var roots []Lit
+	for _, si := range rm.LatchIndex {
+		roots = append(roots, n.Latches[si].Next)
+	}
+	for cmi, mi := range rm.Mem {
+		m := n.Memories[mi]
+		for _, ri := range rm.Read[cmi] {
+			roots = append(roots, m.Reads[ri].Addr...)
+			roots = append(roots, m.Reads[ri].En)
+		}
+		for wi, wp := range m.Writes {
+			if keepWrite(mi, wi) {
+				roots = append(roots, wp.Addr...)
+				roots = append(roots, wp.Data...)
+				roots = append(roots, wp.En)
+			}
+		}
+	}
+	for _, pi := range props {
+		roots = append(roots, n.Props[pi].OK)
+	}
+	roots = append(roots, n.Constraints...)
+	order := n.copyOrder(roots, newLit)
+	out.reserve(len(out.nodes)+len(order), len(order))
+	copyLit := func(l Lit) Lit {
+		v := newLit[l.Node()]
+		if v == noLit {
 			panic("aig: rebuild reached an undeclared non-gate node")
 		}
-		v := out.And(copyLit(node.F0), copyLit(node.F1))
-		newLit[id] = v
 		return v.XorInv(l.Inverted())
+	}
+	for _, id := range order {
+		nd := &n.nodes[id]
+		newLit[id] = out.And(copyLit(nd.F0), copyLit(nd.F1))
 	}
 
 	for _, si := range rm.LatchIndex {
@@ -194,13 +228,6 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 		rm.Write = append(rm.Write, writes)
 	}
 
-	props := sp.Props
-	if props == nil {
-		props = make([]int, len(n.Props))
-		for i := range props {
-			props[i] = i
-		}
-	}
 	for _, pi := range props {
 		p := n.Props[pi]
 		out.AddProperty(p.Name, copyLit(p.OK))
@@ -214,3 +241,48 @@ func Rebuild(n *Netlist, sp RebuildSpec) (*Netlist, *RebuildMap) {
 
 // noLit marks an absent entry in a node-indexed literal slice.
 const noLit Lit = -1
+
+// copyOrder returns the gates a rebuild copies to reach roots: the AND
+// nodes reachable from them through nodes newLit does not map yet. They
+// come in the order a recursive copy would create them (fanins first, F0's
+// cone before F1's), so a rebuild's node ids do not depend on how it
+// walks.
+func (n *Netlist) copyOrder(roots []Lit, newLit []Lit) []NodeID {
+	const (
+		unseen uint8 = iota
+		open         // fanins pushed, not yet in order
+		done
+	)
+	state := make([]uint8, len(n.nodes))
+	need := func(id NodeID) bool {
+		return state[id] == unseen && newLit[id] == noLit && n.nodes[id].Kind == KAnd
+	}
+	var order, stack []NodeID
+	for _, r := range roots {
+		if !need(r.Node()) {
+			continue
+		}
+		stack = append(stack[:0], r.Node())
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			switch state[id] {
+			case done:
+				stack = stack[:len(stack)-1]
+			case open:
+				stack = stack[:len(stack)-1]
+				state[id] = done
+				order = append(order, id)
+			default:
+				state[id] = open
+				nd := &n.nodes[id]
+				if f := nd.F1.Node(); need(f) {
+					stack = append(stack, f)
+				}
+				if f := nd.F0.Node(); need(f) {
+					stack = append(stack, f)
+				}
+			}
+		}
+	}
+	return order
+}

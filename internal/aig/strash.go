@@ -63,6 +63,25 @@ func (t *strashTable) grow(nodes []Node) {
 	if len(t.slots) > 0 {
 		bits = 64 - t.shift + 1
 	}
+	t.resize(nodes, bits)
+}
+
+// reserve sizes the table so that count entries fit without growing.
+func (t *strashTable) reserve(nodes []Node, count int) {
+	if count == 0 {
+		return
+	}
+	bits := uint(strashMinBits)
+	for 1<<bits < 2*count {
+		bits++
+	}
+	if 1<<bits > len(t.slots) {
+		t.resize(nodes, bits)
+	}
+}
+
+// resize rehashes the table into 1<<bits slots.
+func (t *strashTable) resize(nodes []Node, bits uint) {
 	old := t.slots
 	t.slots = make([]NodeID, 1<<bits)
 	t.shift = 64 - bits

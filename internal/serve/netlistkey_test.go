@@ -1,0 +1,122 @@
+package serve
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"emmver/internal/aig"
+	"emmver/internal/designs"
+	"emmver/internal/expmem"
+	"emmver/internal/pass"
+)
+
+// TestCompiledNetlistKeysPinned pins NetlistKey of the default compile
+// pipeline's output on the in-tree designs. The key covers every node,
+// latch, port and property of the compiled netlist, so a change to a pass
+// that moves one node id (or drops one node more or less) shows here, and
+// the cache keys of every served design move with it. A change that means
+// to alter the compiled netlists updates these keys on purpose. gated.v
+// compiles to planted.v's netlist: the chain behind its constant register
+// leaves no trace.
+func TestCompiledNetlistKeysPinned(t *testing.T) {
+	all := func(n *aig.Netlist) []int {
+		out := make([]int, len(n.Props))
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	type tc struct {
+		name  string
+		n     *aig.Netlist
+		props []int
+		key   string
+	}
+	var cases []tc
+	for _, f := range []struct{ file, key string }{
+		{"growth.v", "18f0f2ffe924ae8c8c7092531e95aeb4071d6f2f6ec3c3c40bff9c3cc1f31b3b"},
+		{"planted.v", "b6392d98d91a45a1dc1fe2094957b176a405b6673fa6aee92f9b40a501861887"},
+		{"wedge.v", "526bb5e49ee8eb648b8198ed83cdd5825390e4e75d62331b0e5d086043819654"},
+		{"gated.v", "b6392d98d91a45a1dc1fe2094957b176a405b6673fa6aee92f9b40a501861887"},
+	} {
+		src, err := os.ReadFile(filepath.Join("testdata", f.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := ParseNetlist("verilog", src, "", nil)
+		if err != nil {
+			t.Fatalf("%s: %v", f.file, err)
+		}
+		cases = append(cases, tc{f.file, n, all(n), f.key})
+	}
+
+	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 4, DataW: 8, StackAW: 4})
+	qn := q.Netlist()
+	cases = append(cases,
+		tc{"quicksort", qn, all(qn), "d333a814f23e4810ca0cb33895cb13cfc5a5db631da3703205711bb661053430"},
+		tc{"quicksort p1", qn, []int{q.P1Index}, "bbca8939b7c0b6b109fd26a5cc56dc6a32da9cfccc510375e5abaad15e78b61c"},
+		tc{"quicksort p2", qn, []int{q.P2Index}, "94e49df39f203303078e33090c510a24de2bea52b7938fd0c026fdbfc1f23b71"})
+
+	fn := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16}).Netlist()
+	fe, _, err := expmem.Expand(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		tc{"filter", fn, all(fn), "f11fd5a24b95e801e452558bf32ee2bd1d20d2295eb1c2abe59fff5e6180eb1c"},
+		tc{"filter prop 3", fn, []int{3}, "b52b2083aac3b7ff5e152aaf68335d7dd884556ba9c5eff10d81b7947a193b62"},
+		tc{"filter explicit", fe, all(fe), "f6e98bd04914f7bccdfd233da67a34ad3b6e8fc627372dcbb138c24aa8d89e25"})
+
+	l := designs.NewLookup(designs.LookupConfig{AW: 4, DW: 6, NumProps: 8, Latency: 6})
+	ln := l.Netlist()
+	cases = append(cases,
+		tc{"lookup", ln, all(ln), "ffc992ef787615c6c3366e026f9a2210441351d60328a1df46f2becdeacb4346"},
+		tc{"lookup inv", ln, []int{l.InvariantIndex}, "d58f3b85cc931d833aa5432351de5c1900d0d2775559894a64fb5d5930f25b8c"},
+		tc{"lookup reach 0", ln, []int{l.ReachIndices[0]}, "ba810b476ee98f661d9ca5be7aad2c18fa13f42287f2dc35bdb11adfbd0ca6d2"})
+
+	for _, c := range cases {
+		cp, err := pass.Compile(c.n, c.props, pass.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := NetlistKey(cp.N, cp.Props); got != c.key {
+			t.Errorf("%s: compiled netlist key %s, pinned %s", c.name, got, c.key)
+		}
+	}
+}
+
+// TestSweepDropsGatedChain checks that the constant sweep stops at
+// constants: on gated.v, `coi,sweep` alone keeps none of the multiply
+// chain that only a gate of the constant register armed reads. The chain's
+// registers are gone, and the ports pass, which drops whatever the cone
+// no longer reaches, finds nothing left to drop.
+func TestSweepDropsGatedChain(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "gated.v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := ParseNetlist("verilog", src, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := pass.Compile(n, []int{0}, pass.Options{Spec: "coi,sweep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports, err := pass.Compile(n, []int{0}, pass.Options{Spec: "coi,sweep,ports"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range sweep.N.Latches {
+		if l.Name[0] == 's' || l.Name == "armed" {
+			t.Errorf("coi,sweep kept latch %s of the gated chain", l.Name)
+		}
+	}
+	if got, want := pass.CountsOf(sweep.N), pass.CountsOf(ports.N); got != want {
+		t.Errorf("coi,sweep left %+v, ports then cut it to %+v", got, want)
+	}
+	if a := sweep.N.NumAnds(); a > 200 {
+		t.Errorf("coi,sweep kept %d gates; a single 16-bit multiply stage has more", a)
+	}
+}
