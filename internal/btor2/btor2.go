@@ -87,9 +87,13 @@ type parser struct {
 	constr []*node
 }
 
+// maxLine caps the length of one source line. The scanner starts from its
+// small default buffer and grows it only for long lines.
+const maxLine = 16 << 20
+
 func (p *parser) parse(r io.Reader) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -183,6 +187,9 @@ func (p *parser) parse(r io.Reader) error {
 				n.args = append(n.args, v)
 			}
 		}
+		if _, dup := p.nodes[id]; dup {
+			return fmt.Errorf("btor2 line %d: duplicate node id %d", lineNo, id)
+		}
 		p.nodes[id] = n
 		p.order = append(p.order, n)
 	}
@@ -261,9 +268,14 @@ func (p *parser) build() error {
 		}
 	}
 
-	// Evaluate everything else on demand; then wire nexts.
-	for id, reg := range p.regs {
-		nx, ok := p.nexts[id]
+	// Evaluate everything else on demand; then wire nexts, in declaration
+	// order so that the same source always builds the same netlist.
+	for _, n := range p.order {
+		reg, ok := p.regs[n.id]
+		if !ok {
+			continue
+		}
+		nx, ok := p.nexts[n.id]
 		if !ok {
 			reg.SetNext(reg.Q) // stateless hold
 			continue
@@ -274,11 +286,12 @@ func (p *parser) build() error {
 		}
 		reg.SetNext(p.adapt(v, len(reg.Q)))
 	}
-	for id, as := range p.arrays {
-		if as.nextID == 0 {
+	for _, n := range p.order {
+		as, ok := p.arrays[n.id]
+		if !ok || as.nextID == 0 {
 			continue
 		}
-		if err := p.buildArrayNext(id, as); err != nil {
+		if err := p.buildArrayNext(n.id, as); err != nil {
 			return err
 		}
 	}

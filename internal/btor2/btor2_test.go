@@ -179,10 +179,24 @@ func TestReadErrors(t *testing.T) {
 		"1 sort bitvec 1\n2 frobnicate 1\n3 bad 2\n",
 		"1 sort bitvec 1\n2 state 1\n3 init 1 2 2\n", // non-const init
 		"1 sort bitvec 2\n2 sort array 1 1\n3 state 2 m\n4 input 1 a\n5 next 2 3 4\n", // bad array next
+		"1 sort bitvec 1\n2 state 1\n2 state 1\n",                                     // duplicate node id
 	} {
 		if _, err := Read(strings.NewReader(bad)); err == nil {
 			t.Fatalf("input %q must fail", bad)
 		}
+	}
+}
+
+// The scanner starts small and grows only for long lines; a comment line
+// longer than 1 MiB still parses.
+func TestReadLongCommentLine(t *testing.T) {
+	src := "1 sort bitvec 1\n; " + strings.Repeat("x", 1<<20+512) + "\n2 state 1 s\n3 bad 2\n"
+	n, err := Read(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(n.Latches) != 1 || len(n.Props) != 1 {
+		t.Fatalf("got %d latches, %d properties; want 1 and 1", len(n.Latches), len(n.Props))
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // declared counts are advisory.
 func (s *Solver) ReadDIMACS(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 16<<20) // the default buffer, grown for lines up to 16 MiB
 	clauses := 0
 	var cur []Lit
 	ensure := func(v int) error {

@@ -39,6 +39,19 @@ func TestReadDIMACSMultilineClause(t *testing.T) {
 	}
 }
 
+// A comment line longer than 1 MiB still parses: the scanner grows its
+// buffer past the default for it.
+func TestReadDIMACSLongLine(t *testing.T) {
+	src := "c " + strings.Repeat("x", 1<<20+512) + "\np cnf 2 2\n1 2 0\n-1 0\n"
+	s := New()
+	if n, err := s.ReadDIMACS(strings.NewReader(src)); err != nil || n != 2 {
+		t.Fatalf("read %d clauses, err %v", n, err)
+	}
+	if s.Solve() != Sat || s.Value(1) != True {
+		t.Fatalf("expected SAT with x2 true")
+	}
+}
+
 func TestReadDIMACSErrors(t *testing.T) {
 	for _, bad := range []string{
 		"p cnf x 1\n",

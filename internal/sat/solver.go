@@ -45,10 +45,9 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	order    *varOrder
-	activity []float64
-	varInc   float64
-	claInc   float32
+	order  *varOrder // decision heap; holds the variable activities
+	varInc float64
+	claInc float32
 
 	seen           []byte
 	analyzeScratch []Lit
@@ -133,6 +132,7 @@ type Stats struct {
 func New() *Solver {
 	return &Solver{
 		ok:       true,
+		order:    newVarOrder(),
 		varInc:   1.0,
 		claInc:   1.0,
 		localMax: 2000,
@@ -231,14 +231,10 @@ func (s *Solver) NewVar() Var {
 	s.reasons = append(s.reasons, crefUndef)
 	s.polarity = append(s.polarity, true) // default phase: false
 	s.decider = append(s.decider, true)
-	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.binWatches = append(s.binWatches, nil, nil)
 	s.seen = append(s.seen, 0)
-	if s.order == nil {
-		s.order = newVarOrder(&s.activity)
-	}
-	s.order.insert(v)
+	s.order.add(v)
 	s.stats.MaxVar = len(s.assigns)
 	return v
 }
@@ -415,6 +411,10 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 // an early stop sets s.interrupted and leaves the remaining queue for the
 // next call.
 func (s *Solver) propagate() cref {
+	// Propagation adds no variables or clauses, so the assignment, arena
+	// and header slices stay put for the whole call; hold them in locals.
+	assigns := s.assigns
+	arena, hdr := s.db.arena, s.db.hdr
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -425,7 +425,7 @@ func (s *Solver) propagate() cref {
 		}
 		// Binary implications: p became true, so each imp is forced.
 		for _, bw := range s.binWatches[p] {
-			switch s.value(bw.imp) {
+			switch assigns[bw.imp.Var()].XorSign(bw.imp.Sign()) {
 			case False:
 				s.qhead = len(s.trail)
 				return bw.c
@@ -440,37 +440,39 @@ func (s *Solver) propagate() cref {
 	nextWatcher:
 		for wi := 0; wi < n; wi++ {
 			w := ws[wi]
-			if s.value(w.blocker) == True {
+			if assigns[w.blocker.Var()].XorSign(w.blocker.Sign()) == True {
 				kept = append(kept, w)
 				continue
 			}
 			c := w.c
-			if s.db.isDeleted(c) {
+			h := &hdr[c]
+			if h.flags&flagDel != 0 {
 				continue // dropped clause: let the watcher disappear
 			}
-			lits := s.db.lits(c)
+			lits := arena[h.off : h.off+h.size : h.off+h.size]
 			// Ensure the false literal is at position 1.
 			notP := p.Not()
 			if lits[0] == notP {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == True {
+			firstVal := assigns[first.Var()].XorSign(first.Sign())
+			if first != w.blocker && firstVal == True {
 				kept = append(kept, watcher{c: c, blocker: first})
 				continue
 			}
 			// Look for a new literal to watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != False {
-					lits[1], lits[k] = lits[k], lits[1]
-					wl := lits[1].Not()
+				if l := lits[k]; assigns[l.Var()].XorSign(l.Sign()) != False {
+					lits[1], lits[k] = l, lits[1]
+					wl := l.Not()
 					s.watches[wl] = append(s.watches[wl], watcher{c: c, blocker: first})
 					continue nextWatcher
 				}
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, watcher{c: c, blocker: first})
-			if s.value(first) == False {
+			if firstVal == False {
 				// Conflict: restore remaining watchers and bail.
 				kept = append(kept, ws[wi+1:n]...)
 				s.watches[p] = kept
@@ -504,14 +506,9 @@ func (s *Solver) cancelUntil(level int) {
 }
 
 func (s *Solver) bumpVar(v Var) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
+	if s.order.bump(v, s.varInc) {
+		s.varInc *= rescaleFactor
 	}
-	s.order.decreased(v)
 }
 
 // The 0.99 decay (vs MiniSat's 0.95) keeps the activity ordering stable
@@ -805,7 +802,7 @@ func (s *Solver) reduceDB() {
 
 func (s *Solver) pickBranchVar() Var {
 	for !s.order.empty() {
-		v := s.order.removeMin()
+		v := s.order.pop()
 		if s.assigns[v] == Undef && s.decider[v] {
 			return v
 		}

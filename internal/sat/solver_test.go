@@ -580,15 +580,24 @@ func TestEMARestarts(t *testing.T) {
 	}
 }
 
-func TestVarOrderHeap(t *testing.T) {
-	act := []float64{1, 5, 3, 2, 4}
-	o := newVarOrder(&act)
-	for v := Var(0); v < 5; v++ {
-		o.insert(v)
+// newTestOrder builds a heap over variables 0..len(act)-1 with the given
+// activities, bumping each from zero.
+func newTestOrder(act []float64) *varOrder {
+	o := newVarOrder()
+	for v := range act {
+		o.add(Var(v))
 	}
+	for v, a := range act {
+		o.bump(Var(v), a)
+	}
+	return o
+}
+
+func TestVarOrderHeap(t *testing.T) {
+	o := newTestOrder([]float64{1, 5, 3, 2, 4})
 	var got []Var
 	for !o.empty() {
-		got = append(got, o.removeMin())
+		got = append(got, o.pop())
 	}
 	want := []Var{1, 4, 2, 3, 0}
 	for i := range want {
@@ -599,15 +608,17 @@ func TestVarOrderHeap(t *testing.T) {
 }
 
 func TestVarOrderDecrease(t *testing.T) {
-	act := []float64{1, 2, 3}
-	o := newVarOrder(&act)
-	for v := Var(0); v < 3; v++ {
-		o.insert(v)
-	}
-	act[0] = 10
-	o.decreased(0)
-	if o.removeMin() != 0 {
+	o := newTestOrder([]float64{1, 2, 3})
+	o.bump(0, 9)
+	if o.pop() != 0 {
 		t.Fatalf("var 0 should be at top after bump")
+	}
+	if a := o.activity(0); a != 10 {
+		t.Fatalf("popped var 0 keeps activity %g, want 10", a)
+	}
+	o.insert(0)
+	if o.pop() != 0 {
+		t.Fatalf("re-inserted var 0 should be at top again")
 	}
 }
 

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"emmver/internal/aig"
+	"emmver/internal/btor2"
 	"emmver/internal/designs"
 	"emmver/internal/expmem"
 	"emmver/internal/pass"
+	"emmver/internal/spec"
 )
 
 // TestCompiledNetlistKeysPinned pins NetlistKey of the default compile
@@ -118,5 +121,75 @@ func TestSweepDropsGatedChain(t *testing.T) {
 	}
 	if a := sweep.N.NumAnds(); a > 200 {
 		t.Errorf("coi,sweep kept %d gates; a single 16-bit multiply stage has more", a)
+	}
+}
+
+// exportBTOR2 serializes a netlist as BTOR2 text.
+func exportBTOR2(t *testing.T, n *aig.Netlist) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := btor2.Write(&buf, n); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// lookupBTOR2 is the lookup design, whose registers and memories are many
+// enough that an unordered build shows, as BTOR2 text.
+func lookupBTOR2(t *testing.T) []byte {
+	l := designs.NewLookup(designs.LookupConfig{AW: 4, DW: 6, NumProps: 8, Latency: 6})
+	return exportBTOR2(t, l.Netlist())
+}
+
+// TestBTOR2ReadsKeyAlike reads one BTOR2 source several times: each read
+// must build the same netlist, so the raw key, the key compiled under
+// passes "none" (which keeps the netlist as read) and the key compiled by
+// the default pipeline never change. On quicksort the default pipeline's
+// output depended on the build order too, and so did the solver's work.
+func TestBTOR2ReadsKeyAlike(t *testing.T) {
+	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 4, DataW: 8, StackAW: 4})
+	for _, c := range []struct {
+		name string
+		src  []byte
+	}{{"lookup", lookupBTOR2(t)}, {"quicksort", exportBTOR2(t, q.Netlist())}} {
+		var first [3]string
+		for i := 0; i < 8; i++ {
+			n, err := ParseNetlist("btor2", c.src, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := [3]string{NetlistKey(n, []int{0})}
+			for j, spec := range []string{pass.SpecNone, ""} {
+				cp, err := pass.Compile(n, []int{0}, pass.Options{Spec: spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[j+1] = NetlistKey(cp.N, cp.Props)
+			}
+			if i == 0 {
+				first = keys
+			} else if keys != first {
+				t.Fatalf("%s read %d: raw, none, default keys %.12s %.12s %.12s; first read %.12s %.12s %.12s",
+					c.name, i, keys[0], keys[1], keys[2], first[0], first[1], first[2])
+			}
+		}
+	}
+}
+
+// A byte-identical BTOR2 resubmission with the compile pipeline off must
+// be answered from the cache like any other.
+func TestBTOR2NoPassesResubmissionHits(t *testing.T) {
+	_, c := testServer(t)
+	req := Request{
+		Format: "btor2",
+		Source: string(lookupBTOR2(t)),
+		Prop:   0,
+		Spec:   spec.Spec{Engine: spec.EngineBMC2, Depth: 3, Passes: "none"},
+	}
+	first := submitWait(t, c, req)
+	second := submitWait(t, c, req)
+	if first.Cached || !second.Cached || second.Verdict.Kind != first.Verdict.Kind {
+		t.Fatalf("resubmission: first cached=%v %+v, second cached=%v %+v",
+			first.Cached, first.Verdict, second.Cached, second.Verdict)
 	}
 }
