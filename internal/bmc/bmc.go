@@ -401,6 +401,8 @@ type engine struct {
 	obsLazySpurious *obs.Counter
 	obsLFPPairs     *obs.Counter
 	obsLFPRounds    *obs.Counter
+	// Forward checks the groups' shared oracle answered (oracleForwardCheck).
+	obsFwdOracle *obs.Counter
 }
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
@@ -420,6 +422,7 @@ func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engi
 		e.obsLazySpurious = reg.Counter(obs.MLazySpurious)
 		e.obsLFPPairs = reg.Counter(obs.MLFPPairs)
 		e.obsLFPRounds = reg.Counter(obs.MLFPRounds)
+		e.obsFwdOracle = reg.Counter(obs.MFwdOracleHits)
 	}
 	// Model construction (model.go): each window is an unrolling plus its
 	// EMM generator over a fresh session solver (session.go).

@@ -188,6 +188,7 @@ func poolCtx(ctx context.Context, opt *Options) (context.Context, context.Cancel
 func (e *engine) oracleForwardCheck(i int, fwdUnsat *atomic.Int64) sat.Status {
 	if fwdUnsat != nil {
 		if u := fwdUnsat.Load(); u != math.MaxInt64 {
+			e.obsFwdOracle.Inc()
 			if int64(i) >= u {
 				return sat.Unsat
 			}

@@ -9,15 +9,19 @@ import (
 	"testing"
 
 	"emmver/internal/designs"
+	"emmver/internal/obs"
 	"emmver/internal/sat"
 )
 
 // Once a group has published its first forward-UNSAT depth, the shared
 // oracle answers every forward check without a solver call: UNSAT at or
-// above the published depth, SAT below it.
+// above the published depth, SAT below it. Each such answer counts once on
+// the registry's bmc.fwd_oracle_hits.
 func TestOracleForwardCheckAnswersFromPublishedDepth(t *testing.T) {
 	m, _ := manyCounter()
-	e := newEngine(context.Background(), m.N, 5, Options{Engine: EngineBMC3, MaxDepth: 12})
+	reg := obs.NewRegistry()
+	e := newEngine(context.Background(), m.N, 5,
+		Options{Engine: EngineBMC3, MaxDepth: 12, Obs: obs.New(reg, nil)})
 	var fwd atomic.Int64
 	const published = 6
 	fwd.Store(published)
@@ -35,6 +39,9 @@ func TestOracleForwardCheckAnswersFromPublishedDepth(t *testing.T) {
 	}
 	if got := fwd.Load(); got != published {
 		t.Fatalf("oracle answers moved the published depth to %d", got)
+	}
+	if got := reg.Counter(obs.MFwdOracleHits).Value(); got != 13 {
+		t.Fatalf("%s = %d, want 13 (depths 0..12)", obs.MFwdOracleHits, got)
 	}
 }
 

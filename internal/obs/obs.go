@@ -26,6 +26,7 @@ const (
 	// BMC engine.
 	MDepth         = "bmc.depth" // gauge: deepest depth any engine has completed
 	MPropsResolved = "bmc.props_resolved"
+	MFwdOracleHits = "bmc.fwd_oracle_hits" // forward checks a group's published depth answered
 
 	// SAT solvers (aggregated across every attached solver).
 	MSolves          = "solver.solves"

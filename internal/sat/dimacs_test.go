@@ -52,6 +52,20 @@ func TestReadDIMACSLongLine(t *testing.T) {
 	}
 }
 
+// A clause line of 262,144 literals ("1 2" repeated) reads as the clause
+// (x1 ∨ x2): normalizing it sorts the literals, which must not take time
+// quadratic in the clause's length.
+func TestReadDIMACSLongClause(t *testing.T) {
+	src := "p cnf 2 2\n" + strings.Repeat("1 2 ", 1<<17) + "0\n-1 0\n"
+	s := New()
+	if n, err := s.ReadDIMACS(strings.NewReader(src)); err != nil || n != 2 {
+		t.Fatalf("read %d clauses, err %v", n, err)
+	}
+	if s.Solve() != Sat || s.Value(0) != False || s.Value(1) != True {
+		t.Fatalf("expected SAT with x1 false, x2 true")
+	}
+}
+
 func TestReadDIMACSErrors(t *testing.T) {
 	for _, bad := range []string{
 		"p cnf x 1\n",

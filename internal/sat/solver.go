@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"sort"
 
 	"emmver/internal/obs"
@@ -290,7 +291,11 @@ func (s *Solver) AddClauseTagged(tag int64, lits []Lit) bool {
 	// buffer keeps clause addition allocation-free (the literals are copied
 	// into the arena on alloc).
 	tmp := append(s.addTmp[:0], lits...)
-	sortLits(tmp)
+	if len(tmp) > 32 {
+		slices.Sort(tmp)
+	} else {
+		sortLits(tmp)
+	}
 	out := tmp[:0]
 	var prev Lit = LitUndef
 	for _, l := range tmp {
@@ -367,8 +372,10 @@ func (s *Solver) AddClauseTagged(tag int64, lits []Lit) bool {
 	}
 }
 
+// sortLits is an insertion sort, the fastest for the short clauses the
+// engines add; AddClauseTagged sends a long one (DIMACS input can carry
+// clauses of any length) to slices.Sort, whose output is the same.
 func sortLits(lits []Lit) {
-	// Insertion sort: clause literal lists are short.
 	for i := 1; i < len(lits); i++ {
 		l := lits[i]
 		j := i - 1

@@ -59,10 +59,22 @@ type proofEntry struct {
 	used int64
 }
 
+// sourceEntry is one source index record: the netlist key that parsing
+// and compiling a submission's exact bytes produced.
+type sourceEntry struct {
+	netKey string
+	used   int64
+}
+
 // Cache is the content-addressed verdict store. All methods are safe for
 // concurrent use.
 type Cache struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// sources is the source index, the cache's first layer: it maps a
+	// submission as written (sourceIndexKey) to the NetlistKey its parse
+	// and compile produced, so a byte-identical resubmission finds its
+	// family without being parsed again.
+	sources  map[string]*sourceEntry
 	families map[string]*family
 	// proofs is the engine-independent proof index: a PROOF verdict states
 	// a truth about the problem (netlist + passes), not about the engine
@@ -75,10 +87,11 @@ type Cache struct {
 	cap    int
 	clock  int64
 
-	hits   int64 // exact answers served without solver work
-	warm   int64 // answers that warm-started a run
-	misses int64
-	stores int64
+	hits       int64 // exact answers served without solver work
+	sourceHits int64 // the hits among them the source index answered
+	warm       int64 // answers that warm-started a run
+	misses     int64
+	stores     int64
 }
 
 // NewCache returns a cache bounded to at most cap families (<= 0 selects
@@ -88,6 +101,7 @@ func NewCache(cap int) *Cache {
 		cap = 1024
 	}
 	return &Cache{
+		sources:  make(map[string]*sourceEntry),
 		families: make(map[string]*family),
 		proofs:   make(map[string]*proofEntry),
 		cap:      cap,
@@ -127,45 +141,83 @@ func (c *Cache) Peek(familyID, problemID string, depth int, sourceKey string) *H
 func (c *Cache) lookup(familyID, problemID string, depth int, sourceKey string, count bool) *Hit {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tally := func(p *int64) {
-		if count {
-			*p++
-		}
+	h, tally := c.lookupLocked(familyID, problemID, depth, sourceKey)
+	if count {
+		*tally++
 	}
+	return h
+}
+
+// LookupSource answers a submission from the source index, before it is
+// parsed. idx is the submission's sourceIndexKey and s its spec. When the
+// index knows idx and the family it names under s holds an exact answer at
+// depth, LookupSource returns the hit, counted as a hit and a source hit,
+// and the indexed netlist key. Otherwise it returns nil and counts
+// nothing: the submission takes the parse path, whose Lookup counts it, so
+// each request is counted once.
+func (c *Cache) LookupSource(idx string, s spec.Spec, depth int, sourceKey string) (*Hit, string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.sources[idx]
+	if e == nil {
+		return nil, ""
+	}
+	c.clock++
+	e.used = c.clock
+	h, _ := c.lookupLocked(FamilyID(e.netKey, s), ProblemID(e.netKey, s), depth, sourceKey)
+	if h == nil || !h.Exact {
+		return nil, ""
+	}
+	c.hits++
+	c.sourceHits++
+	return h, e.netKey
+}
+
+// IndexSource records in the source index that the submission idx parses
+// and compiles to netKey. Only a submission that parsed, compiled and named
+// a property of its design is indexed.
+func (c *Cache) IndexSource(idx, netKey string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clock++
+	if e := c.sources[idx]; e != nil {
+		e.used = c.clock
+		return
+	}
+	c.sources[idx] = &sourceEntry{netKey: netKey, used: c.clock}
+	evictLRU(c.sources, c.cap, func(e *sourceEntry) int64 { return e.used })
+}
+
+// lookupLocked finds the answer for a request and the counter it falls
+// under; the caller holds c.mu and decides whether to count it.
+func (c *Cache) lookupLocked(familyID, problemID string, depth int, sourceKey string) (*Hit, *int64) {
 	// The proof index answers first: an unbounded proof holds for every
 	// engine and every depth, so it beats whatever the requesting engine's
 	// own family knows.
 	if pe := c.proofs[problemID]; pe != nil {
 		c.clock++
 		pe.used = c.clock
-		tally(&c.hits)
-		return &Hit{Verdict: stripForeignWitness(pe.v, sourceKey), Exact: true}
+		return &Hit{Verdict: stripForeignWitness(pe.v, sourceKey), Exact: true}, &c.hits
 	}
 	f := c.families[familyID]
 	if f == nil {
-		tally(&c.misses)
-		return nil
+		return nil, &c.misses
 	}
 	c.clock++
 	f.used = c.clock
 	switch {
 	case f.proof != nil:
-		tally(&c.hits)
-		return &Hit{Verdict: stripForeignWitness(f.proof, sourceKey), Exact: true}
+		return &Hit{Verdict: stripForeignWitness(f.proof, sourceKey), Exact: true}, &c.hits
 	case f.ce != nil && f.ce.Depth <= depth:
-		tally(&c.hits)
-		return &Hit{Verdict: stripForeignWitness(f.ce, sourceKey), Exact: true}
+		return &Hit{Verdict: stripForeignWitness(f.ce, sourceKey), Exact: true}, &c.hits
 	case f.noCE != nil && f.noCE.Depth >= depth:
-		tally(&c.hits)
 		v := *f.noCE
 		v.Depth = depth // the frontier covers the shallower request
-		return &Hit{Verdict: &v, Exact: true}
+		return &Hit{Verdict: &v, Exact: true}, &c.hits
 	case f.noCE != nil:
-		tally(&c.warm)
-		return &Hit{Verdict: f.noCE, WarmFrom: f.noCE.Depth + 1}
+		return &Hit{Verdict: f.noCE, WarmFrom: f.noCE.Depth + 1}, &c.warm
 	}
-	tally(&c.misses)
-	return nil
+	return nil, &c.misses
 }
 
 // Store records a completed run's verdict under its family. Timeouts and
@@ -184,7 +236,7 @@ func (c *Cache) Store(familyID, problemID string, v *Verdict) {
 	if f == nil {
 		f = &family{}
 		c.families[familyID] = f
-		c.evictLocked()
+		evictLRU(c.families, c.cap, func(f *family) int64 { return f.used })
 	}
 	c.clock++
 	f.used = c.clock
@@ -193,7 +245,7 @@ func (c *Cache) Store(familyID, problemID string, v *Verdict) {
 	case "PROOF":
 		f.proof = v
 		c.proofs[problemID] = &proofEntry{v: v, used: c.clock}
-		c.evictProofsLocked()
+		evictLRU(c.proofs, c.cap, func(pe *proofEntry) int64 { return pe.used })
 	case "CE":
 		if f.ce == nil || v.Depth < f.ce.Depth {
 			f.ce = v
@@ -205,32 +257,21 @@ func (c *Cache) Store(familyID, problemID string, v *Verdict) {
 	}
 }
 
-func (c *Cache) evictLocked() {
-	for len(c.families) > c.cap {
-		var oldest string
-		var min int64 = 1<<63 - 1
-		for id, f := range c.families {
-			if f.used < min {
-				min, oldest = f.used, id
-			}
-		}
-		delete(c.families, oldest)
-	}
-}
-
-// evictProofsLocked bounds the proof index by the same capacity and LRU
-// clock as the family map (it grows at most one entry per PROOF store, so
+// evictLRU drops the least-recently-used entries of one of the cache's
+// maps until at most cap remain. The family map, the proof index and the
+// source index are each bounded by the cache's capacity and age on its one
+// LRU clock (the proof index grows at most one entry per PROOF store, so
 // in practice it stays far smaller).
-func (c *Cache) evictProofsLocked() {
-	for len(c.proofs) > c.cap {
+func evictLRU[E any](m map[string]E, cap int, used func(E) int64) {
+	for len(m) > cap {
 		var oldest string
 		var min int64 = 1<<63 - 1
-		for id, pe := range c.proofs {
-			if pe.used < min {
-				min, oldest = pe.used, id
+		for id, e := range m {
+			if u := used(e); u < min {
+				min, oldest = u, id
 			}
 		}
-		delete(c.proofs, oldest)
+		delete(m, oldest)
 	}
 }
 
@@ -238,9 +279,12 @@ func (c *Cache) evictProofsLocked() {
 type CacheStats struct {
 	Families int   `json:"families"`
 	Hits     int64 `json:"hits"`
-	WarmHits int64 `json:"warm_hits"`
-	Misses   int64 `json:"misses"`
-	Stores   int64 `json:"stores"`
+	// SourceHits counts the hits the source index answered before any
+	// parse; they are also counted in Hits.
+	SourceHits int64 `json:"source_hits"`
+	WarmHits   int64 `json:"warm_hits"`
+	Misses     int64 `json:"misses"`
+	Stores     int64 `json:"stores"`
 }
 
 // Stats snapshots the cache counters.
@@ -248,11 +292,12 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Families: len(c.families),
-		Hits:     c.hits,
-		WarmHits: c.warm,
-		Misses:   c.misses,
-		Stores:   c.stores,
+		Families:   len(c.families),
+		Hits:       c.hits,
+		SourceHits: c.sourceHits,
+		WarmHits:   c.warm,
+		Misses:     c.misses,
+		Stores:     c.stores,
 	}
 }
 

@@ -13,6 +13,16 @@
 // PROOF answers every depth, a counter-example at depth d answers every
 // depth >= d, and a NO_CE frontier at depth k answers shallower requests
 // outright and warm-starts deeper ones from k+1 (bmc.Options.StartDepth).
+//
+// The cache's first layer is keyed by bytes after all: the source index
+// maps a submission as written (SourceKey, under one pass spec) to the
+// netlist key its parse and compile produced. Parsing and compiling is a
+// function of exactly what it hashes, so a byte-identical resubmission
+// finds its family there, and one the family answers exactly is served
+// without being parsed. Everything else — unknown bytes, a warm frontier,
+// a miss — takes the parse path. Only a submission that parsed, compiled
+// and named one of its design's properties is indexed; the index is
+// bounded by the cache's capacity and ages on its LRU clock.
 package serve
 
 import (
@@ -49,6 +59,14 @@ func SourceKey(format, top string, params map[string]uint64, prop int, src []byt
 	writeInt(h, prop)
 	h.Write(src)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sourceIndexKey keys the source index: a submission as written
+// (SourceKey) under one compile pipeline (the canonical pass spec). Parsing
+// and compiling is a function of exactly these, so equal keys compile to
+// the same NetlistKey.
+func sourceIndexKey(sourceKey, passes string) string {
+	return sourceKey + ":" + passes
 }
 
 // NetlistKey is the canonical structural hash of a compiled netlist with

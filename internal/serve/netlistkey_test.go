@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"emmver/internal/aig"
+	"emmver/internal/aiger"
 	"emmver/internal/btor2"
 	"emmver/internal/designs"
 	"emmver/internal/expmem"
@@ -148,30 +150,85 @@ func lookupBTOR2(t *testing.T) []byte {
 // output depended on the build order too, and so did the solver's work.
 func TestBTOR2ReadsKeyAlike(t *testing.T) {
 	q := designs.NewQuickSort(designs.QuickSortConfig{N: 3, ArrayAW: 4, DataW: 8, StackAW: 4})
-	for _, c := range []struct {
-		name string
-		src  []byte
-	}{{"lookup", lookupBTOR2(t)}, {"quicksort", exportBTOR2(t, q.Netlist())}} {
-		var first [3]string
-		for i := 0; i < 8; i++ {
-			n, err := ParseNetlist("btor2", c.src, "", nil)
+	readsKeyAlike(t, "lookup", "btor2", lookupBTOR2(t), "", nil)
+	readsKeyAlike(t, "quicksort", "btor2", exportBTOR2(t, q.Netlist()), "", nil)
+}
+
+// TestVerilogAndAIGERReadsKeyAlike pins the same for the other two
+// formats: the server's source index answers a byte-identical
+// resubmission with the netlist key of an earlier read, which is sound
+// only if every read of the same bytes, top and parameters builds the
+// same netlist.
+func TestVerilogAndAIGERReadsKeyAlike(t *testing.T) {
+	qsort, err := os.ReadFile(filepath.Join("..", "verilog", "testdata", "quicksort.v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := os.ReadFile(filepath.Join("testdata", "gated.v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsKeyAlike(t, "quicksort.v", "verilog", qsort, "", nil)
+	readsKeyAlike(t, "quicksort.v params", "verilog", qsort, "quicksort", map[string]uint64{"AW": 4, "DW": 8, "SW": 4})
+	readsKeyAlike(t, "gated.v", "verilog", gated, "", nil)
+	readsKeyAlike(t, "branching always @(*)", "verilog", []byte(combBranchSrc), "", nil)
+	readsKeyAlike(t, "two modules, first top", "verilog", []byte(twoModuleSrc), "counter", nil)
+	readsKeyAlike(t, "two modules, params", "verilog", []byte(twoModuleSrc), "", map[string]uint64{"W": 5})
+
+	fn := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16}).Netlist()
+	fe, _, err := expmem.Expand(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, binary := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := aiger.Write(&buf, fe, binary); err != nil {
+			t.Fatal(err)
+		}
+		readsKeyAlike(t, fmt.Sprintf("filter explicit, binary %v", binary), "aiger", buf.Bytes(), "", nil)
+	}
+}
+
+// combBranchSrc assigns four variables on both sides of a branch in a
+// combinational process, so elaboration joins four pairs of branch values.
+const combBranchSrc = `
+module comb(input clk, input c, input [3:0] a, input [3:0] b);
+  reg [3:0] x;
+  reg [3:0] y;
+  reg [3:0] z;
+  reg [3:0] w;
+  always @(*) begin
+    if (c) begin x = a; y = b; z = a + b; w = a & b; end
+    else begin x = b; y = a; z = a - b; w = a | b; end
+  end
+  reg [3:0] acc;
+  always @(posedge clk) acc <= x + y + z + w;
+  assert(acc != 4'd13, "p");
+endmodule`
+
+// readsKeyAlike parses src eight times and requires one raw key, one key
+// compiled under passes "none" and one compiled by the default pipeline.
+func readsKeyAlike(t *testing.T, name, format string, src []byte, top string, params map[string]uint64) {
+	t.Helper()
+	var first [3]string
+	for i := 0; i < 8; i++ {
+		n, err := ParseNetlist(format, src, top, params)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		keys := [3]string{NetlistKey(n, []int{0})}
+		for j, spec := range []string{pass.SpecNone, ""} {
+			cp, err := pass.Compile(n, []int{0}, pass.Options{Spec: spec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := [3]string{NetlistKey(n, []int{0})}
-			for j, spec := range []string{pass.SpecNone, ""} {
-				cp, err := pass.Compile(n, []int{0}, pass.Options{Spec: spec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys[j+1] = NetlistKey(cp.N, cp.Props)
-			}
-			if i == 0 {
-				first = keys
-			} else if keys != first {
-				t.Fatalf("%s read %d: raw, none, default keys %.12s %.12s %.12s; first read %.12s %.12s %.12s",
-					c.name, i, keys[0], keys[1], keys[2], first[0], first[1], first[2])
-			}
+			keys[j+1] = NetlistKey(cp.N, cp.Props)
+		}
+		if i == 0 {
+			first = keys
+		} else if keys != first {
+			t.Fatalf("%s read %d: raw, none, default keys %.12s %.12s %.12s; first read %.12s %.12s %.12s",
+				name, i, keys[0], keys[1], keys[2], first[0], first[1], first[2])
 		}
 	}
 }

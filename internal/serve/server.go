@@ -242,7 +242,10 @@ func decodeRequest(body []byte) (Request, error) {
 	return req, nil
 }
 
-// submit validates, keys, and either answers from cache or enqueues.
+// submit validates, keys, and either answers from cache or enqueues. A
+// byte-identical resubmission whose answer the cache holds is answered
+// from the source index without a parse; every other submission is
+// parsed and compiled, and its compiled netlist keys the cache.
 func (s *Server) submit(req Request) (*job, int, error) {
 	if err := req.Spec.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
@@ -251,12 +254,35 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// The job's journal opens before the parse, so it also explains the
-	// submit-time parse and compile. A submission that fails, or attaches
-	// to an in-flight duplicate, drops it.
+	canon := req.Spec.Canonical()
+	// The job's journal opens before the index lookup, so it also explains
+	// the submit-time parse and compile. A submission that fails, or
+	// attaches to an in-flight duplicate, drops it.
 	events := newEventLog()
 	ob := newJobObserver(events)
-	sp := ob.Span("frontend.parse", obs.F("format", req.Format), obs.F("bytes", len(raw)))
+	j := &job{
+		req:   req,
+		depth: canon.Depth,
+		log:   events,
+		obs:   ob,
+		done:  make(chan struct{}),
+		state: "queued",
+	}
+	sp := ob.Span("serve.lookup", obs.F("bytes", len(raw)))
+	j.sourceKey = SourceKey(req.Format, req.Top, req.Params, req.Prop, raw)
+	idx := sourceIndexKey(j.sourceKey, canon.Passes)
+	hit, netKey := s.cache.LookupSource(idx, req.Spec, canon.Depth, j.sourceKey)
+	sp.End(obs.F("source_hit", hit != nil))
+	if hit != nil {
+		j.setNetlistKey(netKey)
+		if _, err := s.register(j, false); err != nil {
+			return nil, http.StatusServiceUnavailable, err
+		}
+		j.finish(hit.Verdict, true, 0, "")
+		return j, http.StatusOK, nil
+	}
+
+	sp = ob.Span("frontend.parse", obs.F("format", req.Format), obs.F("bytes", len(raw)))
 	n, err := ParseNetlist(req.Format, raw, req.Top, req.Params)
 	sp.End()
 	if err != nil {
@@ -266,56 +292,25 @@ func (s *Server) submit(req Request) (*job, int, error) {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("property %d out of range (design has %d)", req.Prop, len(n.Props))
 	}
-	canon := req.Spec.Canonical()
 	// The key hashes the compiled netlist, and the job hands this same
 	// compile to the engine, so a served job compiles exactly once.
 	compiled, err := pass.Compile(n, []int{req.Prop}, pass.Options{Spec: canon.Passes, Obs: ob})
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	netKey := NetlistKey(compiled.N, compiled.Props)
-	famID := FamilyID(netKey, req.Spec)
-	probID := ProblemID(netKey, req.Spec)
-	srcKey := SourceKey(req.Format, req.Top, req.Params, req.Prop, raw)
-	key := famID + fmt.Sprintf(":d%d", canon.Depth)
+	netKey = NetlistKey(compiled.N, compiled.Props)
+	s.cache.IndexSource(idx, netKey)
+	j.netlist, j.compiled = n, compiled
+	j.setNetlistKey(netKey)
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("server shutting down")
-	}
 	// Identical in-flight submission (same content, same source): attach
-	// to the running job instead of queuing a duplicate. Completed jobs
-	// are not reused — their verdicts are served through the cache below,
-	// which keeps the hit accounting honest.
-	if prev := s.byKey[key+":"+srcKey]; prev != nil {
-		if st := prev.status(); st.State == "queued" || st.State == "running" {
-			s.mu.Unlock()
-			return prev, http.StatusOK, nil
-		}
+	// to the running job instead of queuing a duplicate.
+	if prev, err := s.register(j, true); err != nil {
+		return nil, http.StatusServiceUnavailable, err
+	} else if prev != j {
+		return prev, http.StatusOK, nil
 	}
-	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j%d", s.seq),
-		req:       req,
-		netlist:   n,
-		compiled:  compiled,
-		depth:     canon.Depth,
-		familyID:  famID,
-		problemID: probID,
-		key:       key,
-		sourceKey: srcKey,
-		log:       events,
-		obs:       ob,
-		done:      make(chan struct{}),
-		state:     "queued",
-	}
-	s.jobs[j.id] = j
-	s.byKey[key+":"+srcKey] = j
-	s.mu.Unlock()
-	s.cfg.Obs.Point("serve.submit", obs.F("job", j.id), obs.F("family", famID[:16]))
-
-	if hit := s.cache.Lookup(famID, probID, canon.Depth, srcKey); hit != nil && hit.Exact {
+	if hit := s.cache.Lookup(j.familyID, j.problemID, j.depth, j.sourceKey); hit != nil && hit.Exact {
 		j.finish(hit.Verdict, true, 0, "")
 		return j, http.StatusOK, nil
 	}
@@ -324,11 +319,39 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	default:
 		j.finish(nil, false, 0, "queue full")
 		s.mu.Lock()
-		delete(s.byKey, key+":"+srcKey)
+		delete(s.byKey, j.dedupKey())
 		s.mu.Unlock()
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("queue full (%d jobs)", s.cfg.QueueDepth)
 	}
 	return j, http.StatusAccepted, nil
+}
+
+// register gives j an id and adds it to the server's jobs. With dedup, a
+// submission with j's key and source that is still queued or running is
+// returned instead and j is dropped; otherwise j becomes the job later
+// duplicates attach to. Completed jobs are not reused: their verdicts are
+// served through the cache, which keeps the hit accounting honest.
+func (s *Server) register(j *job, dedup bool) (*job, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("server shutting down")
+	}
+	if dedup {
+		if prev := s.byKey[j.dedupKey()]; prev != nil {
+			if st := prev.status(); st.State == "queued" || st.State == "running" {
+				s.mu.Unlock()
+				return prev, nil
+			}
+		}
+		s.byKey[j.dedupKey()] = j
+	}
+	s.seq++
+	j.id = fmt.Sprintf("j%d", s.seq)
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+	s.cfg.Obs.Point("serve.submit", obs.F("job", j.id), obs.F("family", j.familyID[:16]))
+	return j, nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -455,6 +478,18 @@ func (s *Server) solve(j *job, warmFrom int) (res *bmc.Result, err error) {
 		o.ValidateWitness = true
 	})
 }
+
+// setNetlistKey derives the job's cache keys from its compiled netlist's
+// key and its request's spec.
+func (j *job) setNetlistKey(netKey string) {
+	j.familyID = FamilyID(netKey, j.req.Spec)
+	j.problemID = ProblemID(netKey, j.req.Spec)
+	j.key = j.familyID + fmt.Sprintf(":d%d", j.depth)
+}
+
+// dedupKey identifies the job among in-flight submissions: same content,
+// same source.
+func (j *job) dedupKey() string { return j.key + ":" + j.sourceKey }
 
 func (j *job) setState(st string) {
 	j.mu.Lock()

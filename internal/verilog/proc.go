@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"fmt"
+	"slices"
 
 	"emmver/internal/aig"
 	"emmver/internal/rtl"
@@ -305,16 +306,21 @@ func (env *evalEnv) clone() *evalEnv {
 // values assigned in both (or backed by a pre-branch value) mux together;
 // values assigned on only one path with no prior value are dropped, which
 // later surfaces as an incomplete-assignment error if the target is read
-// or drives a net.
+// or drives a net. The names are joined in sorted order, so every
+// elaboration of the same source builds its muxes in the same order and
+// numbers their nodes alike.
 func mergeEnv(m *rtl.Module, dst *evalEnv, cond aig.Lit, thenEnv, elseEnv *evalEnv) {
-	names := make(map[string]bool)
+	names := make([]string, 0, len(thenEnv.vals)+len(elseEnv.vals))
 	for k := range thenEnv.vals {
-		names[k] = true
+		names = append(names, k)
 	}
 	for k := range elseEnv.vals {
-		names[k] = true
+		if _, ok := thenEnv.vals[k]; !ok {
+			names = append(names, k)
+		}
 	}
-	for k := range names {
+	slices.Sort(names)
+	for _, k := range names {
 		tv, tok := thenEnv.vals[k]
 		ev, eok := elseEnv.vals[k]
 		switch {
