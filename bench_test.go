@@ -26,11 +26,9 @@ import (
 	"emmver/internal/designs"
 	"emmver/internal/exp"
 	"emmver/internal/expmem"
+	"emmver/internal/microbench"
 	"emmver/internal/pass"
-	"emmver/internal/rtl"
-	"emmver/internal/sat"
 	"emmver/internal/serve"
-	"emmver/internal/unroll"
 	"emmver/internal/verilog"
 )
 
@@ -153,101 +151,27 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 
 // --- engine micro-benchmarks ---
 
-// BenchmarkPropagate measures raw unit-propagation throughput through the
-// arena-based clause store: long implication chains of alternating binary
-// and ternary clauses, solved under an assumption that forces the whole
-// chain. Reports propagations per second.
-func BenchmarkPropagate(b *testing.B) {
-	const n = 20000
-	s := sat.New()
-	vars := make([]sat.Var, n)
-	for i := range vars {
-		vars[i] = s.NewVar()
-	}
-	for i := 0; i+2 < n; i++ {
-		// Binary link: v_i -> v_{i+1} (served by the implication lists).
-		s.AddClause(sat.NegLit(vars[i]), sat.PosLit(vars[i+1]))
-		// Ternary link: v_i ∧ v_{i+1} -> v_{i+2} (served by watch lists).
-		s.AddClause(sat.NegLit(vars[i]), sat.NegLit(vars[i+1]), sat.PosLit(vars[i+2]))
-	}
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if s.Solve(sat.PosLit(vars[0])) != sat.Sat {
-			b.Fatal("chain must be satisfiable")
-		}
-	}
-	props := s.Stats().Propagations
-	if sec := time.Since(start).Seconds(); sec > 0 {
-		b.ReportMetric(float64(props)/sec, "props/s")
-	}
-	b.ReportMetric(float64(s.Stats().BinPropagations), "bin_props")
-}
+// BenchmarkPropagate measures raw unit-propagation throughput
+// (microbench.Propagate): the emmbench Propagate row.
+func BenchmarkPropagate(b *testing.B) { microbench.Propagate(b) }
 
 // BenchmarkUnrollStrash measures the structural-hashing cache on the
-// auxiliary gate builders (the path EMM and the loop-free-path constraints
-// go through): ten rounds of all pairwise ANDs over 64 literals. With
-// hashing on, rounds two through ten are pure cache hits; off, every gate
-// is re-encoded. Netlist nodes themselves are deduplicated by the per-frame
-// value cache, so this — repeated client-built gates — is where strash
-// earns its keep.
+// auxiliary gate builders with hashing on and off
+// (microbench.UnrollStrash).
 func BenchmarkUnrollStrash(b *testing.B) {
-	const width, rounds = 64, 10
-	m := rtl.NewModule("strash")
-	bus := m.Input("x", width)
-	m.Done()
-	for _, variant := range []struct {
-		name string
-		off  bool
-	}{{"On", false}, {"Off", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			var clauses, hits int
-			for i := 0; i < b.N; i++ {
-				s := sat.New()
-				u := unroll.New(m.N, s, unroll.Initialized)
-				u.NoStrash = variant.off
-				xs := u.VecLits(bus, 0)
-				tag := unroll.MkTag(unroll.TagAux, 0, 0)
-				for r := 0; r < rounds; r++ {
-					for i := 0; i < width; i++ {
-						for j := i + 1; j < width; j++ {
-							u.MkAndAux(xs[i], xs[j], tag)
-						}
-					}
-				}
-				clauses, hits = u.ClausesAdded, u.StrashHits
-			}
-			b.ReportMetric(float64(clauses), "clauses")
-			b.ReportMetric(float64(hits), "strash_hits")
-		})
-	}
+	b.Run("On", microbench.UnrollStrash(false))
+	b.Run("Off", microbench.UnrollStrash(true))
 }
 
 // BenchmarkEMMDepthGrowth measures EMM constraint generation to depth 24
 // for the shared-address-bus memory (AW=10, DW=32, one write, two reads)
-// with the optimizations on and off. The reduction_pct metric is the PR's
-// acceptance number: >= 25% fewer CNF clauses at depth >= 20 (also pinned
-// by exp.TestGrowthSharedAddrReduction).
+// with the optimizations on and off. The benchmark fails unless the
+// optimizations cut the CNF clauses by at least 25% (reduction_pct; also
+// pinned by exp.TestGrowthSharedAddrReduction).
 func BenchmarkEMMDepthGrowth(b *testing.B) {
-	cfg := exp.GrowthConfig{AW: 10, DW: 32, Writes: 1, Reads: 2, MaxK: 24, Step: 24, SharedAddr: true}
 	var on, off exp.GrowthPoint
-	b.Run("On", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pts := exp.Growth(cfg)
-			on = pts[len(pts)-1]
-		}
-		b.ReportMetric(float64(on.CNFClauses), "clauses")
-		b.ReportMetric(float64(on.MemoHits), "memo_hits")
-	})
-	b.Run("Off", func(b *testing.B) {
-		c := cfg
-		c.NoOpt = true
-		for i := 0; i < b.N; i++ {
-			pts := exp.Growth(c)
-			off = pts[len(pts)-1]
-		}
-		b.ReportMetric(float64(off.CNFClauses), "clauses")
-	})
+	b.Run("On", microbench.EMMDepthGrowth(false, &on))
+	b.Run("Off", microbench.EMMDepthGrowth(true, &off))
 	if on.CNFClauses > 0 && off.CNFClauses > 0 {
 		red := 100 * (1 - float64(on.CNFClauses)/float64(off.CNFClauses))
 		b.ReportMetric(red, "reduction_pct")
@@ -258,37 +182,8 @@ func BenchmarkEMMDepthGrowth(b *testing.B) {
 }
 
 // BenchmarkSATSolverPigeonhole measures raw CDCL throughput on a hard
-// structured UNSAT family.
-func BenchmarkSATSolverPigeonhole(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := sat.New()
-		holes := 8
-		vars := make([][]sat.Var, holes+1)
-		for p := range vars {
-			vars[p] = make([]sat.Var, holes)
-			for h := range vars[p] {
-				vars[p][h] = s.NewVar()
-			}
-		}
-		for p := 0; p <= holes; p++ {
-			cl := make([]sat.Lit, holes)
-			for h := 0; h < holes; h++ {
-				cl[h] = sat.PosLit(vars[p][h])
-			}
-			s.AddClause(cl...)
-		}
-		for h := 0; h < holes; h++ {
-			for p1 := 0; p1 <= holes; p1++ {
-				for p2 := p1 + 1; p2 <= holes; p2++ {
-					s.AddClause(sat.NegLit(vars[p1][h]), sat.NegLit(vars[p2][h]))
-				}
-			}
-		}
-		if s.Solve() != sat.Unsat {
-			b.Fatal("PHP must be UNSAT")
-		}
-	}
-}
+// structured UNSAT family: PHP(9, 8).
+func BenchmarkSATSolverPigeonhole(b *testing.B) { microbench.Pigeonhole(8)(b) }
 
 // BenchmarkEMMGeneration measures the cost of emitting EMM constraints to
 // depth 60 for the paper's AW=10/DW=32 memory.
@@ -434,59 +329,27 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkReduceDBTiers prices the three-tier learnt-clause bookkeeping
 // (LBD computation, promotion/demotion, activity-sorted local deletion) on
-// a conflict-heavy UNSAT pigeonhole solve. Mirrored in cmd/emmbench.
-func BenchmarkReduceDBTiers(b *testing.B) {
-	const holes = 7
-	for i := 0; i < b.N; i++ {
-		s := sat.New()
-		vars := make([][]sat.Var, holes+1)
-		for p := range vars {
-			vars[p] = make([]sat.Var, holes)
-			for h := range vars[p] {
-				vars[p][h] = s.NewVar()
-			}
-		}
-		for p := 0; p <= holes; p++ {
-			cl := make([]sat.Lit, holes)
-			for h := 0; h < holes; h++ {
-				cl[h] = sat.PosLit(vars[p][h])
-			}
-			s.AddClause(cl...)
-		}
-		for h := 0; h < holes; h++ {
-			for p1 := 0; p1 <= holes; p1++ {
-				for p2 := p1 + 1; p2 <= holes; p2++ {
-					s.AddClause(sat.NegLit(vars[p1][h]), sat.NegLit(vars[p2][h]))
-				}
-			}
-		}
-		if s.Solve() != sat.Unsat {
-			b.Fatal("PHP must be UNSAT")
-		}
-	}
-}
+// a conflict-heavy UNSAT pigeonhole solve, PHP(8, 7); emmbench's
+// ReduceDBTiers row solves PHP(9, 8).
+func BenchmarkReduceDBTiers(b *testing.B) { microbench.Pigeonhole(7)(b) }
 
 // BenchmarkGrowthSolve runs the solve-based growth experiment (§S2) at a
 // CI-sized configuration: the shared-address read-consistency property,
-// BMC-2 to depth 12 with strash and memoization off. The full-depth run
-// lives in cmd/emmbench.
+// BMC-2 to depth 12 with strash and memoization off. emmbench's
+// GrowthSolve row runs exp.DefaultGrowthSolve, to depth 24.
 func BenchmarkGrowthSolve(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true}
-		if r := exp.GrowthSolve(cfg); r.Kind != bmc.KindNoCE {
-			b.Fatalf("valid property must report NO_CE, got %v", r.Kind)
-		}
-	}
+	microbench.GrowthSolve(exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true})(b)
 }
 
 // BenchmarkCompilePipeline prices the static compile pipeline and records
 // its effect on the decoy-salted growth design: /static times the four
 // netlist passes alone; /solve-off and /solve-on run the depth-12 BMC-2
-// check with the pipeline disabled and enabled, reporting cumulative CNF
-// clauses so the benchmark trajectory captures the reduction. /hit is the
-// job server's cache-hit path on internal/serve/testdata/gated.v, a
-// 16-stage multiply chain behind a constant register: parse, compile and
-// key the compiled netlist.
+// check with the pipeline disabled and enabled (microbench.GrowthSolve),
+// reporting cumulative CNF clauses so the reduction is visible. emmbench's
+// CompilePipeline rows run the same bodies on exp.DefaultCompileAB. /hit
+// is the job server's cache-hit path on internal/serve/testdata/gated.v,
+// a 16-stage multiply chain behind a constant register: parse, compile
+// and key the compiled netlist.
 func BenchmarkCompilePipeline(b *testing.B) {
 	cfg := exp.GrowthSolveConfig{AW: 5, DW: 8, MaxK: 12, NoOpt: true, Decoys: 8}
 	b.Run("hit", func(b *testing.B) {
@@ -507,39 +370,9 @@ func BenchmarkCompilePipeline(b *testing.B) {
 			serve.NetlistKey(c.N, c.Props)
 		}
 	})
-	b.Run("static", func(b *testing.B) {
-		b.ReportAllocs()
-		n := exp.GrowthSolveNetlist(cfg)
-		var after pass.Counts
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c, err := pass.Compile(n, []int{0}, pass.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			after = pass.CountsOf(c.N)
-		}
-		before := pass.CountsOf(n)
-		b.ReportMetric(float64(before.Nodes-after.Nodes), "nodes_removed")
-		b.ReportMetric(float64(before.Latches-after.Latches), "latches_removed")
-		b.ReportMetric(float64(before.MemPorts-after.MemPorts), "ports_removed")
-	})
-	solve := func(name, spec string) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var clauses int
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Passes = spec
-				r := exp.GrowthSolve(c)
-				if r.Kind != bmc.KindNoCE {
-					b.Fatalf("valid property must report NO_CE, got %v", r.Kind)
-				}
-				clauses = r.Stats.Clauses
-			}
-			b.ReportMetric(float64(clauses), "clauses")
-		})
-	}
-	solve("solve-off", pass.SpecNone)
-	solve("solve-on", "")
+	b.Run("static", microbench.CompileStatic(cfg))
+	off := cfg
+	off.Passes = pass.SpecNone
+	b.Run("solve-off", microbench.GrowthSolve(off))
+	b.Run("solve-on", microbench.GrowthSolve(cfg))
 }
